@@ -25,7 +25,9 @@ emulated steps vs prefix re-execution; faults/second, step counts,
 peak RSS (``resource.getrusage``, so the streaming engine's memory
 trajectory is visible alongside throughput) and the engine's
 peak-resident-fault-points gauge are recorded in
-``BENCH_campaign.json`` at the repo root.  A ``models`` section adds a
+``benchmarks/out/BENCH_campaign.json`` (gitignored, so a test run
+leaves the tree clean; the committed baseline is ``BENCH_campaign.json``
+at the repo root).  A ``models`` section adds a
 state-family row (a sampled ``reg-bitflip`` campaign on the
 checkpointed backend), so the fault-effect protocol's hot path is on
 the same perf trajectory as the classic fetch faults, and a
@@ -37,7 +39,8 @@ exhaustive campaign on the committed PIE ELF fixture, recording
 faults/s and ``peak_resident_points`` — the real-binary path on the
 same trajectory).  CI's ``bench`` job diffs a fresh run of this file
 against the committed JSON and fails on >25% throughput regression
-(``benchmarks/check_regression.py``).
+(``benchmarks/check_regression.py``, which also says how to refresh
+the baseline).
 """
 
 import json
@@ -57,7 +60,7 @@ from repro.faulter.space import ExhaustiveSpace, ProductSpace
 from repro.workloads import bootloader
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
-BENCH_PATH = REPO_ROOT / "BENCH_campaign.json"
+BENCH_PATH = REPO_ROOT / "benchmarks" / "out" / "BENCH_campaign.json"
 
 TRACE_SIZE = 200     # bootloader payload -> trace >= 1k instructions
 # enough samples that campaign compute dominates fixed costs (pool
@@ -353,6 +356,7 @@ def test_engine_throughput(benchmark, record):
         "peak_rss_kb": resource.getrusage(
             resource.RUSAGE_SELF).ru_maxrss,
     }
+    BENCH_PATH.parent.mkdir(parents=True, exist_ok=True)
     BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
     lines = [
@@ -375,6 +379,6 @@ def test_engine_throughput(benchmark, record):
         f"  k=2 {K2_MODEL} pairs: equivalence reduction emulates "
         f"{step_speedup:.1f}x fewer steps than the full product "
         f"({full_pair_steps} -> {reduced_pair_steps}), bit-identically",
-        f"  [written to {BENCH_PATH.name}]",
+        f"  [written to {BENCH_PATH.relative_to(REPO_ROOT)}]",
     ]
     record("BENCH_campaign", "\n".join(lines))

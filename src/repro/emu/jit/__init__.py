@@ -2,9 +2,9 @@
 
 The JIT carves the instruction stream into straight-line *superblocks*
 (at most one control transfer, as the terminator), lifts each once
-through the existing ``lift``/``ir`` pipeline, and lowers the optimized
-IR to a plain Python step function executed by ``Machine.run``'s fast
-path.  Precision is preserved by construction:
+per process through the existing ``lift``/``ir`` pipeline, and lowers
+the optimized IR to a plain Python step function executed by
+``Machine.run``'s fast path.  Precision is preserved by construction:
 
 * register/memory dataflow comes from the lifted IR (bit-exact per the
   differential tests of ``lift/semantics``),
@@ -17,9 +17,11 @@ path.  Precision is preserved by construction:
   nested journal mark, so an aborted block leaves no trace and the
   precise stepper re-executes it for the architectural crash state.
 
-``TraceCompiler`` owns the block cache, its coherence under
+``TraceCompiler`` owns the per-compiler block cache, its coherence under
 self-modifying code and checkpoint restores, and the campaign-visible
-counters (compiled vs precise steps, divergences, compile time).
+counters (compiled vs precise steps, divergences, compile time); the
+lowered step functions behind it are shared process-wide, keyed by the
+code bytes.
 """
 
 from repro.emu.jit.compiler import TraceCompiler

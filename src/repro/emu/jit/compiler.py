@@ -1,9 +1,16 @@
 """The trace compiler: block cache, execution loop, coherence, stats.
 
-Blocks are keyed by static start address, so one compilation serves the
-baseline trace *and* every faulted suffix that passes through the same
-code — which is where ~95% of campaign steps are spent.  Coherence is
-event-driven:
+Each compiler maps static start addresses to blocks, so one compilation
+serves the baseline trace *and* every faulted suffix that passes
+through the same code — which is where ~95% of campaign steps are
+spent.  Below the per-compiler maps sits one process-wide map from a
+block's code (its start address plus the raw bytes of every carved
+instruction) to the lowered step function, so every compiler in the
+process — each executor of each campaign, the reduction's probes, the
+patcher loop's refaults, a forked fleet worker — lifts and lowers a
+given block once.  The key is the code itself and lowering reads
+nothing else from the image, so shared entries never go stale and need
+no coherence; the per-compiler maps keep it, event-driven:
 
 * ``on_exec_write`` (wired through ``Machine._on_exec_write``) evicts
   every block overlapping a write to executable memory and, if the
@@ -27,6 +34,7 @@ blocks.
 from __future__ import annotations
 
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -43,6 +51,49 @@ _UNCOMPILED = object()
 # serialized-block payload schema (see export_blocks/import_blocks);
 # bump to orphan previously serialized caches
 EXPORT_VERSION = 1
+
+#: Capacity of the process-wide lowered-block map, evicted LRU-first;
+#: about 2.7x the distinct superblocks of a whole bootloader evaluate.
+SHARED_CAPACITY = 4096
+
+# (start, code bytes) -> (step, writes_memory, source), or None for a
+# block that does not lift or lower
+_SHARED: OrderedDict = OrderedDict()
+
+
+def _code_key(start: int, insns) -> tuple[int, bytes]:
+    return start, b"".join(insn.raw for insn in insns)
+
+
+def _shared_get(key):
+    entry = _SHARED.get(key, _UNCOMPILED)
+    if entry is not _UNCOMPILED:
+        _SHARED.move_to_end(key)
+    return entry
+
+
+def _shared_put(key, entry) -> None:
+    _SHARED[key] = entry
+    while len(_SHARED) > SHARED_CAPACITY:
+        _SHARED.popitem(last=False)
+
+
+def _lowered(start: int, body, terminator, insns):
+    """``(step, writes_memory, source)`` for a carved block, or ``None``.
+
+    Lifts and lowers only on a miss in the process-wide map; a block
+    that fails to lift or lower is remembered as ``None``.
+    """
+    key = _code_key(start, insns)
+    entry = _shared_get(key)
+    if entry is _UNCOMPILED:
+        try:
+            function = lift_superblock(body, start)
+            entry = lower_superblock(function, body, terminator)
+        except (LiftError, IRError, JitUnsupported):
+            entry = None
+        _shared_put(key, entry)
+    return entry
 
 
 class BlockInvalidated(Exception):
@@ -128,28 +179,25 @@ class TraceCompiler:
 
     def _compile_at(self, machine, address: int) -> Optional[SuperBlock]:
         started = time.perf_counter()
+        body, terminator = carve(machine, address)
+        insns = tuple(body) + (
+            (terminator,) if terminator is not None else ())
+        lowered = (_lowered(address, body, terminator, insns)
+                   if insns else None)
         block = None
-        try:
-            body, terminator = carve(machine, address)
-            if body or terminator is not None:
-                function = lift_superblock(body, address)
-                step, writes_memory, source = lower_superblock(
-                    function, body, terminator)
-                insns = tuple(body) + (
-                    (terminator,) if terminator is not None else ())
-                last = insns[-1]
-                block = SuperBlock(
-                    start=address,
-                    limit=last.address + last.length,
-                    count=len(insns),
-                    step=step,
-                    writes_memory=writes_memory,
-                    tainted=self._dirty,
-                    insns=insns,
-                    source=source,
-                )
-        except (LiftError, IRError, JitUnsupported):
-            block = None
+        if lowered is not None:
+            step, writes_memory, source = lowered
+            last = insns[-1]
+            block = SuperBlock(
+                start=address,
+                limit=last.address + last.length,
+                count=len(insns),
+                step=step,
+                writes_memory=writes_memory,
+                tainted=self._dirty,
+                insns=insns,
+                source=source,
+            )
         self._blocks[address] = block
         if block is not None:
             self.compiled_blocks += 1
@@ -240,8 +288,10 @@ class TraceCompiler:
         each block's instructions are nevertheless re-decoded from the
         live memory and cross-checked against the recorded geometry —
         any mismatch (or any error at all) skips that block and the
-        compiler derives it from scratch on demand.  Returns the
-        number of blocks imported.
+        compiler derives it from scratch on demand.  A block already
+        in the process-wide map reuses its step function instead of
+        executing the source again.  Returns the number of blocks
+        imported.
         """
         if not isinstance(payload, dict) \
                 or payload.get("version") != EXPORT_VERSION:
@@ -261,18 +311,27 @@ class TraceCompiler:
                         or insns[0].address != start
                         or last.address + last.length != spec["limit"]):
                     continue
-                namespace: dict = {"_PT": PARITY_TABLE}
-                exec(compile(spec["source"], f"<jit:{start:#x}>",
-                             "exec"), namespace)
+                key = _code_key(start, insns)
+                entry = _shared_get(key)
+                if entry is None:
+                    continue
+                if entry is _UNCOMPILED:
+                    namespace: dict = {"_PT": PARITY_TABLE}
+                    exec(compile(spec["source"], f"<jit:{start:#x}>",
+                                 "exec"), namespace)
+                    entry = (namespace["superblock"],
+                             bool(spec["writes_memory"]), spec["source"])
+                    _shared_put(key, entry)
+                step, writes_memory, source = entry
                 block = SuperBlock(
                     start=start,
                     limit=spec["limit"],
                     count=spec["count"],
-                    step=namespace["superblock"],
-                    writes_memory=bool(spec["writes_memory"]),
+                    step=step,
+                    writes_memory=writes_memory,
                     tainted=False,
                     insns=tuple(insns),
-                    source=spec["source"],
+                    source=source,
                 )
             except (KeyError, IndexError, TypeError, ValueError,
                     SyntaxError, DecodingError, EmulationError):

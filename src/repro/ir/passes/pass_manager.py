@@ -17,7 +17,6 @@ class PassManager:
                  verify_each: bool = True):
         self.passes: list[tuple[str, FunctionPass]] = list(passes)
         self.verify_each = verify_each
-        self.log: list[tuple[str, str, bool]] = []
 
     def add(self, name: str, function_pass: FunctionPass):
         self.passes.append((name, function_pass))
@@ -28,10 +27,8 @@ class PassManager:
                      else [target])
         changed_any = False
         for function in functions:
-            for name, function_pass in self.passes:
-                changed = bool(function_pass(function))
-                self.log.append((function.name, name, changed))
-                changed_any |= changed
+            for _, function_pass in self.passes:
+                changed_any |= bool(function_pass(function))
                 if self.verify_each:
                     verify(function)
         return changed_any

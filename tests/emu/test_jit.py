@@ -9,10 +9,15 @@ code, fault windows, superblock boundaries).
 """
 
 import random
+from collections import OrderedDict
+
+import pytest
 
 from repro.emu.flagops import PARITY_TABLE, Flags
 from repro.emu.jit import TraceCompiler
-from repro.emu.jit.codegen import _Emitter, _inline_flags
+from repro.emu.jit import compiler as compiler_mod
+from repro.emu.jit import lift as lift_mod
+from repro.emu.jit.codegen import JitUnsupported, _Emitter, _inline_flags
 from repro.emu.jit.superblock import MAX_BODY, carve
 from repro.emu.machine import Machine
 from repro.workloads import bootloader, corpus, pincheck
@@ -194,6 +199,127 @@ class TestCoherence:
         # nothing wrote executable pages, so no block was evicted
         assert compiler.compiled_blocks == compiled
         assert len(compiler._blocks) > 0
+
+
+class TestSharedBlockMap:
+    """Every compiler in a process shares one content-keyed block map."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_map(self, monkeypatch):
+        monkeypatch.setattr(compiler_mod, "_SHARED", OrderedDict())
+
+    @pytest.fixture
+    def lifts(self, monkeypatch):
+        """Start addresses passed to ``lift_superblock``, in order."""
+        calls = []
+        real = compiler_mod.lift_superblock
+
+        def counting(body, start):
+            calls.append(start)
+            return real(body, start)
+
+        monkeypatch.setattr(compiler_mod, "lift_superblock", counting)
+        return calls
+
+    def test_second_compiler_lifts_nothing(self, lifts):
+        wl = bootloader.workload(rich=True)
+        image = wl.build()
+        first = Machine(image, stdin=wl.bad_input)
+        TraceCompiler().attach(first)
+        first.run()
+        assert lifts
+        lifts.clear()
+        (precise, rp), (compiled, rc) = _run_both(image, wl.bad_input)
+        assert lifts == []
+        assert compiled.jit.compiled_blocks > 0
+        assert compiled.jit.compiled_steps > rc.steps // 2
+        assert _state(precise) == _state(compiled)
+        assert rp.steps == rc.steps
+
+    def test_poked_code_gets_its_own_entry(self, lifts):
+        image = corpus.build("exit42")
+        warm = Machine(image)
+        warm_compiler = TraceCompiler().attach(warm)
+        entry = warm.cpu.rip
+        assert warm.run().exit_code == 42
+        stale = warm_compiler._blocks[entry].step
+        machine = Machine(image)
+        compiler = TraceCompiler().attach(machine)
+        target = entry + machine.fetch_decode(entry).length
+        machine.memory.poke(target + 3, b"\x2b")
+        lifts.clear()
+        assert machine.run().exit_code == 43
+        assert entry in lifts
+        assert compiler._blocks[entry].step is not stale
+        assert [start for start, _ in compiler_mod._SHARED].count(
+            entry) == 2
+
+    def test_unliftable_block_is_tried_once(self, lifts, monkeypatch):
+        def refuse(function, body, terminator):
+            raise JitUnsupported("refused")
+
+        monkeypatch.setattr(compiler_mod, "lower_superblock", refuse)
+        wl = pincheck.workload()
+        image = wl.build()
+        for _ in range(2):
+            _assert_identical(image, wl.bad_input)
+        assert lifts
+        assert len(lifts) == len(set(lifts))
+        assert all(entry is None
+                   for entry in compiler_mod._SHARED.values())
+
+    def test_map_never_exceeds_its_capacity(self, monkeypatch):
+        monkeypatch.setattr(compiler_mod, "SHARED_CAPACITY", 4)
+        sizes = []
+        real = compiler_mod.lift_superblock
+
+        def recording(body, start):
+            sizes.append(len(compiler_mod._SHARED))
+            return real(body, start)
+
+        monkeypatch.setattr(compiler_mod, "lift_superblock", recording)
+        wl = bootloader.workload(rich=True)
+        _assert_identical(wl.build(), wl.bad_input)
+        assert len(sizes) > 4
+        assert max(sizes) <= 4
+        assert len(compiler_mod._SHARED) == 4
+
+    def test_import_reuses_shared_step_functions(self):
+        wl = pincheck.workload()
+        image = wl.build()
+        source = Machine(image, stdin=wl.bad_input)
+        exporter = TraceCompiler().attach(source)
+        source.run()
+        payload = exporter.export_blocks()
+        assert payload["blocks"]
+        compiler_mod._SHARED.clear()
+        imported = []
+        for _ in range(2):
+            machine = Machine(image, stdin=wl.bad_input)
+            compiler = TraceCompiler().attach(machine)
+            assert compiler.import_blocks(machine, payload) == len(
+                payload["blocks"])
+            imported.append(compiler._blocks)
+        for start, block in imported[0].items():
+            assert imported[1][start].step is block.step
+
+
+def test_pass_pipeline_keeps_no_history():
+    # the JIT's pass manager is module-global, so any per-run record
+    # it kept would grow for the life of the process
+    machine = Machine(bootloader.workload(rich=True).build())
+    body, _ = carve(machine, machine.cpu.rip)
+    assert body
+
+    def sizes():
+        return {name: len(value)
+                for name, value in vars(lift_mod._PIPELINE).items()
+                if hasattr(value, "__len__")}
+
+    before = sizes()
+    for _ in range(100):
+        lift_mod.lift_superblock(body, machine.cpu.rip)
+    assert sizes() == before
 
 
 class TestSuperblockCarving:
