@@ -53,6 +53,7 @@ import time
 from conftest import once
 
 from repro.binfmt.reader import read_elf
+from repro.emu.jit import compiler as jit_compiler
 from repro.faulter import (
     ArtifactStore, Faulter, MultiprocessBackend, SampledSpace,
     SequentialBackend, shutdown_fleet)
@@ -178,10 +179,16 @@ def test_engine_throughput(benchmark, record):
                 benchmark, lambda: _measure(row_faulter, backend))
         elif name == "multiprocess":
             # gated row: best of GATED_REPEATS genuinely-cold passes
-            # (fleet torn down and the faulter re-provisioned each time)
+            # (fleet torn down and the faulter re-provisioned each
+            # time).  Forked workers inherit the parent's process-wide
+            # compiled-block map, which the earlier rows filled, so it
+            # is emptied before every pass and restored afterwards
+            warm_blocks = dict(jit_compiler._SHARED)
+            jit_compiler._SHARED.clear()
             report, elapsed = _measure(row_faulter, backend)
             for _ in range(GATED_REPEATS - 1):
                 shutdown_fleet()
+                jit_compiler._SHARED.clear()
                 retry_faulter, retry_derive = provision()
                 retry_report, retry_elapsed = _measure(
                     retry_faulter, backend)
@@ -190,6 +197,7 @@ def test_engine_throughput(benchmark, record):
                     elapsed = retry_elapsed
                     derive_seconds = retry_derive
             shutdown_fleet()
+            jit_compiler._SHARED.update(warm_blocks)
         else:
             report, elapsed = _measure(row_faulter, backend)
         reports[name] = report

@@ -6,18 +6,16 @@ Upper path: binary -> lifter -> IR countermeasure -> lowered binary.
 
 from conftest import once
 
-from repro.api import harden_binary
+from repro.api import Target
 from repro.emu import run_executable
 
 
 def _both_paths(wl):
     exe = wl.build()
-    fp = harden_binary(exe, wl.good_input, wl.bad_input,
-                       wl.grant_marker, approach="faulter+patcher",
-                       fault_models=("skip",), name=wl.name)
-    hy = harden_binary(exe, wl.good_input, wl.bad_input,
-                       wl.grant_marker, approach="hybrid",
-                       fault_models=("skip",), name=wl.name)
+    target = Target(exe, wl.good_input, wl.bad_input, wl.grant_marker,
+                    name=wl.name)
+    fp = target.harden(approach="faulter+patcher", fault_models=("skip",))
+    hy = target.harden(approach="hybrid", fault_models=("skip",))
     return exe, fp, hy
 
 

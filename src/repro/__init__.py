@@ -20,8 +20,7 @@ Quickstart::
     print(result.report())
 
 (See ``docs/api.md`` for the session API — ``Target``/``Oracle``/
-``EngineConfig`` — and the migration path from the deprecated free
-functions.)
+``EngineConfig``.)
 """
 
 __version__ = "1.0.0"
@@ -30,15 +29,13 @@ __version__ = "1.0.0"
 def __getattr__(name):
     """Lazy access to the main entry points.
 
-    ``repro.harden_binary`` / ``repro.find_vulnerabilities`` work
-    without importing the whole pipeline at package-import time.
+    ``repro.Target`` / ``repro.EngineConfig`` work without importing
+    the whole pipeline at package-import time.
     """
-    if name in ("Target", "EngineConfig", "harden_binary",
-                "find_vulnerabilities", "hardened_elf"):
+    if name in ("Target", "EngineConfig", "hardened_elf"):
         from repro import api
         return getattr(api, name)
     raise AttributeError(f"module 'repro' has no attribute {name!r}")
 
 
-__all__ = ["__version__", "Target", "EngineConfig", "harden_binary",
-           "find_vulnerabilities", "hardened_elf"]
+__all__ = ["__version__", "Target", "EngineConfig", "hardened_elf"]

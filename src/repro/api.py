@@ -30,17 +30,11 @@ third-party rewriters without touching this module.
 ``Target.evaluate`` is the paper's actual evaluation loop (Tables
 III-V): baseline campaign -> harden -> re-fault -> join the two
 campaigns point-by-point through the rewrite's provenance map.
-
-The pre-session free functions — :func:`find_vulnerabilities`,
-:func:`harden_binary`, :func:`evaluate_countermeasures` — remain as
-thin deprecated shims over :class:`Target` and produce bit-identical
-reports (asserted by the tests).
 """
 
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -76,7 +70,6 @@ from repro.patcher.loop import HardenResult
 from repro.provenance import ProvenanceMap
 
 __all__ = [
-    "APPROACHES",
     "AllOf",
     "AnyOf",
     "EngineConfig",
@@ -91,17 +84,10 @@ __all__ = [
     "Target",
     "approach_by_name",
     "coerce_oracle",
-    "evaluate_countermeasures",
-    "find_vulnerabilities",
-    "harden_binary",
     "hardened_elf",
     "oracle_from_dict",
     "register_approach",
 ]
-
-# import-time snapshot kept for backward compatibility; the live
-# table is repro.hardening.HARDENING_APPROACHES
-APPROACHES = tuple(HARDENING_APPROACHES)
 
 HardeningResult = Union[HardenResult, HybridResult, DetourResult]
 
@@ -224,24 +210,21 @@ class Target:
                      config: EngineConfig, backend
                      ) -> dict[str, CampaignReport]:
         """Campaigns for ``models`` honouring every config knob."""
-        if config.k_faults > 1:
-            reports = {}
-            for model in models:
+        reports = {}
+        for model in models:
+            if config.k_faults > 1:
                 report = faulter.run_k_fault_campaign(
                     model, k=config.k_faults, samples=config.samples,
                     seed=config.seed, backend=backend,
                     reduce=config.reduce)
-                reports[report.model] = report
-            return reports
-        if config.chunk_units:
-            reports = {}
-            for model in models:
+            elif config.chunk_units:
                 report = faulter.run_chunked_campaign(
                     model, backend=backend)
-                reports[report.model] = report
-            return reports
-        return faulter.run_all(models, backend=backend,
-                               reduce=config.reduce)
+            else:
+                report = faulter.run_campaign(
+                    model, backend=backend, reduce=config.reduce)
+            reports[report.model] = report
+        return reports
 
     def harden(self,
                approach: str = "faulter+patcher",
@@ -384,92 +367,3 @@ class EvaluationResult:
 
     def report(self) -> str:
         return "\n".join((self.result.report(), self.diff.table()))
-
-
-# ---------------------------------------------------------------------------
-# deprecated free-function shims (pre-session API)
-# ---------------------------------------------------------------------------
-
-
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"repro.api.{old} is deprecated; use {new} "
-        "(see docs/api.md for the migration path)",
-        DeprecationWarning, stacklevel=3)
-
-
-def find_vulnerabilities(image: Union[Executable, bytes],
-                         good_input: bytes,
-                         bad_input: bytes,
-                         grant_marker: Union[Oracle, bytes],
-                         models: Sequence[str] = ("skip", "bitflip"),
-                         name: str = "target",
-                         backend: Union[str, object, None] = None,
-                         checkpoint_interval: Union[int, float,
-                                                    None] = None,
-                         workers: Union[int, None] = None,
-                         k_faults: int = 1,
-                         samples: int = 200,
-                         seed: int = 0,
-                         stream: Union[bool, None] = None,
-                         max_resident_points: Union[int, None] = None
-                         ) -> dict[str, CampaignReport]:
-    """Deprecated shim over :meth:`Target.campaign`
-    (bit-identical reports)."""
-    _deprecated("find_vulnerabilities", "Target.campaign")
-    config = EngineConfig(
-        backend=backend, checkpoint_interval=checkpoint_interval,
-        workers=workers, k_faults=k_faults, samples=samples,
-        seed=seed, stream=stream,
-        max_resident_points=max_resident_points)
-    target = Target(image, good_input, bad_input, grant_marker,
-                    name=name)
-    return target.campaign(models, config)
-
-
-def harden_binary(image: Union[Executable, bytes],
-                  good_input: bytes,
-                  bad_input: bytes,
-                  grant_marker: Union[Oracle, bytes],
-                  approach: str = "faulter+patcher",
-                  fault_models: Sequence[str] = ("skip",),
-                  name: str = "target",
-                  **kwargs) -> HardeningResult:
-    """Deprecated shim over :meth:`Target.harden`
-    (bit-identical results)."""
-    _deprecated("harden_binary", "Target.harden")
-    target = Target(image, good_input, bad_input, grant_marker,
-                    name=name)
-    return target.harden(approach, fault_models=fault_models,
-                         **kwargs)
-
-
-def evaluate_countermeasures(image: Union[Executable, bytes],
-                             good_input: bytes,
-                             bad_input: bytes,
-                             grant_marker: Union[Oracle, bytes],
-                             approach: str = "faulter+patcher",
-                             models: Sequence[str] = ("skip",),
-                             harden_models: Optional[Sequence[str]]
-                             = None,
-                             name: str = "target",
-                             backend: Union[str, object, None] = None,
-                             checkpoint_interval: Union[int, float,
-                                                        None] = None,
-                             workers: Union[int, None] = None,
-                             stream: Union[bool, None] = None,
-                             max_resident_points: Union[int, None]
-                             = None,
-                             **harden_kwargs) -> EvaluationResult:
-    """Deprecated shim over :meth:`Target.evaluate`
-    (bit-identical reports)."""
-    _deprecated("evaluate_countermeasures", "Target.evaluate")
-    config = EngineConfig(
-        backend=backend, checkpoint_interval=checkpoint_interval,
-        workers=workers, stream=stream,
-        max_resident_points=max_resident_points)
-    target = Target(image, good_input, bad_input, grant_marker,
-                    name=name)
-    return target.evaluate(approach=approach, models=models,
-                           config=config, harden_models=harden_models,
-                           **harden_kwargs)

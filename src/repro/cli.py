@@ -14,10 +14,9 @@ Subcommands::
     r2r disasm  TARGET.elf
 
 The engine knobs — ``--backend``, ``--checkpoint-interval``,
-``--workers``, ``--stream/--no-stream``, ``--max-resident-points``,
-``--reduce/--no-reduce``, ``--chunk-units``, ``--artifact-cache``,
-``--cache-dir``, ``--steal`` — are declared once in a
-shared parent parser
+``--workers``, ``--max-resident-points``, ``--trace-compile``,
+``--reduce/--no-reduce``, ``--chunk-units``, ``--artifact-cache`` and
+``--cache-dir`` — are declared once in a shared parent parser
 and map onto one :class:`~repro.api.EngineConfig`; ``--approach``
 choices derive from the
 :data:`repro.hardening.HARDENING_APPROACHES` registry and ``--model``
@@ -123,14 +122,8 @@ def _engine_parent() -> argparse.ArgumentParser:
                             "checkpoint)")
     group.add_argument("--workers", type=int, default=None,
                        help="process count for --backend multiprocess")
-    group.add_argument("--stream", default=None,
-                       action=argparse.BooleanOptionalAction,
-                       help="stream the fault space through a bounded "
-                            "reorder window instead of materializing "
-                            "it (default: on; --no-stream forces the "
-                            "materialized path)")
     group.add_argument("--max-resident-points", type=int, default=None,
-                       help="streaming reorder-window size: the peak "
+                       help="reorder-window size: the peak "
                             "number of fault points held in memory "
                             "at once")
     group.add_argument("--trace-compile", default=None,
@@ -164,12 +157,6 @@ def _engine_parent() -> argparse.ArgumentParser:
                        help="artifact store root (default: "
                             "$XDG_CACHE_HOME/r2r/artifacts); naming "
                             "one implies --artifact-cache")
-    group.add_argument("--steal", default=None,
-                       action=argparse.BooleanOptionalAction,
-                       help="multiprocess scheduling: pull partitions "
-                            "from a shared work-stealing queue "
-                            "(default: on; --no-steal dispatches in "
-                            "fixed worker-sized waves)")
     return parent
 
 
@@ -182,14 +169,12 @@ def _engine_config(args) -> EngineConfig:
         k_faults=getattr(args, "k_faults", 1),
         samples=getattr(args, "samples", 200),
         seed=getattr(args, "seed", 0),
-        stream=args.stream,
         max_resident_points=args.max_resident_points,
         trace_compile=args.trace_compile,
         reduce=args.reduce,
         chunk_units=args.chunk_units,
         artifact_cache=args.artifact_cache,
-        cache_dir=args.cache_dir,
-        steal=args.steal)
+        cache_dir=args.cache_dir)
 
 
 def _file_target(args) -> Target:

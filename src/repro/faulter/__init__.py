@@ -46,7 +46,6 @@ from repro.faulter.engine import (
     ExecutionStats,
     MultiprocessBackend,
     SequentialBackend,
-    backend_by_name,
     shutdown_fleet,
 )
 from repro.faulter.oracle import (
@@ -59,7 +58,6 @@ from repro.faulter.oracle import (
     coerce_oracle,
     oracle_from_dict,
 )
-from repro.faulter.parallel import run_parallel_campaign
 from repro.faulter.report import (
     CampaignReport,
     CampaignReportBuilder,
@@ -106,7 +104,6 @@ __all__ = [
     "ExecutionStats",
     "MultiprocessBackend",
     "SequentialBackend",
-    "backend_by_name",
     "Oracle",
     "MarkerOracle",
     "ExitCodeOracle",
@@ -115,7 +112,6 @@ __all__ = [
     "AnyOf",
     "coerce_oracle",
     "oracle_from_dict",
-    "run_parallel_campaign",
     "CampaignReport",
     "CampaignReportBuilder",
     "VulnerablePoint",

@@ -28,8 +28,9 @@ prints.
 All campaign flavors route through the unified engine
 (:mod:`repro.faulter.engine`): a campaign is a
 :class:`~repro.faulter.space.FaultSpace` executed on an
-:class:`~repro.faulter.engine.ExecutionBackend`.  The methods below
-keep the historical signatures and produce bit-identical reports.
+:class:`~repro.faulter.engine.ExecutionBackend`.  Every method below
+takes an optional backend instance; ``None`` means a default
+:class:`~repro.faulter.engine.SequentialBackend`.
 """
 
 from __future__ import annotations
@@ -44,8 +45,8 @@ from repro.faulter import artifacts as artifacts_mod
 from repro.faulter.artifacts import ArtifactStore
 from repro.faulter.engine import (
     CampaignEngine,
+    ExecutionBackend,
     derive_trace,
-    resolve_backend,
 )
 from repro.faulter.models import FaultModel
 from repro.faulter.oracle import MarkerOracle, Oracle, coerce_oracle
@@ -182,10 +183,7 @@ class Faulter:
         model: FaultModel | str,
         trace_window: Optional[Sequence[int]] = None,
         collect_outcomes: bool = False,
-        backend=None,
-        checkpoint_interval: int | float | None = None,
-        stream: bool | None = None,
-        max_resident_points: int | None = None,
+        backend: Optional[ExecutionBackend] = None,
         reduce: bool | None = None,
     ) -> CampaignReport:
         """Inject every fault ``model`` expresses along the bad-input
@@ -193,12 +191,8 @@ class Faulter:
 
         ``trace_window`` optionally restricts the dynamic offsets
         attacked (an iterable of trace indices) — the statistical-FI
-        escape hatch for long traces.  ``backend`` picks the execution
-        backend (name or instance; default sequential),
-        ``checkpoint_interval`` switches the sequential backend from
-        master-walk suffix replay to checkpoint replay, ``stream``
-        toggles bounded streaming execution (default on),
-        ``max_resident_points`` sizes its reorder window, and
+        escape hatch for long traces.  ``backend`` is the execution
+        backend (default: master-walk :class:`SequentialBackend`), and
         ``reduce`` toggles equivalence reduction (default on; the
         report covers the full space either way, see
         :mod:`repro.faulter.reduction`).
@@ -207,12 +201,6 @@ class Faulter:
             space = ExhaustiveSpace()
         else:
             space = WindowedSpace(indices=tuple(trace_window))
-        backend = resolve_backend(
-            backend,
-            checkpoint_interval=checkpoint_interval,
-            stream=stream,
-            max_resident_points=max_resident_points,
-        )
         return self.engine().run(
             model,
             space,
@@ -239,10 +227,7 @@ class Faulter:
         model: FaultModel | str,
         plan=None,
         collect_outcomes: bool = False,
-        backend=None,
-        checkpoint_interval: int | float | None = None,
-        stream: bool | None = None,
-        max_resident_points: int | None = None,
+        backend: Optional[ExecutionBackend] = None,
     ) -> CampaignReport:
         """Exhaustive campaign chunked per rewrite unit.
 
@@ -254,12 +239,6 @@ class Faulter:
         """
         if plan is None:
             plan = self.rewrite_plan()
-        backend = resolve_backend(
-            backend,
-            checkpoint_interval=checkpoint_interval,
-            stream=stream,
-            max_resident_points=max_resident_points,
-        )
         return self.engine().run_chunked(
             model,
             plan,
@@ -275,10 +254,7 @@ class Faulter:
         k: int = 2,
         samples: int = 200,
         seed: int = 0,
-        backend=None,
-        checkpoint_interval: int | float | None = None,
-        stream: bool | None = None,
-        max_resident_points: int | None = None,
+        backend: Optional[ExecutionBackend] = None,
         reduce: bool | None = None,
     ) -> CampaignReport:
         """``k`` faults per run, sampled along the bad-input trace.
@@ -290,12 +266,6 @@ class Faulter:
         to a pair (e.g. skipping both duplicated compares).
         """
         space = KFaultProductSpace(k=k, samples=samples, seed=seed)
-        backend = resolve_backend(
-            backend,
-            checkpoint_interval=checkpoint_interval,
-            stream=stream,
-            max_resident_points=max_resident_points,
-        )
         suffix = "pairs" if k == 2 else f"{k}-faults"
         return self.engine().run(
             model,
@@ -304,29 +274,3 @@ class Faulter:
             target=f"{self.name}({suffix})",
             reduce=reduce,
         )
-
-    def run_pair_campaign(
-        self,
-        model: FaultModel | str,
-        samples: int = 200,
-        seed: int = 0,
-        reduce: bool | None = None,
-    ) -> CampaignReport:
-        """Double-fault campaign: two faults per run, sampled."""
-        return self.run_k_fault_campaign(
-            model, k=2, samples=samples, seed=seed, reduce=reduce
-        )
-
-    # -- multi-model convenience ------------------------------------------
-
-    def run_all(
-        self,
-        models: Sequence[str | FaultModel] = ("skip", "bitflip"),
-        **campaign_kwargs,
-    ):
-        """Run several campaigns; returns {model_name: report}."""
-        reports = {}
-        for model in models:
-            report = self.run_campaign(model, **campaign_kwargs)
-            reports[report.model] = report
-        return reports

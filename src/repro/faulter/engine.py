@@ -1,12 +1,12 @@
 """The unified fault-campaign engine.
 
-Every campaign flavor — exhaustive, windowed, statistical, pair/k-fault,
-parallel — is the same computation: enumerate a :class:`FaultSpace`
+Every campaign flavor — exhaustive, windowed, statistical, k-fault,
+chunked — is the same computation: enumerate a :class:`FaultSpace`
 over the bad-input trace, execute each point on an
 :class:`ExecutionBackend`, and fold the per-point outcomes into one
 :class:`CampaignReport`.  ``CampaignEngine.run(model, space, backend)``
-is that computation; the legacy drivers in ``campaign.py``,
-``statistical.py`` and ``parallel.py`` are thin adapters over it.
+is that computation; ``Faulter.run_campaign`` and friends build the
+space and call it.
 
 Execution is *streaming* end-to-end: spaces enumerate lazily, backends
 pull points through a bounded reorder window (``max_resident_points``)
@@ -14,8 +14,9 @@ pull points through a bounded reorder window (``max_resident_points``)
 then emitting its outcomes back in enumeration order — and the engine
 folds the ordered outcome stream into the report incrementally.  Peak
 resident fault points are therefore bounded by the window size rather
-than the population, and reports stay bit-identical to the fully
-materialized path (``stream=False``), which the tests assert.
+than the population.  Every report equals the one the paper's literal
+protocol (a fresh machine per point) produces; ``tests/reference.py``
+is that protocol, and the bit-identity tests compare against it.
 
 Two execution strategies are provided:
 
@@ -30,7 +31,7 @@ Two execution strategies are provided:
   restores the nearest checkpoint at or before its offset and replays
   from there, instead of re-executing the whole prefix.  ``math.inf``
   degenerates to a single step-0 checkpoint, i.e. full prefix
-  re-execution — the pre-engine statistical behaviour.
+  re-execution.
 
 ``MultiprocessBackend`` partitions the space declaratively and runs
 either strategy on a persistent *warm fleet* of worker processes;
@@ -350,7 +351,8 @@ def _persist_facts(ctx, artifacts, image_key, bad_input) -> None:
 
 
 def _executor_store(faulter):
-    """(store, image key) an executor warms from, or (None, None).
+    """(store, image key) a campaign reads and writes artifacts
+    through, or (None, None).
 
     Both come from the faulter-like target: real
     :class:`~repro.faulter.campaign.Faulter` objects and the pool's
@@ -661,9 +663,17 @@ class _CheckpointReplayExecutor:
 
 
 class ExecutionBackend:
-    """Protocol: turn enumerated fault points into outcomes."""
+    """Protocol: turn enumerated fault points into outcomes.
+
+    The knob attributes are recorded in every report's ``meta``;
+    ``trace_compile`` also tells the reduction planner which tier its
+    probe runs should use.
+    """
 
     name = "abstract"
+    checkpoint_interval: int | float | None = None
+    max_resident_points: int | None = None
+    trace_compile: bool = True
 
     def iter_outcomes(
         self,
@@ -677,49 +687,27 @@ class ExecutionBackend:
         ``stats``."""
         raise NotImplementedError
 
-    def execute(
-        self,
-        faulter,
-        model: FaultModel,
-        space: FaultSpace,
-        ctx: SpaceContext,
-    ) -> tuple[list[PointOutcome], int]:
-        """Materializing wrapper: (ordered outcomes, emulated steps)."""
-        stats = ExecutionStats()
-        outcomes = list(self.iter_outcomes(faulter, model, space, ctx, stats))
-        return outcomes, stats.emulated_steps
 
-
-def _validate_streaming_knobs(
-    stream: bool, max_resident_points: int | None
-) -> None:
-    if max_resident_points is not None:
-        if not stream:
-            raise ValueError(
-                "max_resident_points= requires streaming execution "
-                "(stream=True)"
-            )
-        if max_resident_points < 1:
-            raise ValueError(
-                f"max_resident_points must be >= 1, got {max_resident_points}"
-            )
+def _check_window(max_resident_points: int | None) -> None:
+    """Reject a reorder window that could hold no point."""
+    if max_resident_points is not None and max_resident_points < 1:
+        raise ValueError(
+            f"max_resident_points must be >= 1, got {max_resident_points}"
+        )
 
 
 class SequentialBackend(ExecutionBackend):
     """In-process execution: master-walk or checkpoint-replay.
 
-    ``stream=True`` (the default) pulls points through a bounded
-    reorder window of ``max_resident_points`` (default
-    ``DEFAULT_MAX_RESIDENT``): each window executes offset-sorted,
-    then emits its outcomes back in enumeration order.  ``stream=
-    False`` materializes the whole space as one window — the legacy
-    O(population) path, kept as the differential-testing baseline.
+    Points stream through a bounded reorder window of
+    ``max_resident_points`` (default ``DEFAULT_MAX_RESIDENT``): each
+    window executes offset-sorted, then emits its outcomes back in
+    enumeration order.
 
     ``trace_compile=True`` (the default) runs unfaulted instruction
     stretches through the trace-compiled tier
     (:class:`~repro.emu.jit.TraceCompiler`); ``False`` keeps every
-    step on the precise interpreter — the differential baseline the
-    bit-identity tests compare against.
+    step on the precise interpreter.
     """
 
     name = "sequential"
@@ -727,21 +715,13 @@ class SequentialBackend(ExecutionBackend):
     def __init__(
         self,
         checkpoint_interval: int | float | None = None,
-        stream: bool = True,
         max_resident_points: int | None = None,
         trace_compile: bool = True,
     ):
         self.checkpoint_interval = _normalize_interval(checkpoint_interval)
-        _validate_streaming_knobs(stream, max_resident_points)
-        self.stream = stream
+        _check_window(max_resident_points)
         self.max_resident_points = max_resident_points
         self.trace_compile = trace_compile
-
-    def _window_size(self) -> int | None:
-        """Reorder-window bound; ``None`` materializes everything."""
-        if not self.stream:
-            return None
-        return self.max_resident_points or DEFAULT_MAX_RESIDENT
 
     # fleet workers pin (cache dict, key prefix) here so executors —
     # machine, checkpoint prefix, compiled blocks — survive across
@@ -781,12 +761,12 @@ class SequentialBackend(ExecutionBackend):
         )
 
     def iter_outcomes(self, faulter, model, space, ctx, stats):
-        window_size = self._window_size()
+        window_size = self.max_resident_points or DEFAULT_MAX_RESIDENT
         executor = None
         window: list[FaultPoint] = []
         for point in space.enumerate(ctx):
             window.append(point)
-            if window_size is not None and len(window) >= window_size:
+            if len(window) >= window_size:
                 if executor is None:
                     executor = self._executor(faulter, space, ctx)
                 yield from self._drain(executor, window, stats)
@@ -932,7 +912,6 @@ def _worker(job):
         partition,
         checkpoint_interval,
         master_max_steps,
-        stream,
         max_resident_points,
         trace_compile,
         cache_root,
@@ -953,7 +932,6 @@ def _worker(job):
     )
     backend = SequentialBackend(
         checkpoint_interval=checkpoint_interval,
-        stream=stream,
         max_resident_points=max_resident_points,
         trace_compile=trace_compile,
     )
@@ -965,7 +943,6 @@ def _worker(job):
     # rebuild).
     backend._reuse_executors = (executors, (
         backend.checkpoint_interval,
-        stream,
         max_resident_points,
         trace_compile,
         continuation_cap,
@@ -1149,16 +1126,13 @@ class MultiprocessBackend(ExecutionBackend):
     """Partition the space across the warm worker fleet.
 
     Partitions are contiguous enumeration-order windows shipped as
-    declarative sub-specs (O(1) bytes per job).  When streaming, each
-    partition is additionally capped at ``max_resident_points``.  With
-    ``steal=True`` (the default) partitions go onto the fleet's shared
-    pull queue — idle workers steal the next one as they finish, with
-    at most ``2 x workers`` jobs outstanding, and the parent reorders
+    declarative sub-specs (O(1) bytes per job), sized so that the
+    shards in flight or parked for reordering together stay within
+    ``max_resident_points``.  They go onto the fleet's shared pull
+    queue — idle workers steal the next one as they finish, with at
+    most ``2 x workers`` jobs outstanding, and the parent reorders
     returning shards back to partition order — so aggregate residency
-    stays O(workers x window) while stragglers stop gating wall-clock.
-    ``steal=False`` keeps the legacy wave dispatch (one fleet-sized
-    batch at a time, a barrier between batches) as the differential
-    scheduling baseline.
+    stays O(workers x window) while stragglers never gate wall-clock.
 
     Fleet workers persist across campaigns: each derives the
     trace/context once per target (or loads it from the artifact
@@ -1172,31 +1146,22 @@ class MultiprocessBackend(ExecutionBackend):
         self,
         workers: Optional[int] = None,
         checkpoint_interval: int | float | None = None,
-        stream: bool = True,
         max_resident_points: int | None = None,
         trace_compile: bool = True,
-        steal: bool = True,
     ):
         self.workers = workers
         self.checkpoint_interval = _normalize_interval(checkpoint_interval)
-        _validate_streaming_knobs(stream, max_resident_points)
-        self.stream = stream
+        _check_window(max_resident_points)
         self.max_resident_points = max_resident_points
         self.trace_compile = trace_compile
-        self.steal = steal
 
     def _partition_count(self, total: int, workers: int) -> int:
-        """Enough partitions for the fleet, capped at the window size."""
-        parts = workers
-        if self.stream:
-            window = self.max_resident_points or DEFAULT_MAX_RESIDENT
-            if self.steal:
-                # The steal scheduler keeps up to 2 x workers shards in
-                # flight or parked in the reorder buffer; shrink each
-                # partition so their sum still honours the window.
-                window = max(1, window // (workers * 2))
-            parts = max(parts, math.ceil(total / window))
-        return parts
+        """Enough partitions for the fleet, capped by the window: up
+        to 2 x workers shards are in flight or parked at once, so each
+        gets that share of the window."""
+        window = self.max_resident_points or DEFAULT_MAX_RESIDENT
+        window = max(1, window // (workers * 2))
+        return max(workers, math.ceil(total / window))
 
     def iter_outcomes(self, faulter, model, space, ctx, stats):
         workers = self.workers
@@ -1209,7 +1174,6 @@ class MultiprocessBackend(ExecutionBackend):
         if len(partitions) <= 1:
             fallback = SequentialBackend(
                 checkpoint_interval=self.checkpoint_interval,
-                stream=self.stream,
                 max_resident_points=self.max_resident_points,
                 trace_compile=self.trace_compile,
             )
@@ -1234,7 +1198,6 @@ class MultiprocessBackend(ExecutionBackend):
                 partition,
                 self.checkpoint_interval,
                 faulter.max_steps,
-                self.stream,
                 self.max_resident_points,
                 self.trace_compile,
                 cache_root,
@@ -1244,15 +1207,7 @@ class MultiprocessBackend(ExecutionBackend):
         pool_size = min(workers, len(jobs))
         fleet = _acquire_fleet(pool_size)
         epoch = fleet.new_epoch()
-        if self.steal:
-            yield from self._iter_stealing(fleet, epoch, jobs,
-                                           pool_size, stats)
-        else:
-            yield from self._iter_waves(fleet, epoch, jobs,
-                                        pool_size, stats)
-
-    def _iter_stealing(self, fleet, epoch, jobs, pool_size, stats):
-        """Shared pull queue, bounded look-ahead, in-order folding."""
+        # shared pull queue, bounded look-ahead, in-order folding
         outstanding_cap = pool_size * 2
         buffered: dict[int, tuple] = {}
         submitted = 0
@@ -1270,19 +1225,6 @@ class MultiprocessBackend(ExecutionBackend):
             if buffered:
                 stats.observe_resident(sum(
                     len(shard[0]) for shard in buffered.values()))
-
-    def _iter_waves(self, fleet, epoch, jobs, pool_size, stats):
-        """Legacy wave dispatch: a barrier between fleet-sized batches."""
-        for start in range(0, len(jobs), pool_size):
-            wave = jobs[start:start + pool_size]
-            for offset, job in enumerate(wave):
-                fleet.submit(epoch, start + offset, job)
-            shards: dict[int, tuple] = {}
-            for _ in wave:
-                index, shard = fleet.recv(epoch)
-                shards[index] = shard
-            for index in sorted(shards):
-                yield from self._fold(shards[index], stats)
 
     @staticmethod
     def _fold(shard, stats) -> list[PointOutcome]:
@@ -1309,192 +1251,71 @@ class MultiprocessBackend(ExecutionBackend):
 BACKENDS = {
     "sequential": SequentialBackend,
     "multiprocess": MultiprocessBackend,
-    # common aliases
-    "parallel": MultiprocessBackend,
 }
 
 
-def backend_by_name(name: str, **kwargs) -> ExecutionBackend:
-    """Instantiate a backend by name (``sequential``/``multiprocess``)."""
-    try:
-        factory = BACKENDS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown backend {name!r}; known: {sorted(BACKENDS)}"
-        ) from None
-    return factory(**kwargs)
-
-
-def resolve_backend(
-    backend,
-    *,
-    workers: Optional[int] = None,
-    checkpoint_interval: int | float | None = None,
-    stream: bool | None = None,
-    max_resident_points: int | None = None,
-    trace_compile: bool | None = None,
-    steal: bool | None = None,
-) -> ExecutionBackend:
-    """Coerce ``None``/name/instance into an ExecutionBackend.
-
-    Conflicting knobs are an error, not a silent drop: ``workers``
-    and ``steal`` require a multiprocess backend, and an
-    already-constructed backend instance owns its own configuration.
-    """
-    checkpoint_interval = _normalize_interval(checkpoint_interval)
-    streaming_kwargs: dict = {}
-    if stream is not None:
-        streaming_kwargs["stream"] = stream
-    if max_resident_points is not None:
-        streaming_kwargs["max_resident_points"] = max_resident_points
-    if trace_compile is not None:
-        streaming_kwargs["trace_compile"] = trace_compile
-    steal_kwargs: dict = {} if steal is None else {"steal": steal}
-    if backend is None:
-        if workers is not None or steal is not None:
-            return MultiprocessBackend(
-                workers=workers,
-                checkpoint_interval=checkpoint_interval,
-                **streaming_kwargs,
-                **steal_kwargs,
-            )
-        return SequentialBackend(
-            checkpoint_interval=checkpoint_interval, **streaming_kwargs
-        )
-    if isinstance(backend, str):
-        factory = BACKENDS.get(backend)
-        if factory is None:
-            backend_by_name(backend)  # raises naming the known backends
-        kwargs: dict = {"checkpoint_interval": checkpoint_interval}
-        kwargs.update(streaming_kwargs)
-        if factory is MultiprocessBackend:
-            kwargs["workers"] = workers
-            kwargs.update(steal_kwargs)
-        else:
-            if workers is not None:
-                raise ValueError(
-                    "workers= only applies to the multiprocess "
-                    f"backend, not {backend!r}"
-                )
-            if steal is not None:
-                raise ValueError(
-                    "steal= only applies to the multiprocess "
-                    f"backend, not {backend!r}"
-                )
-        return factory(**kwargs)
-    conflicts = (
-        ("checkpoint_interval", checkpoint_interval),
-        ("workers", workers),
-        ("stream", stream),
-        ("max_resident_points", max_resident_points),
-        ("trace_compile", trace_compile),
-        ("steal", steal),
-    )
-    for knob, value in conflicts:
-        if value is None:
-            continue
-        if getattr(backend, knob, None) != value:
-            raise ValueError(
-                f"pass {knob}= to the backend constructor, not "
-                "alongside a backend instance"
-            )
-    return backend
+def _check_optional_bool(name: str, value) -> None:
+    if value is not None and not isinstance(value, bool):
+        raise ValueError(
+            f"{name} must be True, False or None, got {value!r}")
 
 
 @dataclass(frozen=True)
 class EngineConfig:
     """Declarative engine configuration: every campaign knob, once.
 
-    Replaces the ``backend``/``checkpoint_interval``/``workers``/
-    ``k_faults``/``stream``/``max_resident_points`` parameter sprawl
-    that every API entry point used to re-declare.  Validation happens
-    at *construction* (not inside ``resolve_backend`` at campaign
-    time), so a bad combination fails where it is written; ``resolve``
-    turns the config into a concrete :class:`ExecutionBackend`.
+    Validation happens at *construction*, so a bad combination fails
+    where it is written; ``resolve`` turns the config into a concrete
+    :class:`ExecutionBackend`.
 
-    ``backend`` may name a registered backend (``"sequential"``/
-    ``"multiprocess"``), be ``None`` (pick by the other knobs), or —
-    for programmatic callers — an :class:`ExecutionBackend` instance,
-    which owns its own knobs (and makes the config non-serializable).
-    ``to_dict``/``from_dict`` roundtrip losslessly, including an
-    infinite checkpoint interval (JSON-safe as ``"inf"``).
+    ``backend`` names a registered backend (``"sequential"``/
+    ``"multiprocess"``) or is ``None`` (multiprocess when ``workers``
+    is given, sequential otherwise).  ``to_dict``/``from_dict``
+    roundtrip losslessly, including an infinite checkpoint interval
+    (JSON-safe as ``"inf"``).
     """
 
-    backend: object = None
+    backend: Optional[str] = None
     checkpoint_interval: int | float | None = None
     workers: Optional[int] = None
     k_faults: int = 1
     samples: int = 200
     seed: int = 0
-    stream: Optional[bool] = None
     max_resident_points: Optional[int] = None
     trace_compile: Optional[bool] = None
     reduce: Optional[bool] = None
     chunk_units: Optional[bool] = None
     artifact_cache: Optional[bool] = None
     cache_dir: Optional[str] = None
-    steal: Optional[bool] = None
 
     def __post_init__(self):
-        backend = self.backend
-        declarative = backend is None or isinstance(backend, str)
-        if isinstance(backend, str) and backend not in BACKENDS:
+        if self.backend is not None and self.backend not in BACKENDS:
             raise ValueError(
-                f"unknown backend {backend!r}; known: "
+                f"unknown backend {self.backend!r}; known: "
                 f"{sorted(BACKENDS)}")
-        if not declarative and not isinstance(backend,
-                                              ExecutionBackend):
-            raise ValueError(
-                "backend must be None, a registered backend name, or "
-                f"an ExecutionBackend instance, got {backend!r}")
         if self.workers is not None:
             if self.workers < 1:
                 raise ValueError(
                     f"workers must be >= 1, got {self.workers}")
-            if (isinstance(backend, str)
-                    and BACKENDS[backend] is not MultiprocessBackend):
+            if self.backend == "sequential":
                 raise ValueError(
                     "workers= only applies to the multiprocess "
-                    f"backend, not {backend!r}")
+                    "backend, not 'sequential'")
         if self.k_faults < 1:
             raise ValueError(
                 f"k_faults must be >= 1, got {self.k_faults}")
         if self.samples < 1:
             raise ValueError(
                 f"samples must be >= 1, got {self.samples}")
-        if self.max_resident_points is not None:
-            if self.stream is False:
-                raise ValueError(
-                    "max_resident_points= requires streaming "
-                    "execution (stream=True)")
-            if self.max_resident_points < 1:
-                raise ValueError(
-                    "max_resident_points must be >= 1, got "
-                    f"{self.max_resident_points}")
-        if self.trace_compile is not None and not isinstance(
-                self.trace_compile, bool):
-            raise ValueError(
-                "trace_compile must be True, False or None, got "
-                f"{self.trace_compile!r}")
-        if self.reduce is not None and not isinstance(
-                self.reduce, bool):
-            raise ValueError(
-                "reduce must be True, False or None, got "
-                f"{self.reduce!r}")
-        if self.chunk_units is not None and not isinstance(
-                self.chunk_units, bool):
-            raise ValueError(
-                "chunk_units must be True, False or None, got "
-                f"{self.chunk_units!r}")
+        _check_window(self.max_resident_points)
+        _check_optional_bool("trace_compile", self.trace_compile)
+        _check_optional_bool("reduce", self.reduce)
+        _check_optional_bool("chunk_units", self.chunk_units)
         if self.chunk_units and self.k_faults > 1:
             raise ValueError(
                 "chunk_units= applies to single-fault campaigns only "
                 f"(got k_faults={self.k_faults})")
-        if self.artifact_cache is not None and not isinstance(
-                self.artifact_cache, bool):
-            raise ValueError(
-                "artifact_cache must be True, False or None, got "
-                f"{self.artifact_cache!r}")
+        _check_optional_bool("artifact_cache", self.artifact_cache)
         if self.cache_dir is not None and not isinstance(
                 self.cache_dir, (str, os.PathLike)):
             raise ValueError(
@@ -1502,29 +1323,18 @@ class EngineConfig:
         if self.artifact_cache is False and self.cache_dir is not None:
             raise ValueError(
                 "cache_dir= conflicts with artifact_cache=False")
-        if self.steal is not None:
-            if not isinstance(self.steal, bool):
-                raise ValueError(
-                    "steal must be True, False or None, got "
-                    f"{self.steal!r}")
-            if (isinstance(self.backend, str)
-                    and BACKENDS[self.backend]
-                    is not MultiprocessBackend):
-                raise ValueError(
-                    "steal= only applies to the multiprocess "
-                    f"backend, not {self.backend!r}")
 
     def resolve(self) -> ExecutionBackend:
         """Concrete backend for this configuration."""
-        return resolve_backend(
-            self.backend,
-            workers=self.workers,
-            checkpoint_interval=self.checkpoint_interval,
-            stream=self.stream,
-            max_resident_points=self.max_resident_points,
-            trace_compile=self.trace_compile,
-            steal=self.steal,
-        )
+        knobs = {
+            "checkpoint_interval": self.checkpoint_interval,
+            "max_resident_points": self.max_resident_points,
+            "trace_compile": self.trace_compile is not False,
+        }
+        if self.backend == "multiprocess" or (
+                self.backend is None and self.workers is not None):
+            return MultiprocessBackend(workers=self.workers, **knobs)
+        return SequentialBackend(**knobs)
 
     def artifact_store(self) -> Optional[ArtifactStore]:
         """The configured :class:`ArtifactStore`, or ``None`` (off).
@@ -1540,11 +1350,6 @@ class EngineConfig:
         return ArtifactStore(self.cache_dir)
 
     def to_dict(self) -> dict:
-        if self.backend is not None and not isinstance(self.backend,
-                                                       str):
-            raise ValueError(
-                "an EngineConfig carrying a backend *instance* is "
-                "not serializable; name the backend instead")
         interval = self.checkpoint_interval
         if interval is not None and math.isinf(interval):
             interval = "inf"  # keep the payload strictly JSON-safe
@@ -1555,7 +1360,6 @@ class EngineConfig:
             "k_faults": self.k_faults,
             "samples": self.samples,
             "seed": self.seed,
-            "stream": self.stream,
             "max_resident_points": self.max_resident_points,
             "trace_compile": self.trace_compile,
             "reduce": self.reduce,
@@ -1563,7 +1367,6 @@ class EngineConfig:
             "artifact_cache": self.artifact_cache,
             "cache_dir": (str(self.cache_dir)
                           if self.cache_dir is not None else None),
-            "steal": self.steal,
         }
 
     @classmethod
@@ -1578,14 +1381,12 @@ class EngineConfig:
             k_faults=payload.get("k_faults", 1),
             samples=payload.get("samples", 200),
             seed=payload.get("seed", 0),
-            stream=payload.get("stream"),
             max_resident_points=payload.get("max_resident_points"),
             trace_compile=payload.get("trace_compile"),
             reduce=payload.get("reduce"),
             chunk_units=payload.get("chunk_units"),
             artifact_cache=payload.get("artifact_cache"),
             cache_dir=payload.get("cache_dir"),
-            steal=payload.get("steal"),
         )
 
 
@@ -1603,10 +1404,7 @@ class CampaignEngine:
         cached = self._contexts.get(model.name)
         if cached is not None:
             return cached
-        store = getattr(self.faulter, "artifacts", None)
-        image_key = None
-        if store is not None and hasattr(self.faulter, "image_digest"):
-            image_key = self.faulter.image_digest()
+        store, image_key = _executor_store(self.faulter)
         ctx = build_space_context(
             self.faulter.image,
             self.faulter.bad_input,
@@ -1622,13 +1420,14 @@ class CampaignEngine:
         self,
         model: FaultModel | str,
         space: FaultSpace,
-        backend: ExecutionBackend | str | None = None,
+        backend: Optional[ExecutionBackend] = None,
         collect_outcomes: bool = False,
         target: Optional[str] = None,
         reduce: Optional[bool] = None,
     ) -> CampaignReport:
-        """Execute ``space`` on ``backend``; fold the streamed
-        outcomes into one report incrementally.
+        """Execute ``space`` on ``backend`` (default: a
+        :class:`SequentialBackend`); fold the streamed outcomes into
+        one report incrementally.
 
         ``reduce`` toggles equivalence reduction
         (:mod:`repro.faulter.reduction`): ``None``/``True`` prune the
@@ -1645,7 +1444,8 @@ class CampaignEngine:
         # misses land in this report's counters too
         before = store.stats.snapshot() if store is not None else None
         ctx = self.context(model)
-        backend = resolve_backend(backend)
+        if backend is None:
+            backend = SequentialBackend()
         plan = None
         if reduce is False:
             reduction_meta: dict = {
@@ -1657,7 +1457,7 @@ class CampaignEngine:
                 model,
                 ctx,
                 space,
-                trace_compile=getattr(backend, "trace_compile", True),
+                trace_compile=backend.trace_compile,
             )
             if plan is None:
                 reduction_meta = {"enabled": False, "reason": reason}
@@ -1688,39 +1488,17 @@ class CampaignEngine:
                 pass
             plan.merge_stats(stats)
             reduction_meta = plan.certificate().to_dict()
-        if store is not None and hasattr(self.faulter, "image_digest"):
-            _persist_facts(ctx, store, self.faulter.image_digest(),
-                           self.faulter.bad_input)
-        return builder.finish(
-            meta={
-                "backend": backend.name,
-                "space": space.describe(),
-                "checkpoint_interval": _interval_meta(backend),
-                "stream": getattr(backend, "stream", False),
-                "max_resident_points": getattr(
-                    backend, "max_resident_points", None
-                ),
-                "peak_resident_points": stats.peak_resident_points,
-                "emulated_steps": stats.emulated_steps,
-                "trace_compile": getattr(
-                    backend, "trace_compile", False
-                ),
-                "compiled_steps": stats.compiled_steps,
-                "precise_steps": (
-                    stats.emulated_steps - stats.compiled_steps
-                ),
-                "compile_seconds": round(stats.compile_seconds, 6),
-                "compile_divergences": stats.divergences,
-                "reduction": reduction_meta,
-                "artifacts": _artifacts_meta(store, before, stats),
-            }
-        )
+        _persist_facts(ctx, *_executor_store(self.faulter),
+                       self.faulter.bad_input)
+        return builder.finish(meta=_report_meta(
+            backend, space.describe(), stats, reduction_meta,
+            _artifacts_meta(store, before, stats)))
 
     def run_chunked(
         self,
         model: FaultModel | str,
         plan,
-        backend: ExecutionBackend | str | None = None,
+        backend: Optional[ExecutionBackend] = None,
         collect_outcomes: bool = False,
         target: Optional[str] = None,
     ) -> CampaignReport:
@@ -1745,7 +1523,8 @@ class CampaignEngine:
         store = getattr(self.faulter, "artifacts", None)
         before = store.stats.snapshot() if store is not None else None
         ctx = self.context(model)
-        backend = resolve_backend(backend)
+        if backend is None:
+            backend = SequentialBackend()
 
         chunks: dict[str, list[int]] = {}
         unit_info: dict[str, dict] = {}
@@ -1808,34 +1587,14 @@ class CampaignEngine:
         )
         for _, point, outcome in rows:
             builder.add(point, outcome)
-        if store is not None and hasattr(self.faulter, "image_digest"):
-            _persist_facts(ctx, store, self.faulter.image_digest(),
-                           self.faulter.bad_input)
-        return builder.finish(
-            meta={
-                "backend": backend.name,
-                "space": f"unit-chunked[{len(chunks)}]",
-                "checkpoint_interval": _interval_meta(backend),
-                "stream": getattr(backend, "stream", False),
-                "max_resident_points": getattr(
-                    backend, "max_resident_points", None
-                ),
-                "peak_resident_points": stats.peak_resident_points,
-                "emulated_steps": stats.emulated_steps,
-                "trace_compile": getattr(
-                    backend, "trace_compile", False
-                ),
-                "compiled_steps": stats.compiled_steps,
-                "precise_steps": (
-                    stats.emulated_steps - stats.compiled_steps
-                ),
-                "compile_seconds": round(stats.compile_seconds, 6),
-                "compile_divergences": stats.divergences,
-                "reduction": {"enabled": False, "reason": "chunked"},
-                "artifacts": _artifacts_meta(store, before, stats),
-                "units": rollups,
-            }
-        )
+        _persist_facts(ctx, *_executor_store(self.faulter),
+                       self.faulter.bad_input)
+        meta = _report_meta(
+            backend, f"unit-chunked[{len(chunks)}]", stats,
+            {"enabled": False, "reason": "chunked"},
+            _artifacts_meta(store, before, stats))
+        meta["units"] = rollups
+        return builder.finish(meta=meta)
 
     @staticmethod
     def _fault_for(
@@ -1887,8 +1646,25 @@ def _artifacts_meta(store, before, stats) -> dict:
     return meta
 
 
-def _interval_meta(backend):
-    interval = getattr(backend, "checkpoint_interval", None)
+def _report_meta(backend, space: str, stats: ExecutionStats,
+                 reduction: dict, artifacts: dict) -> dict:
+    """Execution metadata of one campaign (``meta`` is excluded from
+    report equality)."""
+    interval = backend.checkpoint_interval
     if interval == float("inf"):
-        return "inf"  # keep report.to_dict() strictly JSON-safe
-    return interval
+        interval = "inf"  # keep report.to_dict() strictly JSON-safe
+    return {
+        "backend": backend.name,
+        "space": space,
+        "checkpoint_interval": interval,
+        "max_resident_points": backend.max_resident_points,
+        "peak_resident_points": stats.peak_resident_points,
+        "emulated_steps": stats.emulated_steps,
+        "trace_compile": backend.trace_compile,
+        "compiled_steps": stats.compiled_steps,
+        "precise_steps": stats.emulated_steps - stats.compiled_steps,
+        "compile_seconds": round(stats.compile_seconds, 6),
+        "compile_divergences": stats.divergences,
+        "reduction": reduction,
+        "artifacts": artifacts,
+    }

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from repro.faulter.campaign import Faulter
-from repro.faulter.engine import SequentialBackend, resolve_backend
+from repro.faulter.engine import ExecutionBackend, SequentialBackend
 from repro.faulter.models import FaultModel, model_by_name
 from repro.faulter.report import CRASHED, SUCCESS
 from repro.faulter.space import SampledSpace
@@ -109,7 +109,7 @@ def estimate_vulnerability(
     confidence: float = 0.95,
     samples: int | None = None,
     seed: int = 0,
-    backend=None,
+    backend: ExecutionBackend | None = None,
     checkpoint_interval: int | float | None = None,
 ) -> StatisticalEstimate:
     """Sample the fault space of ``faulter``'s bad-input trace.
@@ -119,10 +119,13 @@ def estimate_vulnerability(
     deterministic for a given ``seed``.
 
     Execution goes through the campaign engine: by default a
-    checkpointed sequential backend, which resumes each sampled run
-    from the nearest trace checkpoint instead of re-executing the
-    whole prefix.  The estimate is bit-identical for any backend or
-    checkpoint interval (the emulator is deterministic).
+    sequential backend checkpointing every ``checkpoint_interval``
+    steps (default ``DEFAULT_CHECKPOINT_INTERVAL``), which resumes
+    each sampled run from the nearest trace checkpoint instead of
+    re-executing the whole prefix.  A ``backend`` instance carries its
+    own interval, so passing both is an error.  The estimate is
+    bit-identical for any backend or checkpoint interval (the
+    emulator is deterministic).
     """
     if isinstance(model, str):
         model = model_by_name(model)
@@ -134,14 +137,12 @@ def estimate_vulnerability(
 
     if backend is None:
         if checkpoint_interval is None:
-            interval = DEFAULT_CHECKPOINT_INTERVAL
-        else:
-            interval = checkpoint_interval
-        backend = SequentialBackend(checkpoint_interval=interval)
-    else:
-        backend = resolve_backend(
-            backend, checkpoint_interval=checkpoint_interval
-        )
+            checkpoint_interval = DEFAULT_CHECKPOINT_INTERVAL
+        backend = SequentialBackend(checkpoint_interval=checkpoint_interval)
+    elif checkpoint_interval is not None:
+        raise ValueError(
+            "pass checkpoint_interval= to the backend constructor, not "
+            "alongside a backend instance")
     space = SampledSpace(samples=samples, seed=seed)
     report = engine.run(
         model,

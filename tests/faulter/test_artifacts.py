@@ -19,8 +19,10 @@ from repro.faulter.artifacts import (
     jit_key,
     trace_key,
 )
-from repro.faulter.engine import MultiprocessBackend, shutdown_fleet
+from repro.faulter.engine import (
+    MultiprocessBackend, SequentialBackend, shutdown_fleet)
 from repro.workloads import pincheck
+from tests.reference import reference_report
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +33,9 @@ def wl():
 @pytest.fixture(scope="module")
 def exe(wl):
     return wl.build()
+
+
+CHECKPOINTED = SequentialBackend(checkpoint_interval=16)
 
 
 def make_faulter(wl, exe, store=None):
@@ -182,15 +187,9 @@ class TestConfigKnobs:
         with pytest.raises(ValueError):
             EngineConfig(artifact_cache=False, cache_dir=str(tmp_path))
 
-    def test_steal_requires_multiprocess(self):
-        with pytest.raises(ValueError):
-            EngineConfig(backend="sequential", steal=False)
-        config = EngineConfig(backend="multiprocess", steal=False)
-        assert config.resolve().steal is False
-
     def test_dict_roundtrip(self, tmp_path):
         config = EngineConfig(artifact_cache=True,
-                              cache_dir=str(tmp_path), steal=False,
+                              cache_dir=str(tmp_path),
                               backend="multiprocess")
         again = EngineConfig.from_dict(config.to_dict())
         assert again == config
@@ -205,7 +204,7 @@ class TestBitIdentityMatrix:
     @pytest.fixture(scope="class")
     def baselines(self, wl, exe):
         faulter = make_faulter(wl, exe)
-        return {model: faulter.run_campaign(model)
+        return {model: reference_report(faulter, model)
                 for model in MATRIX_MODELS}
 
     @pytest.mark.parametrize("model", MATRIX_MODELS)
@@ -213,11 +212,11 @@ class TestBitIdentityMatrix:
                                        baselines, model):
         root = tmp_path / "seq"
         cold = make_faulter(wl, exe, ArtifactStore(root)) \
-            .run_campaign(model, checkpoint_interval=16)
+            .run_campaign(model, backend=CHECKPOINTED)
         assert cold == baselines[model]
         warm_store = ArtifactStore(root)
         warm = make_faulter(wl, exe, warm_store) \
-            .run_campaign(model, checkpoint_interval=16)
+            .run_campaign(model, backend=CHECKPOINTED)
         assert warm == baselines[model]
         meta = warm.meta["artifacts"]
         assert meta["enabled"] and meta["hits"] > 0
@@ -243,9 +242,9 @@ class TestBitIdentityMatrix:
         cached = make_faulter(
             wl, exe, ArtifactStore(tmp_path / "meta")) \
             .run_campaign("skip")
-        assert cached == baselines["skip"]
-        assert cached.meta["artifacts"] != \
-            baselines["skip"].meta["artifacts"]
+        uncached = make_faulter(wl, exe).run_campaign("skip")
+        assert cached == uncached == baselines["skip"]
+        assert cached.meta["artifacts"] != uncached.meta["artifacts"]
 
 
 class TestEndToEndRobustness:
@@ -254,10 +253,9 @@ class TestEndToEndRobustness:
         """Flipping bytes in every stored artifact must silently fall
         back to re-derivation with an identical report."""
         store = ArtifactStore(tmp_path)
-        baseline = make_faulter(wl, exe).run_campaign(
-            "skip", checkpoint_interval=16)
+        baseline = reference_report(make_faulter(wl, exe), "skip")
         cold = make_faulter(wl, exe, store).run_campaign(
-            "skip", checkpoint_interval=16)
+            "skip", backend=CHECKPOINTED)
         assert cold == baseline
         corrupted = 0
         for kind_dir in store.root.iterdir():
@@ -269,7 +267,7 @@ class TestEndToEndRobustness:
         assert corrupted > 0
         rerun_store = ArtifactStore(tmp_path)
         rerun = make_faulter(wl, exe, rerun_store).run_campaign(
-            "skip", checkpoint_interval=16)
+            "skip", backend=CHECKPOINTED)
         assert rerun == baseline
         meta = rerun.meta["artifacts"]
         assert meta["misses"] > 0 and meta["saves"] > 0
@@ -280,7 +278,7 @@ class TestEndToEndRobustness:
         rejected by the body hash, not trusted."""
         store = ArtifactStore(tmp_path)
         faulter = make_faulter(wl, exe, store)
-        baseline = make_faulter(wl, exe).run_campaign("skip")
+        baseline = reference_report(make_faulter(wl, exe), "skip")
         cold = faulter.run_campaign("skip")
         assert cold == baseline
         trace_dir = store.root / "trace"
@@ -301,7 +299,7 @@ class TestEndToEndRobustness:
         where the trace list belongs) fails validation and re-derives."""
         store = ArtifactStore(tmp_path)
         cold_faulter = make_faulter(wl, exe, store)
-        baseline = make_faulter(wl, exe).run_campaign("skip")
+        baseline = reference_report(make_faulter(wl, exe), "skip")
         assert cold_faulter.run_campaign("skip") == baseline
         trace_dir = store.root / "trace"
         [path] = list(trace_dir.iterdir())
@@ -319,7 +317,7 @@ class TestEndToEndRobustness:
         ``facts`` kind; a later cold process loads them instead of
         re-running the traceflow analysis — identically."""
         store = ArtifactStore(tmp_path)
-        baseline = make_faulter(wl, exe).run_campaign("skip")
+        baseline = reference_report(make_faulter(wl, exe), "skip")
         assert make_faulter(wl, exe, store) \
             .run_campaign("skip") == baseline
         facts_dir = store.root / "facts"

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.api import evaluate_countermeasures
+from repro.api import EngineConfig, Target
 from repro.faulter.report import (
     CampaignReport,
     DiffPoint,
@@ -215,10 +215,11 @@ class TestEvaluateCountermeasures:
         for wl_name, factory in WORKLOADS.items():
             wl = factory()
             for approach in ("faulter+patcher", "hybrid"):
-                results[wl_name, approach] = evaluate_countermeasures(
-                    wl.build(), wl.good_input, wl.bad_input,
-                    wl.grant_marker, approach=approach,
-                    models=("skip", "bitflip"), name=wl.name)
+                target = Target(wl.build(), wl.good_input,
+                                wl.bad_input, wl.grant_marker,
+                                name=wl.name)
+                results[wl_name, approach] = target.evaluate(
+                    approach=approach, models=("skip", "bitflip"))
         return results
 
     @pytest.mark.parametrize("wl_name", list(WORKLOADS))
@@ -273,9 +274,10 @@ class TestEvaluateCountermeasures:
 
     def test_detour_approach_end_to_end(self):
         wl = corpus.workload()
-        evaluation = evaluate_countermeasures(
-            wl.build(), wl.good_input, wl.bad_input, wl.grant_marker,
-            approach="detour", models=("skip",), name=wl.name)
+        target = Target(wl.build(), wl.good_input, wl.bad_input,
+                        wl.grant_marker, name=wl.name)
+        evaluation = target.evaluate(approach="detour",
+                                     models=("skip",))
         census = evaluation.diff.counts(model="skip")
         baseline = len(
             evaluation.baseline_reports["skip"].vulnerable_points())
@@ -285,9 +287,9 @@ class TestEvaluateCountermeasures:
 
     def test_streaming_knobs_reach_both_campaigns(self):
         wl = pincheck.workload()
-        evaluation = evaluate_countermeasures(
-            wl.build(), wl.good_input, wl.bad_input, wl.grant_marker,
-            models=("skip",), stream=True, max_resident_points=7)
+        evaluation = wl.target().evaluate(
+            models=("skip",),
+            config=EngineConfig(max_resident_points=7))
         for report in (evaluation.baseline_reports["skip"],
                        evaluation.hardened_reports["skip"]):
             assert report.meta["peak_resident_points"] <= 7

@@ -1,9 +1,9 @@
 """Unified campaign engine: spaces, backends, checkpoint replay.
 
 The load-bearing property asserted throughout: every backend and every
-checkpoint interval produces a report *bit-identical* to the
-master-walk sequential run (``CampaignReport.__eq__`` excludes only
-execution metadata).
+checkpoint interval produces a report *bit-identical* to the paper's
+literal protocol in :mod:`tests.reference` (``CampaignReport.__eq__``
+excludes only execution metadata).
 """
 
 import math
@@ -12,12 +12,12 @@ import pytest
 
 from repro.emu.machine import CheckpointStore, Machine
 from repro.faulter import (
-    CampaignReport, Faulter, KFaultProductSpace, MultiprocessBackend,
-    SampledSpace, SequentialBackend, WindowedSpace, backend_by_name)
-from repro.faulter.parallel import _split, merge_reports
+    CampaignReport, EngineConfig, Faulter, KFaultProductSpace,
+    MultiprocessBackend, SampledSpace, SequentialBackend, WindowedSpace)
 from repro.faulter.space import ExhaustiveSpace
 from repro.faulter.statistical import estimate_vulnerability
 from repro.workloads import bootloader, pincheck
+from tests.reference import reference_report
 
 
 @pytest.fixture(scope="module")
@@ -39,20 +39,33 @@ def boot_faulter():
 
 
 class TestSplitEdgeCases:
-    def test_parts_exceed_total(self):
-        windows = _split(3, 8)
-        assert [list(w) for w in windows] == [[0], [1], [2]]
+    """Degenerate partition requests still cover the space exactly."""
 
-    def test_total_zero(self):
-        assert _split(0, 4) == []
+    def test_parts_exceed_total(self, faulter):
+        ctx = faulter.engine().context("skip")
+        space = WindowedSpace(indices=(0, 1, 2))
+        parts = space.partition(ctx, 8)
+        assert [(p.start, p.stop) for p in parts] == \
+            [(0, 1), (1, 2), (2, 3)]
 
-    def test_parts_zero(self):
-        assert _split(10, 0) == []
+    def test_total_zero(self, faulter):
+        ctx = faulter.engine().context("skip")
+        assert WindowedSpace(indices=()).partition(ctx, 4) == []
 
-    def test_coverage_preserved(self):
-        for total in (1, 7, 100, 101):
+    def test_parts_zero(self, faulter):
+        ctx = faulter.engine().context("skip")
+        space = WindowedSpace(indices=tuple(range(10)))
+        [whole] = space.partition(ctx, 0)
+        assert (whole.start, whole.stop) == (0, 10)
+
+    def test_coverage_preserved(self, faulter):
+        ctx = faulter.engine().context("skip")
+        for total in (1, 7, 23):
+            space = WindowedSpace(indices=tuple(range(total)))
             for parts in (1, 2, 3, 8, 200):
-                seen = [i for w in _split(total, parts) for i in w]
+                seen = [p.first_step
+                        for part in space.partition(ctx, parts)
+                        for p in part.enumerate(ctx)]
                 assert seen == list(range(total))
 
 
@@ -162,92 +175,95 @@ class TestCheckpointMachinery:
 
 
 class TestCheckpointReplayBitIdentity:
-    INTERVALS = (1, 64, math.inf)
+    INTERVALS = (None, 1, 64, math.inf)
 
     @pytest.mark.parametrize("model", ["skip", "bitflip"])
     def test_exhaustive_identical_across_intervals(self, faulter,
                                                    model):
-        baseline = faulter.run_campaign(model)
+        reference = reference_report(faulter, model)
         for interval in self.INTERVALS:
             replayed = faulter.run_campaign(
-                model, checkpoint_interval=interval)
-            assert replayed == baseline, f"interval={interval}"
+                model,
+                backend=SequentialBackend(checkpoint_interval=interval))
+            assert replayed == reference, f"interval={interval}"
 
     def test_bootloader_identical_across_intervals(self, boot_faulter):
-        baseline = boot_faulter.run_campaign("skip")
+        reference = reference_report(boot_faulter, "skip")
         for interval in self.INTERVALS:
             assert boot_faulter.run_campaign(
-                "skip", checkpoint_interval=interval) == baseline
+                "skip",
+                backend=SequentialBackend(checkpoint_interval=interval),
+            ) == reference
 
     def test_statistical_identical_across_intervals(self, faulter):
-        estimates = [
-            estimate_vulnerability(faulter, "bitflip", samples=120,
-                                   seed=5,
-                                   checkpoint_interval=interval)
-            for interval in (None, *self.INTERVALS)
-        ]
-        first = estimates[0]
-        for estimate in estimates[1:]:
-            assert estimate == first
+        reference = reference_report(
+            faulter, "bitflip", SampledSpace(samples=120, seed=5))
+        for interval in self.INTERVALS:
+            estimate = estimate_vulnerability(
+                faulter, "bitflip", samples=120, seed=5,
+                checkpoint_interval=interval)
+            assert estimate.samples == reference.total_faults
+            assert estimate.successes == reference.outcomes["success"]
+            assert estimate.crashes == reference.outcomes["crash"]
 
     def test_pair_identical_across_intervals(self, faulter):
-        baseline = faulter.run_pair_campaign("skip", samples=80, seed=7)
+        reference = reference_report(
+            faulter, "skip", KFaultProductSpace(k=2, samples=80, seed=7),
+            target=f"{faulter.name}(pairs)")
         for interval in self.INTERVALS:
             replayed = faulter.run_k_fault_campaign(
                 "skip", k=2, samples=80, seed=7,
-                checkpoint_interval=interval)
-            assert replayed == baseline
+                backend=SequentialBackend(checkpoint_interval=interval))
+            assert replayed == reference
 
 
 class TestBackendEquivalence:
     @pytest.mark.parametrize("model", ["skip", "bitflip"])
     def test_multiprocess_equals_sequential(self, faulter, model):
-        sequential = faulter.run_campaign(model)
         parallel = faulter.run_campaign(
             model, backend=MultiprocessBackend(workers=3))
-        assert parallel == sequential
+        assert parallel == reference_report(faulter, model)
 
     def test_multiprocess_checkpointed_equals_sequential(self, faulter):
-        sequential = faulter.run_campaign("skip")
         parallel = faulter.run_campaign(
             "skip", backend=MultiprocessBackend(workers=2,
                                                 checkpoint_interval=8))
-        assert parallel == sequential
+        assert parallel == reference_report(faulter, "skip")
 
     def test_merge_of_partition_reports_equals_whole(self, faulter):
-        """Window-split partial reports still merge to the full one."""
-        full = faulter.run_campaign("skip")
-        trace_length = full.trace_length
-        windows = _split(trace_length, 3)
-        partials = [faulter.run_campaign("skip", trace_window=w)
-                    for w in windows]
-        merged = merge_reports(partials, name=faulter.name,
-                               model="skip", trace_length=trace_length)
-        assert merged == full
+        """Campaigns over each partition of the space, concatenated,
+        reproduce the whole space row for row."""
+        ctx = faulter.engine().context("skip")
+        rows = [row for part in ExhaustiveSpace().partition(ctx, 3)
+                for row in faulter.engine().run(
+                    "skip", part, collect_outcomes=True).all_outcomes]
+        reference = reference_report(faulter, "skip",
+                                     collect_outcomes=True)
+        assert rows == reference.all_outcomes
 
-    def test_backend_by_name(self):
-        assert isinstance(backend_by_name("sequential"),
+    def test_backends_resolve_by_name(self):
+        assert isinstance(EngineConfig(backend="sequential").resolve(),
                           SequentialBackend)
-        assert isinstance(backend_by_name("multiprocess"),
+        assert isinstance(EngineConfig(backend="multiprocess").resolve(),
                           MultiprocessBackend)
-        with pytest.raises(KeyError):
-            backend_by_name("gpu")
+        assert isinstance(EngineConfig(workers=2).resolve(),
+                          MultiprocessBackend)
+        with pytest.raises(ValueError, match="unknown backend"):
+            EngineConfig(backend="gpu")
+        with pytest.raises(ValueError, match="unknown backend"):
+            EngineConfig(backend="parallel")
 
     def test_conflicting_knobs_rejected(self):
-        from repro.faulter.engine import resolve_backend
-        with pytest.raises(ValueError):
-            resolve_backend("sequential", workers=4)
-        with pytest.raises(ValueError):
-            resolve_backend(SequentialBackend(), checkpoint_interval=8)
-        with pytest.raises(ValueError):
-            resolve_backend(MultiprocessBackend(workers=2), workers=4)
-        # matching knobs on an instance are not a conflict
-        backend = SequentialBackend(checkpoint_interval=8)
-        assert resolve_backend(backend,
-                               checkpoint_interval=8) is backend
+        with pytest.raises(ValueError, match="workers"):
+            EngineConfig(backend="sequential", workers=4)
+        with pytest.raises(ValueError, match="workers"):
+            EngineConfig(workers=0)
+        with pytest.raises(ValueError, match="max_resident_points"):
+            EngineConfig(max_resident_points=0)
 
     def test_meta_records_backend(self, faulter):
-        report = faulter.run_campaign("skip", checkpoint_interval=16)
+        report = faulter.run_campaign(
+            "skip", backend=SequentialBackend(checkpoint_interval=16))
         assert report.meta["backend"] == "sequential"
         assert report.meta["checkpoint_interval"] == 16
         assert report.meta["emulated_steps"] > 0
@@ -262,7 +278,8 @@ class TestKFaultCampaign:
 
     def test_pair_detail_format_is_legacy(self, faulter):
         """k=2 successes keep the (d0, s1, d1) detail layout."""
-        report = faulter.run_pair_campaign("skip", samples=400, seed=3)
+        report = faulter.run_k_fault_campaign("skip", k=2, samples=400,
+                                              seed=3)
         for fault in report.successes:
             assert len(fault.detail) == 3
             first_detail, second_step, second_detail = fault.detail
@@ -284,12 +301,14 @@ class TestReportRoundTrip:
         assert rebuilt.all_outcomes == report.all_outcomes
 
     def test_roundtrip_preserves_pair_details(self, faulter):
-        report = faulter.run_pair_campaign("skip", samples=400, seed=3)
+        report = faulter.run_k_fault_campaign("skip", k=2, samples=400,
+                                              seed=3)
         rebuilt = CampaignReport.from_dict(report.to_dict())
         assert rebuilt.successes == report.successes
 
     def test_meta_survives_roundtrip(self, faulter):
-        report = faulter.run_campaign("skip", checkpoint_interval=4)
+        report = faulter.run_campaign(
+            "skip", backend=SequentialBackend(checkpoint_interval=4))
         rebuilt = CampaignReport.from_dict(report.to_dict())
         assert rebuilt.meta == report.meta
 
@@ -326,19 +345,20 @@ class TestDegenerateTraces:
     def test_zero_interval_means_single_step0_checkpoint(self, faulter):
         backend = SequentialBackend(checkpoint_interval=0)
         assert backend.checkpoint_interval == math.inf
-        assert faulter.run_campaign("skip", checkpoint_interval=0) == \
-            faulter.run_campaign("skip")
+        assert faulter.run_campaign("skip", backend=backend) == \
+            reference_report(faulter, "skip")
 
     def test_checkpoint_build_stops_at_last_fault_offset(self, faulter):
         """Checkpointing a 5-step window must not emulate the whole
         trace during the build run."""
+        backend = SequentialBackend(checkpoint_interval=1)
         windowed = faulter.run_campaign("skip", trace_window=range(5),
-                                        checkpoint_interval=1)
-        full = faulter.run_campaign("skip", checkpoint_interval=1)
+                                        backend=backend)
+        full = faulter.run_campaign("skip", backend=backend)
         assert windowed.meta["emulated_steps"] < \
             full.meta["emulated_steps"]
-        assert windowed == faulter.run_campaign("skip",
-                                                trace_window=range(5))
+        assert windowed == reference_report(
+            faulter, "skip", WindowedSpace(indices=tuple(range(5))))
 
 
 class TestTraceCaching:

@@ -36,15 +36,18 @@ class TestPairCampaign:
     def test_pair_campaign_runs(self, wl):
         faulter = Faulter(wl.build(), wl.good_input, wl.bad_input,
                           wl.grant_marker, name=wl.name)
-        report = faulter.run_pair_campaign("skip", samples=100, seed=1)
+        report = faulter.run_k_fault_campaign("skip", k=2, samples=100,
+                                             seed=1)
         assert report.total_faults > 50
         assert sum(report.outcomes.values()) == report.total_faults
 
     def test_pair_campaign_deterministic(self, wl):
         faulter = Faulter(wl.build(), wl.good_input, wl.bad_input,
                           wl.grant_marker, name=wl.name)
-        first = faulter.run_pair_campaign("skip", samples=60, seed=7)
-        second = faulter.run_pair_campaign("skip", samples=60, seed=7)
+        first = faulter.run_k_fault_campaign("skip", k=2, samples=60,
+                                             seed=7)
+        second = faulter.run_k_fault_campaign("skip", k=2, samples=60,
+                                              seed=7)
         assert first.outcomes == second.outcomes
 
     def test_hardened_binary_still_attackable_with_two_faults(self, wl):
@@ -58,7 +61,8 @@ class TestPairCampaign:
         assert result.converged  # single-fault clean
         faulter = Faulter(result.hardened, wl.good_input, wl.bad_input,
                           wl.grant_marker, name="hardened")
-        report = faulter.run_pair_campaign("skip", samples=400, seed=3)
+        report = faulter.run_k_fault_campaign("skip", k=2, samples=400,
+                                             seed=3)
         # informational: pairs may or may not break it, but the
         # campaign must classify every sampled pair
         assert sum(report.outcomes.values()) == report.total_faults

@@ -2,11 +2,13 @@
 
 The tentpole property: running a campaign over the reduced space must
 reproduce the full-space report row for row — outcomes, successes,
-ordering — for every fault model, on both backends, streamed or
-materialized.  The certificate in ``report.meta["reduction"]`` is the
-checkable record of what was elided and why, and the dense k-fault
-product is where the reduction pays: the flag-stuck pair campaign
-below must beat the full product by at least 5x emulated steps.
+ordering — for every fault model, on both backends, as the reference
+protocol (:mod:`tests.reference`) computes it.  The certificate in
+``report.meta["reduction"]`` is the checkable record of what was
+elided and why, and the dense k-fault product is where the reduction
+pays: the flag-stuck pair campaign below must beat the full product
+by at least 5x emulated steps (its space is too large for the
+reference, so it checks the reduced run against the full one).
 """
 
 import json
@@ -32,6 +34,7 @@ from repro.faulter.space import (
     WindowedSpace,
 )
 from repro.workloads import bootloader, pincheck
+from tests.reference import reference_report
 
 
 @pytest.fixture(scope="module")
@@ -64,28 +67,37 @@ class TestBitIdentity:
     def test_every_model_exhaustive(self, faulter, model):
         full, reduced = _pair(faulter, model, ExhaustiveSpace(),
                               collect_outcomes=True)
-        assert reduced == full
+        assert reduced == reference_report(faulter, model,
+                                           collect_outcomes=True)
+        assert full == reduced
         cert = reduced.meta["reduction"]
         assert cert["enabled"] is True
         assert cert["full_points"] == full.total_faults
         assert cert["executed_points"] <= cert["full_points"]
 
+    @pytest.fixture(scope="class")
+    def reg_bitflip_reference(self, faulter):
+        return reference_report(faulter, "reg-bitflip")
+
     @pytest.mark.parametrize("backend_factory", [
         lambda: SequentialBackend(),
-        lambda: SequentialBackend(stream=False),
+        # one reorder window holding the whole population
+        lambda: SequentialBackend(max_resident_points=10**9),
         lambda: SequentialBackend(checkpoint_interval=8,
                                   max_resident_points=5),
         lambda: MultiprocessBackend(workers=3),
     ], ids=["master-walk", "materialized", "checkpointed",
             "multiprocess"])
-    def test_backends_and_streaming(self, faulter, backend_factory):
+    def test_backends_and_streaming(self, faulter, backend_factory,
+                                    reg_bitflip_reference):
         full = faulter.engine().run(
             "reg-bitflip", ExhaustiveSpace(),
             backend=backend_factory(), reduce=False)
         reduced = faulter.engine().run(
             "reg-bitflip", ExhaustiveSpace(),
             backend=backend_factory(), reduce=True)
-        assert reduced == full
+        assert reduced == reg_bitflip_reference
+        assert full == reg_bitflip_reference
 
     @pytest.mark.parametrize("space_factory", [
         lambda: WindowedSpace(indices=tuple(range(3, 40))),
@@ -93,9 +105,14 @@ class TestBitIdentity:
         lambda: KFaultProductSpace(k=2, samples=40, seed=7),
     ], ids=["windowed", "sampled", "k-fault"])
     def test_bootloader_spaces(self, boot, space_factory):
-        full, reduced = _pair(boot, "skip", space_factory(),
+        space = space_factory()
+        full, reduced = _pair(boot, "skip", space,
                               collect_outcomes=True)
-        assert reduced == full
+        reference = reference_report(boot, "skip", space,
+                                     target=reduced.target,
+                                     collect_outcomes=True)
+        assert reduced == reference
+        assert full == reference
 
     def test_reduction_actually_elides(self, faulter):
         """The exhaustive reg-bitflip campaign has dead points to
@@ -161,7 +178,10 @@ buf: .zero 1
         space = SampledSpace(samples=10**6, seed=0)  # total-cap, all
         full, reduced = _pair(faulter, model, space,
                               collect_outcomes=True)
-        assert reduced == full
+        reference = reference_report(faulter, model, space,
+                                     collect_outcomes=True)
+        assert reduced == reference
+        assert full == reference
         cert = ReductionCertificate(reduced.meta["reduction"])
         assert cert.payload["merged_points"] > 0
         assert cert.payload["class_count"] > 0

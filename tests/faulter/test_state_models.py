@@ -1,12 +1,12 @@
 """State-family fault models: variants, effects, and the
-backend/streaming bit-identity matrix.
+backend bit-identity matrix.
 
 The tentpole property: the :class:`~repro.emu.effects.FaultEffect`
 protocol generalizes injection beyond fetch substitution without
 changing a single engine guarantee — for every state model, streamed
-execution equals the materialized path, both backends agree, and every
-checkpoint interval (1/64/inf) replays bit-identically, on both
-bundled campaign workloads.
+execution, both backends and every checkpoint interval (1/64/inf)
+reproduce the reference protocol (:mod:`tests.reference`)
+bit-identically, on both bundled campaign workloads.
 """
 
 import math
@@ -33,6 +33,7 @@ from repro.faulter.space import ExhaustiveSpace, SampledSpace
 from repro.isa.metadata import effects as isa_effects
 from repro.isa.registers import reg
 from repro.workloads import bootloader, pincheck
+from tests.reference import reference_report
 
 # Bounded space per model: exhaustive where the population is tiny,
 # seeded samples where it is not (reg-bitflip enumerates 64 bits per
@@ -63,11 +64,6 @@ def boot_faulter():
     wl = bootloader.workload(size=8)
     return Faulter(wl.build(), wl.good_input, wl.bad_input,
                    wl.grant_marker, name=wl.name)
-
-
-def _materialized(faulter, model, space):
-    return faulter.engine().run(
-        model, space, backend=SequentialBackend(stream=False))
 
 
 class TestRegistry:
@@ -239,7 +235,7 @@ class TestEffectSemantics:
 
 class TestStateModelBitIdentity:
     """The acceptance matrix: every state model x both backends x
-    streamed/materialized x checkpoint intervals, on both bundled
+    checkpoint intervals against the reference, on both bundled
     campaign workloads."""
 
     @pytest.mark.parametrize("model", STATE_MODELS)
@@ -253,7 +249,7 @@ class TestStateModelBitIdentity:
     @staticmethod
     def _matrix(faulter, model):
         space = SPACE_FOR[model]()
-        baseline = _materialized(faulter, model, space)
+        baseline = reference_report(faulter, model, space)
         assert baseline.total_faults > 0
         engine = faulter.engine()
         streamed = engine.run(
@@ -275,10 +271,8 @@ class TestStateModelBitIdentity:
         protocol."""
         for model in ("flag-stuck", "branch-invert"):
             driver = faulter.run_campaign(model)
-            engine = faulter.engine().run(
-                model, ExhaustiveSpace(),
-                backend=SequentialBackend(stream=False))
-            assert driver == engine
+            assert driver == reference_report(faulter, model,
+                                              ExhaustiveSpace())
 
 
 class TestReportsAndCLI:
@@ -313,13 +307,10 @@ class TestReportsAndCLI:
             "branch-invert"
 
     def test_differential_rollups_cover_state_models(self, wl):
-        """evaluate_countermeasures campaigns under a state model while
+        """Target.evaluate campaigns under a state model while
         hardening with the encoding-family loop; the rollup must key
         the state model."""
-        from repro.api import evaluate_countermeasures
-
-        evaluation = evaluate_countermeasures(
-            wl.build(), wl.good_input, wl.bad_input, wl.grant_marker,
+        evaluation = wl.target().evaluate(
             models=("branch-invert",),
             harden_models=("branch-invert",))
         assert evaluation.diff.models == ["branch-invert"]

@@ -1,9 +1,10 @@
-"""Streamed vs. materialized execution: bit-identical reports.
+"""Streamed execution: bit-identical reports in bounded memory.
 
 The tentpole property of the streaming engine: pulling the fault
 space through a bounded reorder window (and shipping workers
 declarative partitions instead of point dumps) must not change a
-single report row relative to the fully materialized path — for every
+single report row relative to the paper's literal protocol
+(:mod:`tests.reference`, one fresh machine per point) — for every
 space kind, across partition counts, on both backends — while peak
 resident fault points stay bounded by the window size.
 """
@@ -13,8 +14,8 @@ import pickle
 
 import pytest
 
-from repro.faulter import Faulter, MultiprocessBackend, SequentialBackend
-from repro.faulter.engine import resolve_backend
+from repro.faulter import (
+    EngineConfig, Faulter, MultiprocessBackend, SequentialBackend)
 from repro.faulter.space import (
     ExhaustiveSpace,
     KFaultProductSpace,
@@ -23,6 +24,7 @@ from repro.faulter.space import (
     WindowedSpace,
 )
 from repro.workloads import bootloader, pincheck
+from tests.reference import reference_report
 
 SPACES = {
     "exhaustive": lambda: ExhaustiveSpace(),
@@ -45,38 +47,32 @@ def faulter(wl):
                    wl.grant_marker, name=wl.name)
 
 
-def _materialized(faulter, model, space):
-    """The legacy O(population) path: one window over everything."""
-    return faulter.engine().run(
-        model, space, backend=SequentialBackend(stream=False))
-
-
 def _window_for(faulter, model, space, parts):
     total = space.count(faulter.engine().context(model))
     return max(1, math.ceil(total / parts))
 
 
 class TestStreamedEqualsMaterialized:
-    """Differential suite over every space kind x partition count."""
+    """Every space kind x partition count against the reference,
+    which runs each point on its own fresh machine."""
 
     @pytest.mark.parametrize("parts", PARTITION_COUNTS)
     @pytest.mark.parametrize("kind", sorted(SPACES))
     def test_sequential(self, faulter, kind, parts):
         space = SPACES[kind]()
-        baseline = _materialized(faulter, "skip", space)
+        baseline = reference_report(faulter, "skip", space)
         window = _window_for(faulter, "skip", space, parts)
         streamed = faulter.engine().run(
             "skip", space,
             backend=SequentialBackend(max_resident_points=window))
         assert streamed == baseline
         assert streamed.meta["peak_resident_points"] <= window
-        assert streamed.meta["stream"] is True
 
     @pytest.mark.parametrize("parts", PARTITION_COUNTS)
     @pytest.mark.parametrize("kind", sorted(SPACES))
     def test_multiprocess(self, faulter, kind, parts):
         space = SPACES[kind]()
-        baseline = _materialized(faulter, "skip", space)
+        baseline = reference_report(faulter, "skip", space)
         streamed = faulter.engine().run(
             "skip", space,
             backend=MultiprocessBackend(workers=parts))
@@ -86,7 +82,7 @@ class TestStreamedEqualsMaterialized:
     def test_sequential_checkpointed(self, faulter, kind):
         """Streaming composes with incremental checkpoint replay."""
         space = SPACES[kind]()
-        baseline = _materialized(faulter, "skip", space)
+        baseline = reference_report(faulter, "skip", space)
         streamed = faulter.engine().run(
             "skip", space,
             backend=SequentialBackend(checkpoint_interval=8,
@@ -97,7 +93,7 @@ class TestStreamedEqualsMaterialized:
     def test_bitflip_peak_resident_bounded(self, faulter):
         """The acceptance property on the big space: peak resident
         fault points <= the configured window, report unchanged."""
-        baseline = _materialized(faulter, "bitflip", ExhaustiveSpace())
+        baseline = reference_report(faulter, "bitflip", ExhaustiveSpace())
         window = 16
         streamed = faulter.engine().run(
             "bitflip", ExhaustiveSpace(),
@@ -111,7 +107,7 @@ class TestBundledWorkloads:
     """Bit-identity on both bundled workloads (acceptance criterion)."""
 
     def test_pincheck_both_backends(self, faulter):
-        baseline = _materialized(faulter, "bitflip", ExhaustiveSpace())
+        baseline = reference_report(faulter, "bitflip", ExhaustiveSpace())
         sequential = faulter.engine().run(
             "bitflip", ExhaustiveSpace(),
             backend=SequentialBackend(max_resident_points=64))
@@ -125,7 +121,7 @@ class TestBundledWorkloads:
         wl = bootloader.workload(size=8)
         faulter = Faulter(wl.build(), wl.good_input, wl.bad_input,
                           wl.grant_marker, name=wl.name)
-        baseline = _materialized(faulter, "skip", ExhaustiveSpace())
+        baseline = reference_report(faulter, "skip", ExhaustiveSpace())
         sequential = faulter.engine().run(
             "skip", ExhaustiveSpace(),
             backend=SequentialBackend(max_resident_points=32))
@@ -198,25 +194,25 @@ class TestPartitionProtocol:
 class TestStreamingEdgeCases:
     def test_explicit_space_accepts_unordered_lists(self, faulter):
         """A hand-built point list in arbitrary arrangement streams
-        identically to the materialized path (the builder consumes
-        rows in ascending enumeration order)."""
+        identically to the reference (the builder consumes rows in
+        ascending enumeration order)."""
         from repro.faulter.space import ExplicitSpace
 
         ctx = faulter.engine().context("skip")
         points = list(ExhaustiveSpace().enumerate(ctx))
         shuffled = ExplicitSpace(points=tuple(reversed(points)))
-        baseline = _materialized(faulter, "skip", shuffled)
+        baseline = reference_report(faulter, "skip", shuffled)
         streamed = faulter.engine().run(
             "skip", shuffled,
             backend=SequentialBackend(max_resident_points=4))
         assert streamed == baseline
-        assert streamed == _materialized(faulter, "skip",
+        assert streamed == reference_report(faulter, "skip",
                                          ExplicitSpace(tuple(points)))
 
     def test_multiprocess_partitions_capped_by_window(self, faulter):
         """Streaming multiprocess bounds every shard at the reorder
         window: more partitions than workers, identical report."""
-        baseline = _materialized(faulter, "bitflip", ExhaustiveSpace())
+        baseline = reference_report(faulter, "bitflip", ExhaustiveSpace())
         window = 40
         streamed = faulter.engine().run(
             "bitflip", ExhaustiveSpace(),
@@ -231,57 +227,46 @@ class TestStreamingEdgeCases:
         """The checkpoint grid is sized from the span a campaign
         actually covers, not the whole trace: a short-prefix window
         keeps its fine-grained replay (and its step savings)."""
+        backend = SequentialBackend(checkpoint_interval=1)
         prefix = faulter.run_campaign("skip", trace_window=range(6),
-                                      checkpoint_interval=1)
-        full = faulter.run_campaign("skip", checkpoint_interval=1)
+                                      backend=backend)
+        full = faulter.run_campaign("skip", backend=backend)
         assert prefix.meta["emulated_steps"] < \
             full.meta["emulated_steps"]
-        assert prefix == faulter.run_campaign("skip",
-                                              trace_window=range(6))
+        assert prefix == reference_report(
+            faulter, "skip", WindowedSpace(indices=tuple(range(6))))
 
 
 class TestStreamingKnobs:
-    def test_stream_conflicts_with_instance(self):
-        with pytest.raises(ValueError):
-            resolve_backend(SequentialBackend(), stream=False)
-        with pytest.raises(ValueError):
-            resolve_backend(SequentialBackend(), max_resident_points=9)
-        backend = SequentialBackend(max_resident_points=9)
-        assert resolve_backend(backend, max_resident_points=9) is backend
-
     def test_window_requires_streaming(self):
-        with pytest.raises(ValueError):
-            SequentialBackend(stream=False, max_resident_points=4)
-        with pytest.raises(ValueError):
-            SequentialBackend(max_resident_points=0)
+        """Streaming is always on; its window must hold a point."""
+        for factory in (SequentialBackend, MultiprocessBackend,
+                        EngineConfig):
+            with pytest.raises(ValueError, match="max_resident_points"):
+                factory(max_resident_points=0)
 
     def test_resolve_builds_streaming_backends(self):
-        backend = resolve_backend(None, stream=False)
-        assert backend.stream is False
-        backend = resolve_backend("multiprocess", workers=2,
-                                  max_resident_points=7)
+        backend = EngineConfig(max_resident_points=7).resolve()
+        assert isinstance(backend, SequentialBackend)
+        assert backend.max_resident_points == 7
+        backend = EngineConfig(backend="multiprocess", workers=2,
+                               max_resident_points=7).resolve()
         assert isinstance(backend, MultiprocessBackend)
         assert backend.max_resident_points == 7
 
     def test_cli_exposes_stream_knobs(self):
         from repro.cli import build_parser
-        args = build_parser().parse_args(
+        parser = build_parser()
+        args = parser.parse_args(
             ["fault", "t.elf", "--good", "00", "--bad", "01",
-             "--marker", "OK", "--no-stream",
-             "--max-resident-points", "128"])
-        assert args.stream is False
+             "--marker", "OK", "--max-resident-points", "128"])
         assert args.max_resident_points == 128
+        with pytest.raises(SystemExit):
+            parser.parse_args(["fault", "t.elf", "--no-stream"])
 
     def test_meta_records_streaming(self, faulter):
-        report = faulter.run_campaign("skip", max_resident_points=4)
-        assert report.meta["stream"] is True
+        report = faulter.run_campaign(
+            "skip", backend=SequentialBackend(max_resident_points=4))
         assert report.meta["max_resident_points"] == 4
         assert 0 < report.meta["peak_resident_points"] <= 4
-        materialized = faulter.run_campaign("skip", stream=False)
-        assert materialized.meta["stream"] is False
-        # the materialized window holds the *executed* survivor points
-        # (equivalence reduction elides the provably-dead remainder)
-        assert materialized.meta["peak_resident_points"] == \
-            materialized.meta["reduction"]["executed_points"]
-        assert materialized.total_faults == \
-            materialized.meta["reduction"]["full_points"]
+        assert "stream" not in report.meta

@@ -1,10 +1,10 @@
 """Campaign bit-identity with the trace-compiled tier on vs off.
 
 The compiled tier is a pure performance substrate: every campaign
-report — outcomes, per-point classifications, emulated step counts —
-must be bit-identical to the precise interpreter across every fault
-model, backend, streaming mode and workload.  ``trace_compile=False``
-is the differential baseline these tests compare against.
+report — outcomes, per-point classifications — must equal the
+reference protocol (:mod:`tests.reference`) across every fault model,
+backend and workload, with the tier on and off, and the emulated step
+counts of both settings must agree.
 """
 
 import pytest
@@ -14,9 +14,10 @@ from repro.faulter import (
     SampledSpace,
     SequentialBackend,
 )
-from repro.faulter.engine import EngineConfig, resolve_backend
+from repro.faulter.engine import EngineConfig, shutdown_fleet
 from repro.faulter.models import MODELS
 from repro.workloads import bootloader, corpus, pincheck
+from tests.reference import reference_report
 
 WORKLOADS = {
     "pincheck": pincheck.workload,
@@ -31,15 +32,21 @@ def faulters():
             for name, factory in WORKLOADS.items()}
 
 
-def _run(faulter, model, backend):
-    space = SampledSpace(samples=24, seed=11)
-    return faulter.engine().run(model, space, backend=backend)
+def _space():
+    return SampledSpace(samples=24, seed=11)
 
 
-def _assert_identical(faulter, model, on, off):
-    compiled = _run(faulter, model, on)
-    precise = _run(faulter, model, off)
-    assert compiled == precise  # outcomes, faults, classifications
+def _run(faulter, model, backend, reduce=None):
+    return faulter.engine().run(model, _space(), backend=backend,
+                                reduce=reduce)
+
+
+def _assert_identical(faulter, model, on, off, reduce=None):
+    compiled = _run(faulter, model, on, reduce)
+    precise = _run(faulter, model, off, reduce)
+    # outcomes, faults, classifications
+    assert compiled == reference_report(faulter, model, _space())
+    assert precise == compiled
     assert (compiled.meta["emulated_steps"]
             == precise.meta["emulated_steps"])
     assert compiled.meta["trace_compile"] is True
@@ -63,15 +70,16 @@ class TestEveryModelBitIdentical:
 
 
 class TestBackendsAndStreaming:
-    """skip model across backends x stream x workloads."""
+    """skip model across backends x workloads, with equivalence
+    reduction (whose probe runs use the backend's tier) on and off."""
 
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
-    @pytest.mark.parametrize("stream", (True, False))
-    def test_sequential_master_walk(self, faulters, workload, stream):
+    @pytest.mark.parametrize("reduce", (True, False))
+    def test_sequential_master_walk(self, faulters, workload, reduce):
         _assert_identical(
             faulters[workload], "skip",
-            SequentialBackend(stream=stream),
-            SequentialBackend(stream=stream, trace_compile=False))
+            SequentialBackend(),
+            SequentialBackend(trace_compile=False), reduce)
 
     @pytest.mark.parametrize("workload", sorted(WORKLOADS))
     def test_sequential_checkpointed(self, faulters, workload):
@@ -81,14 +89,17 @@ class TestBackendsAndStreaming:
             SequentialBackend(checkpoint_interval=16,
                               trace_compile=False))
 
-    @pytest.mark.parametrize("stream", (True, False))
-    def test_multiprocess(self, faulters, stream):
+    @pytest.mark.parametrize("reduce", (True, False))
+    def test_multiprocess(self, faulters, reduce):
+        # fleet workers keep their executors (and checkpoint prefixes)
+        # across campaigns, which lowers later step counts; start cold
+        # so both settings build theirs from scratch
+        shutdown_fleet()
         _assert_identical(
             faulters["bootloader"], "skip",
+            MultiprocessBackend(workers=2, checkpoint_interval=64),
             MultiprocessBackend(workers=2, checkpoint_interval=64,
-                                stream=stream),
-            MultiprocessBackend(workers=2, checkpoint_interval=64,
-                                stream=stream, trace_compile=False))
+                                trace_compile=False), reduce)
 
     def test_multiprocess_aggregates_worker_counters(self, faulters):
         report = _run(
@@ -109,17 +120,13 @@ class TestKnobPlumbing:
         with pytest.raises(ValueError, match="trace_compile"):
             EngineConfig(trace_compile="yes")
 
-    def test_resolve_backend_plumbs_the_knob(self):
-        backend = resolve_backend(None, trace_compile=False)
+    def test_resolve_plumbs_the_knob(self):
+        backend = EngineConfig(trace_compile=False).resolve()
         assert backend.trace_compile is False
-        backend = resolve_backend("multiprocess", trace_compile=False)
+        backend = EngineConfig(backend="multiprocess",
+                               trace_compile=False).resolve()
         assert backend.trace_compile is False
-        assert resolve_backend(None).trace_compile is True
-
-    def test_resolve_backend_instance_conflict(self):
-        instance = SequentialBackend()
-        with pytest.raises(ValueError, match="trace_compile"):
-            resolve_backend(instance, trace_compile=False)
+        assert EngineConfig().resolve().trace_compile is True
 
     def test_default_is_on(self):
         assert SequentialBackend().trace_compile is True

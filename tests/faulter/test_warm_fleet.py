@@ -6,10 +6,11 @@ from repro.faulter import Faulter
 from repro.faulter.engine import (
     MultiprocessBackend,
     _acquire_fleet,
-    resolve_backend,
     shutdown_fleet,
 )
+from repro.faulter.space import KFaultProductSpace
 from repro.workloads import pincheck
+from tests.reference import reference_report
 
 
 @pytest.fixture(scope="module")
@@ -29,18 +30,19 @@ def make_faulter(wl, exe):
 
 @pytest.fixture(scope="module")
 def sequential_report(wl, exe):
-    return make_faulter(wl, exe).run_campaign("skip")
+    return reference_report(make_faulter(wl, exe), "skip")
 
 
 class TestScheduling:
-    @pytest.mark.parametrize("steal", [True, False])
+    @pytest.mark.parametrize("reduce", [True, False])
     def test_matches_sequential(self, wl, exe, sequential_report,
-                                steal):
+                                reduce):
+        # reduced campaigns ship ReducedSpace partitions, full ones
+        # the plain exhaustive space
         backend = MultiprocessBackend(workers=2,
-                                      checkpoint_interval=16,
-                                      steal=steal)
-        report = make_faulter(wl, exe).run_campaign("skip",
-                                                    backend=backend)
+                                      checkpoint_interval=16)
+        report = make_faulter(wl, exe).run_campaign(
+            "skip", backend=backend, reduce=reduce)
         assert report == sequential_report
 
     def test_small_partitions_exercise_the_queue(self, wl, exe,
@@ -55,8 +57,9 @@ class TestScheduling:
 
     def test_k_fault_campaign_on_the_fleet(self, wl, exe):
         faulter = make_faulter(wl, exe)
-        sequential = faulter.run_k_fault_campaign(
-            "skip", k=2, samples=24, seed=7)
+        sequential = reference_report(
+            faulter, "skip", KFaultProductSpace(k=2, samples=24, seed=7),
+            target=f"{faulter.name}(pairs)")
         fleet = make_faulter(wl, exe).run_k_fault_campaign(
             "skip", k=2, samples=24, seed=7,
             backend=MultiprocessBackend(workers=2,
@@ -112,28 +115,6 @@ class TestFleetLifecycle:
         report = make_faulter(wl, exe).run_campaign("skip",
                                                     backend=backend)
         assert report == sequential_report
-
-
-class TestStealKnob:
-    def test_resolve_accepts_steal(self):
-        backend = resolve_backend(None, workers=2, steal=False)
-        assert isinstance(backend, MultiprocessBackend)
-        assert backend.steal is False
-        assert resolve_backend("multiprocess", steal=True).steal
-
-    def test_steal_alone_implies_multiprocess(self):
-        backend = resolve_backend(None, steal=False)
-        assert isinstance(backend, MultiprocessBackend)
-
-    def test_steal_rejected_for_sequential(self):
-        with pytest.raises(ValueError, match="steal"):
-            resolve_backend("sequential", steal=True)
-
-    def test_instance_conflict_rejected(self):
-        backend = MultiprocessBackend(workers=2, steal=True)
-        with pytest.raises(ValueError, match="steal"):
-            resolve_backend(backend, steal=False)
-        assert resolve_backend(backend, steal=True) is backend
 
 
 def teardown_module(module):

@@ -2,9 +2,7 @@
 
 import pytest
 
-from repro.api import (
-    APPROACHES, evaluate_countermeasures, find_vulnerabilities,
-    harden_binary, hardened_elf)
+from repro.api import HARDENING_APPROACHES, Target, hardened_elf
 from repro.binfmt import read_elf, write_elf
 from repro.cli import main
 from repro.emu import run_executable
@@ -16,57 +14,49 @@ def wl():
     return pincheck.workload()
 
 
+def _target(wl, image=None):
+    return Target(image if image is not None else wl.build(),
+                  wl.good_input, wl.bad_input, wl.grant_marker)
+
+
 class TestAPI:
-    def test_find_vulnerabilities(self, wl):
-        reports = find_vulnerabilities(
-            wl.build(), wl.good_input, wl.bad_input, wl.grant_marker,
-            models=("skip",))
+    def test_campaign(self, wl):
+        reports = _target(wl).campaign(models=("skip",))
         assert reports["skip"].vulnerable
 
     def test_accepts_raw_elf_bytes(self, wl):
         blob = write_elf(wl.build())
-        reports = find_vulnerabilities(
-            blob, wl.good_input, wl.bad_input, wl.grant_marker,
-            models=("skip",))
+        reports = _target(wl, blob).campaign(models=("skip",))
         assert reports["skip"].total_faults > 0
 
     def test_harden_faulter_patcher(self, wl):
-        result = harden_binary(
-            wl.build(), wl.good_input, wl.bad_input, wl.grant_marker,
-            approach="faulter+patcher")
+        result = _target(wl).harden(approach="faulter+patcher")
         assert result.converged
         rebuilt = read_elf(hardened_elf(result))
         good = run_executable(rebuilt, stdin=wl.good_input)
         assert wl.grant_marker in good.stdout
 
     def test_harden_hybrid(self, wl):
-        result = harden_binary(
-            wl.build(), wl.good_input, wl.bad_input, wl.grant_marker,
-            approach="hybrid")
+        result = _target(wl).harden(approach="hybrid")
         rebuilt = read_elf(hardened_elf(result))
         good = run_executable(rebuilt, stdin=wl.good_input)
         assert wl.grant_marker in good.stdout
 
     def test_unknown_approach(self, wl):
         with pytest.raises(ValueError, match="faulter"):
-            harden_binary(wl.build(), wl.good_input, wl.bad_input,
-                          wl.grant_marker, approach="magic")
-        assert "hybrid" in APPROACHES
-        assert "detour" in APPROACHES
+            _target(wl).harden(approach="magic")
+        assert "hybrid" in HARDENING_APPROACHES
+        assert "detour" in HARDENING_APPROACHES
 
     def test_harden_detour(self, wl):
-        result = harden_binary(
-            wl.build(), wl.good_input, wl.bad_input, wl.grant_marker,
-            approach="detour")
+        result = _target(wl).harden(approach="detour")
         assert result.stats.patched > 0
         rebuilt = read_elf(hardened_elf(result))
         good = run_executable(rebuilt, stdin=wl.good_input)
         assert wl.grant_marker in good.stdout
 
-    def test_evaluate_countermeasures(self, wl):
-        evaluation = evaluate_countermeasures(
-            wl.build(), wl.good_input, wl.bad_input, wl.grant_marker,
-            models=("skip",))
+    def test_evaluate(self, wl):
+        evaluation = _target(wl).evaluate(models=("skip",))
         census = evaluation.diff.counts(model="skip")
         assert census["eliminated"] >= 1
         assert census["surviving"] == 0

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.api import harden_binary
+from repro.api import Target
 from repro.workloads import pincheck
 
 
@@ -15,10 +15,9 @@ def wl():
 
 class TestJsonExport:
     def test_faulter_patcher_to_dict(self, wl):
-        result = harden_binary(wl.build(), wl.good_input, wl.bad_input,
-                               wl.grant_marker,
-                               approach="faulter+patcher",
-                               fault_models=("skip",))
+        result = Target(wl.build(), wl.good_input, wl.bad_input,
+                        wl.grant_marker).harden(
+            approach="faulter+patcher", fault_models=("skip",))
         payload = result.to_dict()
         text = json.dumps(payload)  # must be JSON-safe
         decoded = json.loads(text)
@@ -28,9 +27,9 @@ class TestJsonExport:
         assert decoded["iterations"][0]["patched"] >= 1
 
     def test_hybrid_to_dict(self, wl):
-        result = harden_binary(wl.build(), wl.good_input, wl.bad_input,
-                               wl.grant_marker, approach="hybrid",
-                               fault_models=("skip",))
+        result = Target(wl.build(), wl.good_input, wl.bad_input,
+                        wl.grant_marker).harden(
+            approach="hybrid", fault_models=("skip",))
         payload = json.loads(json.dumps(result.to_dict()))
         assert payload["approach"] == "hybrid"
         assert payload["branches_hardened"] >= 1

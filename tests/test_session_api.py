@@ -1,14 +1,12 @@
 """Session API tests: Target/Oracle/EngineConfig, the hardening
-registry, the deprecation shims, and the CLI knob plumbing."""
+registry, and the CLI knob plumbing."""
 
 import json
 import math
 
 import pytest
 
-from repro.api import (
-    APPROACHES, EngineConfig, Target, evaluate_countermeasures,
-    find_vulnerabilities, harden_binary)
+from repro.api import EngineConfig, Target
 from repro.cli import build_parser, main
 from repro.emu.machine import run_executable
 from repro.faulter.oracle import (
@@ -19,6 +17,7 @@ from repro.hardening import (
     HARDENING_APPROACHES, HardeningApproach, approach_by_name,
     register_approach)
 from repro.workloads import bootloader, corpus, pincheck
+from tests.reference import reference_report
 
 WORKLOADS = {"pincheck": pincheck.workload,
              "bootloader": bootloader.workload}
@@ -44,11 +43,6 @@ class FakeRun:
         return self.reason in ("crash", "max-steps")
 
 
-# ---------------------------------------------------------------------------
-# deprecation-shim equivalence (acceptance criterion: bit-identical)
-# ---------------------------------------------------------------------------
-
-
 def _stable(payload):
     """Strip wall-clock timing from report payloads before comparing.
 
@@ -64,43 +58,6 @@ def _stable(payload):
     return payload
 
 
-class TestShimEquivalence:
-    def test_campaign_bit_identical(self, wl):
-        new = wl.target().campaign(("skip",))
-        with pytest.deprecated_call():
-            old = find_vulnerabilities(
-                wl.build(), wl.good_input, wl.bad_input,
-                wl.grant_marker, models=("skip",), name=wl.name)
-        assert old.keys() == new.keys()
-        assert _stable(old["skip"].to_dict()) == _stable(
-            new["skip"].to_dict())
-
-    def test_evaluate_bit_identical(self, wl):
-        new = wl.target().evaluate(models=("skip",))
-        with pytest.deprecated_call():
-            old = evaluate_countermeasures(
-                wl.build(), wl.good_input, wl.bad_input,
-                wl.grant_marker, models=("skip",), name=wl.name)
-        assert old.diff.to_dict() == new.diff.to_dict()
-        assert _stable(old.to_dict()) == _stable(new.to_dict())
-
-    def test_harden_shim_equivalent(self):
-        wl = pincheck.workload()
-        new = wl.target().harden(approach="detour")
-        with pytest.deprecated_call():
-            old = harden_binary(
-                wl.build(), wl.good_input, wl.bad_input,
-                wl.grant_marker, approach="detour", name=wl.name)
-        assert _stable(old.to_dict()) == _stable(new.to_dict())
-
-    def test_all_three_shims_warn(self):
-        wl = pincheck.workload()
-        for fn in (find_vulnerabilities, evaluate_countermeasures):
-            with pytest.deprecated_call():
-                fn(wl.build(), wl.good_input, wl.bad_input,
-                   wl.grant_marker, models=("skip",))
-
-
 # ---------------------------------------------------------------------------
 # EngineConfig
 # ---------------------------------------------------------------------------
@@ -110,8 +67,7 @@ class TestEngineConfig:
     def test_roundtrip_lossless_and_json_safe(self):
         config = EngineConfig(
             backend="multiprocess", checkpoint_interval=64, workers=3,
-            k_faults=2, samples=50, seed=7, stream=True,
-            max_resident_points=128)
+            k_faults=2, samples=50, seed=7, max_resident_points=128)
         payload = json.loads(json.dumps(config.to_dict()))
         assert EngineConfig.from_dict(payload) == config
 
@@ -131,8 +87,6 @@ class TestEngineConfig:
             EngineConfig(backend="quantum")
         with pytest.raises(ValueError, match="workers"):
             EngineConfig(backend="sequential", workers=4)
-        with pytest.raises(ValueError, match="streaming"):
-            EngineConfig(stream=False, max_resident_points=16)
         with pytest.raises(ValueError, match="k_faults"):
             EngineConfig(k_faults=0)
         with pytest.raises(ValueError, match="max_resident_points"):
@@ -140,9 +94,9 @@ class TestEngineConfig:
 
     def test_backend_instance_not_serializable(self):
         from repro.faulter.engine import SequentialBackend
-        config = EngineConfig(backend=SequentialBackend())
-        with pytest.raises(ValueError, match="instance"):
-            config.to_dict()
+        # the config names a backend; an instance is not a name
+        with pytest.raises(ValueError, match="unknown backend"):
+            EngineConfig(backend=SequentialBackend())
 
     def test_resolve_picks_multiprocess_for_workers(self):
         from repro.faulter.engine import MultiprocessBackend
@@ -270,23 +224,22 @@ class TestExitCodeCampaign:
     def test_streaming_campaign_finds_vulnerabilities(self):
         wl = corpus.exitgate_workload()
         reports = wl.target().campaign(
-            ("skip",), EngineConfig(stream=True))
+            ("skip",), EngineConfig(max_resident_points=4))
         report = reports["skip"]
         assert report.vulnerable
-        assert report.meta["stream"] is True
+        assert 0 < report.meta["peak_resident_points"] <= 4
 
     def test_backends_bit_identical_under_exit_oracle(self):
         """The oracle crosses process boundaries (pickled to
         workers)."""
-        wl = corpus.exitgate_workload()
-        sequential = wl.target().campaign(("skip",))["skip"]
-        multi = wl.target().campaign(
+        target = corpus.exitgate_workload().target()
+        reference = reference_report(target.faulter(), "skip")
+        sequential = target.campaign(("skip",))["skip"]
+        multi = target.campaign(
             ("skip",),
             EngineConfig(backend="multiprocess", workers=2))["skip"]
-        seq = sequential.to_dict()
-        par = multi.to_dict()
-        seq.pop("meta"), par.pop("meta")  # backends differ, rows not
-        assert seq == par
+        assert sequential == reference
+        assert multi == reference
 
     def test_full_differential_loop(self):
         wl = corpus.exitgate_workload()
@@ -337,7 +290,6 @@ class _StubResult:
 
 class TestApproachRegistry:
     def test_builtins_registered(self):
-        assert set(APPROACHES) <= set(HARDENING_APPROACHES)
         for name in ("faulter+patcher", "hybrid", "detour"):
             entry = approach_by_name(name)
             assert entry.provenance
@@ -425,12 +377,11 @@ class TestCLIKnobs:
                 sub + ["--good", "00", "--bad", "01", "--marker", "M",
                        "--backend", "multiprocess", "--workers", "2",
                        "--checkpoint-interval", "16",
-                       "--max-resident-points", "64", "--stream"])
+                       "--max-resident-points", "64"])
             assert args.backend == "multiprocess"
             assert args.workers == 2
             assert args.checkpoint_interval == 16
             assert args.max_resident_points == 64
-            assert args.stream is True
 
     def test_harden_evaluate_forwards_engine_knobs(self, capsys,
                                                    tmp_path,
