@@ -8,18 +8,23 @@ differential runs, randomized inline-flag replay against
 code, fault windows, superblock boundaries).
 """
 
+import hashlib
 import random
 from collections import OrderedDict
+from pathlib import Path
 
 import pytest
 
+from repro.binfmt import read_elf
 from repro.emu.flagops import PARITY_TABLE, Flags
 from repro.emu.jit import TraceCompiler
 from repro.emu.jit import compiler as compiler_mod
 from repro.emu.jit import lift as lift_mod
-from repro.emu.jit.codegen import JitUnsupported, _Emitter, _inline_flags
+from repro.emu.jit.codegen import (
+    JitUnsupported, _Emitter, _inline_flags, lower_superblock)
 from repro.emu.jit.superblock import MAX_BODY, carve
 from repro.emu.machine import Machine
+from repro.errors import IRError, LiftError
 from repro.workloads import bootloader, corpus, pincheck
 
 FLAG_NAMES = ("cf", "pf", "af", "zf", "sf", "of")
@@ -344,6 +349,58 @@ class TestSuperblockCarving:
         body, terminator = carve(machine, machine.cpu.rip)
         assert len(body) == MAX_BODY
         assert terminator is None
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+#: sha256 over every ``.text`` address's carved code and lowered source;
+#: an IR or codegen change that alters any compiled block changes it
+LOWERED_DIGESTS = {
+    "pincheck":
+        "3a848399b22c9aecf4cc718fb95513c2ca9ebedf580d8a207cdcb31ed2572ea9",
+    "bootloader":
+        "92486524c175b09ee99f79545238e98a36f7d4124210cd067b921351e3643385",
+    "bootloader_pie":
+        "43348a299f0e5d8888b4fab2ce66e6fd8cc42d9d18803d3b0fac9a8024824981",
+}
+
+
+def _lowered_digest(exe) -> str:
+    """Digest of the superblock carved at every byte address of .text.
+
+    Every byte, not just the linear-sweep boundaries, so misaligned
+    decodes (what encoding faults execute) are pinned too.  Blocks
+    that do not lift or lower contribute ``NONE``.
+    """
+    machine = Machine(exe)
+    text = exe.section(".text")
+    rows = []
+    for address in range(text.addr, text.addr + len(text.data)):
+        body, terminator = carve(machine, address)
+        insns = body + ([terminator] if terminator is not None else [])
+        source = "NONE"
+        if insns:
+            try:
+                function = lift_mod.lift_superblock(body, address)
+                source = lower_superblock(function, body, terminator)[2]
+            except (LiftError, IRError, JitUnsupported):
+                pass
+        rows.append((address, b"".join(insn.raw for insn in insns),
+                     source))
+    digest = hashlib.sha256()
+    for address, code, source in sorted(rows):
+        digest.update(f"{address:x}:{code.hex()}:{source}\n".encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(LOWERED_DIGESTS))
+def test_lowered_source_is_pinned(name):
+    if name == "bootloader_pie":
+        exe = read_elf((FIXTURES / "bootloader_pie.elf").read_bytes())
+    else:
+        exe = {"pincheck": pincheck, "bootloader": bootloader}[
+            name].workload().build()
+    assert _lowered_digest(exe) == LOWERED_DIGESTS[name]
 
 
 class TestInlineFlagReplay:

@@ -1,8 +1,11 @@
 """Hybrid approach tests: the hardening pass, pipeline, duplication."""
 
+import hashlib
+
 import pytest
 
 from repro.asm import assemble
+from repro.binfmt import write_elf
 from repro.emu import run_executable
 from repro.hybrid import (
     BranchHardening, duplicate_everything, harden_branches, hybrid_harden)
@@ -140,6 +143,20 @@ class TestHybridPipeline:
         text = result.report()
         assert "Hybrid hardening report" in text
         assert "lift+lower alone" in text
+
+    @pytest.mark.parametrize("workload, digest", [
+        (pincheck, "58f5fe8d10dce779418e000eea0629d2"
+                   "24d7a93dd1f990a966c03e70c60df481"),
+        (bootloader, "3dd551d039bf0fa80750bc9df3907f04"
+                     "49c5652982141bb491bc26b4b0bfa1c2"),
+    ])
+    def test_hardened_bytes_are_pinned(self, workload, digest):
+        # the IR passes' results (phi order included) reach the ELF
+        wl = workload.workload()
+        result = hybrid_harden(wl.build(), wl.good_input, wl.bad_input,
+                               wl.grant_marker, name=wl.name)
+        assert hashlib.sha256(
+            write_elf(result.hardened)).hexdigest() == digest
 
 
 class TestDuplicationBaseline:
