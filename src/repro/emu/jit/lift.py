@@ -119,7 +119,8 @@ class _FlagMarkers:
             [(may, definite) for may, definite, _ in self.specs]))
         for index, (_, _, call) in enumerate(self.specs):
             if index not in keep:
-                call.erase()
+                call.unlink()
+        self.builder.block.purge_unlinked()
 
 
 def lift_superblock(body: list[Instruction], start: int) -> Function:

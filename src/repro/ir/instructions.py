@@ -23,6 +23,7 @@ class Instruction(Value):
     """
 
     opcode = "instruction"
+    is_terminator = False
 
     def __init__(self, vtype, operands=(), name: str = ""):
         super().__init__(vtype, name)
@@ -62,10 +63,6 @@ class Instruction(Value):
 
     # -- classification ------------------------------------------------------
 
-    @property
-    def is_terminator(self) -> bool:
-        return isinstance(self, (Br, CondBr, Switch, Ret, Unreachable))
-
     def successors(self) -> list:
         return []
 
@@ -77,7 +74,16 @@ class Instruction(Value):
         """Remove from parent block and drop operand uses."""
         if self.parent is not None:
             self.parent.instructions.remove(self)
-            self.parent = None
+        self.unlink()
+
+    def unlink(self):
+        """Erase, but leave the block's instruction list to the caller.
+
+        Removing from the list is O(block) per instruction, so passes
+        that erase many instructions unlink each one and then rebuild
+        the list once with :meth:`BasicBlock.purge_unlinked`.
+        """
+        self.parent = None
         self.drop_operands()
 
 
@@ -256,6 +262,7 @@ class Call(Instruction):
 
 class Br(Instruction):
     opcode = "br"
+    is_terminator = True
 
     def __init__(self, target):
         super().__init__(VOID, ())
@@ -271,6 +278,7 @@ class Br(Instruction):
 
 class CondBr(Instruction):
     opcode = "condbr"
+    is_terminator = True
 
     def __init__(self, cond: Value, if_true, if_false):
         if cond.type != I1:
@@ -297,6 +305,7 @@ class Switch(Instruction):
     """``switch value, default [case -> block, ...]``."""
 
     opcode = "switch"
+    is_terminator = True
 
     def __init__(self, value: Value, default):
         super().__init__(VOID, (value,))
@@ -321,6 +330,7 @@ class Switch(Instruction):
 
 class Ret(Instruction):
     opcode = "ret"
+    is_terminator = True
 
     def __init__(self, value: Optional[Value] = None):
         super().__init__(VOID, (value,) if value is not None else ())
@@ -328,6 +338,7 @@ class Ret(Instruction):
 
 class Unreachable(Instruction):
     opcode = "unreachable"
+    is_terminator = True
 
     def __init__(self):
         super().__init__(VOID, ())

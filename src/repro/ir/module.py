@@ -51,6 +51,12 @@ class BasicBlock(Value):
         self.instructions.insert(index, instruction)
         return instruction
 
+    def purge_unlinked(self) -> None:
+        """Drop every instruction :meth:`Instruction.unlink` detached."""
+        self.instructions[:] = [instruction
+                                for instruction in self.instructions
+                                if instruction.parent is self]
+
     @property
     def terminator(self) -> Optional[Instruction]:
         if self.instructions and self.instructions[-1].is_terminator:

@@ -92,7 +92,8 @@ def constant_fold(function: Function) -> bool:
     while progress:
         progress = False
         for block in function.blocks:
-            for instruction in list(block.instructions):
+            erased = False
+            for instruction in block.instructions:
                 replacement = None
                 if isinstance(instruction, BinOp) and \
                         isinstance(instruction.lhs, Constant) and \
@@ -124,7 +125,10 @@ def constant_fold(function: Function) -> bool:
                         replacement = chosen
                 if replacement is not None:
                     instruction.replace_all_uses_with(replacement)
-                    instruction.erase()
-                    progress = True
-                    changed = True
+                    instruction.unlink()
+                    erased = True
+            if erased:
+                block.purge_unlinked()
+                progress = True
+                changed = True
     return changed

@@ -57,7 +57,8 @@ def cse(function: Function, respect_no_merge: bool = True) -> bool:
     for block in function.blocks:
         available: dict = {}
         memory_epoch = 0
-        for instruction in list(block.instructions):
+        erased = False
+        for instruction in block.instructions:
             if isinstance(instruction, Store) or (
                     isinstance(instruction, Call)
                     and not getattr(instruction, "readonly", False)):
@@ -71,8 +72,11 @@ def cse(function: Function, respect_no_merge: bool = True) -> bool:
             existing = available.get(key)
             if existing is not None:
                 instruction.replace_all_uses_with(existing)
-                instruction.erase()
-                changed = True
+                instruction.unlink()
+                erased = True
             else:
                 available[key] = instruction
+        if erased:
+            block.purge_unlinked()
+            changed = True
     return changed

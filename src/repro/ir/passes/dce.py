@@ -13,7 +13,8 @@ def dce(function: Function, *, remove_dead_loads: bool = True) -> bool:
     while progress:
         progress = False
         for block in function.blocks:
-            for instruction in reversed(list(block.instructions)):
+            erased = False
+            for instruction in reversed(block.instructions):
                 if instruction.is_terminator:
                     continue
                 if instruction.has_side_effects():
@@ -22,7 +23,10 @@ def dce(function: Function, *, remove_dead_loads: bool = True) -> bool:
                     continue
                 if instruction.uses:
                     continue
-                instruction.erase()
+                instruction.unlink()
+                erased = True
+            if erased:
+                block.purge_unlinked()
                 progress = True
                 changed = True
     return changed

@@ -69,25 +69,32 @@ def mem2reg(function: Function) -> bool:
     }
 
     # --- renaming walk over the dominator tree ------------------------------
-    def rename(block: BasicBlock, incoming: dict):
+    # explicit stack, children pushed in reverse: the same preorder a
+    # recursive walk takes, so phi incoming order does not depend on it;
+    # incoming maps id(alloca) -> its current value
+    incoming_keys = {id(a) for a in allocas}
+    stack = [(function.entry, {})]
+    while stack:
+        block, incoming = stack.pop()
         incoming = dict(incoming)
-        for instruction in list(block.instructions):
-            if isinstance(instruction, Phi) and \
+        for instruction in block.instructions:
+            if isinstance(instruction, Load):
+                slot = id(instruction.pointer)
+                if slot in incoming_keys:
+                    value = incoming.get(slot)
+                    if value is None:
+                        value = Undef(instruction.type)
+                    instruction.replace_all_uses_with(value)
+                    instruction.unlink()
+            elif isinstance(instruction, Store):
+                slot = id(instruction.pointer)
+                if slot in incoming_keys:
+                    incoming[slot] = instruction.value
+                    instruction.unlink()
+            elif isinstance(instruction, Phi) and \
                     id(instruction) in phi_owner:
                 incoming[id(phi_owner[id(instruction)])] = instruction
-            elif isinstance(instruction, Load) and \
-                    isinstance(instruction.pointer, Alloca) and \
-                    id(instruction.pointer) in incoming_keys:
-                value = incoming.get(id(instruction.pointer))
-                if value is None:
-                    value = Undef(instruction.type)
-                instruction.replace_all_uses_with(value)
-                instruction.erase()
-            elif isinstance(instruction, Store) and \
-                    isinstance(instruction.pointer, Alloca) and \
-                    id(instruction.pointer) in incoming_keys:
-                incoming[id(instruction.pointer)] = instruction.value
-                instruction.erase()
+        block.purge_unlinked()
         for successor in block.successors():
             for phi in successor.phis():
                 alloca = phi_owner.get(id(phi))
@@ -97,20 +104,12 @@ def mem2reg(function: Function) -> bool:
                 if value is None:
                     value = Undef(phi.type)
                 phi.add_incoming(value, block)
-        for child in children.get(id(block), ()):
-            rename(child, incoming)
-
-    incoming_keys = {id(a) for a in allocas}
-    import sys
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, len(function.blocks) * 4 + 1000))
-    try:
-        rename(function.entry, {})
-    finally:
-        sys.setrecursionlimit(old_limit)
+        for child in reversed(children.get(id(block), ())):
+            stack.append((child, incoming))
 
     for alloca in allocas:
-        alloca.erase()
+        alloca.unlink()
+    function.entry.purge_unlinked()
     return True
 
 

@@ -26,12 +26,9 @@ class Value:
 
     @property
     def users(self) -> list:
-        """Distinct user instructions (operands may repeat a value)."""
-        seen: list = []
-        for user in self.uses:
-            if not any(user is existing for existing in seen):
-                seen.append(user)
-        return seen
+        """Distinct user instructions in first-use order (operands may
+        repeat a value)."""
+        return list({id(user): user for user in self.uses}.values())
 
     def replace_all_uses_with(self, replacement: "Value"):
         for user in list(self.uses):

@@ -29,15 +29,15 @@ def _verify_function(function: Function):
         if terminator is None:
             raise IRError(
                 f"{function.name}/{block.name}: missing terminator")
-        for index, instruction in enumerate(block.instructions):
-            if instruction.is_terminator and \
-                    instruction is not block.instructions[-1]:
+        seen_non_phi = False
+        for instruction in block.instructions:
+            if instruction.is_terminator and instruction is not terminator:
                 raise IRError(
                     f"{function.name}/{block.name}: terminator in the "
                     f"middle of the block")
-            if isinstance(instruction, Phi) and \
-                    index >= block.non_phi_index() and \
-                    not isinstance(block.instructions[index], Phi):
+            if not isinstance(instruction, Phi):
+                seen_non_phi = True
+            elif seen_non_phi:
                 raise IRError(
                     f"{function.name}/{block.name}: phi after non-phi")
             if instruction.parent is not block:
@@ -138,20 +138,28 @@ def _verify_dominance(function: Function):
     for block in function.blocks:
         for index, instruction in enumerate(block.instructions):
             positions[id(instruction)] = (block, index)
+    if len(positions) != function.instruction_count():
+        # the same-block fast path below relies on single placement
+        raise IRError(f"{function.name}: instruction placed twice")
 
     for block in function.blocks:
         if not doms[id(block)]:
             continue  # unreachable block: skip SSA checks
+        defined_here: set[int] = set()
         for index, instruction in enumerate(block.instructions):
             if isinstance(instruction, Phi):
                 for value, pred in instruction.incoming():
                     _check_reaches(function, value, pred,
                                    len(pred.instructions), positions,
                                    doms, instruction)
-                continue
-            for value in instruction.operands:
-                _check_reaches(function, value, block, index, positions,
-                               doms, instruction)
+            else:
+                for value in instruction._operands:
+                    # the common case inline: defined earlier in this
+                    # block; everything else takes the full check
+                    if id(value) not in defined_here:
+                        _check_reaches(function, value, block, index,
+                                       positions, doms, instruction)
+            defined_here.add(id(instruction))
 
 
 def _check_reaches(function, value, use_block, use_index, positions,

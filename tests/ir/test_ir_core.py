@@ -208,3 +208,165 @@ class TestPrinter:
         assert "define" in text
         assert "add i64 1, 2" in text
         assert "icmp eq i64" in text
+
+
+class TestUseLists:
+    def test_users_are_distinct_in_first_use_order(self):
+        fn = make_function()
+        b = IRBuilder(fn.add_block("entry"))
+        x = b.add(b.i64(1), b.i64(2))
+        twice = b.add(x, x)
+        scaled = b.mul(b.i64(3), x)
+        again = b.add(x, x)
+        b.ret()
+        assert x.uses == [twice, twice, scaled, again, again]
+        assert [id(user) for user in x.users] == \
+            [id(twice), id(scaled), id(again)]
+        twice.set_operand(0, b.i64(4))
+        assert [id(user) for user in x.users] == \
+            [id(twice), id(scaled), id(again)]
+
+
+def _erasure_heavy_function():
+    """Slots, loads, stores, repeats and dead values over a loop."""
+    from repro.ir.types import VOID
+    fn = make_function()
+    entry = fn.add_block("entry")
+    loop = fn.add_block("loop")
+    done = fn.add_block("done")
+    b = IRBuilder(entry)
+    slots = [b.alloca(I64, f"s{i}") for i in range(4)]
+    for i, slot in enumerate(slots):
+        b.store(b.i64(i), slot)
+    b.br(loop)
+    b.set_block(loop)
+    for _ in range(8):
+        for slot in slots:
+            value = b.load(I64, slot)
+            repeat = b.add(value, b.i64(1))
+            b.add(value, b.i64(1))            # CSE merges it
+            b.mul(repeat, repeat)             # dead
+            b.store(b.add(repeat, b.i64(0)), slot)
+    counter = b.load(I64, slots[0])
+    b.condbr(b.icmp("ult", counter, b.i64(40)), loop, done)
+    b.set_block(done)
+    total = b.load(I64, slots[0])
+    for slot in slots[1:]:
+        total = b.add(total, b.load(I64, slot))
+    b.call(VOID, "syscall", [b.i64(60), b.and_(total, b.i64(0xFF)),
+                             b.i64(0), b.i64(0)])
+    b.unreachable()
+    return fn
+
+
+class TestErasure:
+    def test_passes_leave_consistent_use_lists(self):
+        from collections import Counter
+        from repro.ir.passes import cse
+        from repro.ir.passes.pass_manager import PassManager
+        fn = _erasure_heavy_function()
+        verify(fn)
+        expected = Interpreter().run(fn).exit_code
+        before = list(fn.instructions())
+        PassManager([("mem2reg", mem2reg), ("constfold", constant_fold),
+                     ("cse", cse), ("dce", dce)]).run(fn)
+        live = list(fn.instructions())
+        live_ids = {id(instruction) for instruction in live}
+        erased = [i for i in before if id(i) not in live_ids]
+        assert len(erased) > len(live)
+        for instruction in erased:
+            assert instruction.parent is None
+            assert instruction.operands == ()
+        operand_counts = Counter()
+        values = {}
+        for instruction in live:
+            assert instruction in instruction.parent.instructions
+            values[id(instruction)] = instruction
+            for operand in instruction.operands:
+                operand_counts[(id(operand), id(instruction))] += 1
+                values[id(operand)] = operand
+        for value in values.values():
+            for user in value.uses:
+                assert id(user) in live_ids
+            assert Counter((id(value), id(user)) for user in value.uses) \
+                == Counter({key: n for key, n in operand_counts.items()
+                            if key[0] == id(value)})
+        assert Interpreter().run(fn).exit_code == expected
+
+    def test_mem2reg_leaves_the_recursion_limit_alone(self, monkeypatch):
+        import sys
+
+        def refuse(limit):
+            raise AssertionError("mem2reg changed the recursion limit")
+
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        fn = _erasure_heavy_function()
+        assert mem2reg(fn)
+        verify(fn)
+
+
+class TestVerifierChecks:
+    def test_use_before_def_in_one_block(self):
+        fn = make_function()
+        entry = fn.add_block("entry")
+        b = IRBuilder(entry)
+        x = b.add(b.i64(1), b.i64(2))
+        y = b.add(x, b.i64(3))
+        b.ret()
+        entry.instructions.remove(y)
+        entry.insert(0, y)
+        with pytest.raises(IRError, match="before its definition"):
+            verify(fn)
+
+    def test_cross_block_def_that_does_not_dominate(self):
+        fn = make_function()
+        entry = fn.add_block("entry")
+        left = fn.add_block("left")
+        right = fn.add_block("right")
+        b = IRBuilder(entry)
+        b.condbr(b.icmp("eq", b.i64(1), b.i64(1)), left, right)
+        b.set_block(left)
+        value = b.add(b.i64(1), b.i64(2))
+        b.ret()
+        b.set_block(right)
+        b.add(value, b.i64(3))
+        b.ret()
+        with pytest.raises(IRError, match="does not dominate"):
+            verify(fn)
+
+    def test_detached_value(self):
+        from repro.ir.instructions import BinOp
+        fn = make_function()
+        b = IRBuilder(fn.add_block("entry"))
+        detached = BinOp("add", b.i64(1), b.i64(2))
+        b.add(detached, b.i64(3))
+        b.ret()
+        with pytest.raises(IRError, match="detached"):
+            verify(fn)
+
+    def test_phi_after_non_phi(self):
+        from repro.ir.instructions import Phi
+        fn = make_function()
+        entry = fn.add_block("entry")
+        join = fn.add_block("join")
+        b = IRBuilder(entry)
+        b.br(join)
+        b.set_block(join)
+        b.add(b.i64(1), b.i64(2))
+        phi = Phi(I64)
+        phi.add_incoming(b.i64(1), entry)
+        join.append(phi)  # the builder would place it first
+        b.ret()
+        with pytest.raises(IRError, match="phi after non-phi"):
+            verify(fn)
+
+    def test_instruction_placed_twice(self):
+        fn = make_function()
+        entry = fn.add_block("entry")
+        b = IRBuilder(entry)
+        x = b.add(b.i64(1), b.i64(2))
+        b.add(x, b.i64(3))
+        entry.instructions.append(x)
+        b.ret()
+        with pytest.raises(IRError, match="placed twice"):
+            verify(fn)
