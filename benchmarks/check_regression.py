@@ -18,7 +18,9 @@ is an algorithmic regression, not noise, and a changed compiled /
 precise split means the JIT tier now covers different code.  Fewer
 emulated steps than the baseline is an improvement; the script
 reminds you to refresh the baseline so the trajectory records it.
-Rows in ``NONDETERMINISTIC_STEP_ROWS`` are gated on faults/s only.
+Every row is gated: a baseline row missing from the fresh run fails,
+and so does a fresh row the baseline does not carry (a renamed or
+added row must enter the baseline before it can pass).
 
 No test writes the committed baseline.  Refreshing it is an explicit
 step, after a bench run on the machine whose numbers should become
@@ -43,15 +45,6 @@ import sys
 # must match benchmarks/test_engine_throughput.py::WARM_MIN_SPEEDUP
 WARM_MIN_SPEEDUP = 2.0
 
-# rows whose step counts vary from run to run, so only their faults/s
-# is gated, each with the reason its counts are not reproducible
-NONDETERMINISTIC_STEP_ROWS = {
-    # work-stealing order decides which warm worker replays a stolen
-    # partition, and its retained checkpoint prefix sets the replay
-    # length (204247 to 204384 emulated steps on identical code)
-    "multiprocess-warm",
-}
-
 # step counters gated for exact equality with the baseline
 EXACT_STEP_FIELDS = ("compiled_steps", "precise_steps")
 
@@ -64,6 +57,11 @@ def _compare_rows(kind: str, baseline_rows: dict, fresh_rows: dict,
     if missing:
         failures.append(
             f"{kind} disappeared from the fresh run: {sorted(missing)}")
+    ungated = set(fresh_rows) - set(baseline_rows)
+    if ungated:
+        failures.append(
+            f"{kind} missing from the baseline, so ungated: "
+            f"{sorted(ungated)}")
     for name in sorted(set(baseline_rows) & set(fresh_rows)):
         old, new = baseline_rows[name], fresh_rows[name]
         old_fps, new_fps = old.get("faults_per_second"), \
@@ -76,8 +74,6 @@ def _compare_rows(kind: str, baseline_rows: dict, fresh_rows: dict,
                     f"{100 * (1 - new_fps / old_fps):.1f}% below the "
                     f"baseline {old_fps:.2f} "
                     f"(threshold {100 * threshold:.0f}%)")
-        if name in NONDETERMINISTIC_STEP_ROWS:
-            continue
         old_steps = old.get("emulated_steps")
         new_steps = new.get("emulated_steps")
         if old_steps is not None and new_steps is not None \

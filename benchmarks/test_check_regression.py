@@ -9,41 +9,58 @@ ROW = {"faults_per_second": 1000.0, "emulated_steps": 500,
 
 
 def _bench(**rows):
-    return {"backends": {name: dict(ROW, **row)
+    return {"backends": {name.replace("_", "-"): dict(ROW, **row)
                          for name, row in rows.items()}}
 
 
 def test_identical_runs_pass():
-    bench = _bench(checkpointed={})
+    bench = _bench(trace_compiled={})
     assert check_regression.compare(bench, copy.deepcopy(bench),
                                     0.25) == []
 
 
 def test_compiled_and_precise_steps_are_gated_exactly():
-    baseline = _bench(checkpointed={})
+    baseline = _bench(trace_compiled={})
     for field, value in (("compiled_steps", 449), ("compiled_steps", 451),
                          ("precise_steps", 49), ("precise_steps", 51)):
-        fresh = _bench(checkpointed={field: value})
+        fresh = _bench(trace_compiled={field: value})
         failures = check_regression.compare(baseline, fresh, 0.25)
         assert len(failures) == 1 and field in failures[0]
 
 
 def test_fewer_emulated_steps_pass_and_more_fail():
-    baseline = _bench(checkpointed={})
+    baseline = _bench(trace_compiled={})
     assert check_regression.compare(
-        baseline, _bench(checkpointed={"emulated_steps": 499}), 0.25) == []
+        baseline, _bench(trace_compiled={"emulated_steps": 499}),
+        0.25) == []
     assert check_regression.compare(
-        baseline, _bench(checkpointed={"emulated_steps": 501}), 0.25)
+        baseline, _bench(trace_compiled={"emulated_steps": 501}), 0.25)
 
 
-def test_nondeterministic_rows_gate_only_throughput():
-    (name,) = check_regression.NONDETERMINISTIC_STEP_ROWS
-    baseline = _bench(**{name: {}})
-    fresh = _bench(**{name: {"emulated_steps": 999,
-                             "compiled_steps": 1, "precise_steps": 998}})
-    assert check_regression.compare(baseline, fresh, 0.25) == []
-    slow = _bench(**{name: {"faults_per_second": 10.0}})
+def test_warm_row_steps_are_gated_exactly():
+    baseline = _bench(multiprocess_warm={})
+    for field, value in (("emulated_steps", 501),
+                         ("compiled_steps", 451),
+                         ("precise_steps", 49)):
+        fresh = _bench(multiprocess_warm={field: value})
+        failures = check_regression.compare(baseline, fresh, 0.25)
+        assert len(failures) == 1 and field.split("_")[0] in failures[0]
+    slow = _bench(multiprocess_warm={"faults_per_second": 10.0})
     assert check_regression.compare(baseline, slow, 0.25)
+
+
+def test_rows_missing_from_the_baseline_fail():
+    """A fresh row the baseline lacks (say, a renamed one) would
+    otherwise pass with nothing gated."""
+    baseline = _bench(trace_compiled={})
+    fresh = _bench(trace_compiled={}, precise_checkpointed={})
+    failures = check_regression.compare(baseline, fresh, 0.25)
+    assert len(failures) == 1 and "precise-checkpointed" in failures[0]
+    models = {"models": {"k2-reduced": {"faults_per_second": 5.0}}}
+    fresh_models = copy.deepcopy(models)
+    fresh_models["models"]["reg-bitflip"] = {"faults_per_second": 5.0}
+    failures = check_regression.compare(models, fresh_models, 0.25)
+    assert len(failures) == 1 and "reg-bitflip" in failures[0]
 
 
 def test_rows_without_step_split_are_not_gated_on_it():

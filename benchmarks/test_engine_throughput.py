@@ -1,43 +1,36 @@
-"""Campaign-engine throughput: sequential vs checkpointed vs parallel.
+"""Campaign-engine throughput: compiled vs precise vs parallel.
 
 Seeds the perf trajectory for the faulter hot loop.  A sampled
 campaign over a long bootloader trace (>= 1k instructions) runs on
-three engine backends:
+the master walk (one machine walks the trace; each fault snapshots,
+runs its suffix and rolls back) under four engine configurations:
 
-* ``prefix-reexec``   — checkpoint_interval=inf: one step-0 checkpoint,
-  i.e. every faulted run re-executes the whole prefix (the pre-engine
-  statistical-FI behaviour),
-* ``checkpointed``    — checkpoint_interval=64: faulted runs resume
-  from the nearest trace checkpoint,
-* ``multiprocess``    — the checkpointed strategy inside a process
-  pool,
-* ``trace-compiled``  — the master-walk strategy with the compiled
-  tier (the default), recorded as its own row so the JIT's
-  contribution stays visible in the trajectory.
+* ``trace-compiled``    — in-process, with the compiled tier (the
+  engine default); the headline number, timed through
+  pytest-benchmark,
+* ``multiprocess``      — the same walk on a cold worker fleet,
+* ``precise``           — in-process with ``trace_compile=False``, so
+  the interpreter-only trajectory — and the tier's speedup over it —
+  stays measured,
+* ``multiprocess-warm`` — the fleet again, with its workers and the
+  artifact store already hot.
 
-All rows except ``precise-checkpointed`` run with the trace-compiled
-tier on (the engine default); ``precise-checkpointed`` pins
-``trace_compile=False`` so the interpreter-only trajectory — and the
-tier's speedup over it — stays measured.
-
-The checkpointed backend must *strictly* reduce the total number of
-emulated steps vs prefix re-execution; faults/second, step counts,
-peak RSS (``resource.getrusage``, so the streaming engine's memory
-trajectory is visible alongside throughput) and the engine's
-peak-resident-fault-points gauge are recorded in
+Faults/second, step counts, peak RSS (``resource.getrusage``, so the
+streaming engine's memory trajectory is visible alongside throughput)
+and the engine's peak-resident-fault-points gauge are recorded in
 ``benchmarks/out/BENCH_campaign.json`` (gitignored, so a test run
 leaves the tree clean; the committed baseline is ``BENCH_campaign.json``
 at the repo root).  A ``models`` section adds a
-state-family row (a sampled ``reg-bitflip`` campaign on the
-checkpointed backend), so the fault-effect protocol's hot path is on
-the same perf trajectory as the classic fetch faults, and a
-``k2-reduced`` row (a dense k=2 ``flag-stuck`` pair product with
-equivalence reduction on, see ``repro.faulter.reduction``) that must
-emulate at least 5x fewer steps than the full product while staying
-bit-identical, and a ``chunked-pie`` row (a per-unit chunked
-exhaustive campaign on the committed PIE ELF fixture, recording
-faults/s and ``peak_resident_points`` — the real-binary path on the
-same trajectory).  CI's ``bench`` job diffs a fresh run of this file
+state-family row (a sampled ``reg-bitflip`` campaign), so the
+fault-effect protocol's hot path is on the same perf trajectory as the
+classic fetch faults, and a ``k2-reduced`` row (a dense k=2
+``flag-stuck`` pair product with equivalence reduction on, see
+``repro.faulter.reduction``) that must emulate at least 5x fewer steps
+than the full product while staying bit-identical, and a
+``chunked-pie`` row (a per-unit chunked exhaustive campaign on the
+committed PIE ELF fixture, recording faults/s and
+``peak_resident_points`` — the real-binary path on the same
+trajectory).  CI's ``bench`` job diffs a fresh run of this file
 against the committed JSON and fails on >25% throughput regression
 (``benchmarks/check_regression.py``, which also says how to refresh
 the baseline).
@@ -69,7 +62,6 @@ TRACE_SIZE = 200     # bootloader payload -> trace >= 1k instructions
 # gate's faults/s comparison out of the noise floor
 SAMPLES = 384
 SEED = 2024
-CHECKPOINT_INTERVAL = 64
 # state-model row: fewer samples (register faults rarely short-circuit
 # the run, so each faulted replay tends to execute the full suffix)
 STATE_MODEL = "reg-bitflip"
@@ -122,7 +114,6 @@ def _row(report, derive_seconds, execute_seconds):
         "emulated_steps": report.meta["emulated_steps"],
         "compiled_steps": report.meta["compiled_steps"],
         "precise_steps": report.meta["precise_steps"],
-        "checkpoint_interval": report.meta["checkpoint_interval"],
         "peak_resident_points": report.meta["peak_resident_points"],
         # ru_maxrss is a process-lifetime high-water mark (KiB on
         # Linux): monotone across backends, but its trajectory
@@ -150,6 +141,11 @@ def test_engine_throughput(benchmark, record):
     trace_length = len(faulter.trace())
     assert trace_length >= 1000, (
         f"need a >=1k-instruction trace, got {trace_length}")
+    # warm-up: fills the process-wide compiled-block map, so the
+    # in-process rows time execution, not compilation (the cold
+    # multiprocess row empties the map for its own passes); its
+    # report is the one every row must reproduce
+    expected, _ = _measure(faulter, SequentialBackend())
 
     # every backend row provisions its own faulter, so the derive
     # phase is measured per row; the multiprocess row starts from a
@@ -157,23 +153,16 @@ def test_engine_throughput(benchmark, record):
     shutdown_fleet()
 
     backends = {
-        "prefix-reexec": SequentialBackend(
-            checkpoint_interval=float("inf")),
-        "checkpointed": SequentialBackend(
-            checkpoint_interval=CHECKPOINT_INTERVAL),
-        "multiprocess": MultiprocessBackend(
-            workers=4, checkpoint_interval=CHECKPOINT_INTERVAL),
         "trace-compiled": SequentialBackend(),
-        "precise-checkpointed": SequentialBackend(
-            checkpoint_interval=CHECKPOINT_INTERVAL,
-            trace_compile=False),
+        "multiprocess": MultiprocessBackend(workers=4),
+        "precise": SequentialBackend(trace_compile=False),
     }
 
     results = {}
     reports = {}
     for name, backend in backends.items():
         row_faulter, derive_seconds = provision()
-        if name == "checkpointed":
+        if name == "trace-compiled":
             # the headline number goes through pytest-benchmark
             report, elapsed = once(
                 benchmark, lambda: _measure(row_faulter, backend))
@@ -181,7 +170,7 @@ def test_engine_throughput(benchmark, record):
             # gated row: best of GATED_REPEATS genuinely-cold passes
             # (fleet torn down and the faulter re-provisioned each
             # time).  Forked workers inherit the parent's process-wide
-            # compiled-block map, which the earlier rows filled, so it
+            # compiled-block map, which the warm-up filled, so it
             # is emptied before every pass and restored afterwards
             warm_blocks = dict(jit_compiler._SHARED)
             jit_compiler._SHARED.clear()
@@ -208,8 +197,7 @@ def test_engine_throughput(benchmark, record):
     # fills both, the measured pass rides them
     cache_root = tempfile.mkdtemp(prefix="r2r-bench-cache-")
     try:
-        warm_backend = MultiprocessBackend(
-            workers=4, checkpoint_interval=CHECKPOINT_INTERVAL)
+        warm_backend = MultiprocessBackend(workers=4)
         cold_faulter, _ = provision(ArtifactStore(cache_root))
         cold_report, _ = _measure(cold_faulter, warm_backend)
         warm_faulter, warm_derive = provision(ArtifactStore(cache_root))
@@ -233,12 +221,8 @@ def test_engine_throughput(benchmark, record):
         shutdown_fleet()
 
     # all backends classify the sampled space identically
-    assert reports["checkpointed"] == reports["prefix-reexec"]
-    assert reports["multiprocess"] == reports["prefix-reexec"]
-    assert reports["trace-compiled"] == reports["prefix-reexec"]
-    assert reports["precise-checkpointed"] == reports["prefix-reexec"]
-    assert cold_report == reports["prefix-reexec"]
-    assert warm_report == reports["prefix-reexec"]
+    for report in (*reports.values(), cold_report, warm_report):
+        assert report == expected
 
     # the warm fleet's acceptance property: amortized setup plus work
     # stealing must at least double the cold multiprocess throughput
@@ -250,23 +234,16 @@ def test_engine_throughput(benchmark, record):
 
     # the compiled tier does the bulk of the stepping — and never
     # changes the deterministic emulated-step count
-    assert (results["checkpointed"]["emulated_steps"]
-            == results["precise-checkpointed"]["emulated_steps"])
-    meta = reports["checkpointed"].meta
+    assert (results["trace-compiled"]["emulated_steps"]
+            == results["precise"]["emulated_steps"])
+    meta = reports["trace-compiled"].meta
     assert meta["compiled_steps"] > meta["precise_steps"]
-    assert results["precise-checkpointed"]["compiled_steps"] == 0
-
-    # the acceptance property: checkpoint replay strictly reduces the
-    # emulated work vs whole-prefix re-execution
-    saved = (results["prefix-reexec"]["emulated_steps"]
-             - results["checkpointed"]["emulated_steps"])
-    assert saved > 0, results
+    assert results["precise"]["compiled_steps"] == 0
 
     # state-family row: the generalized fault-effect path must stay on
     # the same trajectory as fetch substitution
     state_report, state_elapsed = _measure(
-        faulter,
-        SequentialBackend(checkpoint_interval=CHECKPOINT_INTERVAL),
+        faulter, SequentialBackend(),
         model=STATE_MODEL, samples=STATE_SAMPLES)
     models = {
         STATE_MODEL: {
@@ -278,8 +255,6 @@ def test_engine_throughput(benchmark, record):
             if state_elapsed else None,
             "emulated_steps": state_report.meta["emulated_steps"],
             "compiled_steps": state_report.meta["compiled_steps"],
-            "checkpoint_interval":
-                state_report.meta["checkpoint_interval"],
         }
     }
 
@@ -357,10 +332,6 @@ def test_engine_throughput(benchmark, record):
         "seed": SEED,
         "backends": results,
         "models": models,
-        "checkpoint_steps_saved": saved,
-        "checkpoint_step_reduction_percent": round(
-            100.0 * saved / results["prefix-reexec"]["emulated_steps"],
-            2),
         "peak_rss_kb": resource.getrusage(
             resource.RUSAGE_SELF).ru_maxrss,
     }
@@ -381,9 +352,6 @@ def test_engine_throughput(benchmark, record):
                      f"{row['emulated_steps']:>18}")
     lines += [
         "",
-        f"  checkpoint replay saves {saved} emulated steps "
-        f"({payload['checkpoint_step_reduction_percent']}%) vs "
-        "prefix re-execution",
         f"  k=2 {K2_MODEL} pairs: equivalence reduction emulates "
         f"{step_speedup:.1f}x fewer steps than the full product "
         f"({full_pair_steps} -> {reduced_pair_steps}), bit-identically",

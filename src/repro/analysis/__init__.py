@@ -4,16 +4,12 @@
   point?  Drives the patcher's choice between the paper-exact patterns
   and the flag-preserving variants.
 * :mod:`repro.analysis.liveness` — general register liveness.
-* :mod:`repro.analysis.regvalues` — Ddisasm-style register value
-  analysis (constant/address propagation).
 * :mod:`repro.analysis.defuse` — reaching definitions / def-use chains
   (the paper's "Data Access Pattern" ingredient).
 """
 
 from repro.analysis.flagliveness import FlagLiveness
 from repro.analysis.liveness import RegisterLiveness
-from repro.analysis.regvalues import RegisterValueAnalysis
 from repro.analysis.defuse import DefUse
 
-__all__ = ["FlagLiveness", "RegisterLiveness", "RegisterValueAnalysis",
-           "DefUse"]
+__all__ = ["FlagLiveness", "RegisterLiveness", "DefUse"]

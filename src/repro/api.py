@@ -195,9 +195,9 @@ class Target:
         and state faults (``reg-bitflip``/``flag-stuck``/
         ``mem-bitflip``/``branch-invert``) run through the same
         engine.  ``config`` carries every engine knob (backend,
-        checkpointing, workers, streaming window, multi-fault
-        sampling); ``config.k_faults > 1`` switches to the sampled
-        multi-fault campaign.
+        workers, streaming window, multi-fault sampling);
+        ``config.k_faults > 1`` switches to the sampled multi-fault
+        campaign.
         """
         config = _as_config(config)
         faulter = self.faulter()

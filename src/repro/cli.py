@@ -13,8 +13,8 @@ Subcommands::
     r2r run     TARGET.elf [--stdin HEX]
     r2r disasm  TARGET.elf
 
-The engine knobs — ``--backend``, ``--checkpoint-interval``,
-``--workers``, ``--max-resident-points``, ``--trace-compile``,
+The engine knobs — ``--backend``, ``--workers``,
+``--max-resident-points``, ``--trace-compile``,
 ``--reduce/--no-reduce``, ``--chunk-units``, ``--artifact-cache`` and
 ``--cache-dir`` — are declared once in a shared parent parser
 and map onto one :class:`~repro.api.EngineConfig`; ``--approach``
@@ -115,11 +115,6 @@ def _engine_parent() -> argparse.ArgumentParser:
                        choices=sorted(BACKENDS),
                        help="campaign execution backend "
                             "(default: sequential)")
-    group.add_argument("--checkpoint-interval", type=int, default=None,
-                       help="snapshot the master trace every N steps "
-                            "and replay faults from the nearest "
-                            "checkpoint (<= 0: single step-0 "
-                            "checkpoint)")
     group.add_argument("--workers", type=int, default=None,
                        help="process count for --backend multiprocess")
     group.add_argument("--max-resident-points", type=int, default=None,
@@ -148,7 +143,7 @@ def _engine_parent() -> argparse.ArgumentParser:
                             "and carries per-function rollups")
     group.add_argument("--artifact-cache", default=None,
                        action=argparse.BooleanOptionalAction,
-                       help="cache derivations (trace, checkpoints, "
+                       help="cache derivations (trace, flag replay, "
                             "traceflow facts, JIT block sources) in a "
                             "content-addressed on-disk store and load "
                             "them on later campaigns (default: off; "
@@ -164,7 +159,6 @@ def _engine_config(args) -> EngineConfig:
     """One EngineConfig from the shared engine flags (validating)."""
     return EngineConfig(
         backend=args.backend,
-        checkpoint_interval=args.checkpoint_interval,
         workers=args.workers,
         k_faults=getattr(args, "k_faults", 1),
         samples=getattr(args, "samples", 200),

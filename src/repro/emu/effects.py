@@ -15,10 +15,10 @@ branches.  The :class:`FaultEffect` protocol generalizes it:
   corrupted state (or not at all, for PC-stage effects).
 
 ``Machine.run`` applies at most one effect per dynamic step, exactly
-where the old intercept ran, so trace/checkpoint semantics are
-unchanged: an effect is a pure function of the machine state at its
-step, which is what makes checkpoint replay and cross-process
-re-execution bit-identical.
+where the old intercept ran, so trace semantics are unchanged: an
+effect is a pure function of the machine state at its step, which is
+what makes snapshot replay and cross-process re-execution
+bit-identical.
 
 Effects are constructed in-process by fault models
 (:meth:`repro.faulter.models.FaultModel.effect`) and never cross a
@@ -190,10 +190,10 @@ class MemoryBitFlipEffect(StateEffect):
     The effective address is resolved against the *current* machine
     state, exactly like the access itself would; the corrupted byte is
     written permission-blind (a physical upset does not consult the
-    MMU) but journaled, so snapshot rollback and checkpoint replay
-    both observe it.  If the instruction at the step carries no memory
-    operand (possible only under multi-fault corruption), the effect
-    has no substrate and is a deterministic no-op.
+    MMU) but journaled, so snapshot rollback observes it.  If the
+    instruction at the step carries no memory operand (possible only
+    under multi-fault corruption), the effect has no substrate and is
+    a deterministic no-op.
     """
 
     def __init__(self, ordinal: int, bit: int):

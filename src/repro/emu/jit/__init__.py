@@ -18,7 +18,7 @@ the optimized IR to a plain Python step function executed by
   precise stepper re-executes it for the architectural crash state.
 
 ``TraceCompiler`` owns the per-compiler block cache, its coherence under
-self-modifying code and checkpoint restores, and the campaign-visible
+self-modifying code and machine resets, and the campaign-visible
 counters (compiled vs precise steps, divergences, compile time); the
 lowered step functions behind it are shared process-wide, keyed by the
 code bytes.

@@ -16,13 +16,12 @@ no coherence; the per-compiler maps keep it, event-driven:
   every block overlapping a write to executable memory and, if the
   write came from inside the currently running block, aborts it with
   :class:`BlockInvalidated` so nothing stale commits;
-* ``on_restore`` (checkpoint restores) evicts only blocks compiled
-  while the image was dirty — a block compiled from pristine bytes is
-  valid in every restored state, because any write that could have
-  changed its bytes already evicted it when it happened;
 * ``attach`` binds the compiler to a freshly constructed machine
   (pristine image) and is how one block cache survives the engine's
-  per-fault machine resets.
+  machine resets: it evicts only blocks compiled while the image was
+  dirty — a block compiled from pristine bytes is valid on every fresh
+  machine, because any write that could have changed its bytes already
+  evicted it when it happened.
 
 Aborted blocks (guest fault or self-modification) roll back their
 journaled memory writes and return control to the precise stepper,
@@ -170,11 +169,6 @@ class TraceCompiler:
                 and address < active.limit:
             raise BlockInvalidated()
 
-    def on_restore(self) -> None:
-        """A checkpoint restore may have rewritten dirtied code bytes."""
-        if self._dirty:
-            self._evict_if(lambda block: block is None or block.tainted)
-
     # -- compilation --------------------------------------------------
 
     def _compile_at(self, machine, address: int) -> Optional[SuperBlock]:
@@ -214,7 +208,7 @@ class TraceCompiler:
         Returns the number of guest instructions executed (possibly 0).
         Never over-steps: a block longer than the remaining budget is
         left to the precise stepper, which is what keeps fault windows
-        and checkpoint boundaries exact.
+        exact.
         """
         executed = 0
         cpu = machine.cpu

@@ -12,23 +12,15 @@ This is the faulter's execution vehicle.  ``Machine.run`` supports:
   ``(insn, cpu) -> Instruction|None`` intercept callables are still
   accepted and coerced),
 * CPU/IO snapshotting which, combined with the memory write journal,
-  substitutes for the paper's per-fault ``fork()``,
-* trace checkpointing: periodic whole-state snapshots (CPU + I/O +
-  memory pages) every ``checkpoint_interval`` steps, so a campaign can
-  resume a faulted run from the nearest checkpoint instead of
-  re-executing the whole prefix.
+  substitutes for the paper's per-fault ``fork()``.
 
 The decode cache is coherent under code mutation: any write landing in
 an executable page — a guest's self-modifying store, an injected
 memory fault, or a journal rollback undoing either — evicts the
-overlapping cached decodes, and whole-state checkpoint restores clear
-the cache once code has ever been dirtied.
+overlapping cached decodes.
 """
 
 from __future__ import annotations
-
-import bisect
-import math
 
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -91,53 +83,6 @@ class RunResult:
 FaultIntercept = Callable[[Instruction, CPU], Optional[Instruction]]
 
 
-@dataclass
-class Checkpoint:
-    """Whole machine state *about to execute* dynamic step ``step``.
-
-    Unlike :meth:`Machine.snapshot` (CPU/IO only, paired with the
-    memory journal for immediate rollback), a checkpoint owns a full
-    copy of the address space and of the I/O buffers, so it can be
-    restored at any later time and in any order.
-    """
-
-    step: int
-    regs: list[int]
-    rip: int
-    flags: object
-    stdin_pos: int
-    stdout: bytes
-    stderr: bytes
-    pages: dict[int, bytes]
-    perms: dict[int, str]
-
-
-class CheckpointStore:
-    """Checkpoints along one master trace, queried by dynamic step."""
-
-    def __init__(self, checkpoints: list[Checkpoint]):
-        self.checkpoints = sorted(checkpoints, key=lambda c: c.step)
-        self._steps = [c.step for c in self.checkpoints]
-
-    def __len__(self) -> int:
-        return len(self.checkpoints)
-
-    @property
-    def steps(self) -> list[int]:
-        return list(self._steps)
-
-    def nearest(self, step: int) -> Checkpoint:
-        """Latest checkpoint at or before dynamic step ``step``."""
-        if not self.checkpoints:
-            raise ValueError("empty checkpoint store")
-        index = bisect.bisect_right(self._steps, step) - 1
-        if index < 0:
-            raise ValueError(
-                f"no checkpoint at or before step {step} "
-                f"(earliest: {self._steps[0]})")
-        return self.checkpoints[index]
-
-
 class Machine:
     """A loaded guest program ready to run."""
 
@@ -163,9 +108,6 @@ class Machine:
         self.cpu.regs[4] = STACK_TOP - 0x1000  # rsp with headroom
         self.cpu.syscall_handler = SyscallHandler(self.io)
         self._decode_cache: dict[int, Instruction] = {}
-        # Sticky: set the first time executable bytes are mutated, so
-        # checkpoint restores know cached decodes may be stale.
-        self._code_dirty = False
         # Optional trace compiler (emu.jit.TraceCompiler); attached by
         # the engine, shared across per-fault machine resets.
         self.jit = None
@@ -181,7 +123,6 @@ class Machine:
         The JIT is notified last: it may abort a compiled block that
         just modified its own bytes.
         """
-        self._code_dirty = True
         cache = self._decode_cache
         if cache:
             end = address + size
@@ -209,41 +150,6 @@ class Machine:
         self.cpu.flags = flags.copy()
         self.io.restore(io_state)
 
-    # -- checkpointing (arbitrary-order restore) -------------------------
-
-    def checkpoint(self, step: int = 0) -> Checkpoint:
-        """Full-state checkpoint (CPU + I/O + memory pages)."""
-        pages, perms = self.memory.pages_snapshot()
-        return Checkpoint(
-            step=step,
-            regs=list(self.cpu.regs),
-            rip=self.cpu.rip,
-            flags=self.cpu.flags.copy(),
-            stdin_pos=self.io.stdin_pos,
-            stdout=bytes(self.io.stdout),
-            stderr=bytes(self.io.stderr),
-            pages=pages,
-            perms=perms,
-        )
-
-    def restore_checkpoint(self, cp: Checkpoint) -> int:
-        """Rewind (or fast-forward) to ``cp``; returns its step."""
-        self.cpu.regs = list(cp.regs)
-        self.cpu.rip = cp.rip
-        self.cpu.flags = cp.flags.copy()
-        self.io.stdin_pos = cp.stdin_pos
-        self.io.stdout = bytearray(cp.stdout)
-        self.io.stderr = bytearray(cp.stderr)
-        self.memory.pages_restore(cp.pages, cp.perms)
-        self.memory.exec_write_hook = self._on_exec_write
-        if self._code_dirty:
-            # code bytes were mutated at some point; a restore may move
-            # them under cached decodes, so drop the cache wholesale
-            self._decode_cache.clear()
-        if self.jit is not None:
-            self.jit.on_restore()
-        return cp.step
-
     # -- execution ---------------------------------------------------------
 
     def fetch_decode(self, address: int) -> Instruction:
@@ -253,8 +159,7 @@ class Machine:
         if self.jit is not None:
             # Re-warm from the compiled superblock index: live blocks
             # are only kept while their bytes are provably unchanged,
-            # so their decodes are valid even after a restore cleared
-            # the cache wholesale.
+            # so their decodes are valid on a fresh machine too.
             warm = self.jit.cached_insn(address)
             if warm is not None:
                 self._decode_cache[address] = warm
@@ -270,8 +175,6 @@ class Machine:
             fault_step: int = -1,
             fault_intercept: Optional[FaultIntercept] = None,
             fault_plan: Optional[dict] = None,
-            checkpoint_interval: int | float = 0,
-            checkpoint_sink: Optional[list] = None,
             watches: tuple = ()) -> RunResult:
         """Run until exit/halt/crash or ``max_steps``.
 
@@ -286,11 +189,6 @@ class Machine:
         the fetched one; an effect that consumes the step (skip,
         forced branch) advances the PC itself.
 
-        When ``checkpoint_sink`` is a list and ``checkpoint_interval``
-        is positive, a :class:`Checkpoint` is appended before executing
-        step 0 and every ``checkpoint_interval`` steps thereafter
-        (``math.inf`` keeps only the step-0 checkpoint).
-
         ``watches`` is a tuple of ``(address, size)`` guest ranges to
         capture (permission-blind) into ``RunResult.memory`` when the
         run finishes — however it finishes — so memory-predicate
@@ -304,12 +202,9 @@ class Machine:
                 for step, entry in (fault_plan or {}).items()}
         if fault_intercept is not None and fault_step >= 0:
             plan[fault_step] = as_effect(fault_intercept)
-        checkpointing = (checkpoint_sink is not None
-                         and checkpoint_interval
-                         and checkpoint_interval > 0)
         # Compiled fast path: disabled while tracing (every executed
-        # address must be observed) — fault steps, checkpoint
-        # boundaries and the step budget bound each burst below.
+        # address must be observed) — fault steps and the step budget
+        # bound each burst below.
         jit = self.jit if not record_trace else None
         plan_steps = sorted(plan) if (jit is not None and plan) else []
         plan_cursor = 0
@@ -318,11 +213,6 @@ class Machine:
                 rip = cpu.rip
                 if record_trace:
                     trace.append(rip)
-                if checkpointing and (
-                        steps == 0
-                        or (not math.isinf(checkpoint_interval)
-                            and steps % checkpoint_interval == 0)):
-                    checkpoint_sink.append(self.checkpoint(steps))
                 if jit is not None:
                     stop = max_steps
                     while plan_cursor < len(plan_steps) and \
@@ -330,11 +220,6 @@ class Machine:
                         plan_cursor += 1
                     if plan_cursor < len(plan_steps):
                         stop = min(stop, plan_steps[plan_cursor])
-                    if checkpointing and \
-                            not math.isinf(checkpoint_interval):
-                        stop = min(stop, steps
-                                   - steps % checkpoint_interval
-                                   + checkpoint_interval)
                     if stop > steps:
                         advanced = jit.execute(self, stop - steps)
                         if advanced:

@@ -139,26 +139,6 @@ class Memory:
         self._write_raw(address, data)
         self._notify_exec_write(address, len(data))
 
-    # -- whole-state snapshots (checkpointing) -------------------------------
-
-    def pages_snapshot(self) -> tuple[dict[int, bytes], dict[int, str]]:
-        """Immutable copy of every mapped page (for trace checkpoints).
-
-        Unlike the journal — which can only undo writes back to the
-        point ``journal_begin`` was called — a page snapshot can be
-        restored at any later time, in any order, which is what lets a
-        campaign jump between checkpoints along a master trace.
-        """
-        return ({page: bytes(buf) for page, buf in self._pages.items()},
-                dict(self._perms))
-
-    def pages_restore(self, pages: dict[int, bytes],
-                      perms: dict[int, str]):
-        """Replace the whole address space with a prior snapshot."""
-        self._pages = {page: bytearray(buf) for page, buf in pages.items()}
-        self._perms = dict(perms)
-        self._journal = None
-
     # -- journal ------------------------------------------------------------
 
     def journal_begin(self):

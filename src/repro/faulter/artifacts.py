@@ -1,9 +1,9 @@
 """Content-addressed on-disk artifact store for campaign derivations.
 
 Every campaign re-derives the same deterministic products before the
-first fault executes: the recorded bad-input trace, the lazy
-checkpoint prefix, the traceflow flag replay, the equivalence-
-reduction proofs, and the JIT'd superblock sources.  All of them are
+first fault executes: the recorded bad-input trace, the traceflow
+flag replay, the equivalence-reduction proofs, and the JIT'd
+superblock sources.  All of them are
 pure functions of (target bytes, campaign
 input, engine-config slice), so they are cacheable by content digest —
 ARMORY's observation that exhaustive fault simulation only scales when
@@ -27,7 +27,7 @@ Design:
   campaigns down, it does not fail them.
 * A small in-memory write-through memo fronts the disk (bounded at
   :data:`MEMO_ENTRIES`), so a persistent worker re-loading the same
-  checkpoint state across partitions skips even the unpickle.
+  product across partitions skips even the unpickle.
 
 The store is *mechanism only*: key derivation helpers live here, the
 derivation closures stay with their owners in ``engine.py``.
@@ -51,8 +51,8 @@ FORMAT_VERSION = 1
 _MAGIC = b"r2rart\x01\x00"
 _DIGEST_SIZE = hashlib.sha256().digest_size
 
-# write-through memo bound (entries, not bytes; payloads are small —
-# the largest, a checkpoint prefix, is a few MB)
+# write-through memo bound (entries, not bytes; payloads are small:
+# traces, flag replays, reduction proofs and superblock sources)
 MEMO_ENTRIES = 8
 
 
@@ -286,7 +286,7 @@ class ArtifactStore:
 #
 # Every key starts with (kind, FORMAT_VERSION, image digest); the tail
 # is the minimal knob slice the product depends on.  Model identity is
-# deliberately absent from trace/checkpoint/jit keys — those products
+# deliberately absent from trace/flags/jit keys — those products
 # are model-independent, so campaigns across models share them.
 
 
@@ -302,13 +302,6 @@ def flags_key(image_digest: str, bad_input: bytes,
     """The traceflow flag replay (pre-step ZF/CF/SF per trace step)."""
     return digest_key(b"flags", FORMAT_VERSION, image_digest,
                       bad_input, trace_length)
-
-
-def checkpoints_key(image_digest: str, bad_input: bytes,
-                    interval: int | float, max_span: int) -> str:
-    """The lazily built checkpoint prefix for one replay grid."""
-    return digest_key(b"checkpoints", FORMAT_VERSION, image_digest,
-                      bad_input, interval, max_span)
 
 
 def jit_key(image_digest: str) -> str:

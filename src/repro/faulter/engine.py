@@ -18,23 +18,14 @@ than the population.  Every report equals the one the paper's literal
 protocol (a fresh machine per point) produces; ``tests/reference.py``
 is that protocol, and the bit-identity tests compare against it.
 
-Two execution strategies are provided:
-
-* **master-walk** (``SequentialBackend(checkpoint_interval=None)``) —
-  one machine walks the master trace; each fault snapshots CPU/IO,
-  journals memory, replays only the suffix and rolls back (the paper's
-  ``fork()`` substitute).  The walk persists across windows for
-  offset-monotone spaces; a window behind the walk restarts it.
-* **checkpoint-replay** (``checkpoint_interval=N``) — whole-state
-  checkpoints are captured every N steps along the master trace,
-  extended lazily as far as the windows seen so far need; each fault
-  restores the nearest checkpoint at or before its offset and replays
-  from there, instead of re-executing the whole prefix.  ``math.inf``
-  degenerates to a single step-0 checkpoint, i.e. full prefix
-  re-execution.
+Execution is one strategy, the *master walk*: one machine walks the
+master trace; each fault snapshots CPU/IO, journals memory, replays
+only the suffix and rolls back (the paper's ``fork()`` substitute).
+The walk persists across windows for offset-monotone spaces; a window
+behind the walk restarts it.
 
 ``MultiprocessBackend`` partitions the space declaratively and runs
-either strategy on a persistent *warm fleet* of worker processes;
+the master walk on a persistent *warm fleet* of worker processes;
 each worker receives a :class:`~repro.faulter.space.SpacePartition` —
 the base space spec plus an enumeration-order window, O(1) bytes per
 worker instead of O(points) — derives the trace and context locally
@@ -64,12 +55,7 @@ from repro.binfmt.reader import read_elf
 from repro.binfmt.writer import write_elf
 from repro.emu.cpu import ExitProgram, Halt
 from repro.emu.jit import TraceCompiler
-from repro.emu.machine import (
-    MAX_STEPS,
-    Checkpoint,
-    CheckpointStore,
-    Machine,
-)
+from repro.emu.machine import Machine
 from repro.errors import DecodingError, EmulationError
 from repro.faulter import artifacts as artifacts_mod
 from repro.faulter.artifacts import ArtifactStats, ArtifactStore
@@ -91,10 +77,6 @@ from repro.isa.metadata import effects as isa_effects
 
 # An executed point: (point, outcome class).
 PointOutcome = tuple[FaultPoint, str]
-
-# Upper bound on retained whole-state checkpoints per campaign (each
-# one copies the full address space).
-MAX_CHECKPOINTS = 256
 
 # Default reorder-window size for streaming execution: the bound on
 # fault points resident at once (pending execution or reordering).
@@ -124,17 +106,20 @@ class ExecutionStats:
             self.peak_resident_points = count
 
     def merge_artifacts(self, counters: dict) -> None:
-        """Fold a worker's artifact hit/miss delta into this stats."""
+        """Fold an artifact hit/miss delta into this stats."""
         for key, value in counters.items():
             self.artifact_counters[key] = (
                 self.artifact_counters.get(key, 0) + value)
 
-
-def _normalize_interval(interval: int | float | None):
-    """``<= 0`` means "single step-0 checkpoint" (prefix re-execution)."""
-    if interval is not None and interval <= 0:
-        return math.inf
-    return interval
+    def merge(self, other: "ExecutionStats") -> None:
+        """Fold another run's counters (a worker shard, a chunk) into
+        this one; resident peaks combine as a maximum."""
+        self.emulated_steps += other.emulated_steps
+        self.observe_resident(other.peak_resident_points)
+        self.compiled_steps += other.compiled_steps
+        self.divergences += other.divergences
+        self.compile_seconds += other.compile_seconds
+        self.merge_artifacts(other.artifact_counters)
 
 
 def _fault_plan(
@@ -187,18 +172,6 @@ def _valid_facts_payload(payload) -> bool:
 def _valid_jit_payload(payload) -> bool:
     return isinstance(payload, dict) and isinstance(
         payload.get("blocks"), list)
-
-
-def _valid_checkpoint_state(state) -> bool:
-    return (isinstance(state, dict)
-            and isinstance(state.get("checkpoints"), list)
-            and len(state["checkpoints"]) > 0
-            and all(isinstance(cp, Checkpoint)
-                    for cp in state["checkpoints"])
-            and isinstance(state.get("covered"), int)
-            and state["covered"] > 0
-            and "interval" in state
-            and "frontier" in state)
 
 
 def derive_trace(
@@ -494,174 +467,6 @@ class _MasterWalkExecutor:
         return results
 
 
-class _CheckpointReplayExecutor:
-    """Replay each fault from the nearest whole-state checkpoint.
-
-    Checkpoints are built lazily: the master walk is extended (from a
-    retained frontier checkpoint) only as far as the windows seen so
-    far require, so a campaign over a short prefix never emulates the
-    whole trace — and the checkpoint interval is widened from the span
-    *actually covered*, not the whole trace, so such a campaign also
-    keeps its fine-grained replay.  Each checkpoint owns a full copy
-    of the address space, so the store is bounded: each extension
-    segment emits at most ``MAX_CHECKPOINTS`` new snapshots, and the
-    store is thinned (every other checkpoint dropped, the emission
-    grid doubled) whenever it outgrows the cap — wider spacing only
-    costs replay steps, never results.
-    """
-
-    def __init__(
-        self,
-        faulter,
-        model: FaultModel,
-        cap_policy: str,
-        checkpoint_interval: int | float,
-        trace_length: int,
-        trace_compile: bool = True,
-    ):
-        self._faulter = faulter
-        self._model = model
-        self._cap_policy = cap_policy
-        self._max_span = min(faulter.max_steps, max(trace_length, 1))
-        self._interval = checkpoint_interval
-        self._machine = Machine(faulter.image, stdin=faulter.bad_input)
-        self._compiler = (
-            TraceCompiler().attach(self._machine)
-            if trace_compile else None
-        )
-        self._checkpoints: list = []
-        self._store: Optional[CheckpointStore] = None
-        self._covered = 0
-        self._frontier = None
-        self._artifacts, self._image_key = _executor_store(faulter)
-        self._loaded_covered = 0
-        self._state_key = None
-        if self._artifacts is not None:
-            _warm_jit(self._compiler, self._machine,
-                      self._artifacts, self._image_key)
-            # the key binds the *configured* replay grid; the stored
-            # state carries the post-thinning interval it ended up with
-            self._state_key = artifacts_mod.checkpoints_key(
-                self._image_key, faulter.bad_input, self._interval,
-                self._max_span)
-            state = self._artifacts.load(
-                "checkpoints", self._state_key,
-                validate=_valid_checkpoint_state)
-            if state is not None:
-                self._checkpoints = list(state["checkpoints"])
-                self._covered = min(state["covered"], self._max_span)
-                self._frontier = state["frontier"]
-                self._interval = state["interval"]
-                self._loaded_covered = self._covered
-                self._store = CheckpointStore(self._checkpoints)
-
-    def finalize(self) -> None:
-        """Persist freshly derived artifacts back to the store."""
-        _persist_jit(self._compiler, self._artifacts, self._image_key)
-        if (self._artifacts is None or self._state_key is None
-                or not self._checkpoints
-                or self._covered <= self._loaded_covered):
-            return
-        if self._artifacts.save("checkpoints", self._state_key, {
-            "checkpoints": list(self._checkpoints),
-            "covered": self._covered,
-            "frontier": self._frontier,
-            "interval": self._interval,
-        }):
-            # a memoized executor (warm fleet) finalizes once per
-            # partition — don't re-pickle an unchanged prefix
-            self._loaded_covered = self._covered
-
-    def _emit_interval(self, span: int) -> int | float:
-        """Emission grid for a build out to ``span`` total steps."""
-        if math.isinf(self._interval):
-            return self._interval
-        return max(self._interval, math.ceil(span / MAX_CHECKPOINTS))
-
-    def _thin_store(self) -> None:
-        """Halve checkpoint density once the cap is exceeded.
-
-        Checkpoints are appended in ascending step order, so slicing
-        keeps step 0 and every other snapshot; doubling the base
-        interval coarsens future emission grids to match.
-        """
-        while len(self._checkpoints) > MAX_CHECKPOINTS:
-            self._checkpoints = self._checkpoints[::2]
-            if not math.isinf(self._interval):
-                self._interval *= 2
-
-    def _ensure_coverage(self, needed: int, stats: ExecutionStats) -> None:
-        """Extend the checkpointed prefix to ``needed`` master steps."""
-        needed = min(needed, self._max_span)
-        if self._store is not None and needed <= self._covered:
-            return
-        if self._covered == 0:
-            sink: list = []
-            result = self._machine.run(
-                max_steps=needed,
-                checkpoint_interval=self._emit_interval(needed),
-                checkpoint_sink=sink,
-            )
-            stats.emulated_steps += result.steps
-            self._checkpoints.extend(sink)
-        elif self._frontier is None:
-            return  # the master run already ended
-        else:
-            self._machine.restore_checkpoint(self._frontier)
-            sink = []
-            result = self._machine.run(
-                max_steps=needed - self._covered,
-                checkpoint_interval=self._emit_interval(needed),
-                checkpoint_sink=sink,
-            )
-            stats.emulated_steps += result.steps
-            for checkpoint in sink:
-                if checkpoint.step == 0:
-                    # duplicate of the frontier state; kept separately
-                    continue
-                checkpoint.step += self._covered
-                self._checkpoints.append(checkpoint)
-        if result.reason == MAX_STEPS and result.steps:
-            self._covered += result.steps
-            self._frontier = self._machine.checkpoint(self._covered)
-        else:
-            # exit/halt/crash: nothing exists beyond this prefix
-            self._covered = self._max_span
-            self._frontier = None
-        self._thin_store()
-        self._store = CheckpointStore(self._checkpoints)
-
-    def run_window(
-        self, points: Sequence[FaultPoint], stats: ExecutionStats
-    ) -> list[PointOutcome]:
-        ordered = _execution_order(points)
-        self._ensure_coverage(ordered[-1].first_step + 1, stats)
-        machine = self._machine
-        classify = self._faulter.classify
-        cap = self._faulter.continuation_cap
-        watches = getattr(self._faulter, "watches", ())
-        results: list[PointOutcome] = []
-        for point in ordered:
-            base = machine.restore_checkpoint(
-                self._store.nearest(point.first_step)
-            )
-            plan = _fault_plan(self._model, point, base)
-            if self._cap_policy == SUFFIX_CAP:
-                budget = (point.first_step - base) + cap
-            else:
-                budget = max(1, cap - base)
-            result = machine.run(
-                max_steps=budget,
-                fault_plan=plan,
-                watches=watches,
-            )
-            stats.emulated_steps += result.steps
-            results.append((point, classify(result)))
-        if self._compiler is not None:
-            self._compiler.drain_into(stats)
-        return results
-
-
 class ExecutionBackend:
     """Protocol: turn enumerated fault points into outcomes.
 
@@ -671,7 +476,6 @@ class ExecutionBackend:
     """
 
     name = "abstract"
-    checkpoint_interval: int | float | None = None
     max_resident_points: int | None = None
     trace_compile: bool = True
 
@@ -697,7 +501,7 @@ def _check_window(max_resident_points: int | None) -> None:
 
 
 class SequentialBackend(ExecutionBackend):
-    """In-process execution: master-walk or checkpoint-replay.
+    """In-process execution on the master walk.
 
     Points stream through a bounded reorder window of
     ``max_resident_points`` (default ``DEFAULT_MAX_RESIDENT``): each
@@ -714,17 +518,15 @@ class SequentialBackend(ExecutionBackend):
 
     def __init__(
         self,
-        checkpoint_interval: int | float | None = None,
         max_resident_points: int | None = None,
         trace_compile: bool = True,
     ):
-        self.checkpoint_interval = _normalize_interval(checkpoint_interval)
         _check_window(max_resident_points)
         self.max_resident_points = max_resident_points
         self.trace_compile = trace_compile
 
     # fleet workers pin (cache dict, key prefix) here so executors —
-    # machine, checkpoint prefix, compiled blocks — survive across
+    # machine, walk position, compiled blocks — survive across
     # partitions and campaigns; None (the default) builds per campaign
     _reuse_executors: Optional[tuple[dict, tuple]] = None
 
@@ -744,15 +546,6 @@ class SequentialBackend(ExecutionBackend):
 
     def _build_executor(self, faulter, space: FaultSpace,
                         ctx: SpaceContext):
-        if self.checkpoint_interval:
-            return _CheckpointReplayExecutor(
-                faulter,
-                ctx.model,
-                space.cap_policy,
-                self.checkpoint_interval,
-                len(ctx.trace),
-                trace_compile=self.trace_compile,
-            )
         return _MasterWalkExecutor(
             faulter,
             ctx.model,
@@ -776,8 +569,8 @@ class SequentialBackend(ExecutionBackend):
                 executor = self._executor(faulter, space, ctx)
             yield from self._drain(executor, window, stats)
         if executor is not None:
-            # persist freshly derived artifacts (JIT block sources,
-            # checkpoint prefix) once the campaign's windows are done
+            # persist freshly derived artifacts (JIT block sources)
+            # once the campaign's windows are done
             executor.finalize()
 
     @staticmethod
@@ -808,7 +601,6 @@ class _WorkerTarget:
         bad_input: bytes,
         oracle,
         continuation_cap: int,
-        max_steps: int,
         artifacts: Optional[ArtifactStore] = None,
         image_key: Optional[str] = None,
     ):
@@ -817,7 +609,6 @@ class _WorkerTarget:
         self.oracle = oracle
         self.watches = oracle.watches()
         self.continuation_cap = continuation_cap
-        self.max_steps = max_steps
         self.artifacts = artifacts
         self._image_key = image_key
 
@@ -839,7 +630,7 @@ _WORKER_TRACES: dict = {}
 _WORKER_CONTEXTS: dict = {}
 _WORKER_STORES: dict = {}
 _MAX_WORKER_CONTEXTS = 8
-# executors memoized per context entry (machine + checkpoint prefix +
+# executors memoized per context entry (machine, walk position and
 # compiled blocks stay warm across partitions and campaigns)
 _MAX_WORKER_EXECUTORS = 4
 
@@ -901,7 +692,8 @@ def _worker(job):
     spec, not a point list — the worker derives the bad-input trace
     (deterministic, so identical to the probe's; loaded from the
     artifact store when one is configured) and re-enumerates its own
-    window locally.
+    window locally.  Returns ``(outcomes, ExecutionStats)``; the stats
+    carry this job's artifact hit/miss delta.
     """
     (
         elf_bytes,
@@ -910,7 +702,6 @@ def _worker(job):
         model_name,
         continuation_cap,
         partition,
-        checkpoint_interval,
         master_max_steps,
         max_resident_points,
         trace_compile,
@@ -926,23 +717,20 @@ def _worker(job):
         bad_input,
         oracle,
         continuation_cap,
-        master_max_steps,
         artifacts=store,
         image_key=image_key,
     )
     backend = SequentialBackend(
-        checkpoint_interval=checkpoint_interval,
         max_resident_points=max_resident_points,
         trace_compile=trace_compile,
     )
     # reuse this context's executor across partitions and campaigns —
-    # the machine, checkpoint prefix and compiled blocks stay warm in
+    # the machine, walk position and compiled blocks stay warm in
     # the persistent worker.  The key pins every knob the executor
     # bakes in; the pickled oracle keeps two different detectors on
     # the same target from ever sharing one (a mismatch only costs a
     # rebuild).
     backend._reuse_executors = (executors, (
-        backend.checkpoint_interval,
         max_resident_points,
         trace_compile,
         continuation_cap,
@@ -952,16 +740,9 @@ def _worker(job):
     outcomes = list(
         backend.iter_outcomes(target, model, partition, ctx, stats)
     )
-    counters = store.stats.delta(before) if store is not None else None
-    return (
-        outcomes,
-        stats.emulated_steps,
-        stats.peak_resident_points,
-        stats.compiled_steps,
-        stats.divergences,
-        stats.compile_seconds,
-        counters,
-    )
+    if store is not None:
+        stats.merge_artifacts(store.stats.delta(before))
+    return outcomes, stats
 
 
 def default_workers() -> int:
@@ -1145,12 +926,10 @@ class MultiprocessBackend(ExecutionBackend):
     def __init__(
         self,
         workers: Optional[int] = None,
-        checkpoint_interval: int | float | None = None,
         max_resident_points: int | None = None,
         trace_compile: bool = True,
     ):
         self.workers = workers
-        self.checkpoint_interval = _normalize_interval(checkpoint_interval)
         _check_window(max_resident_points)
         self.max_resident_points = max_resident_points
         self.trace_compile = trace_compile
@@ -1173,7 +952,6 @@ class MultiprocessBackend(ExecutionBackend):
         )
         if len(partitions) <= 1:
             fallback = SequentialBackend(
-                checkpoint_interval=self.checkpoint_interval,
                 max_resident_points=self.max_resident_points,
                 trace_compile=self.trace_compile,
             )
@@ -1196,7 +974,6 @@ class MultiprocessBackend(ExecutionBackend):
                 model.name,
                 faulter.continuation_cap,
                 partition,
-                self.checkpoint_interval,
                 faulter.max_steps,
                 self.max_resident_points,
                 self.trace_compile,
@@ -1228,23 +1005,9 @@ class MultiprocessBackend(ExecutionBackend):
 
     @staticmethod
     def _fold(shard, stats) -> list[PointOutcome]:
-        (
-            outcomes,
-            steps,
-            peak,
-            compiled,
-            divergences,
-            compile_seconds,
-            counters,
-        ) = shard
-        stats.emulated_steps += steps
-        stats.observe_resident(peak)
+        outcomes, shard_stats = shard
+        stats.merge(shard_stats)
         stats.observe_resident(len(outcomes))
-        stats.compiled_steps += compiled
-        stats.divergences += divergences
-        stats.compile_seconds += compile_seconds
-        if counters:
-            stats.merge_artifacts(counters)
         return outcomes
 
 
@@ -1271,12 +1034,10 @@ class EngineConfig:
     ``backend`` names a registered backend (``"sequential"``/
     ``"multiprocess"``) or is ``None`` (multiprocess when ``workers``
     is given, sequential otherwise).  ``to_dict``/``from_dict``
-    roundtrip losslessly, including an infinite checkpoint interval
-    (JSON-safe as ``"inf"``).
+    roundtrip losslessly.
     """
 
     backend: Optional[str] = None
-    checkpoint_interval: int | float | None = None
     workers: Optional[int] = None
     k_faults: int = 1
     samples: int = 200
@@ -1327,7 +1088,6 @@ class EngineConfig:
     def resolve(self) -> ExecutionBackend:
         """Concrete backend for this configuration."""
         knobs = {
-            "checkpoint_interval": self.checkpoint_interval,
             "max_resident_points": self.max_resident_points,
             "trace_compile": self.trace_compile is not False,
         }
@@ -1350,12 +1110,8 @@ class EngineConfig:
         return ArtifactStore(self.cache_dir)
 
     def to_dict(self) -> dict:
-        interval = self.checkpoint_interval
-        if interval is not None and math.isinf(interval):
-            interval = "inf"  # keep the payload strictly JSON-safe
         return {
             "backend": self.backend,
-            "checkpoint_interval": interval,
             "workers": self.workers,
             "k_faults": self.k_faults,
             "samples": self.samples,
@@ -1371,12 +1127,8 @@ class EngineConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "EngineConfig":
-        interval = payload.get("checkpoint_interval")
-        if interval == "inf":
-            interval = math.inf
         return cls(
             backend=payload.get("backend"),
-            checkpoint_interval=interval,
             workers=payload.get("workers"),
             k_faults=payload.get("k_faults", 1),
             samples=payload.get("samples", 200),
@@ -1564,12 +1316,7 @@ class CampaignEngine:
                     outcome,
                 ))
                 outcomes[outcome] = outcomes.get(outcome, 0) + 1
-            stats.emulated_steps += chunk_stats.emulated_steps
-            stats.observe_resident(chunk_stats.peak_resident_points)
-            stats.compiled_steps += chunk_stats.compiled_steps
-            stats.divergences += chunk_stats.divergences
-            stats.compile_seconds += chunk_stats.compile_seconds
-            stats.merge_artifacts(chunk_stats.artifact_counters)
+            stats.merge(chunk_stats)
             rollups[name] = {
                 **unit_info.get(name, {}),
                 "trace_steps": len(steps),
@@ -1650,13 +1397,9 @@ def _report_meta(backend, space: str, stats: ExecutionStats,
                  reduction: dict, artifacts: dict) -> dict:
     """Execution metadata of one campaign (``meta`` is excluded from
     report equality)."""
-    interval = backend.checkpoint_interval
-    if interval == float("inf"):
-        interval = "inf"  # keep report.to_dict() strictly JSON-safe
     return {
         "backend": backend.name,
         "space": space,
-        "checkpoint_interval": interval,
         "max_resident_points": backend.max_resident_points,
         "peak_resident_points": stats.peak_resident_points,
         "emulated_steps": stats.emulated_steps,

@@ -23,8 +23,8 @@ Models come in two families:
 Every model is stateless and picklable; the unit that crosses process
 boundaries is the ``(model name, detail tuple)`` pair, and variant
 enumeration is a pure function of the traced instruction — which is
-what keeps campaigns bit-identical across backends and checkpoint
-replay.
+what keeps campaigns bit-identical across backends and worker
+processes.
 """
 
 from __future__ import annotations

@@ -128,7 +128,7 @@ class CampaignReport:
     outcomes: Counter = field(default_factory=Counter)
     successes: list["Fault"] = field(default_factory=list)
     all_outcomes: list = field(default_factory=list)
-    # Execution metadata (backend, checkpoint interval, emulated-step
+    # Execution metadata (backend, reorder window, emulated-step
     # counts, ...).  Excluded from equality: the same campaign run on
     # different backends must compare bit-identical.
     meta: dict = field(default_factory=dict, compare=False)

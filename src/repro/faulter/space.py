@@ -30,7 +30,7 @@ Enumerators:
 
 Each point carries its enumeration ``order`` so a backend may execute
 points in whatever order is fastest (e.g. sorted by trace offset for
-checkpoint reuse) while the report is still assembled in enumeration
+the master walk) while the report is still assembled in enumeration
 order — making reports bit-identical across backends.
 
 Every space is *streamable*: ``enumerate`` yields lazily,

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from repro.faulter.campaign import Faulter
-from repro.faulter.engine import ExecutionBackend, SequentialBackend
+from repro.faulter.engine import ExecutionBackend
 from repro.faulter.models import FaultModel, model_by_name
 from repro.faulter.report import CRASHED, SUCCESS
 from repro.faulter.space import SampledSpace
@@ -99,9 +99,6 @@ class StatisticalEstimate:
         )
 
 
-DEFAULT_CHECKPOINT_INTERVAL = 64
-
-
 def estimate_vulnerability(
     faulter: Faulter,
     model: FaultModel | str = "bitflip",
@@ -110,7 +107,6 @@ def estimate_vulnerability(
     samples: int | None = None,
     seed: int = 0,
     backend: ExecutionBackend | None = None,
-    checkpoint_interval: int | float | None = None,
 ) -> StatisticalEstimate:
     """Sample the fault space of ``faulter``'s bad-input trace.
 
@@ -118,14 +114,10 @@ def estimate_vulnerability(
     uniform over the (trace offset x fault variant) population and
     deterministic for a given ``seed``.
 
-    Execution goes through the campaign engine: by default a
-    sequential backend checkpointing every ``checkpoint_interval``
-    steps (default ``DEFAULT_CHECKPOINT_INTERVAL``), which resumes
-    each sampled run from the nearest trace checkpoint instead of
-    re-executing the whole prefix.  A ``backend`` instance carries its
-    own interval, so passing both is an error.  The estimate is
-    bit-identical for any backend or checkpoint interval (the
-    emulator is deterministic).
+    Execution goes through the campaign engine, on ``backend`` (by
+    default a :class:`~repro.faulter.engine.SequentialBackend`).  The
+    estimate is bit-identical for any backend (the emulator is
+    deterministic).
     """
     if isinstance(model, str):
         model = model_by_name(model)
@@ -135,14 +127,6 @@ def estimate_vulnerability(
         samples = required_samples(population, margin, confidence)
     samples = min(samples, population)
 
-    if backend is None:
-        if checkpoint_interval is None:
-            checkpoint_interval = DEFAULT_CHECKPOINT_INTERVAL
-        backend = SequentialBackend(checkpoint_interval=checkpoint_interval)
-    elif checkpoint_interval is not None:
-        raise ValueError(
-            "pass checkpoint_interval= to the backend constructor, not "
-            "alongside a backend instance")
     space = SampledSpace(samples=samples, seed=seed)
     report = engine.run(
         model,

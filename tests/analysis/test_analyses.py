@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.analysis import (
-    DefUse, FlagLiveness, RegisterLiveness, RegisterValueAnalysis)
+from repro.analysis import DefUse, FlagLiveness, RegisterLiveness
 from repro.asm import assemble
 from repro.disasm import disassemble
 from repro.isa.insn import Mnemonic
@@ -97,48 +96,6 @@ class TestRegisterLiveness:
         inc_index = next(i for i, e in enumerate(loop_block.entries)
                          if e.insn.mnemonic is Mnemonic.INC)
         assert reg("rcx") in liveness.live_after(loop_block, inc_index)
-
-
-class TestRegisterValues:
-    def test_constant_propagation(self):
-        source = """
-        .text
-        .global _start
-        _start:
-            mov rbx, 40
-            add rbx, 2
-            xor rcx, rcx
-            mov rdi, rbx
-            mov rax, 60
-            syscall
-        """
-        module = module_of(source)
-        analysis = RegisterValueAnalysis(module)
-        block = module.text().code_blocks()[0]
-        assert analysis.value_before(block, 2, reg("rbx")) == 42
-        assert analysis.value_before(block, 4, reg("rcx")) == 0
-
-    def test_join_kills_disagreeing_values(self):
-        source = """
-        .text
-        .global _start
-        _start:
-            mov rbx, 1
-            cmp rbx, 1
-            je other
-            mov rbx, 2
-            jmp merge
-        other:
-            mov rbx, 3
-merge:
-            mov rdi, rbx
-            mov rax, 60
-            syscall
-        """
-        module = module_of(source)
-        analysis = RegisterValueAnalysis(module)
-        merge_block = module.symbol("merge").referent
-        assert analysis.value_before(merge_block, 0, reg("rbx")) is None
 
 
 class TestDefUse:

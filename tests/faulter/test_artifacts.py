@@ -11,16 +11,16 @@ from repro.faulter.artifacts import (
     _MAGIC,
     ArtifactStats,
     ArtifactStore,
-    checkpoints_key,
     default_cache_dir,
     digest_key,
+    facts_key,
     flags_key,
     image_digest,
     jit_key,
     trace_key,
 )
 from repro.faulter.engine import (
-    MultiprocessBackend, SequentialBackend, shutdown_fleet)
+    MultiprocessBackend, shutdown_fleet)
 from repro.workloads import pincheck
 from tests.reference import reference_report
 
@@ -33,9 +33,6 @@ def wl():
 @pytest.fixture(scope="module")
 def exe(wl):
     return wl.build()
-
-
-CHECKPOINTED = SequentialBackend(checkpoint_interval=16)
 
 
 def make_faulter(wl, exe, store=None):
@@ -59,7 +56,7 @@ class TestKeys:
 
     def test_kinds_never_collide(self):
         keys = {trace_key("img", b"x", 1), flags_key("img", b"x", 1),
-                checkpoints_key("img", b"x", 1, 1), jit_key("img")}
+                facts_key("img", b"x", 1, "skip"), jit_key("img")}
         assert len(keys) == 4
 
     def test_image_digest_tracks_bytes(self):
@@ -212,11 +209,11 @@ class TestBitIdentityMatrix:
                                        baselines, model):
         root = tmp_path / "seq"
         cold = make_faulter(wl, exe, ArtifactStore(root)) \
-            .run_campaign(model, backend=CHECKPOINTED)
+            .run_campaign(model)
         assert cold == baselines[model]
         warm_store = ArtifactStore(root)
         warm = make_faulter(wl, exe, warm_store) \
-            .run_campaign(model, backend=CHECKPOINTED)
+            .run_campaign(model)
         assert warm == baselines[model]
         meta = warm.meta["artifacts"]
         assert meta["enabled"] and meta["hits"] > 0
@@ -226,8 +223,7 @@ class TestBitIdentityMatrix:
     def test_cold_then_warm_multiprocess(self, wl, exe, tmp_path,
                                          baselines, model):
         root = tmp_path / "mp"
-        backend = MultiprocessBackend(workers=2,
-                                      checkpoint_interval=16)
+        backend = MultiprocessBackend(workers=2)
         cold = make_faulter(wl, exe, ArtifactStore(root)) \
             .run_campaign(model, backend=backend)
         assert cold == baselines[model]
@@ -254,8 +250,7 @@ class TestEndToEndRobustness:
         back to re-derivation with an identical report."""
         store = ArtifactStore(tmp_path)
         baseline = reference_report(make_faulter(wl, exe), "skip")
-        cold = make_faulter(wl, exe, store).run_campaign(
-            "skip", backend=CHECKPOINTED)
+        cold = make_faulter(wl, exe, store).run_campaign("skip")
         assert cold == baseline
         corrupted = 0
         for kind_dir in store.root.iterdir():
@@ -266,8 +261,7 @@ class TestEndToEndRobustness:
                 corrupted += 1
         assert corrupted > 0
         rerun_store = ArtifactStore(tmp_path)
-        rerun = make_faulter(wl, exe, rerun_store).run_campaign(
-            "skip", backend=CHECKPOINTED)
+        rerun = make_faulter(wl, exe, rerun_store).run_campaign("skip")
         assert rerun == baseline
         meta = rerun.meta["artifacts"]
         assert meta["misses"] > 0 and meta["saves"] > 0

@@ -1,22 +1,19 @@
-"""Unified campaign engine: spaces, backends, checkpoint replay.
+"""Unified campaign engine: spaces, backends, the master walk.
 
-The load-bearing property asserted throughout: every backend and every
-checkpoint interval produces a report *bit-identical* to the paper's
-literal protocol in :mod:`tests.reference` (``CampaignReport.__eq__``
-excludes only execution metadata).
+The load-bearing property asserted throughout: every backend produces
+a report *bit-identical* to the paper's literal protocol in
+:mod:`tests.reference` (``CampaignReport.__eq__`` excludes only
+execution metadata).
 """
-
-import math
 
 import pytest
 
-from repro.emu.machine import CheckpointStore, Machine
 from repro.faulter import (
     CampaignReport, EngineConfig, Faulter, KFaultProductSpace,
     MultiprocessBackend, SampledSpace, SequentialBackend, WindowedSpace)
 from repro.faulter.space import ExhaustiveSpace
 from repro.faulter.statistical import estimate_vulnerability
-from repro.workloads import bootloader, pincheck
+from repro.workloads import pincheck
 from tests.reference import reference_report
 
 
@@ -27,13 +24,6 @@ def wl():
 
 @pytest.fixture(scope="module")
 def faulter(wl):
-    return Faulter(wl.build(), wl.good_input, wl.bad_input,
-                   wl.grant_marker, name=wl.name)
-
-
-@pytest.fixture(scope="module")
-def boot_faulter():
-    wl = bootloader.workload(size=8)
     return Faulter(wl.build(), wl.good_input, wl.bad_input,
                    wl.grant_marker, name=wl.name)
 
@@ -119,102 +109,25 @@ class TestSpaces:
         assert WindowedSpace(indices=()).partition(ctx, 4) == []
 
 
-class TestCheckpointMachinery:
-    def test_run_emits_periodic_checkpoints(self, wl):
-        machine = Machine(wl.build(), stdin=wl.bad_input)
-        sink = []
-        result = machine.run(checkpoint_interval=5,
-                             checkpoint_sink=sink)
-        store = CheckpointStore(sink)
-        assert store.steps[0] == 0
-        assert store.steps == list(range(0, result.steps, 5))
+class TestDefaultBackendMatchesReference:
+    """Campaign entry points with no backend given, against the
+    reference protocol."""
 
-    def test_infinite_interval_keeps_only_step_zero(self, wl):
-        machine = Machine(wl.build(), stdin=wl.bad_input)
-        sink = []
-        machine.run(checkpoint_interval=math.inf, checkpoint_sink=sink)
-        assert [cp.step for cp in sink] == [0]
-
-    def test_nearest_picks_floor_checkpoint(self, wl):
-        machine = Machine(wl.build(), stdin=wl.bad_input)
-        sink = []
-        machine.run(checkpoint_interval=4, checkpoint_sink=sink)
-        store = CheckpointStore(sink)
-        assert store.nearest(0).step == 0
-        assert store.nearest(7).step == 4
-        assert store.nearest(8).step == 8
-
-    def test_restore_replays_identically(self, wl):
-        """Resuming from a mid-trace checkpoint must finish with the
-        same observable behaviour as the uninterrupted run."""
-        machine = Machine(wl.build(), stdin=wl.bad_input)
-        sink = []
-        full = machine.run(checkpoint_interval=6, checkpoint_sink=sink)
-        cp = CheckpointStore(sink).nearest(full.steps // 2)
-        machine.restore_checkpoint(cp)
-        resumed = machine.run()
-        assert resumed.reason == full.reason
-        assert resumed.exit_code == full.exit_code
-        assert resumed.stdout == full.stdout
-        assert cp.step + resumed.steps == full.steps
-
-    def test_restore_order_is_arbitrary(self, wl):
-        """Checkpoints restore cleanly in any order (unlike the
-        journal, which only rolls back)."""
-        machine = Machine(wl.build(), stdin=wl.bad_input)
-        sink = []
-        full = machine.run(checkpoint_interval=4, checkpoint_sink=sink)
-        store = CheckpointStore(sink)
-        late = store.nearest(full.steps - 1)
-        early = store.nearest(4)
-        machine.restore_checkpoint(late)
-        machine.run()
-        machine.restore_checkpoint(early)
-        resumed = machine.run()
-        assert resumed.stdout == full.stdout
-
-
-class TestCheckpointReplayBitIdentity:
-    INTERVALS = (None, 1, 64, math.inf)
-
-    @pytest.mark.parametrize("model", ["skip", "bitflip"])
-    def test_exhaustive_identical_across_intervals(self, faulter,
-                                                   model):
-        reference = reference_report(faulter, model)
-        for interval in self.INTERVALS:
-            replayed = faulter.run_campaign(
-                model,
-                backend=SequentialBackend(checkpoint_interval=interval))
-            assert replayed == reference, f"interval={interval}"
-
-    def test_bootloader_identical_across_intervals(self, boot_faulter):
-        reference = reference_report(boot_faulter, "skip")
-        for interval in self.INTERVALS:
-            assert boot_faulter.run_campaign(
-                "skip",
-                backend=SequentialBackend(checkpoint_interval=interval),
-            ) == reference
-
-    def test_statistical_identical_across_intervals(self, faulter):
+    def test_statistical_matches_reference(self, faulter):
         reference = reference_report(
             faulter, "bitflip", SampledSpace(samples=120, seed=5))
-        for interval in self.INTERVALS:
-            estimate = estimate_vulnerability(
-                faulter, "bitflip", samples=120, seed=5,
-                checkpoint_interval=interval)
-            assert estimate.samples == reference.total_faults
-            assert estimate.successes == reference.outcomes["success"]
-            assert estimate.crashes == reference.outcomes["crash"]
+        estimate = estimate_vulnerability(
+            faulter, "bitflip", samples=120, seed=5)
+        assert estimate.samples == reference.total_faults
+        assert estimate.successes == reference.outcomes["success"]
+        assert estimate.crashes == reference.outcomes["crash"]
 
-    def test_pair_identical_across_intervals(self, faulter):
+    def test_pair_campaign_matches_reference(self, faulter):
         reference = reference_report(
             faulter, "skip", KFaultProductSpace(k=2, samples=80, seed=7),
             target=f"{faulter.name}(pairs)")
-        for interval in self.INTERVALS:
-            replayed = faulter.run_k_fault_campaign(
-                "skip", k=2, samples=80, seed=7,
-                backend=SequentialBackend(checkpoint_interval=interval))
-            assert replayed == reference
+        assert faulter.run_k_fault_campaign(
+            "skip", k=2, samples=80, seed=7) == reference
 
 
 class TestBackendEquivalence:
@@ -223,12 +136,6 @@ class TestBackendEquivalence:
         parallel = faulter.run_campaign(
             model, backend=MultiprocessBackend(workers=3))
         assert parallel == reference_report(faulter, model)
-
-    def test_multiprocess_checkpointed_equals_sequential(self, faulter):
-        parallel = faulter.run_campaign(
-            "skip", backend=MultiprocessBackend(workers=2,
-                                                checkpoint_interval=8))
-        assert parallel == reference_report(faulter, "skip")
 
     def test_merge_of_partition_reports_equals_whole(self, faulter):
         """Campaigns over each partition of the space, concatenated,
@@ -263,9 +170,9 @@ class TestBackendEquivalence:
 
     def test_meta_records_backend(self, faulter):
         report = faulter.run_campaign(
-            "skip", backend=SequentialBackend(checkpoint_interval=16))
+            "skip", backend=SequentialBackend(max_resident_points=16))
         assert report.meta["backend"] == "sequential"
-        assert report.meta["checkpoint_interval"] == 16
+        assert report.meta["max_resident_points"] == 16
         assert report.meta["emulated_steps"] > 0
 
 
@@ -308,7 +215,7 @@ class TestReportRoundTrip:
 
     def test_meta_survives_roundtrip(self, faulter):
         report = faulter.run_campaign(
-            "skip", backend=SequentialBackend(checkpoint_interval=4))
+            "skip", backend=SequentialBackend(max_resident_points=4))
         rebuilt = CampaignReport.from_dict(report.to_dict())
         assert rebuilt.meta == report.meta
 
@@ -341,24 +248,6 @@ class TestDegenerateTraces:
         assert sum(report.outcomes.values()) == report.total_faults
         for fault in report.successes:
             assert fault.trace_index < len(broken.trace()) - 1
-
-    def test_zero_interval_means_single_step0_checkpoint(self, faulter):
-        backend = SequentialBackend(checkpoint_interval=0)
-        assert backend.checkpoint_interval == math.inf
-        assert faulter.run_campaign("skip", backend=backend) == \
-            reference_report(faulter, "skip")
-
-    def test_checkpoint_build_stops_at_last_fault_offset(self, faulter):
-        """Checkpointing a 5-step window must not emulate the whole
-        trace during the build run."""
-        backend = SequentialBackend(checkpoint_interval=1)
-        windowed = faulter.run_campaign("skip", trace_window=range(5),
-                                        backend=backend)
-        full = faulter.run_campaign("skip", backend=backend)
-        assert windowed.meta["emulated_steps"] < \
-            full.meta["emulated_steps"]
-        assert windowed == reference_report(
-            faulter, "skip", WindowedSpace(indices=tuple(range(5))))
 
 
 class TestTraceCaching:

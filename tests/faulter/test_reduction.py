@@ -83,10 +83,10 @@ class TestBitIdentity:
         lambda: SequentialBackend(),
         # one reorder window holding the whole population
         lambda: SequentialBackend(max_resident_points=10**9),
-        lambda: SequentialBackend(checkpoint_interval=8,
-                                  max_resident_points=5),
+        # many small windows, so the walk restarts between them
+        lambda: SequentialBackend(max_resident_points=5),
         lambda: MultiprocessBackend(workers=3),
-    ], ids=["master-walk", "materialized", "checkpointed",
+    ], ids=["master-walk", "materialized", "windowed",
             "multiprocess"])
     def test_backends_and_streaming(self, faulter, backend_factory,
                                     reg_bitflip_reference):

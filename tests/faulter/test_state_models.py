@@ -4,12 +4,10 @@ backend bit-identity matrix.
 The tentpole property: the :class:`~repro.emu.effects.FaultEffect`
 protocol generalizes injection beyond fetch substitution without
 changing a single engine guarantee — for every state model, streamed
-execution, both backends and every checkpoint interval (1/64/inf)
-reproduce the reference protocol (:mod:`tests.reference`)
-bit-identically, on both bundled campaign workloads.
+execution and both backends reproduce the reference protocol
+(:mod:`tests.reference`) bit-identically, on both bundled campaign
+workloads.
 """
-
-import math
 
 import pytest
 
@@ -44,8 +42,6 @@ SPACE_FOR = {
     "flag-stuck": lambda: ExhaustiveSpace(),
     "branch-invert": lambda: ExhaustiveSpace(),
 }
-
-INTERVALS = (1, 64, math.inf)
 
 
 @pytest.fixture(scope="module")
@@ -235,8 +231,8 @@ class TestEffectSemantics:
 
 class TestStateModelBitIdentity:
     """The acceptance matrix: every state model x both backends x
-    checkpoint intervals against the reference, on both bundled
-    campaign workloads."""
+    reorder windows against the reference, on both bundled campaign
+    workloads."""
 
     @pytest.mark.parametrize("model", STATE_MODELS)
     def test_pincheck_matrix(self, faulter, model):
@@ -260,11 +256,7 @@ class TestStateModelBitIdentity:
         parallel = engine.run(
             model, space, backend=MultiprocessBackend(workers=3))
         assert parallel == baseline
-        for interval in INTERVALS:
-            replayed = engine.run(
-                model, space,
-                backend=SequentialBackend(checkpoint_interval=interval))
-            assert replayed == baseline, f"interval={interval}"
+        assert engine.run(model, space) == baseline
 
     def test_exhaustive_run_campaign_equals_engine(self, faulter):
         """The campaign driver's exhaustive path rides the same

@@ -78,18 +78,6 @@ class TestStreamedEqualsMaterialized:
             backend=MultiprocessBackend(workers=parts))
         assert streamed == baseline
 
-    @pytest.mark.parametrize("kind", sorted(SPACES))
-    def test_sequential_checkpointed(self, faulter, kind):
-        """Streaming composes with incremental checkpoint replay."""
-        space = SPACES[kind]()
-        baseline = reference_report(faulter, "skip", space)
-        streamed = faulter.engine().run(
-            "skip", space,
-            backend=SequentialBackend(checkpoint_interval=8,
-                                      max_resident_points=5))
-        assert streamed == baseline
-        assert streamed.meta["peak_resident_points"] <= 5
-
     def test_bitflip_peak_resident_bounded(self, faulter):
         """The acceptance property on the big space: peak resident
         fault points <= the configured window, report unchanged."""
@@ -221,20 +209,6 @@ class TestStreamingEdgeCases:
         assert streamed == baseline
         assert streamed.total_faults > 2 * window  # several waves ran
         assert streamed.meta["peak_resident_points"] <= window
-
-    def test_checkpoint_interval_not_widened_by_long_traces(self,
-                                                            faulter):
-        """The checkpoint grid is sized from the span a campaign
-        actually covers, not the whole trace: a short-prefix window
-        keeps its fine-grained replay (and its step savings)."""
-        backend = SequentialBackend(checkpoint_interval=1)
-        prefix = faulter.run_campaign("skip", trace_window=range(6),
-                                      backend=backend)
-        full = faulter.run_campaign("skip", backend=backend)
-        assert prefix.meta["emulated_steps"] < \
-            full.meta["emulated_steps"]
-        assert prefix == reference_report(
-            faulter, "skip", WindowedSpace(indices=tuple(range(6))))
 
 
 class TestStreamingKnobs:

@@ -58,15 +58,14 @@ def _assert_identical(faulter, model, on, off, reduce=None):
 
 
 class TestEveryModelBitIdentical:
-    """All registered fault models, checkpointed sequential backend."""
+    """All registered fault models, sequential backend."""
 
     @pytest.mark.parametrize("model", sorted(MODELS))
     def test_model(self, faulters, model):
         _assert_identical(
             faulters["bootloader"], model,
-            SequentialBackend(checkpoint_interval=64),
-            SequentialBackend(checkpoint_interval=64,
-                              trace_compile=False))
+            SequentialBackend(),
+            SequentialBackend(trace_compile=False))
 
 
 class TestBackendsAndStreaming:
@@ -81,30 +80,21 @@ class TestBackendsAndStreaming:
             SequentialBackend(),
             SequentialBackend(trace_compile=False), reduce)
 
-    @pytest.mark.parametrize("workload", sorted(WORKLOADS))
-    def test_sequential_checkpointed(self, faulters, workload):
-        _assert_identical(
-            faulters[workload], "skip",
-            SequentialBackend(checkpoint_interval=16),
-            SequentialBackend(checkpoint_interval=16,
-                              trace_compile=False))
-
     @pytest.mark.parametrize("reduce", (True, False))
     def test_multiprocess(self, faulters, reduce):
-        # fleet workers keep their executors (and checkpoint prefixes)
-        # across campaigns, which lowers later step counts; start cold
-        # so both settings build theirs from scratch
+        # fleet workers keep their executors (and walk positions)
+        # across campaigns, which can lower later step counts; start
+        # cold so both settings build theirs from scratch
         shutdown_fleet()
         _assert_identical(
             faulters["bootloader"], "skip",
-            MultiprocessBackend(workers=2, checkpoint_interval=64),
-            MultiprocessBackend(workers=2, checkpoint_interval=64,
-                                trace_compile=False), reduce)
+            MultiprocessBackend(workers=2),
+            MultiprocessBackend(workers=2, trace_compile=False), reduce)
 
     def test_multiprocess_aggregates_worker_counters(self, faulters):
         report = _run(
             faulters["bootloader"], "skip",
-            MultiprocessBackend(workers=2, checkpoint_interval=64))
+            MultiprocessBackend(workers=2))
         assert report.meta["compiled_steps"] > 0
         assert report.meta["compile_seconds"] >= 0.0
 

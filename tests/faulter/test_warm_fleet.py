@@ -39,8 +39,7 @@ class TestScheduling:
                                 reduce):
         # reduced campaigns ship ReducedSpace partitions, full ones
         # the plain exhaustive space
-        backend = MultiprocessBackend(workers=2,
-                                      checkpoint_interval=16)
+        backend = MultiprocessBackend(workers=2)
         report = make_faulter(wl, exe).run_campaign(
             "skip", backend=backend, reduce=reduce)
         assert report == sequential_report
@@ -49,7 +48,6 @@ class TestScheduling:
                                                  sequential_report):
         # more partitions than workers: the steal queue actually queues
         backend = MultiprocessBackend(workers=2,
-                                      checkpoint_interval=16,
                                       max_resident_points=4)
         report = make_faulter(wl, exe).run_campaign("skip",
                                                     backend=backend)
@@ -62,16 +60,14 @@ class TestScheduling:
             target=f"{faulter.name}(pairs)")
         fleet = make_faulter(wl, exe).run_k_fault_campaign(
             "skip", k=2, samples=24, seed=7,
-            backend=MultiprocessBackend(workers=2,
-                                        checkpoint_interval=16))
+            backend=MultiprocessBackend(workers=2))
         assert fleet == sequential
 
 
 class TestFleetLifecycle:
     def test_workers_persist_across_campaigns(self, wl, exe):
         import repro.faulter.engine as engine
-        backend = MultiprocessBackend(workers=2,
-                                      checkpoint_interval=16)
+        backend = MultiprocessBackend(workers=2)
         make_faulter(wl, exe).run_campaign("skip", backend=backend)
         fleet = engine._FLEET
         assert fleet is not None and fleet.alive()
@@ -110,8 +106,7 @@ class TestFleetLifecycle:
         stale = fleet.new_epoch()
         fleet.submit(stale, 0, ("bad", "payload"))
         # the next campaign's epoch must discard that leftover error
-        backend = MultiprocessBackend(workers=2,
-                                      checkpoint_interval=16)
+        backend = MultiprocessBackend(workers=2)
         report = make_faulter(wl, exe).run_campaign("skip",
                                                     backend=backend)
         assert report == sequential_report

@@ -3,10 +3,10 @@
 For every point of a fault space: start a fresh machine on the bad
 input, inject the point's faults at their absolute trace steps, run to
 the step budget, and classify the result.  No JIT, no snapshot, no
-checkpoint, no reduction, no reordering — obviously correct and slow,
-so every engine strategy (streaming windows, master-walk, checkpoint
-replay, the worker fleet, chunking, equivalence reduction) is checked
-for bit-identity against it.  Only execution is re-implemented: the
+reduction, no reordering — obviously correct and slow, so every
+engine strategy (streaming windows, the master walk, the worker
+fleet, chunking, equivalence reduction) is checked for bit-identity
+against it.  Only execution is re-implemented: the
 points come from the space's own enumeration over the faulter's
 bad-input trace, and the report rows from the engine's ``Fault``
 records, so the comparison isolates how each point was run.

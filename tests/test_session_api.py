@@ -2,7 +2,6 @@
 registry, and the CLI knob plumbing."""
 
 import json
-import math
 
 import pytest
 
@@ -66,16 +65,9 @@ def _stable(payload):
 class TestEngineConfig:
     def test_roundtrip_lossless_and_json_safe(self):
         config = EngineConfig(
-            backend="multiprocess", checkpoint_interval=64, workers=3,
+            backend="multiprocess", workers=3,
             k_faults=2, samples=50, seed=7, max_resident_points=128)
         payload = json.loads(json.dumps(config.to_dict()))
-        assert EngineConfig.from_dict(payload) == config
-
-    def test_roundtrip_infinite_interval(self):
-        config = EngineConfig(checkpoint_interval=math.inf)
-        payload = config.to_dict()
-        assert payload["checkpoint_interval"] == "inf"
-        json.dumps(payload)  # strictly JSON-safe
         assert EngineConfig.from_dict(payload) == config
 
     def test_default_roundtrip(self):
@@ -376,11 +368,11 @@ class TestCLIKnobs:
             args = parser.parse_args(
                 sub + ["--good", "00", "--bad", "01", "--marker", "M",
                        "--backend", "multiprocess", "--workers", "2",
-                       "--checkpoint-interval", "16",
+                       "--no-reduce",
                        "--max-resident-points", "64"])
             assert args.backend == "multiprocess"
             assert args.workers == 2
-            assert args.checkpoint_interval == 16
+            assert args.reduce is False
             assert args.max_resident_points == 64
 
     def test_harden_evaluate_forwards_engine_knobs(self, capsys,
@@ -408,11 +400,9 @@ class TestCLIKnobs:
                      "--evaluate", "--good", "text:1234",
                      "--bad", "text:6789",
                      "--marker", "ACCESS GRANTED",
-                     "--checkpoint-interval", "32",
                      "--max-resident-points", "64"])
         assert code == 0
         config = seen["config"]
-        assert config.checkpoint_interval == 32
         assert config.max_resident_points == 64
         assert output.exists()
         assert "differential evaluation" in capsys.readouterr().out
