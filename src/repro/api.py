@@ -42,7 +42,7 @@ from repro.binfmt.image import Executable
 from repro.binfmt.reader import read_elf
 from repro.binfmt.writer import write_elf
 from repro.detour.rewriter import DetourResult
-from repro.faulter.campaign import Faulter
+from repro.faulter.campaign import CampaignRunner, Faulter
 from repro.faulter.engine import EngineConfig
 from repro.faulter.oracle import (
     AllOf,
@@ -165,23 +165,6 @@ class Target:
                 name=self.name, max_steps=self.max_steps)
         return self._faulter
 
-    @staticmethod
-    def _configure_artifacts(faulter: Faulter,
-                             config: EngineConfig) -> None:
-        """Point ``faulter`` at the config's artifact store, if any.
-
-        The cached faulter survives across ``campaign``/``evaluate``
-        calls, so a store with the same root is kept (its in-memory
-        memo and stats stay warm) and only a root change swaps it.
-        """
-        store = config.artifact_store()
-        if store is None:
-            return
-        current = getattr(faulter, "artifacts", None)
-        if current is not None and current.root == store.root:
-            return
-        faulter.artifacts = store
-
     # -- the paper's three methodologies ----------------------------------
 
     def campaign(self,
@@ -199,32 +182,31 @@ class Target:
         ``config.k_faults > 1`` switches to the sampled multi-fault
         campaign.
         """
-        config = _as_config(config)
-        faulter = self.faulter()
-        self._configure_artifacts(faulter, config)
-        return self._run_reports(faulter, models, config,
-                                 config.resolve())
+        return self._original_reports(self._runner(config), models)
 
-    @staticmethod
-    def _run_reports(faulter: Faulter, models: Sequence[str],
-                     config: EngineConfig, backend
-                     ) -> dict[str, CampaignReport]:
-        """Campaigns for ``models`` honouring every config knob."""
-        reports = {}
-        for model in models:
-            if config.k_faults > 1:
-                report = faulter.run_k_fault_campaign(
-                    model, k=config.k_faults, samples=config.samples,
-                    seed=config.seed, backend=backend,
-                    reduce=config.reduce)
-            elif config.chunk_units:
-                report = faulter.run_chunked_campaign(
-                    model, backend=backend)
-            else:
-                report = faulter.run_campaign(
-                    model, backend=backend, reduce=config.reduce)
-            reports[report.model] = report
-        return reports
+    def _runner(self, config) -> CampaignRunner:
+        return CampaignRunner(self.good_input, self.bad_input,
+                              self.oracle, max_steps=self.max_steps,
+                              config=_as_config(config))
+
+    def _original_reports(self, runner: CampaignRunner,
+                          models: Sequence[str]
+                          ) -> dict[str, CampaignReport]:
+        """``runner``'s reports for the original image, run on the
+        cached faulter.
+
+        The cached faulter survives across ``campaign``/``evaluate``
+        calls, so a store with the config's root is kept (its
+        in-memory memo and stats stay warm) and only a root change
+        swaps it.
+        """
+        faulter = self.faulter()
+        store = runner.config.artifact_store()
+        if store is not None and (faulter.artifacts is None
+                                  or faulter.artifacts.root != store.root):
+            faulter.artifacts = store
+        return runner.reports(self.exe, models, self.name,
+                              faulter=faulter)
 
     def harden(self,
                approach: str = "faulter+patcher",
@@ -242,12 +224,14 @@ class Target:
         :class:`~repro.provenance.ProvenanceMap` for differential
         evaluation.  Approaches that consume fault models while
         hardening (the Fig. 2 loop) iterate only on the
-        *encoding-family* members of ``fault_models``.
+        *encoding-family* members of ``fault_models``.  Every campaign
+        the approach runs honours the target's ``max_steps``.
         """
         entry = approach_by_name(approach)
         return entry.harden(
             self.exe, self.good_input, self.bad_input, self.oracle,
-            models=tuple(fault_models), name=self.name, **kwargs)
+            models=tuple(fault_models), name=self.name,
+            max_steps=self.max_steps, **kwargs)
 
     def evaluate(self,
                  approach: str = "faulter+patcher",
@@ -276,36 +260,34 @@ class Target:
         Fig. 2 loop iterates on the encoding members — which is
         exactly how one asks whether a countermeasure survives data
         faults it was never designed for.
+
+        Steps 1-3 share one :class:`~repro.faulter.campaign.
+        CampaignRunner` built from ``config``, so no campaign runs
+        twice within this call: the Fig. 2 loop's first image is
+        byte-identical to the original, and the re-fault repeats the
+        loop's last iteration.
         """
-        config = _as_config(config)
-        backend = config.resolve()
-        faulter = self.faulter()
-        self._configure_artifacts(faulter, config)
-        baseline = self._run_reports(faulter, models, config,
-                                     backend)
+        runner = self._runner(config)
+        baseline = self._original_reports(runner, models)
 
         if harden_models is None:
             harden_models = ("skip",)
         entry = approach_by_name(approach)
         # only approaches that *consume* fault models while hardening
-        # receive them; for the others they would merely duplicate
-        # step 3
-        fault_models = (tuple(harden_models)
-                        if entry.consumes_fault_models else ())
+        # receive them, with the runner their campaigns go through;
+        # for the others they would merely duplicate step 3
+        if entry.consumes_fault_models:
+            fault_models = tuple(harden_models)
+            harden_kwargs["campaigns"] = runner
+        else:
+            fault_models = ()
         result = entry.harden(
             self.exe, self.good_input, self.bad_input, self.oracle,
-            models=fault_models, name=self.name, **harden_kwargs)
+            models=fault_models, name=self.name,
+            max_steps=self.max_steps, **harden_kwargs)
 
-        hardened_faulter = Faulter(
-            result.hardened, self.good_input, self.bad_input,
-            self.oracle, name=f"{self.name}-hardened",
-            max_steps=self.max_steps,
-            # the hardened image has different bytes, hence different
-            # artifact keys — sharing the store is safe and lets the
-            # re-fault campaign cache its own derivations
-            artifacts=config.artifact_store())
-        hardened = self._run_reports(hardened_faulter, models, config,
-                                     backend)
+        hardened = runner.reports(result.hardened, models,
+                                  f"{self.name}-hardened")
 
         diff = differential_report(
             baseline, hardened, result.provenance, target=self.name,

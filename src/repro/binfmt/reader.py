@@ -2,14 +2,35 @@
 
 from __future__ import annotations
 
+import struct
+
 from repro.binfmt import elfdefs as d
 from repro.binfmt.image import Executable, Relocation, Section, SymbolDef
 from repro.errors import ElfError, UnsupportedBinaryError
 
 
 def _cstr(blob: bytes, offset: int) -> str:
-    end = blob.index(b"\x00", offset)
-    return blob[offset:end].decode()
+    try:
+        end = blob.index(b"\x00", offset)
+        return blob[offset:end].decode()
+    except ValueError as exc:  # no terminator, or not UTF-8
+        raise ElfError(f"bad string at offset {offset:#x}") from exc
+
+
+def _unpack(
+    layout: struct.Struct, blob: bytes, offset: int, what: str
+) -> tuple:
+    try:
+        return layout.unpack_from(blob, offset)
+    except (struct.error, OverflowError) as exc:
+        raise ElfError(f"{what} at {offset:#x} lies past the end") from exc
+
+
+def _header(shdrs: list, index: int, what: str) -> tuple:
+    try:
+        return shdrs[index]
+    except IndexError as exc:
+        raise ElfError(f"{what}: no section header {index}") from exc
 
 
 def read_elf(blob: bytes) -> Executable:
@@ -18,9 +39,9 @@ def read_elf(blob: bytes) -> Executable:
     section headers)."""
     if blob[:4] != d.ELF_MAGIC:
         raise ElfError("bad ELF magic")
+    fields = _unpack(d.EHDR, blob, 0, "ELF header")
     if blob[4] != d.ELFCLASS64 or blob[5] != d.ELFDATA2LSB:
         raise ElfError("only little-endian ELF64 is supported")
-    fields = d.EHDR.unpack_from(blob, 0)
     (_, e_type, e_machine, _, e_entry, _, e_shoff, _, _, _, _,
      e_shentsize, e_shnum, e_shstrndx) = fields
     if e_machine != d.EM_X86_64:
@@ -36,10 +57,10 @@ def read_elf(blob: bytes) -> Executable:
         raise ElfError("missing section headers")
 
     shdrs = [
-        d.SHDR.unpack_from(blob, e_shoff + i * e_shentsize)
+        _unpack(d.SHDR, blob, e_shoff + i * e_shentsize, "section header")
         for i in range(e_shnum)
     ]
-    shstr_off = shdrs[e_shstrndx][4]
+    shstr_off = _header(shdrs, e_shstrndx, "e_shstrndx")[4]
 
     sections: list[Section] = []
     index_to_name: dict[int, str] = {}
@@ -54,11 +75,11 @@ def read_elf(blob: bytes) -> Executable:
         name = _cstr(blob, shstr_off + sh_name)
         index_to_name[index] = name
         if sh_type == d.SHT_SYMTAB:
-            symtab = (sh_offset, sh_size, sh_entsize)
-            strtab_off = shdrs[sh_link][4]
+            symtab = (sh_offset, sh_size, sh_entsize or d.SYM.size)
+            strtab_off = _header(shdrs, sh_link, name)[4]
         elif sh_type == d.SHT_DYNSYM:
-            dynsym = (sh_offset, sh_size, sh_entsize)
-            dynstr_off = shdrs[sh_link][4]
+            dynsym = (sh_offset, sh_size, sh_entsize or d.SYM.size)
+            dynstr_off = _header(shdrs, sh_link, name)[4]
         elif sh_type == d.SHT_RELA:
             rela_tables.append((sh_offset, sh_size,
                                 sh_entsize or d.RELA.size))
@@ -80,8 +101,9 @@ def read_elf(blob: bytes) -> Executable:
         result: list[SymbolDef] = []
         count = size // entsize
         for i in range(1, count):
-            st_name, st_info, _, st_shndx, st_value, _ = d.SYM.unpack_from(
-                blob, offset + i * entsize)
+            st_name, st_info, _, st_shndx, st_value, _ = _unpack(
+                d.SYM, blob, offset + i * entsize, "symbol"
+            )
             name = _cstr(blob, str_off + st_name)
             if not name:
                 continue
@@ -108,14 +130,15 @@ def read_elf(blob: bytes) -> Executable:
     if dynsym:
         offset, size, entsize = dynsym
         for i in range(1, size // entsize):
-            st_name = d.SYM.unpack_from(blob, offset + i * entsize)[0]
+            st_name = _unpack(d.SYM, blob, offset + i * entsize, "symbol")[0]
             dynsym_names.append(_cstr(blob, dynstr_off + st_name))
 
     relocations: list[Relocation] = []
     for offset, size, entsize in rela_tables:
         for i in range(size // entsize):
-            r_offset, r_info, r_addend = d.RELA.unpack_from(
-                blob, offset + i * entsize)
+            r_offset, r_info, r_addend = _unpack(
+                d.RELA, blob, offset + i * entsize, "relocation"
+            )
             rtype = d.rela_type(r_info)
             symindex = d.rela_sym(r_info)
             symbol = ""

@@ -345,7 +345,8 @@ def detour_harden(exe: Executable,
                   bad_input: bytes,
                   grant_marker,
                   name: str = "target",
-                  models=()) -> DetourResult:
+                  models=(),
+                  max_steps: int = 100_000) -> DetourResult:
     """Duplication-via-detours hardening with behaviour validation.
 
     ``grant_marker`` accepts raw marker ``bytes`` or any
@@ -353,8 +354,9 @@ def detour_harden(exe: Executable,
     ``models`` re-fault campaigns; validation compares behaviour).
 
     ``models`` optionally re-runs fault campaigns against the hardened
-    binary (reported in ``final_reports``), mirroring the other two
-    hardening entry points.
+    binary (reported in ``final_reports``), each capped at
+    ``max_steps`` emulated steps, mirroring the other two hardening
+    entry points.
     """
     from repro.emu.machine import run_executable
 
@@ -379,7 +381,7 @@ def detour_harden(exe: Executable,
         from repro.faulter.campaign import Faulter
 
         faulter = Faulter(hardened, good_input, bad_input, grant_marker,
-                          name=f"{name}-detour")
+                          name=f"{name}-detour", max_steps=max_steps)
         result.final_reports = {
             model: faulter.run_campaign(model) for model in models}
     return result

@@ -36,7 +36,12 @@ from repro.faulter.artifacts import (
     ArtifactStore,
     default_cache_dir,
 )
-from repro.faulter.campaign import Fault, FaultOutcome, Faulter
+from repro.faulter.campaign import (
+    CampaignRunner,
+    Fault,
+    FaultOutcome,
+    Faulter,
+)
 from repro.faulter.engine import (
     BACKENDS,
     DEFAULT_MAX_RESIDENT,
@@ -89,6 +94,7 @@ __all__ = [
     "STATE_MODELS",
     "model_by_name",
     "MODELS",
+    "CampaignRunner",
     "Fault",
     "FaultOutcome",
     "Faulter",

@@ -31,10 +31,16 @@ All campaign flavors route through the unified engine
 :class:`~repro.faulter.engine.ExecutionBackend`.  Every method below
 takes an optional backend instance; ``None`` means a default
 :class:`~repro.faulter.engine.SequentialBackend`.
+
+:class:`CampaignRunner` runs campaigns the way an
+:class:`~repro.faulter.engine.EngineConfig` asks, over any number of
+images, and never runs the same campaign twice in its lifetime.
 """
 
 from __future__ import annotations
 
+import json
+from copy import deepcopy
 from typing import Optional, Sequence
 
 from repro.binfmt.image import Executable
@@ -45,10 +51,11 @@ from repro.faulter import artifacts as artifacts_mod
 from repro.faulter.artifacts import ArtifactStore
 from repro.faulter.engine import (
     CampaignEngine,
+    EngineConfig,
     ExecutionBackend,
     derive_trace,
 )
-from repro.faulter.models import FaultModel
+from repro.faulter.models import FaultModel, model_by_name
 from repro.faulter.oracle import MarkerOracle, Oracle, coerce_oracle
 from repro.faulter.report import (
     CRASHED,
@@ -68,6 +75,7 @@ __all__ = [
     "SUCCESS",
     "CRASHED",
     "IGNORED",
+    "CampaignRunner",
     "Fault",
     "FaultOutcome",
     "Faulter",
@@ -266,11 +274,144 @@ class Faulter:
         to a pair (e.g. skipping both duplicated compares).
         """
         space = KFaultProductSpace(k=k, samples=samples, seed=seed)
-        suffix = "pairs" if k == 2 else f"{k}-faults"
         return self.engine().run(
             model,
             space,
             backend=backend,
-            target=f"{self.name}({suffix})",
+            target=_k_fault_target(self.name, k),
             reduce=reduce,
+        )
+
+
+def _k_fault_target(name: str, k: int) -> str:
+    """The report ``target`` of a ``k``-fault campaign on ``name``."""
+    return f"{name}(pairs)" if k == 2 else f"{name}({k}-faults)"
+
+
+class CampaignRunner:
+    """Campaigns for one good/bad input pair, oracle, step budget and
+    :class:`~repro.faulter.engine.EngineConfig`, over any image.
+
+    Every report is memoized for the life of the runner, so a campaign
+    whose image bytes come back runs once.  ``Target.evaluate`` makes
+    one runner per call and sends the baseline, every campaign of the
+    Fig. 2 loop and the re-fault through it: loop iteration 1 faults
+    the unpatched reassembly, which is byte-identical to the original,
+    and the re-fault faults the loop's last image.
+
+    The memo key holds everything that can change a report: the image
+    digest, the good and bad inputs, the oracle, the model, the fault
+    space (exhaustive, or k-fault with ``k``/``samples``/``seed``) and
+    ``max_steps``.  It leaves out the execution knobs — backend,
+    workers, ``trace_compile``, ``reduce``, ``max_resident_points``
+    and ``chunk_units`` — because every setting of them yields a
+    bit-identical report (``tests/reference.py`` is the proof); a knob
+    that ever breaks that invariant must join the key.
+
+    A hit skips building the :class:`Faulter` and returns an
+    independent copy named after the caller, whose ``meta`` is the
+    producing run's plus ``meta["memo"] = "hit"`` (misses carry
+    ``"miss"``).  Keep runners short-lived: a memo shared across
+    evaluations would turn an engine-vs-engine comparison into a
+    comparison of one run with itself.
+    """
+
+    def __init__(
+        self,
+        good_input: bytes,
+        bad_input: bytes,
+        oracle: Oracle | bytes,
+        max_steps: int = 100_000,
+        config: Optional[EngineConfig] = None,
+    ):
+        self.good_input = good_input
+        self.bad_input = bad_input
+        self.oracle = coerce_oracle(oracle)
+        self.max_steps = max_steps
+        self.config = config if config is not None else EngineConfig()
+        self._backend = self.config.resolve()
+        self._artifacts = self.config.artifact_store()
+        try:
+            oracle_key = json.dumps(self.oracle.to_dict(), sort_keys=True)
+        except ValueError:
+            # a callable predicate has no serial form; the runner holds
+            # the oracle for its whole life, so its identity is unique
+            oracle_key = f"id:{id(self.oracle)}"
+        self._key = (good_input, bad_input, oracle_key, max_steps)
+        self._memo: dict[tuple, CampaignReport] = {}
+
+    def reports(
+        self,
+        image: Executable,
+        models: Sequence[FaultModel | str],
+        name: str,
+        *,
+        single_fault: bool = False,
+        faulter: Optional[Faulter] = None,
+    ) -> dict[str, CampaignReport]:
+        """``{model: report}`` for ``image`` under ``models``, with
+        every report's ``target`` set to ``name``.
+
+        ``single_fault`` runs exhaustive single-fault campaigns
+        whatever ``config.k_faults`` says (the Fig. 2 loop patches
+        single-fault points).  ``faulter`` is an already-built
+        :class:`Faulter` for ``image`` with this runner's inputs,
+        oracle and ``max_steps``; without one, the first miss builds
+        it.
+        """
+        k = 1 if single_fault else self.config.k_faults
+        if k == 1:
+            space, target = ("exhaustive",), name
+        else:
+            config = self.config
+            space = ("k-fault", k, config.samples, config.seed)
+            target = _k_fault_target(name, k)
+        if faulter is not None:
+            digest = faulter.image_digest()
+        else:
+            digest = artifacts_mod.image_digest(write_elf(image))
+        reports = {}
+        for model in models:
+            if isinstance(model, str):
+                model = model_by_name(model)
+            key = (digest, *self._key, model.name, space)
+            stored = self._memo.get(key)
+            if stored is not None:
+                report = CampaignReport.from_dict(stored.to_dict())
+                report.meta = {**deepcopy(stored.meta), "memo": "hit"}
+            else:
+                if faulter is None:
+                    faulter = Faulter(
+                        image,
+                        self.good_input,
+                        self.bad_input,
+                        self.oracle,
+                        name=name,
+                        max_steps=self.max_steps,
+                        artifacts=self._artifacts,
+                    )
+                report = self._run(faulter, model, k)
+                report.meta["memo"] = "miss"
+                self._memo[key] = report
+            report.target = target
+            reports[model.name] = report
+        return reports
+
+    def _run(
+        self, faulter: Faulter, model: FaultModel, k: int
+    ) -> CampaignReport:
+        config, backend = self.config, self._backend
+        if k > 1:
+            return faulter.run_k_fault_campaign(
+                model,
+                k=k,
+                samples=config.samples,
+                seed=config.seed,
+                backend=backend,
+                reduce=config.reduce,
+            )
+        if config.chunk_units:
+            return faulter.run_chunked_campaign(model, backend=backend)
+        return faulter.run_campaign(
+            model, backend=backend, reduce=config.reduce
         )

@@ -23,7 +23,11 @@ A harden callable returns a result object exposing ``hardened`` (the
 rewritten :class:`~repro.binfmt.image.Executable`), ``provenance`` (a
 :class:`~repro.provenance.ProvenanceMap` honouring the declared
 contract — the differential evaluation joins campaigns through it),
-and ``report()``.
+and ``report()``.  ``**kw`` always carries ``max_steps``, the step
+budget of any campaign the approach runs; ``Target.evaluate`` also
+hands approaches that consume fault models ``campaigns``, the
+:class:`~repro.faulter.campaign.CampaignRunner` of the evaluation, to
+run their campaigns through.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.detour.rewriter import detour_harden
+from repro.faulter.campaign import CampaignRunner
 from repro.faulter.models import model_by_name
 from repro.hybrid.pipeline import hybrid_harden
 from repro.patcher.loop import FaulterPatcherLoop
@@ -105,10 +110,15 @@ def approach_by_name(name: str) -> HardeningApproach:
 
 
 def _harden_faulter_patcher(exe, good_input, bad_input, oracle, *,
-                            models, name, **kwargs):
+                            models, name, max_steps, campaigns=None,
+                            **kwargs):
+    if campaigns is None:
+        campaigns = CampaignRunner(good_input, bad_input, oracle,
+                                   max_steps=max_steps)
     loop = FaulterPatcherLoop(
         exe, good_input, bad_input, oracle,
-        models=encoding_family(models), name=name, **kwargs)
+        models=encoding_family(models), name=name, campaigns=campaigns,
+        **kwargs)
     return loop.run()
 
 

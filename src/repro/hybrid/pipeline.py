@@ -103,7 +103,8 @@ def hybrid_harden(exe: Executable,
                   models: Sequence[str] = (),
                   uid_seed: int = 0x9E3779B9,
                   branch_filter=None,
-                  fold_constants: bool = True) -> HybridResult:
+                  fold_constants: bool = True,
+                  max_steps: int = 100_000) -> HybridResult:
     """Lift, harden conditional branches, lower, validate.
 
     ``grant_marker`` accepts raw marker ``bytes`` or any
@@ -111,7 +112,8 @@ def hybrid_harden(exe: Executable,
     ``models`` re-fault campaigns; validation compares behaviour).
 
     ``models`` optionally re-runs fault campaigns against the hardened
-    binary (reported in ``final_reports``).  ``fold_constants`` lets the
+    binary (reported in ``final_reports``), each capped at
+    ``max_steps`` emulated steps.  ``fold_constants`` lets the
     cleanup pipeline fold the pass's UID xor instructions into imm32
     constants after the histograms are taken (the Table IV census is
     measured on the unfolded form, as the paper reports it).
@@ -157,7 +159,7 @@ def hybrid_harden(exe: Executable,
     )
     if models:
         faulter = Faulter(hardened, good_input, bad_input, grant_marker,
-                          name=f"{name}-hybrid")
+                          name=f"{name}-hybrid", max_steps=max_steps)
         result.final_reports = {
             m: faulter.run_campaign(m) for m in models}
     return result

@@ -10,14 +10,15 @@ hit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Optional, Sequence
 
 from repro.asm.assembler import assemble_with_map
 from repro.binfmt.image import Executable
 from repro.disasm.emitprog import module_to_program
 from repro.disasm.recover import disassemble
 from repro.disasm.units import build_plan
-from repro.faulter.campaign import Faulter
+from repro.faulter.campaign import CampaignRunner
+from repro.faulter.oracle import coerce_oracle
 from repro.faulter.report import CampaignReport
 from repro.gtirb.ir import Module
 from repro.patcher.patcher import Patcher
@@ -158,6 +159,13 @@ class FaulterPatcherLoop:
     the historical stdout-marker check, and any
     :class:`~repro.faulter.oracle.Oracle` swaps in a different
     success predicate for the loop's campaigns.
+
+    Every campaign runs through ``campaigns``, a
+    :class:`~repro.faulter.campaign.CampaignRunner` bound to the same
+    inputs and oracle (its ``max_steps`` and engine config apply); by
+    default a fresh one with the default budget and config.  Passing
+    the runner of a wider evaluation lets its memo skip the loop's
+    repeated campaigns.
     """
 
     def __init__(self,
@@ -168,15 +176,22 @@ class FaulterPatcherLoop:
                  models: Sequence[str] = ("skip",),
                  max_iterations: int = 8,
                  symbolization: str = "refined",
-                 name: str = "target"):
+                 name: str = "target",
+                 campaigns: Optional[CampaignRunner] = None):
         self.original = exe
-        self.good_input = good_input
-        self.bad_input = bad_input
-        self.grant_marker = grant_marker
         self.models = list(models)
         self.max_iterations = max_iterations
         self.symbolization = symbolization
         self.name = name
+        if campaigns is None:
+            campaigns = CampaignRunner(good_input, bad_input,
+                                       grant_marker)
+        elif ((campaigns.good_input, campaigns.bad_input,
+               campaigns.oracle)
+              != (good_input, bad_input, coerce_oracle(grant_marker))):
+            raise ValueError("campaigns is bound to other inputs or "
+                             "another oracle than the loop")
+        self.campaigns = campaigns
 
     def run(self) -> HardenResult:
         module = disassemble(self.original, mode=self.symbolization)
@@ -191,9 +206,8 @@ class FaulterPatcherLoop:
         original_sites: set = set()
         by_address: dict = {}
         for iteration in range(1, self.max_iterations + 1):
-            faulter = Faulter(exe, self.good_input, self.bad_input,
-                              self.grant_marker, name=self.name)
-            reports = {m: faulter.run_campaign(m) for m in self.models}
+            reports = self.campaigns.reports(
+                exe, self.models, self.name, single_fault=True)
             by_address = {addr: entry for entry, addr in tag_map.items()}
 
             vulnerable = {}

@@ -1,12 +1,17 @@
 """ELF64 writer/reader unit and property tests."""
 
+import random
+from pathlib import Path
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from repro.binfmt import Executable, Section, SymbolDef, read_elf, write_elf
 from repro.binfmt import elfdefs as d
-from repro.errors import ElfError
+from repro.errors import ElfError, ReproError
+
+PIE = Path(__file__).resolve().parents[1] / "fixtures" / "bootloader_pie.elf"
 
 
 def simple_exe(text=b"\x90\xC3", data=b"hello"):
@@ -69,6 +74,41 @@ class TestWellFormedness:
         blob[18] = 0x03  # EM_386
         with pytest.raises(ElfError):
             read_elf(bytes(blob))
+
+    def test_truncated_header_rejected(self):
+        with pytest.raises(ElfError):
+            read_elf(d.ELF_MAGIC)
+
+    def test_zero_symbol_entsize_reads_as_standard(self):
+        """A symbol table with ``sh_entsize`` 0 used to divide by
+        zero; it reads with the standard entry size instead."""
+        blob = bytearray(write_elf(simple_exe()))
+        fields = d.EHDR.unpack_from(blob, 0)
+        e_shoff, e_shentsize, e_shnum = fields[6], fields[11], fields[12]
+        for index in range(e_shnum):
+            offset = e_shoff + index * e_shentsize
+            header = list(d.SHDR.unpack_from(blob, offset))
+            if header[1] == d.SHT_SYMTAB:
+                header[9] = 0
+                d.SHDR.pack_into(blob, offset, *header)
+                break
+        else:
+            pytest.fail("no symbol table written")
+        assert read_elf(bytes(blob)).symbol("_start").is_func
+
+    def test_mutants_fail_typed(self):
+        """Seeded 1-8 byte mutants of a real PIE either parse or raise
+        a ReproError; nothing untyped escapes the parser."""
+        blob = PIE.read_bytes()
+        rng = random.Random(0)
+        for _ in range(200):
+            mutant = bytearray(blob)
+            for _ in range(rng.randint(1, 8)):
+                mutant[rng.randrange(len(mutant))] = rng.randrange(256)
+            try:
+                read_elf(bytes(mutant))
+            except ReproError:
+                pass
 
     @given(st.binary(min_size=1, max_size=512),
            st.binary(min_size=0, max_size=512))

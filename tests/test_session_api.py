@@ -8,6 +8,7 @@ import pytest
 from repro.api import EngineConfig, Target
 from repro.cli import build_parser, main
 from repro.emu.machine import run_executable
+from repro.faulter.engine import CampaignEngine
 from repro.faulter.oracle import (
     AllOf, AnyOf, ExitCodeOracle, MarkerOracle, MemoryPredicateOracle,
     coerce_oracle, oracle_from_dict)
@@ -257,6 +258,12 @@ class TestExitCodeCampaign:
         assert not report.vulnerable
         assert exit_report.vulnerable
         assert report.total_faults == exit_report.total_faults
+        # a callable predicate has no serial form, yet campaigns
+        # through it like the equivalent equals= oracle
+        callable_oracle = MemoryPredicateOracle(
+            tok, 2, predicate=lambda data: data == b"GO")
+        assert Target(exe, b"GO", b"NO", callable_oracle,
+                      name="memgate").campaign(("skip",))["skip"] == report
 
     def test_broken_exit_oracle_rejected(self):
         from repro.errors import ReproError
@@ -264,6 +271,141 @@ class TestExitCodeCampaign:
         with pytest.raises(ReproError, match="good input"):
             Target(wl.build(), b"XX", b"NO",
                    ExitCodeOracle(0)).campaign(("skip",))
+
+
+# ---------------------------------------------------------------------------
+# campaign reuse inside evaluate
+# ---------------------------------------------------------------------------
+
+APPROACHES = ("faulter+patcher", "hybrid", "detour")
+MEMO_MODELS = ("skip", "bitflip")
+
+
+def _evaluate_counting(target, **kwargs):
+    """``target.evaluate(**kwargs)`` and how many campaigns it ran."""
+    calls = []
+    run = CampaignEngine.run
+
+    def counting(self, *args, **kw):
+        calls.append(self.faulter.name)
+        return run(self, *args, **kw)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(CampaignEngine, "run", counting)
+        evaluation = target.evaluate(**kwargs)
+    return evaluation, len(calls)
+
+
+@pytest.fixture(scope="module")
+def memo_evaluations():
+    wl = pincheck.workload()
+    return wl, {
+        approach: _evaluate_counting(
+            wl.target(), approach=approach, models=MEMO_MODELS,
+            harden_models=MEMO_MODELS)
+        for approach in APPROACHES}
+
+
+def _memo_tags(reports):
+    return {model: report.meta["memo"]
+            for model, report in reports.items()}
+
+
+class TestEvaluationMemo:
+    @pytest.mark.parametrize("approach", APPROACHES)
+    def test_reports_equal_fresh_campaigns(self, memo_evaluations,
+                                           approach):
+        wl, evaluations = memo_evaluations
+        evaluation, _ = evaluations[approach]
+        hardened = Target(evaluation.hardened, wl.good_input,
+                          wl.bad_input, wl.grant_marker,
+                          name=f"{wl.name}-hardened")
+        assert evaluation.baseline_reports == \
+            wl.target().campaign(MEMO_MODELS)
+        assert evaluation.hardened_reports == \
+            hardened.campaign(MEMO_MODELS)
+
+    def test_each_distinct_campaign_runs_once(self, memo_evaluations):
+        _, evaluations = memo_evaluations
+        counts = {approach: calls
+                  for approach, (_, calls) in evaluations.items()}
+        # faulter+patcher: baseline 2 + loop 3 iterations x 2 + re-fault
+        # 2 = 10 campaigns, of which the loop's first iteration and the
+        # re-fault repeat earlier ones
+        assert counts == {"faulter+patcher": 6, "hybrid": 4,
+                          "detour": 4}
+
+    def test_loop_reuses_baseline_and_last_iteration(self,
+                                                     memo_evaluations):
+        _, evaluations = memo_evaluations
+        evaluation, _ = evaluations["faulter+patcher"]
+        iterations = evaluation.result.iterations
+        assert len(iterations) == 3
+        assert _memo_tags(evaluation.baseline_reports) == \
+            {"skip": "miss", "bitflip": "miss"}
+        assert _memo_tags(iterations[0].reports) == \
+            {"skip": "hit", "bitflip": "hit"}
+        assert iterations[0].reports == evaluation.baseline_reports
+        assert _memo_tags(evaluation.result.final_reports) == \
+            {"skip": "miss", "bitflip": "miss"}
+        assert _memo_tags(evaluation.hardened_reports) == \
+            {"skip": "hit", "bitflip": "hit"}
+
+    def test_mutating_a_hit_leaves_the_loop_reports(self):
+        wl = pincheck.workload()
+        evaluation = wl.target().evaluate(models=("skip",))
+        final = evaluation.result.final_reports["skip"]
+        before = final.to_dict()
+        hit = evaluation.hardened_reports["skip"]
+        assert hit.meta["memo"] == "hit"
+        hit.target = "mutated"
+        hit.successes.append(None)
+        hit.outcomes["success"] += 1
+        hit.meta["reduction"]["enabled"] = "mutated"
+        assert final.to_dict() == before
+
+    def test_back_to_back_evaluations_share_nothing(self):
+        target = pincheck.workload().target()
+        for _ in range(2):
+            evaluation, calls = _evaluate_counting(
+                target, models=MEMO_MODELS, harden_models=MEMO_MODELS)
+            assert calls == 6
+            assert _memo_tags(evaluation.baseline_reports) == \
+                {"skip": "miss", "bitflip": "miss"}
+
+    def test_k_fault_evaluation_gets_no_hit(self):
+        """The loop patches single-fault points whatever the config
+        says, so a pair evaluation shares no campaign with it."""
+        config = EngineConfig(k_faults=2, samples=40, seed=3)
+        evaluation, calls = _evaluate_counting(
+            pincheck.workload().target(), models=("skip",),
+            config=config)
+        loop_reports = [report
+                        for stats in evaluation.result.iterations
+                        for report in stats.reports.values()]
+        everything = (list(evaluation.baseline_reports.values())
+                      + loop_reports
+                      + list(evaluation.hardened_reports.values()))
+        assert calls == len(everything)
+        assert {report.meta["memo"] for report in everything} == {"miss"}
+        assert evaluation.hardened_reports["skip"].target.endswith(
+            "(pairs)")
+
+
+@pytest.mark.parametrize("approach", APPROACHES)
+def test_harden_honours_the_target_step_budget(approach):
+    """Regression: the hardening campaigns used to run under the
+    default 100,000 steps whatever the target's ``max_steps``."""
+    from repro.errors import ReproError
+    wl = pincheck.workload()
+    exe = wl.build()
+    good_steps = run_executable(exe, stdin=wl.good_input).steps
+    bad_steps = run_executable(exe, stdin=wl.bad_input).steps
+    assert bad_steps < good_steps
+    target = Target(exe, wl.good_input, wl.bad_input, wl.grant_marker,
+                    max_steps=good_steps - 1)
+    with pytest.raises(ReproError, match="good input"):
+        target.harden(approach, fault_models=("skip",))
 
 
 # ---------------------------------------------------------------------------
