@@ -26,11 +26,10 @@ fault-effect protocol's hot path is on the same perf trajectory as the
 classic fetch faults, and a ``k2-reduced`` row (a dense k=2
 ``flag-stuck`` pair product with equivalence reduction on, see
 ``repro.faulter.reduction``) that must emulate at least 5x fewer steps
-than the full product while staying bit-identical, and a
-``chunked-pie`` row (a per-unit chunked exhaustive campaign on the
-committed PIE ELF fixture, recording faults/s and
-``peak_resident_points`` — the real-binary path on the same
-trajectory).  CI's ``bench`` job diffs a fresh run of this file
+than the full product while staying bit-identical, and a ``pie``
+row (a reduced exhaustive campaign on the committed PIE ELF fixture,
+with its compiled/precise step split gated exactly — the real-binary
+path on the same trajectory).  CI's ``bench`` job diffs a fresh run of this file
 against the committed JSON and fails on >25% throughput regression
 (``benchmarks/check_regression.py``, which also says how to refresh
 the baseline).
@@ -73,7 +72,7 @@ STATE_SAMPLES = 192
 K2_MODEL = "flag-stuck"
 K2_OFFSET_STRIDE = 9
 K2_MIN_SPEEDUP = 5.0
-# chunked-pie row: campaign inputs of the committed PIE fixture
+# pie row: campaign inputs of the committed PIE fixture
 # (tests/fixtures/README.md)
 PIE_GOOD = bytes.fromhex("0d141b222930373e")
 PIE_BAD = bytes.fromhex("0d141b223930373f")
@@ -298,29 +297,29 @@ def test_engine_throughput(benchmark, record):
         "step_speedup": round(step_speedup, 1),
     }
 
-    # chunked-pie row: per-unit chunked exhaustive campaign on the
-    # committed PIE fixture — the real-binary path (ET_DYN read,
-    # function recovery, WindowedSpace sub-campaigns) on the same
-    # perf trajectory as the in-process workloads
+    # pie row: reduced exhaustive campaign on the committed PIE
+    # fixture — the real-binary path (ET_DYN read, equivalence
+    # reduction, master walk) on the same perf trajectory as the
+    # in-process workloads
     pie_exe = read_elf(
         (REPO_ROOT / "tests/fixtures/bootloader_pie.elf").read_bytes())
     pie_faulter = Faulter(pie_exe, PIE_GOOD, PIE_BAD, PIE_MARKER,
                           name="bootloader-pie")
-    chunked_start = time.perf_counter()
-    chunked = pie_faulter.run_chunked_campaign("skip")
-    chunked_elapsed = time.perf_counter() - chunked_start
-    assert chunked == pie_faulter.engine().run(
+    pie_start = time.perf_counter()
+    pie = pie_faulter.run_campaign("skip")
+    pie_elapsed = time.perf_counter() - pie_start
+    assert pie == pie_faulter.engine().run(
         "skip", ExhaustiveSpace(), reduce=False)
-    models["chunked-pie"] = {
-        "wall_seconds": round(chunked_elapsed, 4),
+    models["pie"] = {
+        "wall_seconds": round(pie_elapsed, 4),
         "model": "skip",
-        "faults": chunked.total_faults,
-        "faults_per_second": round(
-            chunked.total_faults / chunked_elapsed, 2)
-        if chunked_elapsed else None,
-        "emulated_steps": chunked.meta["emulated_steps"],
-        "peak_resident_points": chunked.meta["peak_resident_points"],
-        "units": len(chunked.meta["units"]),
+        "faults": pie.total_faults,
+        "faults_per_second": round(pie.total_faults / pie_elapsed, 2)
+        if pie_elapsed else None,
+        "emulated_steps": pie.meta["emulated_steps"],
+        "compiled_steps": pie.meta["compiled_steps"],
+        "precise_steps": pie.meta["precise_steps"],
+        "peak_resident_points": pie.meta["peak_resident_points"],
     }
 
     payload = {

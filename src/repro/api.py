@@ -178,7 +178,8 @@ class Target:
         and state faults (``reg-bitflip``/``flag-stuck``/
         ``mem-bitflip``/``branch-invert``) run through the same
         engine.  ``config`` carries every engine knob (backend,
-        workers, streaming window, multi-fault sampling);
+        workers, multi-fault sampling, caching), as an
+        :class:`EngineConfig` or its ``to_dict`` form;
         ``config.k_faults > 1`` switches to the sampled multi-fault
         campaign.
         """

@@ -13,16 +13,21 @@ Subcommands::
     r2r run     TARGET.elf [--stdin HEX]
     r2r disasm  TARGET.elf
 
-The engine knobs — ``--backend``, ``--workers``,
-``--max-resident-points``, ``--trace-compile``,
-``--reduce/--no-reduce``, ``--chunk-units``, ``--artifact-cache`` and
-``--cache-dir`` — are declared once in a shared parent parser
+The engine knobs — ``--backend``, ``--workers``, ``--trace-compile``,
+``--reduce/--no-reduce``, ``--artifact-cache`` and ``--cache-dir`` —
+are declared once in a shared parent parser
 and map onto one :class:`~repro.api.EngineConfig`; ``--approach``
 choices derive from the
 :data:`repro.hardening.HARDENING_APPROACHES` registry and ``--model``
 choices from the fault-model registry, so registered third-party
 approaches and models surface on every subcommand without touching
 this module.
+
+Exit codes: 0 is a clean verdict and 1 a vulnerable one (``fault``:
+a successful fault; ``compare``: residual points after hardening);
+``run`` passes the guest's exit status through.  Every subcommand
+exits 2 on an error — conflicting engine knobs, a malformed target,
+or inputs the oracle rejects (a good input that never grants).
 
 Inputs are passed as hex strings (``--good 31323334``) or with a
 ``text:`` prefix (``--good text:1234``).  ``fault`` and ``compare``
@@ -117,10 +122,6 @@ def _engine_parent() -> argparse.ArgumentParser:
                             "(default: sequential)")
     group.add_argument("--workers", type=int, default=None,
                        help="process count for --backend multiprocess")
-    group.add_argument("--max-resident-points", type=int, default=None,
-                       help="reorder-window size: the peak "
-                            "number of fault points held in memory "
-                            "at once")
     group.add_argument("--trace-compile", default=None,
                        action=argparse.BooleanOptionalAction,
                        help="run unfaulted instruction stretches "
@@ -134,13 +135,6 @@ def _engine_parent() -> argparse.ArgumentParser:
                             "elided verdicts through the reduction "
                             "certificate (default: on; --no-reduce "
                             "forces the full enumeration)")
-    group.add_argument("--chunk-units", default=None,
-                       action=argparse.BooleanOptionalAction,
-                       help="partition the campaign per recovered "
-                            "rewrite unit (function), running each as "
-                            "its own sub-campaign within the resident "
-                            "bound; the merged report is bit-identical "
-                            "and carries per-function rollups")
     group.add_argument("--artifact-cache", default=None,
                        action=argparse.BooleanOptionalAction,
                        help="cache derivations (trace, flag replay, "
@@ -163,10 +157,8 @@ def _engine_config(args) -> EngineConfig:
         k_faults=getattr(args, "k_faults", 1),
         samples=getattr(args, "samples", 200),
         seed=getattr(args, "seed", 0),
-        max_resident_points=args.max_resident_points,
         trace_compile=args.trace_compile,
         reduce=args.reduce,
-        chunk_units=args.chunk_units,
         artifact_cache=args.artifact_cache,
         cache_dir=args.cache_dir)
 
@@ -212,14 +204,8 @@ def _print_reduction(meta: dict) -> None:
 
 
 def _cmd_fault(args) -> int:
-    try:
-        config = _engine_config(args)
-        reports = _resolve_target(args, "fault").campaign(
-            args.model, config)
-    except ValueError as exc:
-        # conflicting engine knobs (exit 2: distinct from "vulnerable")
-        print(f"r2r fault: error: {exc}", file=sys.stderr)
-        return 2
+    config = _engine_config(args)
+    reports = _resolve_target(args, "fault").campaign(args.model, config)
     for report in reports.values():
         print(report.summary())
         if args.verbose:
@@ -237,27 +223,15 @@ def _cmd_fault(args) -> int:
                       f"{artifacts['saves']} save(s), derive "
                       f"{artifacts['derive_seconds']}s "
                       f"({artifacts.get('cache_dir', '?')})")
-            for name, rollup in meta.get("units", {}).items():
-                outcomes = ", ".join(
-                    f"{k}={v}"
-                    for k, v in sorted(rollup["outcomes"].items()))
-                print(f"  unit {name}: {rollup['trace_steps']} "
-                      f"step(s), {rollup['points']} point(s)"
-                      + (f" ({outcomes})" if outcomes else ""))
     return 0 if not any(r.vulnerable for r in reports.values()) else 1
 
 
 def _cmd_harden(args) -> int:
-    try:
-        config = _engine_config(args)
-        if not args.evaluate and config != EngineConfig():
-            # the knobs drive the evaluation campaigns; a plain harden
-            # would silently drop them — refuse instead
-            raise ValueError("engine knobs require --evaluate")
-    except ValueError as exc:
-        # conflicting engine knobs (exit 2: distinct from failures)
-        print(f"r2r harden: error: {exc}", file=sys.stderr)
-        return 2
+    config = _engine_config(args)
+    if not args.evaluate and config != EngineConfig():
+        # the knobs drive the evaluation campaigns; a plain harden
+        # would silently drop them — refuse instead
+        raise ValueError("engine knobs require --evaluate")
     target = _file_target(args)
     if args.evaluate:
         evaluation = target.evaluate(
@@ -276,17 +250,9 @@ def _cmd_harden(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    target = _resolve_target(args, "compare")
-    try:
-        evaluation = target.evaluate(
-            approach=args.approach, models=args.model,
-            config=_engine_config(args), harden_models=args.model)
-    except (ValueError, ReproError) as exc:
-        # conflicting engine knobs, broken oracles, or a hardening
-        # path refusing the binary (exit 2: distinct from "residual
-        # vulnerabilities")
-        print(f"r2r compare: error: {exc}", file=sys.stderr)
-        return 2
+    evaluation = _resolve_target(args, "compare").evaluate(
+        approach=args.approach, models=args.model,
+        config=_engine_config(args), harden_models=args.model)
     print(evaluation.report())
     census = evaluation.diff.counts()
     residual = census["surviving"] + census["introduced"]
@@ -437,7 +403,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, ReproError) as exc:
+        # bad knobs or inputs, a malformed target, a refused campaign:
+        # exit 2, never 1, which means "vulnerable"
+        print(f"r2r {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@
 The :class:`RewritePlan` is the shared currency between the disassembler
 and everything above it: hardening approaches consume a stream of
 :class:`RewriteUnit`\\ s instead of re-walking ``.text`` themselves, and
-the campaign engine chunks fault spaces per unit.  Function recovery
+provenance maps roll their census up per unit.  Function recovery
 (:mod:`repro.disasm.functions`) provides the primary boundaries; blocks
 it does not own — linear-sweep islands on stripped inputs — fall back to
 contiguous ``sweep`` units, and undecodable regions become ``opaque``

@@ -44,7 +44,6 @@ from repro.faulter.campaign import (
 )
 from repro.faulter.engine import (
     BACKENDS,
-    DEFAULT_MAX_RESIDENT,
     CampaignEngine,
     EngineConfig,
     ExecutionBackend,
@@ -70,7 +69,6 @@ from repro.faulter.report import (
 )
 from repro.faulter.space import (
     ExhaustiveSpace,
-    ExplicitSpace,
     FaultPoint,
     FaultSpace,
     KFaultProductSpace,
@@ -103,7 +101,6 @@ __all__ = [
     "default_cache_dir",
     "shutdown_fleet",
     "BACKENDS",
-    "DEFAULT_MAX_RESIDENT",
     "CampaignEngine",
     "EngineConfig",
     "ExecutionBackend",
@@ -122,7 +119,6 @@ __all__ = [
     "CampaignReportBuilder",
     "VulnerablePoint",
     "ExhaustiveSpace",
-    "ExplicitSpace",
     "FaultPoint",
     "FaultSpace",
     "KFaultProductSpace",

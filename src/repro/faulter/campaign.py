@@ -45,7 +45,7 @@ from typing import Optional, Sequence
 
 from repro.binfmt.image import Executable
 from repro.binfmt.writer import write_elf
-from repro.emu.machine import Machine, RunResult
+from repro.emu.machine import Machine
 from repro.errors import ReproError
 from repro.faulter import artifacts as artifacts_mod
 from repro.faulter.artifacts import ArtifactStore
@@ -93,7 +93,6 @@ class Faulter:
         oracle: Oracle | bytes,
         name: str = "target",
         max_steps: int = 100_000,
-        baselines: Optional[tuple[RunResult, RunResult]] = None,
         artifacts: Optional[ArtifactStore] = None,
     ):
         self.image = image
@@ -110,14 +109,9 @@ class Faulter:
         self.max_steps = max_steps
         self._trace: Optional[list[int]] = None
         self._engine: Optional[CampaignEngine] = None
-        self._plan = None
         self.artifacts = artifacts
         self._image_key: Optional[str] = None
-        if baselines is not None:
-            # an already-validated oracle (e.g. from a probe process)
-            self.good_baseline, self.bad_baseline = baselines
-        else:
-            self._validate_baseline()
+        self._validate_baseline()
 
     # -- baselines --------------------------------------------------------
 
@@ -217,43 +211,6 @@ class Faulter:
             reduce=reduce,
         )
 
-    def rewrite_plan(self):
-        """The target's :class:`~repro.disasm.units.RewritePlan`
-        (recovered once and cached)."""
-        if self._plan is None:
-            from repro.binfmt.reader import read_elf
-            from repro.disasm.units import recover_plan
-
-            exe = self.image
-            if isinstance(exe, bytes):
-                exe = read_elf(exe)
-            _, self._plan = recover_plan(exe)
-        return self._plan
-
-    def run_chunked_campaign(
-        self,
-        model: FaultModel | str,
-        plan=None,
-        collect_outcomes: bool = False,
-        backend: Optional[ExecutionBackend] = None,
-    ) -> CampaignReport:
-        """Exhaustive campaign chunked per rewrite unit.
-
-        The trace is partitioned along ``plan`` (recovered from the
-        image when omitted) and each unit runs as its own sub-campaign
-        within the backend's ``max_resident_points`` bound; the merged
-        report is bit-identical to :meth:`run_campaign` over the full
-        space, with per-function rollups in ``meta["units"]``.
-        """
-        if plan is None:
-            plan = self.rewrite_plan()
-        return self.engine().run_chunked(
-            model,
-            plan,
-            backend=backend,
-            collect_outcomes=collect_outcomes,
-        )
-
     # -- multi-fault campaigns (extension) --------------------------------
 
     def run_k_fault_campaign(
@@ -303,10 +260,10 @@ class CampaignRunner:
     digest, the good and bad inputs, the oracle, the model, the fault
     space (exhaustive, or k-fault with ``k``/``samples``/``seed``) and
     ``max_steps``.  It leaves out the execution knobs — backend,
-    workers, ``trace_compile``, ``reduce``, ``max_resident_points``
-    and ``chunk_units`` — because every setting of them yields a
-    bit-identical report (``tests/reference.py`` is the proof); a knob
-    that ever breaks that invariant must join the key.
+    workers, ``trace_compile`` and ``reduce`` — because every setting
+    of them yields a bit-identical report (``tests/reference.py`` is
+    the proof); a knob that ever breaks that invariant must join the
+    key.
 
     A hit skips building the :class:`Faulter` and returns an
     independent copy named after the caller, whose ``meta`` is the
@@ -410,8 +367,6 @@ class CampaignRunner:
                 backend=backend,
                 reduce=config.reduce,
             )
-        if config.chunk_units:
-            return faulter.run_chunked_campaign(model, backend=backend)
         return faulter.run_campaign(
             model, backend=backend, reduce=config.reduce
         )

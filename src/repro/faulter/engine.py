@@ -1,7 +1,7 @@
 """The unified fault-campaign engine.
 
-Every campaign flavor — exhaustive, windowed, statistical, k-fault,
-chunked — is the same computation: enumerate a :class:`FaultSpace`
+Every campaign flavor — exhaustive, windowed, statistical, k-fault —
+is the same computation: enumerate a :class:`FaultSpace`
 over the bad-input trace, execute each point on an
 :class:`ExecutionBackend`, and fold the per-point outcomes into one
 :class:`CampaignReport`.  ``CampaignEngine.run(model, space, backend)``
@@ -9,7 +9,7 @@ is that computation; ``Faulter.run_campaign`` and friends build the
 space and call it.
 
 Execution is *streaming* end-to-end: spaces enumerate lazily, backends
-pull points through a bounded reorder window (``max_resident_points``)
+pull points through a fixed reorder window (``MAX_RESIDENT_POINTS``)
 — executing each window in trace-offset order for machine-state reuse,
 then emitting its outcomes back in enumeration order — and the engine
 folds the ordered outcome stream into the report incrementally.  Peak
@@ -45,7 +45,7 @@ import atexit
 import math
 import os
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from multiprocessing import get_context
 from queue import Empty
 from typing import Iterator, Optional, Sequence
@@ -71,16 +71,16 @@ from repro.faulter.space import (
     FaultPoint,
     FaultSpace,
     SpaceContext,
-    WindowedSpace,
 )
 from repro.isa.metadata import effects as isa_effects
 
 # An executed point: (point, outcome class).
 PointOutcome = tuple[FaultPoint, str]
 
-# Default reorder-window size for streaming execution: the bound on
-# fault points resident at once (pending execution or reordering).
-DEFAULT_MAX_RESIDENT = 4096
+# Reorder-window size for streaming execution: the bound on fault
+# points resident at once (pending execution or reordering).  Backends
+# read it at call time, so a test may patch it to force many windows.
+MAX_RESIDENT_POINTS = 4096
 
 
 @dataclass
@@ -112,8 +112,8 @@ class ExecutionStats:
                 self.artifact_counters.get(key, 0) + value)
 
     def merge(self, other: "ExecutionStats") -> None:
-        """Fold another run's counters (a worker shard, a chunk) into
-        this one; resident peaks combine as a maximum."""
+        """Fold a worker shard's counters into this one; resident
+        peaks combine as a maximum."""
         self.emulated_steps += other.emulated_steps
         self.observe_resident(other.peak_resident_points)
         self.compiled_steps += other.compiled_steps
@@ -476,7 +476,6 @@ class ExecutionBackend:
     """
 
     name = "abstract"
-    max_resident_points: int | None = None
     trace_compile: bool = True
 
     def iter_outcomes(
@@ -492,20 +491,11 @@ class ExecutionBackend:
         raise NotImplementedError
 
 
-def _check_window(max_resident_points: int | None) -> None:
-    """Reject a reorder window that could hold no point."""
-    if max_resident_points is not None and max_resident_points < 1:
-        raise ValueError(
-            f"max_resident_points must be >= 1, got {max_resident_points}"
-        )
-
-
 class SequentialBackend(ExecutionBackend):
     """In-process execution on the master walk.
 
-    Points stream through a bounded reorder window of
-    ``max_resident_points`` (default ``DEFAULT_MAX_RESIDENT``): each
-    window executes offset-sorted, then emits its outcomes back in
+    Points stream through a reorder window of ``MAX_RESIDENT_POINTS``:
+    each window executes offset-sorted, then emits its outcomes back in
     enumeration order.
 
     ``trace_compile=True`` (the default) runs unfaulted instruction
@@ -516,13 +506,7 @@ class SequentialBackend(ExecutionBackend):
 
     name = "sequential"
 
-    def __init__(
-        self,
-        max_resident_points: int | None = None,
-        trace_compile: bool = True,
-    ):
-        _check_window(max_resident_points)
-        self.max_resident_points = max_resident_points
+    def __init__(self, trace_compile: bool = True):
         self.trace_compile = trace_compile
 
     # fleet workers pin (cache dict, key prefix) here so executors —
@@ -554,12 +538,11 @@ class SequentialBackend(ExecutionBackend):
         )
 
     def iter_outcomes(self, faulter, model, space, ctx, stats):
-        window_size = self.max_resident_points or DEFAULT_MAX_RESIDENT
         executor = None
         window: list[FaultPoint] = []
         for point in space.enumerate(ctx):
             window.append(point)
-            if len(window) >= window_size:
+            if len(window) >= MAX_RESIDENT_POINTS:
                 if executor is None:
                     executor = self._executor(faulter, space, ctx)
                 yield from self._drain(executor, window, stats)
@@ -703,7 +686,6 @@ def _worker(job):
         continuation_cap,
         partition,
         master_max_steps,
-        max_resident_points,
         trace_compile,
         cache_root,
     ) = job
@@ -720,10 +702,7 @@ def _worker(job):
         artifacts=store,
         image_key=image_key,
     )
-    backend = SequentialBackend(
-        max_resident_points=max_resident_points,
-        trace_compile=trace_compile,
-    )
+    backend = SequentialBackend(trace_compile=trace_compile)
     # reuse this context's executor across partitions and campaigns —
     # the machine, walk position and compiled blocks stay warm in
     # the persistent worker.  The key pins every knob the executor
@@ -731,7 +710,6 @@ def _worker(job):
     # the same target from ever sharing one (a mismatch only costs a
     # rebuild).
     backend._reuse_executors = (executors, (
-        max_resident_points,
         trace_compile,
         continuation_cap,
         pickle.dumps(oracle),
@@ -909,7 +887,7 @@ class MultiprocessBackend(ExecutionBackend):
     Partitions are contiguous enumeration-order windows shipped as
     declarative sub-specs (O(1) bytes per job), sized so that the
     shards in flight or parked for reordering together stay within
-    ``max_resident_points``.  They go onto the fleet's shared pull
+    ``MAX_RESIDENT_POINTS``.  They go onto the fleet's shared pull
     queue — idle workers steal the next one as they finish, with at
     most ``2 x workers`` jobs outstanding, and the parent reorders
     returning shards back to partition order — so aggregate residency
@@ -926,20 +904,16 @@ class MultiprocessBackend(ExecutionBackend):
     def __init__(
         self,
         workers: Optional[int] = None,
-        max_resident_points: int | None = None,
         trace_compile: bool = True,
     ):
         self.workers = workers
-        _check_window(max_resident_points)
-        self.max_resident_points = max_resident_points
         self.trace_compile = trace_compile
 
     def _partition_count(self, total: int, workers: int) -> int:
         """Enough partitions for the fleet, capped by the window: up
         to 2 x workers shards are in flight or parked at once, so each
         gets that share of the window."""
-        window = self.max_resident_points or DEFAULT_MAX_RESIDENT
-        window = max(1, window // (workers * 2))
+        window = max(1, MAX_RESIDENT_POINTS // (workers * 2))
         return max(workers, math.ceil(total / window))
 
     def iter_outcomes(self, faulter, model, space, ctx, stats):
@@ -951,10 +925,7 @@ class MultiprocessBackend(ExecutionBackend):
             ctx, self._partition_count(total, workers)
         )
         if len(partitions) <= 1:
-            fallback = SequentialBackend(
-                max_resident_points=self.max_resident_points,
-                trace_compile=self.trace_compile,
-            )
+            fallback = SequentialBackend(trace_compile=self.trace_compile)
             yield from fallback.iter_outcomes(
                 faulter, model, space, ctx, stats
             )
@@ -975,7 +946,6 @@ class MultiprocessBackend(ExecutionBackend):
                 faulter.continuation_cap,
                 partition,
                 faulter.max_steps,
-                self.max_resident_points,
                 self.trace_compile,
                 cache_root,
             )
@@ -1042,10 +1012,8 @@ class EngineConfig:
     k_faults: int = 1
     samples: int = 200
     seed: int = 0
-    max_resident_points: Optional[int] = None
     trace_compile: Optional[bool] = None
     reduce: Optional[bool] = None
-    chunk_units: Optional[bool] = None
     artifact_cache: Optional[bool] = None
     cache_dir: Optional[str] = None
 
@@ -1068,14 +1036,8 @@ class EngineConfig:
         if self.samples < 1:
             raise ValueError(
                 f"samples must be >= 1, got {self.samples}")
-        _check_window(self.max_resident_points)
         _check_optional_bool("trace_compile", self.trace_compile)
         _check_optional_bool("reduce", self.reduce)
-        _check_optional_bool("chunk_units", self.chunk_units)
-        if self.chunk_units and self.k_faults > 1:
-            raise ValueError(
-                "chunk_units= applies to single-fault campaigns only "
-                f"(got k_faults={self.k_faults})")
         _check_optional_bool("artifact_cache", self.artifact_cache)
         if self.cache_dir is not None and not isinstance(
                 self.cache_dir, (str, os.PathLike)):
@@ -1087,14 +1049,12 @@ class EngineConfig:
 
     def resolve(self) -> ExecutionBackend:
         """Concrete backend for this configuration."""
-        knobs = {
-            "max_resident_points": self.max_resident_points,
-            "trace_compile": self.trace_compile is not False,
-        }
+        trace_compile = self.trace_compile is not False
         if self.backend == "multiprocess" or (
                 self.backend is None and self.workers is not None):
-            return MultiprocessBackend(workers=self.workers, **knobs)
-        return SequentialBackend(**knobs)
+            return MultiprocessBackend(workers=self.workers,
+                                       trace_compile=trace_compile)
+        return SequentialBackend(trace_compile=trace_compile)
 
     def artifact_store(self) -> Optional[ArtifactStore]:
         """The configured :class:`ArtifactStore`, or ``None`` (off).
@@ -1110,36 +1070,23 @@ class EngineConfig:
         return ArtifactStore(self.cache_dir)
 
     def to_dict(self) -> dict:
-        return {
-            "backend": self.backend,
-            "workers": self.workers,
-            "k_faults": self.k_faults,
-            "samples": self.samples,
-            "seed": self.seed,
-            "max_resident_points": self.max_resident_points,
-            "trace_compile": self.trace_compile,
-            "reduce": self.reduce,
-            "chunk_units": self.chunk_units,
-            "artifact_cache": self.artifact_cache,
-            "cache_dir": (str(self.cache_dir)
-                          if self.cache_dir is not None else None),
-        }
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        if self.cache_dir is not None:
+            payload["cache_dir"] = str(self.cache_dir)
+        return payload
 
     @classmethod
     def from_dict(cls, payload: dict) -> "EngineConfig":
-        return cls(
-            backend=payload.get("backend"),
-            workers=payload.get("workers"),
-            k_faults=payload.get("k_faults", 1),
-            samples=payload.get("samples", 200),
-            seed=payload.get("seed", 0),
-            max_resident_points=payload.get("max_resident_points"),
-            trace_compile=payload.get("trace_compile"),
-            reduce=payload.get("reduce"),
-            chunk_units=payload.get("chunk_units"),
-            artifact_cache=payload.get("artifact_cache"),
-            cache_dir=payload.get("cache_dir"),
-        )
+        """Inverse of :meth:`to_dict`: missing keys take their
+        defaults; an unknown key (a typo, or a knob this version no
+        longer has) is an error, never silently ignored."""
+        known = {f.name for f in fields(cls)}
+        unknown = sorted(set(payload) - known)
+        if unknown:
+            raise ValueError(
+                f"unknown EngineConfig key(s) {unknown}; known: "
+                f"{sorted(known)}")
+        return cls(**payload)
 
 
 class CampaignEngine:
@@ -1246,103 +1193,6 @@ class CampaignEngine:
             backend, space.describe(), stats, reduction_meta,
             _artifacts_meta(store, before, stats)))
 
-    def run_chunked(
-        self,
-        model: FaultModel | str,
-        plan,
-        backend: Optional[ExecutionBackend] = None,
-        collect_outcomes: bool = False,
-        target: Optional[str] = None,
-    ) -> CampaignReport:
-        """Exhaustive campaign chunked per rewrite unit.
-
-        The bad-input trace is partitioned by which
-        :class:`~repro.disasm.units.RewriteUnit` owns each executed
-        address (trampoline/injected code falls into a residual
-        ``<outside>`` chunk, so coverage stays total), and each chunk
-        runs as its own :class:`WindowedSpace` sub-campaign — a large
-        ``.text`` streams through the backend's
-        ``max_resident_points`` bound one function at a time.  Each
-        outcome's point is re-keyed to its global exhaustive order, so
-        the merged report is bit-identical to an unchunked
-        :class:`ExhaustiveSpace` run; ``meta["units"]`` carries
-        per-function rollups.  Equivalence reduction is skipped (the
-        reduced and unreduced reports are proven identical, so nothing
-        is lost beyond the pruning speedup).
-        """
-        if isinstance(model, str):
-            model = model_by_name(model)
-        store = getattr(self.faulter, "artifacts", None)
-        before = store.stats.snapshot() if store is not None else None
-        ctx = self.context(model)
-        if backend is None:
-            backend = SequentialBackend()
-
-        chunks: dict[str, list[int]] = {}
-        unit_info: dict[str, dict] = {}
-        for step, address in enumerate(ctx.trace):
-            unit = plan.unit_at(address)
-            name = unit.name if unit is not None else "<outside>"
-            chunks.setdefault(name, []).append(step)
-            if unit is not None and name not in unit_info:
-                unit_info[name] = {
-                    "start": unit.start,
-                    "end": unit.end,
-                    "opaque": unit.opaque,
-                    "origin": unit.origin,
-                }
-
-        stats = ExecutionStats()
-        rollups: dict[str, dict] = {}
-        rows: list[tuple[int, FaultPoint, str]] = []
-        cumulative = ctx._cumulative_counts()
-        for name in sorted(chunks, key=lambda n: chunks[n][0]):
-            steps = chunks[name]
-            chunk_stats = ExecutionStats()
-            outcomes: dict[str, int] = {}
-            variant_seen: dict[int, int] = {}
-            space = WindowedSpace(indices=tuple(steps))
-            for point, outcome in backend.iter_outcomes(
-                self.faulter, model, space, ctx, chunk_stats
-            ):
-                first = point.first_step
-                index = variant_seen.get(first, 0)
-                variant_seen[first] = index + 1
-                prior = cumulative[first - 1] if first else 0
-                order = prior + index
-                rows.append((
-                    order,
-                    FaultPoint(order, point.steps, point.details),
-                    outcome,
-                ))
-                outcomes[outcome] = outcomes.get(outcome, 0) + 1
-            stats.merge(chunk_stats)
-            rollups[name] = {
-                **unit_info.get(name, {}),
-                "trace_steps": len(steps),
-                "points": sum(outcomes.values()),
-                "outcomes": outcomes,
-            }
-
-        rows.sort(key=lambda row: row[0])
-        builder = CampaignReportBuilder(
-            target=target if target is not None else self.faulter.name,
-            model=model.name,
-            trace_length=len(ctx.trace),
-            fault_for=lambda point: self._fault_for(point, ctx, model),
-            collect_outcomes=collect_outcomes,
-        )
-        for _, point, outcome in rows:
-            builder.add(point, outcome)
-        _persist_facts(ctx, *_executor_store(self.faulter),
-                       self.faulter.bad_input)
-        meta = _report_meta(
-            backend, f"unit-chunked[{len(chunks)}]", stats,
-            {"enabled": False, "reason": "chunked"},
-            _artifacts_meta(store, before, stats))
-        meta["units"] = rollups
-        return builder.finish(meta=meta)
-
     @staticmethod
     def _fault_for(
         point: FaultPoint, ctx: SpaceContext, model: FaultModel
@@ -1400,7 +1250,6 @@ def _report_meta(backend, space: str, stats: ExecutionStats,
     return {
         "backend": backend.name,
         "space": space,
-        "max_resident_points": backend.max_resident_points,
         "peak_resident_points": stats.peak_resident_points,
         "emulated_steps": stats.emulated_steps,
         "trace_compile": backend.trace_compile,

@@ -23,7 +23,6 @@ Enumerators:
 * :class:`ProductSpace` — the *exhaustive* k-fault product over a
   bounded offset window (what equivalence reduction is measured
   against),
-* :class:`ExplicitSpace` — a literal point list (legacy escape hatch),
 * :class:`SpacePartition` — a contiguous enumeration-order window of
   any base space, re-enumerated locally (what a partition ships to a
   worker process: a (space spec, window) pair, never a point dump).
@@ -400,32 +399,6 @@ class ProductSpace(FaultSpace):
 
     def describe(self) -> str:
         return f"product[k={self.k}, w={len(self.indices)}]"
-
-
-@dataclass(frozen=True)
-class ExplicitSpace(FaultSpace):
-    """A literal list of fault points (legacy escape hatch).
-
-    Worker partitions no longer use this — they ship a
-    :class:`SpacePartition` instead — but explicit lists remain useful
-    for replaying a known point set (e.g. re-checking a prior report's
-    successes).  Enumeration yields the points sorted by their
-    ``order`` field: reports were always assembled in that order, and
-    ascending enumeration is what lets the streaming fold accept a
-    hand-built list regardless of how it was arranged.
-    """
-
-    points: tuple[FaultPoint, ...]
-    cap_policy: str = SUFFIX_CAP
-
-    def enumerate(self, ctx: SpaceContext) -> Iterator[FaultPoint]:
-        yield from sorted(self.points, key=lambda point: point.order)
-
-    def count(self, ctx: SpaceContext) -> int:
-        return len(self.points)
-
-    def describe(self) -> str:
-        return f"explicit[{len(self.points)}]"
 
 
 @dataclass(frozen=True)

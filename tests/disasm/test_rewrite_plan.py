@@ -3,7 +3,7 @@ fixtures.
 
 The plan is the shared currency of the per-function pipeline, so the
 invariants below are what every consumer (patcher, detour, hybrid,
-chunked campaigns) leans on: total text coverage, disjoint extents,
+per-unit provenance) leans on: total text coverage, disjoint extents,
 interleaving-safe lookup, and graceful degradation on stripped input.
 """
 

@@ -323,29 +323,6 @@ class TestEndToEndRobustness:
         delta = warm_store.stats.delta(before)
         assert delta["hits"] > 0 and delta["misses"] == 0
 
-    def test_chunked_campaign_reports_artifact_counters(self, tmp_path):
-        """``run_chunked`` merges artifact counters into its meta (a
-        regression guard: an inner loop variable used to shadow the
-        stats snapshot)."""
-        import pathlib
-
-        from repro.binfmt.reader import read_elf
-
-        fixture = pathlib.Path(__file__).resolve().parents[2] / \
-            "tests" / "fixtures" / "bootloader_pie.elf"
-        exe = read_elf(fixture.read_bytes())
-        good = bytes.fromhex("0d141b222930373e")
-        bad = bytes.fromhex("0d141b223930373f")
-        plain = Faulter(exe, good, bad, b"BOOT OK",
-                        name="pie").run_chunked_campaign("skip")
-        cached = Faulter(exe, good, bad, b"BOOT OK", name="pie",
-                         artifacts=ArtifactStore(tmp_path)) \
-            .run_chunked_campaign("skip")
-        assert cached == plain
-        meta = cached.meta["artifacts"]
-        assert meta["enabled"] is True
-        assert meta["misses"] > 0 and meta["saves"] > 0
-
     def test_evaluate_with_cache_matches_without(self, wl, exe,
                                                  tmp_path):
         from repro.api import Target

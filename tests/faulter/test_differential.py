@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.api import EngineConfig, Target
+from repro.api import Target
+from repro.faulter import engine
 from repro.faulter.report import (
     CampaignReport,
     DiffPoint,
@@ -285,11 +286,10 @@ class TestEvaluateCountermeasures:
             + census[UNMAPPED] == baseline
         assert evaluation.provenance.path == "detour"
 
-    def test_streaming_knobs_reach_both_campaigns(self):
+    def test_streaming_knobs_reach_both_campaigns(self, monkeypatch):
+        monkeypatch.setattr(engine, "MAX_RESIDENT_POINTS", 7)
         wl = pincheck.workload()
-        evaluation = wl.target().evaluate(
-            models=("skip",),
-            config=EngineConfig(max_resident_points=7))
+        evaluation = wl.target().evaluate(models=("skip",))
         for report in (evaluation.baseline_reports["skip"],
                        evaluation.hardened_reports["skip"]):
             assert report.meta["peak_resident_points"] <= 7

@@ -165,14 +165,10 @@ class TestBackendEquivalence:
             EngineConfig(backend="sequential", workers=4)
         with pytest.raises(ValueError, match="workers"):
             EngineConfig(workers=0)
-        with pytest.raises(ValueError, match="max_resident_points"):
-            EngineConfig(max_resident_points=0)
 
     def test_meta_records_backend(self, faulter):
-        report = faulter.run_campaign(
-            "skip", backend=SequentialBackend(max_resident_points=16))
+        report = faulter.run_campaign("skip", backend=SequentialBackend())
         assert report.meta["backend"] == "sequential"
-        assert report.meta["max_resident_points"] == 16
         assert report.meta["emulated_steps"] > 0
 
 
@@ -214,8 +210,7 @@ class TestReportRoundTrip:
         assert rebuilt.successes == report.successes
 
     def test_meta_survives_roundtrip(self, faulter):
-        report = faulter.run_campaign(
-            "skip", backend=SequentialBackend(max_resident_points=4))
+        report = faulter.run_campaign("skip")
         rebuilt = CampaignReport.from_dict(report.to_dict())
         assert rebuilt.meta == report.meta
 
@@ -256,12 +251,3 @@ class TestTraceCaching:
                           wl.grant_marker, name=wl.name)
         first = faulter.trace()
         assert faulter.trace() is first
-
-    def test_prevalidated_baselines_skip_oracle_runs(self, wl):
-        probe = Faulter(wl.build(), wl.good_input, wl.bad_input,
-                        wl.grant_marker, name=wl.name)
-        clone = Faulter(wl.build(), wl.good_input, wl.bad_input,
-                        wl.grant_marker, name=wl.name,
-                        baselines=(probe.good_baseline,
-                                   probe.bad_baseline))
-        assert clone.run_campaign("skip") == probe.run_campaign("skip")

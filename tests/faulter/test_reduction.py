@@ -16,7 +16,8 @@ import pickle
 
 import pytest
 
-from repro.faulter import Faulter, MultiprocessBackend, SequentialBackend
+from repro.faulter import (
+    Faulter, MultiprocessBackend, SequentialBackend, engine)
 from repro.faulter.models import MODELS
 from repro.faulter.reduction import (
     ReducedSpace,
@@ -27,10 +28,10 @@ from repro.faulter.reduction import (
 from repro.faulter.report import CampaignReport
 from repro.faulter.space import (
     ExhaustiveSpace,
-    ExplicitSpace,
     KFaultProductSpace,
     ProductSpace,
     SampledSpace,
+    SpacePartition,
     WindowedSpace,
 )
 from repro.workloads import bootloader, pincheck
@@ -79,17 +80,20 @@ class TestBitIdentity:
     def reg_bitflip_reference(self, faulter):
         return reference_report(faulter, "reg-bitflip")
 
-    @pytest.mark.parametrize("backend_factory", [
-        lambda: SequentialBackend(),
+    @pytest.mark.parametrize("backend_factory, window", [
+        (SequentialBackend, None),
         # one reorder window holding the whole population
-        lambda: SequentialBackend(max_resident_points=10**9),
+        (SequentialBackend, 10**9),
         # many small windows, so the walk restarts between them
-        lambda: SequentialBackend(max_resident_points=5),
-        lambda: MultiprocessBackend(workers=3),
+        (SequentialBackend, 5),
+        (lambda: MultiprocessBackend(workers=3), None),
     ], ids=["master-walk", "materialized", "windowed",
             "multiprocess"])
     def test_backends_and_streaming(self, faulter, backend_factory,
-                                    reg_bitflip_reference):
+                                    window, reg_bitflip_reference,
+                                    monkeypatch):
+        if window is not None:
+            monkeypatch.setattr(engine, "MAX_RESIDENT_POINTS", window)
         full = faulter.engine().run(
             "reg-bitflip", ExhaustiveSpace(),
             backend=backend_factory(), reduce=False)
@@ -264,9 +268,9 @@ class TestCertificate:
 
     def test_unsupported_space_reason(self, faulter):
         ctx = faulter.engine().context("skip")
-        points = tuple(ExhaustiveSpace().enumerate(ctx))
-        report = faulter.engine().run(
-            "skip", ExplicitSpace(points=points))
+        whole = SpacePartition(
+            ExhaustiveSpace(), 0, ExhaustiveSpace().count(ctx))
+        report = faulter.engine().run("skip", whole)
         meta = report.meta["reduction"]
         assert meta["enabled"] is False
         assert meta["reason"].startswith("unsupported-space")
@@ -277,7 +281,8 @@ class TestCertificate:
             faulter, MODELS["skip"], ctx, ExhaustiveSpace())
         assert plan is not None and reason is None
         plan, reason = plan_reduction(
-            faulter, MODELS["skip"], ctx, ExplicitSpace(points=()))
+            faulter, MODELS["skip"], ctx,
+            SpacePartition(ExhaustiveSpace(), 0, 0))
         assert plan is None
         assert reason.startswith("unsupported-space")
 

@@ -25,6 +25,7 @@ from repro.faulter import (
     MultiprocessBackend,
     STATE_MODELS,
     SequentialBackend,
+    engine,
     model_by_name,
 )
 from repro.faulter.space import ExhaustiveSpace, SampledSpace
@@ -235,28 +236,29 @@ class TestStateModelBitIdentity:
     workloads."""
 
     @pytest.mark.parametrize("model", STATE_MODELS)
-    def test_pincheck_matrix(self, faulter, model):
-        self._matrix(faulter, model)
+    def test_pincheck_matrix(self, faulter, model, monkeypatch):
+        self._matrix(faulter, model, monkeypatch)
 
     @pytest.mark.parametrize("model", STATE_MODELS)
-    def test_bootloader_matrix(self, boot_faulter, model):
-        self._matrix(boot_faulter, model)
+    def test_bootloader_matrix(self, boot_faulter, model, monkeypatch):
+        self._matrix(boot_faulter, model, monkeypatch)
 
     @staticmethod
-    def _matrix(faulter, model):
+    def _matrix(faulter, model, monkeypatch):
         space = SPACE_FOR[model]()
         baseline = reference_report(faulter, model, space)
         assert baseline.total_faults > 0
-        engine = faulter.engine()
-        streamed = engine.run(
-            model, space,
-            backend=SequentialBackend(max_resident_points=16))
+        campaigns = faulter.engine()
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "MAX_RESIDENT_POINTS", 16)
+            streamed = campaigns.run(
+                model, space, backend=SequentialBackend())
         assert streamed == baseline
         assert streamed.meta["peak_resident_points"] <= 16
-        parallel = engine.run(
+        parallel = campaigns.run(
             model, space, backend=MultiprocessBackend(workers=3))
         assert parallel == baseline
-        assert engine.run(model, space) == baseline
+        assert campaigns.run(model, space) == baseline
 
     def test_exhaustive_run_campaign_equals_engine(self, faulter):
         """The campaign driver's exhaustive path rides the same

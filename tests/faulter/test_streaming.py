@@ -7,6 +7,11 @@ single report row relative to the paper's literal protocol
 (:mod:`tests.reference`, one fresh machine per point) — for every
 space kind, across partition counts, on both backends — while peak
 resident fault points stay bounded by the window size.
+
+The window is the module constant ``engine.MAX_RESIDENT_POINTS``;
+tests shrink it with ``monkeypatch`` to force many windows.  Fleet
+workers fork with the parent's value, so a test that shrinks it for
+the multiprocess backend tears the fleet down first.
 """
 
 import math
@@ -15,7 +20,8 @@ import pickle
 import pytest
 
 from repro.faulter import (
-    EngineConfig, Faulter, MultiprocessBackend, SequentialBackend)
+    EngineConfig, Faulter, MultiprocessBackend, SequentialBackend,
+    engine, shutdown_fleet)
 from repro.faulter.space import (
     ExhaustiveSpace,
     KFaultProductSpace,
@@ -58,13 +64,13 @@ class TestStreamedEqualsMaterialized:
 
     @pytest.mark.parametrize("parts", PARTITION_COUNTS)
     @pytest.mark.parametrize("kind", sorted(SPACES))
-    def test_sequential(self, faulter, kind, parts):
+    def test_sequential(self, faulter, kind, parts, monkeypatch):
         space = SPACES[kind]()
         baseline = reference_report(faulter, "skip", space)
         window = _window_for(faulter, "skip", space, parts)
+        monkeypatch.setattr(engine, "MAX_RESIDENT_POINTS", window)
         streamed = faulter.engine().run(
-            "skip", space,
-            backend=SequentialBackend(max_resident_points=window))
+            "skip", space, backend=SequentialBackend())
         assert streamed == baseline
         assert streamed.meta["peak_resident_points"] <= window
 
@@ -78,14 +84,14 @@ class TestStreamedEqualsMaterialized:
             backend=MultiprocessBackend(workers=parts))
         assert streamed == baseline
 
-    def test_bitflip_peak_resident_bounded(self, faulter):
+    def test_bitflip_peak_resident_bounded(self, faulter, monkeypatch):
         """The acceptance property on the big space: peak resident
-        fault points <= the configured window, report unchanged."""
+        fault points <= the window, report unchanged."""
         baseline = reference_report(faulter, "bitflip", ExhaustiveSpace())
         window = 16
+        monkeypatch.setattr(engine, "MAX_RESIDENT_POINTS", window)
         streamed = faulter.engine().run(
-            "bitflip", ExhaustiveSpace(),
-            backend=SequentialBackend(max_resident_points=window))
+            "bitflip", ExhaustiveSpace(), backend=SequentialBackend())
         assert streamed == baseline
         assert streamed.total_faults > window  # many windows exercised
         assert streamed.meta["peak_resident_points"] <= window
@@ -94,25 +100,27 @@ class TestStreamedEqualsMaterialized:
 class TestBundledWorkloads:
     """Bit-identity on both bundled workloads (acceptance criterion)."""
 
-    def test_pincheck_both_backends(self, faulter):
+    def test_pincheck_both_backends(self, faulter, monkeypatch):
         baseline = reference_report(faulter, "bitflip", ExhaustiveSpace())
-        sequential = faulter.engine().run(
-            "bitflip", ExhaustiveSpace(),
-            backend=SequentialBackend(max_resident_points=64))
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "MAX_RESIDENT_POINTS", 64)
+            sequential = faulter.engine().run(
+                "bitflip", ExhaustiveSpace(), backend=SequentialBackend())
         parallel = faulter.engine().run(
             "bitflip", ExhaustiveSpace(),
             backend=MultiprocessBackend(workers=3))
         assert sequential == baseline
         assert parallel == baseline
 
-    def test_bootloader_both_backends(self):
+    def test_bootloader_both_backends(self, monkeypatch):
         wl = bootloader.workload(size=8)
         faulter = Faulter(wl.build(), wl.good_input, wl.bad_input,
                           wl.grant_marker, name=wl.name)
         baseline = reference_report(faulter, "skip", ExhaustiveSpace())
-        sequential = faulter.engine().run(
-            "skip", ExhaustiveSpace(),
-            backend=SequentialBackend(max_resident_points=32))
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "MAX_RESIDENT_POINTS", 32)
+            sequential = faulter.engine().run(
+                "skip", ExhaustiveSpace(), backend=SequentialBackend())
         parallel = faulter.engine().run(
             "skip", ExhaustiveSpace(),
             backend=MultiprocessBackend(workers=3))
@@ -180,67 +188,48 @@ class TestPartitionProtocol:
 
 
 class TestStreamingEdgeCases:
-    def test_explicit_space_accepts_unordered_lists(self, faulter):
-        """A hand-built point list in arbitrary arrangement streams
-        identically to the reference (the builder consumes rows in
-        ascending enumeration order)."""
-        from repro.faulter.space import ExplicitSpace
-
-        ctx = faulter.engine().context("skip")
-        points = list(ExhaustiveSpace().enumerate(ctx))
-        shuffled = ExplicitSpace(points=tuple(reversed(points)))
-        baseline = reference_report(faulter, "skip", shuffled)
-        streamed = faulter.engine().run(
-            "skip", shuffled,
-            backend=SequentialBackend(max_resident_points=4))
-        assert streamed == baseline
-        assert streamed == reference_report(faulter, "skip",
-                                         ExplicitSpace(tuple(points)))
-
-    def test_multiprocess_partitions_capped_by_window(self, faulter):
+    def test_multiprocess_partitions_capped_by_window(self, faulter,
+                                                      monkeypatch):
         """Streaming multiprocess bounds every shard at the reorder
         window: more partitions than workers, identical report."""
         baseline = reference_report(faulter, "bitflip", ExhaustiveSpace())
         window = 40
-        streamed = faulter.engine().run(
-            "bitflip", ExhaustiveSpace(),
-            backend=MultiprocessBackend(workers=2,
-                                        max_resident_points=window))
+        monkeypatch.setattr(engine, "MAX_RESIDENT_POINTS", window)
+        shutdown_fleet()  # workers fork with the patched window
+        try:
+            streamed = faulter.engine().run(
+                "bitflip", ExhaustiveSpace(),
+                backend=MultiprocessBackend(workers=2))
+        finally:
+            shutdown_fleet()
         assert streamed == baseline
         assert streamed.total_faults > 2 * window  # several waves ran
         assert streamed.meta["peak_resident_points"] <= window
 
 
 class TestStreamingKnobs:
-    def test_window_requires_streaming(self):
-        """Streaming is always on; its window must hold a point."""
-        for factory in (SequentialBackend, MultiprocessBackend,
-                        EngineConfig):
-            with pytest.raises(ValueError, match="max_resident_points"):
-                factory(max_resident_points=0)
-
     def test_resolve_builds_streaming_backends(self):
-        backend = EngineConfig(max_resident_points=7).resolve()
-        assert isinstance(backend, SequentialBackend)
-        assert backend.max_resident_points == 7
-        backend = EngineConfig(backend="multiprocess", workers=2,
-                               max_resident_points=7).resolve()
+        assert isinstance(EngineConfig().resolve(), SequentialBackend)
+        backend = EngineConfig(backend="multiprocess",
+                               workers=2).resolve()
         assert isinstance(backend, MultiprocessBackend)
-        assert backend.max_resident_points == 7
+        assert backend.workers == 2
 
-    def test_cli_exposes_stream_knobs(self):
+    def test_cli_has_no_stream_knobs(self):
+        """The reorder window is fixed: no CLI flag sizes it, and the
+        per-function chunking flag is gone."""
         from repro.cli import build_parser
         parser = build_parser()
-        args = parser.parse_args(
-            ["fault", "t.elf", "--good", "00", "--bad", "01",
-             "--marker", "OK", "--max-resident-points", "128"])
-        assert args.max_resident_points == 128
-        with pytest.raises(SystemExit):
-            parser.parse_args(["fault", "t.elf", "--no-stream"])
+        for flags in (["--max-resident-points", "128"],
+                      ["--chunk-units"], ["--no-stream"]):
+            with pytest.raises(SystemExit):
+                parser.parse_args(
+                    ["fault", "t.elf", "--good", "00", "--bad", "01",
+                     "--marker", "OK", *flags])
 
-    def test_meta_records_streaming(self, faulter):
-        report = faulter.run_campaign(
-            "skip", backend=SequentialBackend(max_resident_points=4))
-        assert report.meta["max_resident_points"] == 4
+    def test_meta_records_streaming(self, faulter, monkeypatch):
+        monkeypatch.setattr(engine, "MAX_RESIDENT_POINTS", 4)
+        report = faulter.run_campaign("skip", backend=SequentialBackend())
         assert 0 < report.meta["peak_resident_points"] <= 4
+        assert "max_resident_points" not in report.meta
         assert "stream" not in report.meta

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.faulter import Faulter
+from repro.faulter import Faulter, engine
 from repro.faulter.engine import (
     MultiprocessBackend,
     _acquire_fleet,
@@ -45,12 +45,16 @@ class TestScheduling:
         assert report == sequential_report
 
     def test_small_partitions_exercise_the_queue(self, wl, exe,
-                                                 sequential_report):
+                                                 sequential_report,
+                                                 monkeypatch):
         # more partitions than workers: the steal queue actually queues
-        backend = MultiprocessBackend(workers=2,
-                                      max_resident_points=4)
-        report = make_faulter(wl, exe).run_campaign("skip",
-                                                    backend=backend)
+        monkeypatch.setattr(engine, "MAX_RESIDENT_POINTS", 4)
+        shutdown_fleet()  # workers fork with the patched window
+        try:
+            report = make_faulter(wl, exe).run_campaign(
+                "skip", backend=MultiprocessBackend(workers=2))
+        finally:
+            shutdown_fleet()
         assert report == sequential_report
 
     def test_k_fault_campaign_on_the_fleet(self, wl, exe):
@@ -66,7 +70,6 @@ class TestScheduling:
 
 class TestFleetLifecycle:
     def test_workers_persist_across_campaigns(self, wl, exe):
-        import repro.faulter.engine as engine
         backend = MultiprocessBackend(workers=2)
         make_faulter(wl, exe).run_campaign("skip", backend=backend)
         fleet = engine._FLEET
@@ -88,7 +91,6 @@ class TestFleetLifecycle:
         _acquire_fleet(2)
         shutdown_fleet()
         shutdown_fleet()
-        import repro.faulter.engine as engine
         assert engine._FLEET is None
 
     def test_worker_errors_are_relayed(self):

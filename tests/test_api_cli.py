@@ -173,3 +173,35 @@ class TestCompareCLI:
         assert output.exists()
         rebuilt = read_elf(output.read_bytes())
         assert run_executable(rebuilt, stdin=b"1234").exit_code == 0
+
+
+class TestCliErrors:
+    """Exit 1 means "vulnerable"; a broken target or refused input
+    must exit 2 with a one-line error, never a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["fault", "{elf}", "--good", "31", "--bad", "32",
+         "--marker", "X"],
+        ["compare", "{elf}", "--good", "31", "--bad", "32",
+         "--marker", "X"],
+        ["harden", "{elf}", "-o", "{out}", "--good", "31",
+         "--bad", "32", "--marker", "X"],
+        ["run", "{elf}"],
+    ], ids=lambda argv: argv[0])
+    def test_non_elf_target_exits_2(self, capsys, tmp_path, argv):
+        bad = tmp_path / "bad.elf"
+        bad.write_bytes(b"this is not an ELF file")
+        out = tmp_path / "out.elf"
+        code = main([arg.format(elf=bad, out=out) for arg in argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"r2r {argv[0]}: error: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
+    def test_refused_input_exits_2(self, capsys):
+        """A good input that never grants is an error, not a
+        vulnerable verdict."""
+        code = main(["fault", "pincheck", "--good", "36373839"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("r2r fault: error: ")

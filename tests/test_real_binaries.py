@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import EngineConfig, Target
+from repro.api import Target
 from repro.binfmt import read_elf, write_elf
 from repro.emu.machine import run_executable
 
@@ -75,12 +75,6 @@ class TestEvaluateOnFixtures:
         assert reread.dynamic_symbols
         assert reread.relocations
 
-    def test_chunked_campaign_on_fixture(self):
-        plain = target_for(PIE).campaign(("skip",))
-        chunked = target_for(PIE).campaign(
-            ("skip",), EngineConfig(chunk_units=True))
-        assert chunked["skip"] == plain["skip"]
-
 
 class TestCliSmoke:
     def _run(self, *argv):
@@ -97,10 +91,9 @@ class TestCliSmoke:
         assert proc.returncode == 0, proc.stderr
         assert "unmapped=0" in proc.stdout
 
-    def test_fault_stripped_fixture_chunked(self):
+    def test_fault_stripped_fixture(self):
         proc = self._run(
             "fault", str(STRIPPED), "--good", GOOD.hex(), "--bad",
-            BAD.hex(), "--marker", "BOOT OK", "--model", "skip",
-            "--chunk-units", "-v")
-        assert proc.returncode == 1  # vulnerable points exist
-        assert "unit " in proc.stdout
+            BAD.hex(), "--marker", "BOOT OK", "--model", "skip", "-v")
+        assert proc.returncode == 1, proc.stderr  # vulnerable points
+        assert "execution:" in proc.stdout

@@ -8,6 +8,7 @@ import pytest
 from repro.api import EngineConfig, Target
 from repro.cli import build_parser, main
 from repro.emu.machine import run_executable
+from repro.faulter import engine
 from repro.faulter.engine import CampaignEngine
 from repro.faulter.oracle import (
     AllOf, AnyOf, ExitCodeOracle, MarkerOracle, MemoryPredicateOracle,
@@ -67,7 +68,8 @@ class TestEngineConfig:
     def test_roundtrip_lossless_and_json_safe(self):
         config = EngineConfig(
             backend="multiprocess", workers=3,
-            k_faults=2, samples=50, seed=7, max_resident_points=128)
+            k_faults=2, samples=50, seed=7, trace_compile=False,
+            reduce=False, cache_dir="/tmp/r2r-cache")
         payload = json.loads(json.dumps(config.to_dict()))
         assert EngineConfig.from_dict(payload) == config
 
@@ -82,8 +84,22 @@ class TestEngineConfig:
             EngineConfig(backend="sequential", workers=4)
         with pytest.raises(ValueError, match="k_faults"):
             EngineConfig(k_faults=0)
-        with pytest.raises(ValueError, match="max_resident_points"):
-            EngineConfig(max_resident_points=0)
+
+    @pytest.mark.parametrize("key, value", [
+        ("max_resident_point", 8),    # a typo
+        ("max_resident_points", 8),   # knobs this version no longer has
+        ("chunk_units", True),
+        ("checkpoint_interval", 64),
+    ])
+    def test_from_dict_rejects_unknown_keys(self, key, value):
+        """A misspelt or retired knob must not silently run the
+        defaults."""
+        payload = {**EngineConfig().to_dict(), key: value}
+        with pytest.raises(ValueError, match=key):
+            EngineConfig.from_dict(payload)
+        with pytest.raises(ValueError, match=key):
+            pincheck.workload().target().campaign(
+                ("skip",), config={key: value})
 
     def test_backend_instance_not_serializable(self):
         from repro.faulter.engine import SequentialBackend
@@ -214,10 +230,10 @@ class TestOracles:
 
 
 class TestExitCodeCampaign:
-    def test_streaming_campaign_finds_vulnerabilities(self):
+    def test_streaming_campaign_finds_vulnerabilities(self, monkeypatch):
+        monkeypatch.setattr(engine, "MAX_RESIDENT_POINTS", 4)
         wl = corpus.exitgate_workload()
-        reports = wl.target().campaign(
-            ("skip",), EngineConfig(max_resident_points=4))
+        reports = wl.target().campaign(("skip",))
         report = reports["skip"]
         assert report.vulnerable
         assert 0 < report.meta["peak_resident_points"] <= 4
@@ -510,12 +526,11 @@ class TestCLIKnobs:
             args = parser.parse_args(
                 sub + ["--good", "00", "--bad", "01", "--marker", "M",
                        "--backend", "multiprocess", "--workers", "2",
-                       "--no-reduce",
-                       "--max-resident-points", "64"])
+                       "--no-reduce", "--no-trace-compile"])
             assert args.backend == "multiprocess"
             assert args.workers == 2
             assert args.reduce is False
-            assert args.max_resident_points == 64
+            assert args.trace_compile is False
 
     def test_harden_evaluate_forwards_engine_knobs(self, capsys,
                                                    tmp_path,
@@ -542,10 +557,10 @@ class TestCLIKnobs:
                      "--evaluate", "--good", "text:1234",
                      "--bad", "text:6789",
                      "--marker", "ACCESS GRANTED",
-                     "--max-resident-points", "64"])
+                     "--no-reduce"])
         assert code == 0
         config = seen["config"]
-        assert config.max_resident_points == 64
+        assert config.reduce is False
         assert output.exists()
         assert "differential evaluation" in capsys.readouterr().out
 
