@@ -11,6 +11,7 @@ from repro.asm import assemble
 from repro.disasm import disassemble, reassemble
 from repro.disasm.pprint import render_instruction
 from repro.emu import Machine, run_executable
+from repro.emu.effects import SkipEffect
 from repro.isa.insn import Mnemonic
 from repro.patcher import Patcher
 
@@ -71,10 +72,6 @@ def test_table1(benchmark, record):
     trace = machine.run(record_trace=True).trace
     mov_step = 0  # the protected mov is the first instruction
     machine2 = Machine(rebuilt)
-
-    def skip(insn, cpu):
-        return None
-
-    result = machine2.run(fault_step=mov_step, fault_intercept=skip)
+    result = machine2.run(fault_plan={mov_step: SkipEffect()})
     assert result.exit_code == 42  # faulthandler detected the fault
     assert b"FAULT DETECTED" in result.stderr

@@ -11,6 +11,7 @@ from repro.asm import assemble
 from repro.disasm import disassemble, reassemble
 from repro.disasm.pprint import render_instruction
 from repro.emu import Machine, run_executable
+from repro.emu.effects import SkipEffect
 from repro.isa.insn import Mnemonic
 from repro.patcher import Patcher
 
@@ -77,8 +78,7 @@ def test_table2(benchmark, record):
     detected = 0
     for step in cmp_steps[:2]:  # the two duplicated compares
         m2 = Machine(rebuilt)
-        result = m2.run(fault_step=step,
-                        fault_intercept=lambda insn, cpu: None)
+        result = m2.run(fault_plan={step: SkipEffect()})
         if result.exit_code == 42:
             detected += 1
         else:

@@ -11,8 +11,9 @@ from repro.asm import assemble
 from repro.disasm import disassemble, reassemble
 from repro.disasm.pprint import render_instruction
 from repro.emu import Machine, run_executable
+from repro.emu.effects import BranchInvertEffect
 from repro.isa.cond import Cond
-from repro.isa.insn import Instruction, Mnemonic
+from repro.isa.insn import Mnemonic
 from repro.patcher import Patcher
 
 SOURCE = """
@@ -77,15 +78,10 @@ def test_table3(benchmark, record):
     jcc_steps = [i for i, addr in enumerate(trace)
                  if machine.fetch_decode(addr).mnemonic is Mnemonic.JCC]
 
-    def invert(insn, cpu):
-        return Instruction(Mnemonic.JCC, insn.operands,
-                           cond=insn.cond.inverted,
-                           address=insn.address, length=insn.length)
-
     caught = 0
     for step in jcc_steps:
-        result = Machine(rebuilt).run(fault_step=step,
-                                      fault_intercept=invert)
+        result = Machine(rebuilt).run(
+            fault_plan={step: BranchInvertEffect()})
         if result.exit_code == 42:
             caught += 1
         else:

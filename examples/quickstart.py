@@ -9,6 +9,7 @@ resisting the same campaign.
 
 from repro.api import Target
 from repro.emu import Machine, run_executable
+from repro.emu.effects import SkipEffect
 from repro.workloads import pincheck
 
 
@@ -30,8 +31,7 @@ def main():
     # demonstrate one successful fault concretely
     fault = reports["skip"].successes[0]
     machine = Machine(exe, stdin=wl.bad_input)
-    result = machine.run(fault_step=fault.trace_index,
-                         fault_intercept=lambda insn, cpu: None)
+    result = machine.run(fault_plan={fault.trace_index: SkipEffect()})
     print(f"\nskipping '{fault.mnemonic}' at {fault.address:#x} "
           f"(step {fault.trace_index}) with the WRONG pin prints: "
           f"{result.stdout.decode().strip()!r}")

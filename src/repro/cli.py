@@ -13,10 +13,12 @@ Subcommands::
     r2r run     TARGET.elf [--stdin HEX]
     r2r disasm  TARGET.elf
 
-The engine knobs — ``--backend``, ``--workers``, ``--trace-compile``,
-``--reduce/--no-reduce``, ``--artifact-cache`` and ``--cache-dir`` —
-are declared once in a shared parent parser
-and map onto one :class:`~repro.api.EngineConfig`; ``--approach``
+The engine knobs — ``--backend``, ``--workers``, ``--artifact-cache``
+and ``--cache-dir`` — are declared once in a shared parent parser and
+map onto one :class:`~repro.api.EngineConfig`.  The execution tier
+and equivalence reduction are not knobs: every campaign runs compiled
+and reduced (``-v`` prints the step split and the reduction
+certificate).  ``--approach``
 choices derive from the
 :data:`repro.hardening.HARDENING_APPROACHES` registry and ``--model``
 choices from the fault-model registry, so registered third-party
@@ -122,19 +124,6 @@ def _engine_parent() -> argparse.ArgumentParser:
                             "(default: sequential)")
     group.add_argument("--workers", type=int, default=None,
                        help="process count for --backend multiprocess")
-    group.add_argument("--trace-compile", default=None,
-                       action=argparse.BooleanOptionalAction,
-                       help="run unfaulted instruction stretches "
-                            "through the trace-compiled tier "
-                            "(default: on; --no-trace-compile keeps "
-                            "every step on the precise interpreter)")
-    group.add_argument("--reduce", default=None,
-                       action=argparse.BooleanOptionalAction,
-                       help="prune provably-dead and equivalent fault "
-                            "points before execution, reporting the "
-                            "elided verdicts through the reduction "
-                            "certificate (default: on; --no-reduce "
-                            "forces the full enumeration)")
     group.add_argument("--artifact-cache", default=None,
                        action=argparse.BooleanOptionalAction,
                        help="cache derivations (trace, flag replay, "
@@ -157,8 +146,6 @@ def _engine_config(args) -> EngineConfig:
         k_faults=getattr(args, "k_faults", 1),
         samples=getattr(args, "samples", 200),
         seed=getattr(args, "seed", 0),
-        trace_compile=args.trace_compile,
-        reduce=args.reduce,
         artifact_cache=args.artifact_cache,
         cache_dir=args.cache_dir)
 
@@ -212,8 +199,7 @@ def _cmd_fault(args) -> int:
             meta = report.meta
             print(f"  execution: {meta['compiled_steps']} compiled + "
                   f"{meta['precise_steps']} precise steps "
-                  f"(trace_compile={meta['trace_compile']}, "
-                  f"{meta['compile_divergences']} divergences, "
+                  f"({meta['compile_divergences']} divergences, "
                   f"compile {meta['compile_seconds']}s)")
             _print_reduction(meta)
             artifacts = meta.get("artifacts")

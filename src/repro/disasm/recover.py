@@ -22,7 +22,7 @@ def disassemble(exe: Executable, mode: str = "refined") -> Module:
     text = exe.section(".text")
     instructions = _discover(exe, text)
     leaders = _find_leaders(exe, instructions, text)
-    module = Module(name="recovered")
+    module = Module(name="recovered", pie=exe.pie)
 
     text_blocks = _build_blocks(exe, text, instructions, leaders)
     module.sections.append(GSection(".text", text_blocks, "rx"))

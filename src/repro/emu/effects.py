@@ -1,24 +1,21 @@
 """Fault effects: what one injected fault does to the machine.
 
-Historically the machine's only injection primitive was a *fetch
-intercept*: a callable receiving the decoded instruction and returning
-a replacement (or ``None`` for "skip").  That contract can express
-encoding glitches but not the state perturbations real campaign tools
-evaluate — register corruption, flag upsets, data faults, forced
-branches.  The :class:`FaultEffect` protocol generalizes it:
+A fault plan (``Machine.run(fault_plan=...)``) maps dynamic steps to
+:class:`FaultEffect` objects, the machine's only injection primitive.
+It covers encoding glitches as well as the state perturbations real
+campaign tools evaluate — register corruption, flag upsets, data
+faults, forced branches:
 
 * :class:`FetchEffect` — substitute or drop the fetched instruction
-  (subsumes the legacy intercept; skip and encoding corruption live
-  here),
+  (skip and encoding corruption live here),
 * :class:`StateEffect` — mutate CPU registers, flags, memory or the
   PC *around* one dynamic step; the instruction then executes on the
   corrupted state (or not at all, for PC-stage effects).
 
-``Machine.run`` applies at most one effect per dynamic step, exactly
-where the old intercept ran, so trace semantics are unchanged: an
-effect is a pure function of the machine state at its step, which is
-what makes snapshot replay and cross-process re-execution
-bit-identical.
+``Machine.run`` applies at most one effect per dynamic step, right
+after the fetch: an effect is a pure function of the machine state at
+its step, which is what makes snapshot replay and cross-process
+re-execution bit-identical.
 
 Effects are constructed in-process by fault models
 (:meth:`repro.faulter.models.FaultModel.effect`) and never cross a
@@ -28,7 +25,7 @@ tuple)`` pair.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.emu.cpu import branch_target
 from repro.isa.decoder import decode
@@ -120,28 +117,11 @@ class EncodingStuckByteEffect(FetchEffect):
         return decode(bytes(raw), 0, insn.address)
 
 
-class CallableIntercept(FetchEffect):
-    """Adapter for the legacy ``(insn, cpu) -> Instruction|None``
-    intercept callables still accepted by ``Machine.run``."""
-
-    def __init__(self, intercept: Callable):
-        self.intercept = intercept
-
-    def apply(self, machine, insn):
-        replacement = self.intercept(insn, machine.cpu)
-        if replacement is None:
-            machine.cpu.rip = insn.address + insn.length
-            return None
-        return replacement
-
-
 def as_effect(value) -> FaultEffect:
-    """Coerce a plan entry into a :class:`FaultEffect`."""
+    """Check that a plan entry is a :class:`FaultEffect`."""
     if isinstance(value, FaultEffect):
         return value
-    if callable(value):
-        return CallableIntercept(value)
-    raise TypeError(f"not a fault effect or intercept: {value!r}")
+    raise TypeError(f"not a fault effect: {value!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,7 @@ This is the faulter's execution vehicle.  ``Machine.run`` supports:
   :class:`~repro.emu.effects.FaultEffect` is applied — a fetch-stage
   effect substitutes or drops the fetched instruction (bit flip in the
   encoding, instruction skip), a state-stage effect corrupts
-  registers/flags/memory/PC around the step (legacy
-  ``(insn, cpu) -> Instruction|None`` intercept callables are still
-  accepted and coerced),
+  registers/flags/memory/PC around the step,
 * CPU/IO snapshotting which, combined with the memory write journal,
   substitutes for the paper's per-fault ``fork()``.
 
@@ -23,7 +21,7 @@ overlapping cached decodes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.binfmt.image import Executable
 from repro.binfmt.reader import read_elf
@@ -74,13 +72,6 @@ class RunResult:
         out = self.stdout.decode("latin-1", "replace").strip()
         return (f"RunResult({self.reason}, code={self.exit_code}, "
                 f"steps={self.steps}, stdout={out!r})")
-
-
-# Legacy fault-intercept type: receives the decoded instruction at the
-# fault step, returns a replacement Instruction, or None to skip.  New
-# code passes :class:`~repro.emu.effects.FaultEffect` objects instead;
-# ``Machine.run`` coerces either form.
-FaultIntercept = Callable[[Instruction, CPU], Optional[Instruction]]
 
 
 class Machine:
@@ -172,22 +163,17 @@ class Machine:
     def run(self,
             max_steps: int = DEFAULT_MAX_STEPS,
             record_trace: bool = False,
-            fault_step: int = -1,
-            fault_intercept: Optional[FaultIntercept] = None,
             fault_plan: Optional[dict] = None,
             watches: tuple = ()) -> RunResult:
         """Run until exit/halt/crash or ``max_steps``.
 
         ``fault_plan`` maps dynamic instruction indices (0-based) to
-        the fault applied there — a
-        :class:`~repro.emu.effects.FaultEffect`, or a legacy
-        ``(insn, cpu) -> Instruction|None`` intercept callable (the
+        the :class:`~repro.emu.effects.FaultEffect` applied there (the
         paper notes the faulter is parametric in "the number of faults
-        injected per run").  ``fault_intercept``/``fault_step`` are the
-        single-fault convenience form of the same plan.  An effect that
-        returns a replacement instruction has it executed in place of
-        the fetched one; an effect that consumes the step (skip,
-        forced branch) advances the PC itself.
+        injected per run").  An effect that returns a replacement
+        instruction has it executed in place of the fetched one; an
+        effect that consumes the step (skip, forced branch) advances
+        the PC itself.
 
         ``watches`` is a tuple of ``(address, size)`` guest ranges to
         capture (permission-blind) into ``RunResult.memory`` when the
@@ -200,8 +186,6 @@ class Machine:
         reason, exit_code, detail = MAX_STEPS, None, ""
         plan = {step: as_effect(entry)
                 for step, entry in (fault_plan or {}).items()}
-        if fault_intercept is not None and fault_step >= 0:
-            plan[fault_step] = as_effect(fault_intercept)
         # Compiled fast path: disabled while tracing (every executed
         # address must be observed) — fault steps and the step budget
         # bound each burst below.

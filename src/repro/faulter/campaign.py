@@ -56,7 +56,7 @@ from repro.faulter.engine import (
     derive_trace,
 )
 from repro.faulter.models import FaultModel, model_by_name
-from repro.faulter.oracle import MarkerOracle, Oracle, coerce_oracle
+from repro.faulter.oracle import Oracle, coerce_oracle
 from repro.faulter.report import (
     CRASHED,
     IGNORED,
@@ -99,11 +99,6 @@ class Faulter:
         self.good_input = good_input
         self.bad_input = bad_input
         self.oracle = coerce_oracle(oracle)
-        # historical attribute, kept for callers that introspect the
-        # marker; None when the detector is not a marker check
-        self.grant_marker = (self.oracle.marker
-                             if isinstance(self.oracle, MarkerOracle)
-                             else None)
         self.watches = self.oracle.watches()
         self.name = name
         self.max_steps = max_steps
@@ -194,10 +189,10 @@ class Faulter:
         ``trace_window`` optionally restricts the dynamic offsets
         attacked (an iterable of trace indices) — the statistical-FI
         escape hatch for long traces.  ``backend`` is the execution
-        backend (default: master-walk :class:`SequentialBackend`), and
-        ``reduce`` toggles equivalence reduction (default on; the
-        report covers the full space either way, see
-        :mod:`repro.faulter.reduction`).
+        backend (default: master-walk :class:`SequentialBackend`).
+        ``reduce=False`` turns equivalence reduction off — the
+        unreduced reference run for checks; the report covers the full
+        space either way (see :mod:`repro.faulter.reduction`).
         """
         if trace_window is None:
             space = ExhaustiveSpace()
@@ -259,11 +254,10 @@ class CampaignRunner:
     The memo key holds everything that can change a report: the image
     digest, the good and bad inputs, the oracle, the model, the fault
     space (exhaustive, or k-fault with ``k``/``samples``/``seed``) and
-    ``max_steps``.  It leaves out the execution knobs — backend,
-    workers, ``trace_compile`` and ``reduce`` — because every setting
-    of them yields a bit-identical report (``tests/reference.py`` is
-    the proof); a knob that ever breaks that invariant must join the
-    key.
+    ``max_steps``.  It leaves out the execution knobs — backend and
+    workers — because every setting of them yields a bit-identical
+    report (``tests/reference.py`` is the proof); a knob that ever
+    breaks that invariant must join the key.
 
     A hit skips building the :class:`Faulter` and returns an
     independent copy named after the caller, whose ``meta`` is the
@@ -365,8 +359,5 @@ class CampaignRunner:
                 samples=config.samples,
                 seed=config.seed,
                 backend=backend,
-                reduce=config.reduce,
             )
-        return faulter.run_campaign(
-            model, backend=backend, reduce=config.reduce
-        )
+        return faulter.run_campaign(model, backend=backend)

@@ -18,11 +18,12 @@ than the population.  Every report equals the one the paper's literal
 protocol (a fresh machine per point) produces; ``tests/reference.py``
 is that protocol, and the bit-identity tests compare against it.
 
-Execution is one strategy, the *master walk*: one machine walks the
-master trace; each fault snapshots CPU/IO, journals memory, replays
-only the suffix and rolls back (the paper's ``fork()`` substitute).
-The walk persists across windows for offset-monotone spaces; a window
-behind the walk restarts it.
+Execution is one strategy, the *master walk*
+(:mod:`repro.faulter.executor`): one machine walks the master trace;
+each fault snapshots CPU/IO, journals memory, replays only the suffix
+and rolls back (the paper's ``fork()`` substitute).  The walk persists
+across windows for offset-monotone spaces; a window behind the walk
+restarts it.  The reduction planner's probe runs use the same walk.
 
 ``MultiprocessBackend`` partitions the space declaratively and runs
 the master walk on a persistent *warm fleet* of worker processes;
@@ -45,7 +46,7 @@ import atexit
 import math
 import os
 import pickle
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from multiprocessing import get_context
 from queue import Empty
 from typing import Iterator, Optional, Sequence
@@ -53,12 +54,17 @@ from typing import Iterator, Optional, Sequence
 from repro.analysis.traceflow import TraceFacts, VariantPrune
 from repro.binfmt.reader import read_elf
 from repro.binfmt.writer import write_elf
-from repro.emu.cpu import ExitProgram, Halt
-from repro.emu.jit import TraceCompiler
 from repro.emu.machine import Machine
 from repro.errors import DecodingError, EmulationError
 from repro.faulter import artifacts as artifacts_mod
 from repro.faulter.artifacts import ArtifactStats, ArtifactStore
+from repro.faulter.executor import (
+    ExecutionStats,
+    MasterWalkExecutor,
+    PointOutcome,
+    executor_store,
+    master_step,
+)
 from repro.faulter.models import FaultModel, model_by_name
 from repro.faulter.reduction import plan_reduction
 from repro.faulter.report import (
@@ -67,84 +73,16 @@ from repro.faulter.report import (
     Fault,
 )
 from repro.faulter.space import (
-    SUFFIX_CAP,
     FaultPoint,
     FaultSpace,
     SpaceContext,
 )
 from repro.isa.metadata import effects as isa_effects
 
-# An executed point: (point, outcome class).
-PointOutcome = tuple[FaultPoint, str]
-
 # Reorder-window size for streaming execution: the bound on fault
 # points resident at once (pending execution or reordering).  Backends
 # read it at call time, so a test may patch it to force many windows.
 MAX_RESIDENT_POINTS = 4096
-
-
-@dataclass
-class ExecutionStats:
-    """Counters a backend fills while streaming outcomes.
-
-    ``compiled_steps`` counts the subset of ``emulated_steps`` executed
-    by the trace-compiled tier; ``divergences`` counts compiled blocks
-    that aborted back to the precise stepper (guest fault or
-    self-modifying code); ``compile_seconds`` is wall time spent
-    lifting/lowering superblocks.
-    """
-
-    emulated_steps: int = 0
-    peak_resident_points: int = 0
-    compiled_steps: int = 0
-    divergences: int = 0
-    compile_seconds: float = 0.0
-    artifact_counters: dict = field(default_factory=dict)
-
-    def observe_resident(self, count: int) -> None:
-        if count > self.peak_resident_points:
-            self.peak_resident_points = count
-
-    def merge_artifacts(self, counters: dict) -> None:
-        """Fold an artifact hit/miss delta into this stats."""
-        for key, value in counters.items():
-            self.artifact_counters[key] = (
-                self.artifact_counters.get(key, 0) + value)
-
-    def merge(self, other: "ExecutionStats") -> None:
-        """Fold a worker shard's counters into this one; resident
-        peaks combine as a maximum."""
-        self.emulated_steps += other.emulated_steps
-        self.observe_resident(other.peak_resident_points)
-        self.compiled_steps += other.compiled_steps
-        self.divergences += other.divergences
-        self.compile_seconds += other.compile_seconds
-        self.merge_artifacts(other.artifact_counters)
-
-
-def _fault_plan(
-    model: FaultModel, point: FaultPoint, base_step: int
-) -> dict:
-    """Effect plan keyed by steps relative to a resume point
-    ``base_step``."""
-    return {
-        step - base_step: model.effect(detail)
-        for step, detail in zip(point.steps, point.details)
-    }
-
-
-def _master_step(machine: Machine) -> bool:
-    """Advance the master machine one instruction; False when done."""
-    try:
-        instruction = machine.fetch_decode(machine.cpu.rip)
-        machine.cpu.execute(instruction)
-    except (ExitProgram, Halt, EmulationError, DecodingError):
-        return False
-    return True
-
-
-def _execution_order(points: Sequence[FaultPoint]) -> list[FaultPoint]:
-    return sorted(points, key=lambda p: (p.first_step, p.order))
 
 
 def _valid_trace(payload) -> bool:
@@ -167,11 +105,6 @@ def _valid_facts_payload(payload) -> bool:
                     for key, verdict in payload["prune"].items())
             and all(isinstance(key, tuple)
                     for key in payload["class"]))
-
-
-def _valid_jit_payload(payload) -> bool:
-    return isinstance(payload, dict) and isinstance(
-        payload.get("blocks"), list)
 
 
 def derive_trace(
@@ -258,7 +191,7 @@ def build_space_context(
             states.append(
                 {"zf": flags.zf, "cf": flags.cf, "sf": flags.sf}
             )
-            if not _master_step(machine):
+            if not master_step(machine):
                 break
         return states
 
@@ -323,160 +256,25 @@ def _persist_facts(ctx, artifacts, image_key, bad_input) -> None:
         facts.loaded_proofs = proofs
 
 
-def _executor_store(faulter):
-    """(store, image key) a campaign reads and writes artifacts
-    through, or (None, None).
-
-    Both come from the faulter-like target: real
-    :class:`~repro.faulter.campaign.Faulter` objects and the pool's
-    :class:`_WorkerTarget` expose ``artifacts``/``image_digest()``;
-    anything else opts out.
-    """
-    store = getattr(faulter, "artifacts", None)
-    if store is None or not hasattr(faulter, "image_digest"):
-        return None, None
-    return store, faulter.image_digest()
-
-
-def _warm_jit(compiler, machine, artifacts, image_key) -> None:
-    """Import serialized superblock sources from the store, if any."""
-    if compiler is None or artifacts is None or image_key is None:
-        return
-    payload = artifacts.load("jit", artifacts_mod.jit_key(image_key),
-                             validate=_valid_jit_payload)
-    if payload is not None:
-        compiler.import_blocks(machine, payload)
-
-
-def _persist_jit(compiler, artifacts, image_key) -> None:
-    """Export the compiler's block cache if it compiled anything new.
-
-    ``compiled_blocks`` resets on a successful save, so a long-lived
-    executor (fleet workers memoize them) re-exports only after fresh
-    compilation, not once per partition.
-    """
-    if compiler is None or artifacts is None or image_key is None:
-        return
-    if compiler.compiled_blocks:
-        if artifacts.save("jit", artifacts_mod.jit_key(image_key),
-                          compiler.export_blocks()):
-            compiler.compiled_blocks = 0
-
-
-class _MasterWalkExecutor:
-    """Snapshot-replay faults while walking the master trace forward.
-
-    State (one machine plus its dynamic step) persists across windows:
-    offset-monotone spaces keep walking forward; a window whose first
-    offset lies behind the walk restarts it from step 0 (the emulator
-    is deterministic, so results are unaffected).
-    """
-
-    def __init__(
-        self,
-        faulter,
-        model: FaultModel,
-        cap_policy: str,
-        trace_compile: bool = True,
-    ):
-        self._faulter = faulter
-        self._model = model
-        self._cap_policy = cap_policy
-        self._compiler = TraceCompiler() if trace_compile else None
-        self._machine: Optional[Machine] = None
-        self._step = 0
-        self._done = False
-        self._artifacts, self._image_key = _executor_store(faulter)
-        self._jit_warmed = False
-
-    def _reset(self) -> None:
-        self._machine = Machine(
-            self._faulter.image, stdin=self._faulter.bad_input
-        )
-        if self._compiler is not None:
-            self._compiler.attach(self._machine)
-            if not self._jit_warmed:
-                self._jit_warmed = True
-                _warm_jit(self._compiler, self._machine,
-                          self._artifacts, self._image_key)
-        self._step = 0
-        self._done = False
-
-    def finalize(self) -> None:
-        _persist_jit(self._compiler, self._artifacts, self._image_key)
-
-    def run_window(
-        self, points: Sequence[FaultPoint], stats: ExecutionStats
-    ) -> list[PointOutcome]:
-        ordered = _execution_order(points)
-        if self._machine is None or ordered[0].first_step < self._step:
-            self._reset()
-        machine = self._machine
-        classify = self._faulter.classify
-        cap = self._faulter.continuation_cap
-        watches = getattr(self._faulter, "watches", ())
-        results: list[PointOutcome] = []
-        index = 0
-        while index < len(ordered):
-            while (
-                index < len(ordered)
-                and ordered[index].first_step == self._step
-            ):
-                point = ordered[index]
-                index += 1
-                plan = _fault_plan(self._model, point, self._step)
-                if self._cap_policy == SUFFIX_CAP:
-                    budget = cap
-                else:
-                    budget = max(1, cap - self._step)
-                state = machine.snapshot()
-                machine.memory.journal_begin()
-                try:
-                    result = machine.run(
-                        max_steps=budget,
-                        fault_plan=plan,
-                        watches=watches,
-                    )
-                finally:
-                    machine.memory.journal_rollback()
-                    machine.restore(state)
-                stats.emulated_steps += result.steps
-                results.append((point, classify(result)))
-            if index >= len(ordered) or self._done:
-                break
-            target = ordered[index].first_step
-            if self._compiler is not None and target > self._step:
-                # bulk-advance the master walk through compiled
-                # superblocks up to the next fault offset
-                advanced = self._compiler.execute(
-                    machine, target - self._step
-                )
-                if advanced:
-                    stats.emulated_steps += advanced
-                    self._step += advanced
-                    continue
-            if not _master_step(machine):
-                # the master run ended; points past it (none, for
-                # spaces enumerated from the recorded trace) drop
-                self._done = True
-                break
-            stats.emulated_steps += 1
-            self._step += 1
-        if self._compiler is not None:
-            self._compiler.drain_into(stats)
-        return results
-
-
 class ExecutionBackend:
     """Protocol: turn enumerated fault points into outcomes.
 
-    The knob attributes are recorded in every report's ``meta``;
-    ``trace_compile`` also tells the reduction planner which tier its
-    probe runs should use.
+    ``trace_compile`` is the tier every master walk of the backend
+    runs on (recorded in each report's ``meta``); only the precise
+    reference ``SequentialBackend(trace_compile=False)`` turns it off.
     """
 
     name = "abstract"
     trace_compile: bool = True
+
+    def executor(
+        self, faulter, model: FaultModel, cap_policy: str
+    ) -> MasterWalkExecutor:
+        """A fresh master walk on this backend's tier — the campaign's
+        points run on one, and so do the reduction planner's probes."""
+        return MasterWalkExecutor(
+            faulter, model, cap_policy, trace_compile=self.trace_compile
+        )
 
     def iter_outcomes(
         self,
@@ -501,7 +299,8 @@ class SequentialBackend(ExecutionBackend):
     ``trace_compile=True`` (the default) runs unfaulted instruction
     stretches through the trace-compiled tier
     (:class:`~repro.emu.jit.TraceCompiler`); ``False`` keeps every
-    step on the precise interpreter.
+    step on the precise interpreter — the reference the bench's spot
+    check and the tier-agreement tests compare against.
     """
 
     name = "sequential"
@@ -517,25 +316,16 @@ class SequentialBackend(ExecutionBackend):
     def _executor(self, faulter, space: FaultSpace, ctx: SpaceContext):
         reuse = self._reuse_executors
         if reuse is None:
-            return self._build_executor(faulter, space, ctx)
+            return self.executor(faulter, ctx.model, space.cap_policy)
         cache, prefix = reuse
         key = prefix + (space.cap_policy,)
         executor = cache.get(key)
         if executor is None:
-            executor = self._build_executor(faulter, space, ctx)
+            executor = self.executor(faulter, ctx.model, space.cap_policy)
             if len(cache) >= _MAX_WORKER_EXECUTORS:
                 cache.clear()
             cache[key] = executor
         return executor
-
-    def _build_executor(self, faulter, space: FaultSpace,
-                        ctx: SpaceContext):
-        return _MasterWalkExecutor(
-            faulter,
-            ctx.model,
-            space.cap_policy,
-            trace_compile=self.trace_compile,
-        )
 
     def iter_outcomes(self, faulter, model, space, ctx, stats):
         executor = None
@@ -686,7 +476,6 @@ def _worker(job):
         continuation_cap,
         partition,
         master_max_steps,
-        trace_compile,
         cache_root,
     ) = job
     store = _worker_store(cache_root)
@@ -702,15 +491,14 @@ def _worker(job):
         artifacts=store,
         image_key=image_key,
     )
-    backend = SequentialBackend(trace_compile=trace_compile)
+    backend = SequentialBackend()
     # reuse this context's executor across partitions and campaigns —
     # the machine, walk position and compiled blocks stay warm in
-    # the persistent worker.  The key pins every knob the executor
-    # bakes in; the pickled oracle keeps two different detectors on
-    # the same target from ever sharing one (a mismatch only costs a
+    # the persistent worker.  The key pins what the executor bakes
+    # in; the pickled oracle keeps two different detectors on the
+    # same target from ever sharing one (a mismatch only costs a
     # rebuild).
     backend._reuse_executors = (executors, (
-        trace_compile,
         continuation_cap,
         pickle.dumps(oracle),
     ))
@@ -901,13 +689,8 @@ class MultiprocessBackend(ExecutionBackend):
 
     name = "multiprocess"
 
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        trace_compile: bool = True,
-    ):
+    def __init__(self, workers: Optional[int] = None):
         self.workers = workers
-        self.trace_compile = trace_compile
 
     def _partition_count(self, total: int, workers: int) -> int:
         """Enough partitions for the fleet, capped by the window: up
@@ -925,7 +708,7 @@ class MultiprocessBackend(ExecutionBackend):
             ctx, self._partition_count(total, workers)
         )
         if len(partitions) <= 1:
-            fallback = SequentialBackend(trace_compile=self.trace_compile)
+            fallback = SequentialBackend()
             yield from fallback.iter_outcomes(
                 faulter, model, space, ctx, stats
             )
@@ -946,7 +729,6 @@ class MultiprocessBackend(ExecutionBackend):
                 faulter.continuation_cap,
                 partition,
                 faulter.max_steps,
-                self.trace_compile,
                 cache_root,
             )
             for partition in partitions
@@ -987,12 +769,6 @@ BACKENDS = {
 }
 
 
-def _check_optional_bool(name: str, value) -> None:
-    if value is not None and not isinstance(value, bool):
-        raise ValueError(
-            f"{name} must be True, False or None, got {value!r}")
-
-
 @dataclass(frozen=True)
 class EngineConfig:
     """Declarative engine configuration: every campaign knob, once.
@@ -1005,6 +781,12 @@ class EngineConfig:
     ``"multiprocess"``) or is ``None`` (multiprocess when ``workers``
     is given, sequential otherwise).  ``to_dict``/``from_dict``
     roundtrip losslessly.
+
+    The execution tier and equivalence reduction are not knobs: every
+    campaign runs compiled and reduced, because the precise and the
+    unreduced paths give bit-identical reports.  Those references stay
+    reachable for checks as ``SequentialBackend(trace_compile=False)``
+    and ``CampaignEngine.run(..., reduce=False)``.
     """
 
     backend: Optional[str] = None
@@ -1012,8 +794,6 @@ class EngineConfig:
     k_faults: int = 1
     samples: int = 200
     seed: int = 0
-    trace_compile: Optional[bool] = None
-    reduce: Optional[bool] = None
     artifact_cache: Optional[bool] = None
     cache_dir: Optional[str] = None
 
@@ -1036,9 +816,11 @@ class EngineConfig:
         if self.samples < 1:
             raise ValueError(
                 f"samples must be >= 1, got {self.samples}")
-        _check_optional_bool("trace_compile", self.trace_compile)
-        _check_optional_bool("reduce", self.reduce)
-        _check_optional_bool("artifact_cache", self.artifact_cache)
+        if self.artifact_cache is not None and not isinstance(
+                self.artifact_cache, bool):
+            raise ValueError(
+                "artifact_cache must be True, False or None, got "
+                f"{self.artifact_cache!r}")
         if self.cache_dir is not None and not isinstance(
                 self.cache_dir, (str, os.PathLike)):
             raise ValueError(
@@ -1049,12 +831,10 @@ class EngineConfig:
 
     def resolve(self) -> ExecutionBackend:
         """Concrete backend for this configuration."""
-        trace_compile = self.trace_compile is not False
         if self.backend == "multiprocess" or (
                 self.backend is None and self.workers is not None):
-            return MultiprocessBackend(workers=self.workers,
-                                       trace_compile=trace_compile)
-        return SequentialBackend(trace_compile=trace_compile)
+            return MultiprocessBackend(workers=self.workers)
+        return SequentialBackend()
 
     def artifact_store(self) -> Optional[ArtifactStore]:
         """The configured :class:`ArtifactStore`, or ``None`` (off).
@@ -1103,7 +883,7 @@ class CampaignEngine:
         cached = self._contexts.get(model.name)
         if cached is not None:
             return cached
-        store, image_key = _executor_store(self.faulter)
+        store, image_key = executor_store(self.faulter)
         ctx = build_space_context(
             self.faulter.image,
             self.faulter.bad_input,
@@ -1152,11 +932,7 @@ class CampaignEngine:
             }
         else:
             plan, reason = plan_reduction(
-                self.faulter,
-                model,
-                ctx,
-                space,
-                trace_compile=backend.trace_compile,
+                self.faulter, model, ctx, space, backend
             )
             if plan is None:
                 reduction_meta = {"enabled": False, "reason": reason}
@@ -1187,7 +963,7 @@ class CampaignEngine:
                 pass
             plan.merge_stats(stats)
             reduction_meta = plan.certificate().to_dict()
-        _persist_facts(ctx, *_executor_store(self.faulter),
+        _persist_facts(ctx, *executor_store(self.faulter),
                        self.faulter.bad_input)
         return builder.finish(meta=_report_meta(
             backend, space.describe(), stats, reduction_meta,

@@ -9,8 +9,9 @@ execution, using the per-step def/use facts of
 :mod:`repro.analysis.traceflow`, and emits a
 :class:`ReductionCertificate` that maps every elided point back onto
 the verdict it shares — so the reduced campaign's report covers the
-**full** space, point for point, and the certificate is checkable by
-re-running with ``--no-reduce``.
+**full** space, point for point, and the certificate is checkable
+against the unreduced run, ``Faulter.run_campaign(model,
+reduce=False)``.
 
 Three reductions, mirroring the multi-fault methodology (Boespflug et
 al.) and ARMORY's fault-model reductions:
@@ -27,8 +28,9 @@ al.) and ARMORY's fault-model reductions:
 * **domination** (k-fault tuples) — a tuple whose leading faults are
   dead *and settled* before the first live fault diverges collapses
   onto that fault's single-fault outcome; the survivor outcomes come
-  from a shared probe pass.  A tuple of all-dead faults collapses onto
-  the baseline outcome outright.
+  from a shared probe pass, run as total-cap points on the campaign
+  backend's master walk (:mod:`repro.faulter.executor`).  A tuple of
+  all-dead faults collapses onto the baseline outcome outright.
 
 The reduced spaces are first-class
 :class:`~repro.faulter.space.FaultSpace` specs — picklable,
@@ -44,10 +46,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from repro.emu.cpu import ExitProgram, Halt
-from repro.emu.jit import TraceCompiler
-from repro.emu.machine import MAX_STEPS, Machine
-from repro.errors import DecodingError, EmulationError
+from repro.emu.machine import MAX_STEPS
+from repro.faulter.executor import ExecutionStats
 from repro.faulter.oracle import ExitCodeOracle, MarkerOracle
 from repro.faulter.report import CRASHED, _detail_to_json
 from repro.faulter.space import (
@@ -240,85 +240,32 @@ class ReducedTupleSpace(FaultSpace):
         return f"reduced({self.base.describe()})"
 
 
-class _ProbeStats:
-    """Step counters for the probe pass (merged into the campaign's
-    :class:`~repro.faulter.engine.ExecutionStats` by the engine)."""
+def _run_probes(faulter, model, components, backend):
+    """Execute each ``(step, detail)`` as a single total-cap fault on
+    a fresh master walk of ``backend``'s tier.
 
-    def __init__(self):
-        self.emulated_steps = 0
-        self.compiled_steps = 0
-        self.divergences = 0
-        self.compile_seconds = 0.0
-
-
-def _advance(machine: Machine) -> bool:
-    """One precise master step; ``False`` when the run ended."""
-    try:
-        instruction = machine.fetch_decode(machine.cpu.rip)
-        machine.cpu.execute(instruction)
-    except (ExitProgram, Halt, EmulationError, DecodingError):
-        return False
-    return True
-
-
-def _run_probes(faulter, model, components, trace_compile: bool):
-    """Execute each ``(step, detail)`` as a single fault.
-
-    A master machine walks the trace once (through the compiled tier
-    when enabled); each probe snapshots, journals, replays the faulted
-    continuation under the total-cap budget and rolls back — exactly
-    the master-walk executor's discipline.  Returns
-    ``{(step, detail): (outcome, resume point)}`` where the resume
-    point is the absolute trace step at which the probe run ended (one
-    past its last executed step, for terminated runs).
+    Returns ``({(step, detail): (outcome, resume point)}, stats)``
+    where the resume point is the absolute trace step at which the
+    probe run ended (one past its last executed step, for terminated
+    runs).
     """
     results: dict = {}
-    stats = _ProbeStats()
+    stats = ExecutionStats()
     if not components:
         return results, stats
-    machine = Machine(faulter.image, stdin=faulter.bad_input)
-    compiler = TraceCompiler() if trace_compile else None
-    if compiler is not None:
-        compiler.attach(machine)
-    classify = faulter.classify
-    cap = faulter.continuation_cap
-    watches = getattr(faulter, "watches", ())
-    current = 0
-    done = False
-    for step, detail in sorted(components, key=lambda c: c[0]):
-        while current < step and not done:
-            if compiler is not None:
-                advanced = compiler.execute(machine, step - current)
-                if advanced:
-                    stats.emulated_steps += advanced
-                    current += advanced
-                    continue
-            if not _advance(machine):
-                done = True
-                break
-            stats.emulated_steps += 1
-            current += 1
-        if done and current < step:
-            continue  # past the master run's end: no substrate
-        plan = {0: model.effect(detail)}
-        state = machine.snapshot()
-        machine.memory.journal_begin()
-        try:
-            result = machine.run(
-                max_steps=max(1, cap - step),
-                fault_plan=plan,
-                watches=watches,
-            )
-        finally:
-            machine.memory.journal_rollback()
-            machine.restore(state)
-        stats.emulated_steps += result.steps
-        resumed = step + result.steps
+    points = [
+        FaultPoint(order, (step,), (detail,))
+        for order, (step, detail) in enumerate(
+            sorted(components, key=lambda c: c[0])
+        )
+    ]
+    executor = backend.executor(faulter, model, TOTAL_CAP)
+    for point, result in executor.walk(points, stats):
+        resumed = point.first_step + result.steps
         if result.reason != MAX_STEPS:
             resumed += 1
-        results[(step, detail)] = (classify(result), resumed)
-    if compiler is not None:
-        compiler.drain_into(stats)
+        key = (point.first_step, point.details[0])
+        results[key] = (faulter.classify(result), resumed)
     return results, stats
 
 
@@ -404,7 +351,7 @@ class ReductionPlan:
         allow_crash: bool,
         merge: bool = False,
         probe_outcomes: Optional[dict] = None,
-        probe_stats: Optional[_ProbeStats] = None,
+        probe_stats: Optional[ExecutionStats] = None,
     ):
         self.ctx = ctx
         self.base = base
@@ -413,7 +360,7 @@ class ReductionPlan:
         self.allow_crash = allow_crash
         self.merge = merge
         self.probe_outcomes = probe_outcomes or {}
-        self.probe_stats = probe_stats or _ProbeStats()
+        self.probe_stats = probe_stats or ExecutionStats()
         self._tuple = isinstance(space, ReducedTupleSpace)
         # certificate accumulators (filled by expand)
         self._full = 0
@@ -537,10 +484,7 @@ class ReductionPlan:
 
     def merge_stats(self, stats) -> None:
         """Fold the probe pass's step counters into the campaign's."""
-        stats.emulated_steps += self.probe_stats.emulated_steps
-        stats.compiled_steps += self.probe_stats.compiled_steps
-        stats.divergences += self.probe_stats.divergences
-        stats.compile_seconds += self.probe_stats.compile_seconds
+        stats.merge(self.probe_stats)
 
     def certificate(self) -> ReductionCertificate:
         facts = self.ctx.facts
@@ -591,10 +535,14 @@ def plan_reduction(
     model,
     ctx: SpaceContext,
     space: FaultSpace,
-    trace_compile: bool = True,
+    backend,
 ) -> tuple[Optional[ReductionPlan], Optional[str]]:
     """Build a :class:`ReductionPlan` for one campaign, or explain why
     reduction does not apply: ``(plan, None)`` or ``(None, reason)``.
+
+    ``backend`` is the campaign's
+    :class:`~repro.faulter.engine.ExecutionBackend`; a k-fault plan
+    runs its probe pass on a master walk of that backend's tier.
 
     Gates, in order: the context must carry trace facts; the bad
     baseline must have terminated (an unterminated baseline makes
@@ -644,7 +592,7 @@ def plan_reduction(
         key for key, count in uses.items() if count >= MIN_PROBE_USES
     }
     probe_outcomes, probe_stats = _run_probes(
-        faulter, model, components, trace_compile
+        faulter, model, components, backend
     )
     probes = tuple(
         sorted(

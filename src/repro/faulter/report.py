@@ -36,19 +36,6 @@ UNMAPPED = "unmapped"
 DIFF_STATUSES = (ELIMINATED, SURVIVING, INTRODUCED, UNMAPPED)
 
 
-def classify_result(result, grant_marker: bytes) -> str:
-    """Map a faulted run onto the paper's three outcome classes.
-
-    ``result`` is a :class:`repro.emu.machine.RunResult` (duck-typed:
-    only ``stdout`` and ``crashed`` are consulted).
-    """
-    if grant_marker in result.stdout:
-        return SUCCESS
-    if result.crashed:
-        return CRASHED
-    return IGNORED
-
-
 @dataclass(frozen=True)
 class Fault:
     """One concrete injected fault."""

@@ -171,13 +171,18 @@ class GSection:
 
 @dataclass
 class Module:
-    """A rewritable program: sections, symbols, entry."""
+    """A rewritable program: sections, symbols, entry.
+
+    ``pie`` records that the module was recovered from a
+    position-independent image; reassembly keeps it one.
+    """
 
     name: str = "module"
     sections: list[GSection] = field(default_factory=list)
     symbols: list[Symbol] = field(default_factory=list)
     entry: Optional[Symbol] = None
     aux: dict = field(default_factory=dict)
+    pie: bool = False
 
     # -- lookup ------------------------------------------------------------
 

@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.asm.assembler import assemble_with_map
 from repro.binfmt.image import Executable
-from repro.disasm.emitprog import module_to_program
 from repro.disasm.recover import disassemble
+from repro.disasm.roundtrip import reassemble_with_map
 from repro.disasm.units import build_plan
 from repro.faulter.campaign import CampaignRunner
 from repro.faulter.oracle import coerce_oracle
@@ -197,7 +196,7 @@ class FaulterPatcherLoop:
         module = disassemble(self.original, mode=self.symbolization)
         plan = build_plan(module)
         patcher = Patcher(module)
-        exe, tag_map = self._emit(module)
+        exe, tag_map = reassemble_with_map(module)
         original_text_size = self.original.code_size()
 
         iterations: list[IterationStats] = []
@@ -244,7 +243,7 @@ class FaulterPatcherLoop:
                 exe.code_size(), reports))
             if patched == 0:
                 break  # nothing more can be fixed (paper's exit arrow)
-            exe, tag_map = self._emit(module)
+            exe, tag_map = reassemble_with_map(module)
 
         remaining_sites: set = set()
         emergent = 0
@@ -272,10 +271,6 @@ class FaulterPatcherLoop:
             emergent_points=emergent,
             provenance=provenance_from_tag_map(tag_map, plan),
         )
-
-    def _emit(self, module: Module):
-        program = module_to_program(module)
-        return assemble_with_map(program, pie=self.original.pie)
 
 
 def _stream_by_unit(plan, vulnerable, by_address):

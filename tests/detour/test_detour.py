@@ -6,6 +6,7 @@ from repro.asm import assemble
 from repro.detour import DetourRewriter
 from repro.detour.rewriter import duplicate_with_detours
 from repro.emu import run_executable
+from repro.emu.effects import SkipEffect
 from repro.isa.decoder import decode
 from repro.isa.insn import Mnemonic
 from repro.workloads import bootloader, corpus, pincheck
@@ -138,6 +139,5 @@ class TestDuplicateWithDetours:
         detour_steps = [i for i, a in enumerate(trace)
                         if a >= patched.section(".detour").addr]
         target = detour_steps[0]
-        result = Machine(patched).run(
-            fault_step=target, fault_intercept=lambda i, c: None)
+        result = Machine(patched).run(fault_plan={target: SkipEffect()})
         assert result.exit_code == 7  # second copy healed the skip

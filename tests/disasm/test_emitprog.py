@@ -46,13 +46,14 @@ class TestModuleToProgram:
         assert len(addresses) == len(set(addresses))
 
     def test_matches_text_printer_semantics(self):
-        """Both emission paths must produce behaviourally equal
-        binaries."""
-        from repro.disasm import reassemble
+        """The printed listing assembles to a binary that behaves like
+        the structured reassembly."""
+        from repro.asm import assemble
+        from repro.disasm import pretty_print, reassemble
         wl = bootloader.workload()
         module = disassemble(wl.build())
-        via_text = reassemble(module)
-        via_program, _ = assemble_with_map(module_to_program(module))
+        via_text = assemble(pretty_print(module))
+        via_program = reassemble(module)
         for stdin in (wl.good_input, wl.bad_input):
             a = run_executable(via_text, stdin=stdin)
             b = run_executable(via_program, stdin=stdin)

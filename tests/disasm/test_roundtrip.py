@@ -1,8 +1,12 @@
 """Reassembleable-disassembly round trips: behaviour must be preserved."""
 
+from pathlib import Path
+
 import pytest
 
+from repro.binfmt import read_elf, write_elf
 from repro.disasm import disassemble, pretty_print, reassemble
+from repro.disasm.roundtrip import rewrite
 from repro.emu import run_executable
 from repro.workloads import bootloader, corpus, pincheck
 
@@ -54,6 +58,22 @@ class TestCaseStudyRoundtrips:
         rebuilt = reassemble(disassemble(exe))
         result = run_executable(rebuilt, stdin=wl.good_input)
         assert wl.grant_marker in result.stdout
+
+    def test_pie_fixture_stays_pie(self):
+        """``rewrite`` of a PIE keeps it position-independent, with
+        its relocations and dynamic symbols, and keeps its behaviour
+        on the fixture's campaign inputs (tests/fixtures/README.md)."""
+        fixture = Path(__file__).resolve().parents[1] / "fixtures"
+        exe = read_elf((fixture / "bootloader_pie.elf").read_bytes())
+        rebuilt = read_elf(write_elf(rewrite(exe)))
+        assert exe.pie and rebuilt.pie
+        assert [(r.section, r.rtype) for r in rebuilt.relocations] == \
+            [(r.section, r.rtype) for r in exe.relocations]
+        assert rebuilt.dynamic_symbols == exe.dynamic_symbols
+        for stdin in ("0d141b222930373e", "0d141b223930373f"):
+            before = run_executable(exe, stdin=bytes.fromhex(stdin))
+            after = run_executable(rebuilt, stdin=bytes.fromhex(stdin))
+            assert before.behavior() == after.behavior()
 
     def test_double_roundtrip(self):
         wl = pincheck.workload()

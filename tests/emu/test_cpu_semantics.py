@@ -5,9 +5,22 @@ import pytest
 from repro.asm import assemble
 from repro.emu import Machine, run_executable
 from repro.emu.cpu import CPU
+from repro.emu.effects import FetchEffect
 from repro.emu.memory import Memory
 from repro.isa import reg
 from repro.isa.decoder import decode
+
+
+class RedecodeEffect(FetchEffect):
+    """Re-decode the fetched bytes after ``mutate(raw)`` edits them."""
+
+    def __init__(self, mutate):
+        self.mutate = mutate
+
+    def apply(self, machine, insn):
+        raw = bytearray(machine.memory.fetch(insn.address, 15))
+        self.mutate(raw)
+        return decode(bytes(raw), 0, insn.address)
 
 
 def run_source(source, stdin=b"", max_steps=10_000):
@@ -169,13 +182,11 @@ class TestFaultRealism:
         """)
         machine = Machine(exe)
 
-        def flip_to_longer(insn, cpu):
-            raw = bytearray(cpu.memory.fetch(insn.address, 15))
+        def flip_to_longer(raw):
             raw[0] = 0x48  # REX prefix swallows the next byte
-            return decode(bytes(raw), 0, insn.address)
 
-        result = machine.run(fault_step=0,
-                             fault_intercept=flip_to_longer)
+        result = machine.run(
+            fault_plan={0: RedecodeEffect(flip_to_longer)})
         # either still exits (resynced) or crashes; never hangs
         assert result.reason in ("exit", "crash")
 
@@ -190,11 +201,10 @@ class TestFaultRealism:
         """)
         machine = Machine(exe)
 
-        def clobber(insn, cpu):
-            from repro.isa.decoder import decode as dec
-            return dec(b"\x06" + bytes(14), 0, insn.address)
+        def clobber(raw):
+            raw[:] = b"\x06" + bytes(14)
 
-        result = machine.run(fault_step=0, fault_intercept=clobber)
+        result = machine.run(fault_plan={0: RedecodeEffect(clobber)})
         assert result.reason == "crash"
         assert "invalid opcode" in result.crash_detail
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.emu import Machine, run_executable
+from repro.emu.effects import SkipEffect
 from repro.workloads import bootloader, corpus, pincheck
 
 
@@ -113,7 +114,7 @@ class TestMachineInternals:
     def test_skip_fault_changes_behavior(self):
         # skipping 'mov rdi, 42' leaves rdi=0 -> exit code 0
         machine = Machine(corpus.build("exit42"))
-        result = machine.run(fault_step=1, fault_intercept=lambda i, c: None)
+        result = machine.run(fault_plan={1: SkipEffect()})
         assert result.exit_code == 0
 
     def test_snapshot_restore_roundtrip(self):

@@ -89,7 +89,7 @@ class TestDeterminism:
         # running a campaign must not corrupt subsequent baselines
         pincheck_faulter.run_campaign("skip")
         good = pincheck_faulter._run(pincheck_faulter.good_input)
-        assert pincheck_faulter.grant_marker in good.stdout
+        assert pincheck_faulter.oracle.marker in good.stdout
 
 
 class TestModels:

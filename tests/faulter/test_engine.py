@@ -12,7 +12,6 @@ from repro.faulter import (
     CampaignReport, EngineConfig, Faulter, KFaultProductSpace,
     MultiprocessBackend, SampledSpace, SequentialBackend, WindowedSpace)
 from repro.faulter.space import ExhaustiveSpace
-from repro.faulter.statistical import estimate_vulnerability
 from repro.workloads import pincheck
 from tests.reference import reference_report
 
@@ -114,13 +113,10 @@ class TestDefaultBackendMatchesReference:
     reference protocol."""
 
     def test_statistical_matches_reference(self, faulter):
-        reference = reference_report(
-            faulter, "bitflip", SampledSpace(samples=120, seed=5))
-        estimate = estimate_vulnerability(
-            faulter, "bitflip", samples=120, seed=5)
-        assert estimate.samples == reference.total_faults
-        assert estimate.successes == reference.outcomes["success"]
-        assert estimate.crashes == reference.outcomes["crash"]
+        # the statistical-FI sample (Leveugle et al.) is a SampledSpace
+        space = SampledSpace(samples=120, seed=5)
+        assert faulter.engine().run("bitflip", space) == \
+            reference_report(faulter, "bitflip", space)
 
     def test_pair_campaign_matches_reference(self, faulter):
         reference = reference_report(

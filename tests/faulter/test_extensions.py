@@ -3,6 +3,7 @@
 import pytest
 
 from repro.emu import Machine
+from repro.emu.effects import SkipEffect
 from repro.faulter import Faulter
 from repro.hybrid import faulter_guided_filter, hybrid_harden
 from repro.workloads import pincheck
@@ -20,16 +21,16 @@ class TestFaultPlan:
         double-fault machinery must express that."""
         exe = wl.build()
         machine = Machine(exe, stdin=wl.bad_input)
-        skip = lambda insn, cpu: None
-        result = machine.run(fault_plan={3: skip, 8: skip})
+        result = machine.run(fault_plan={3: SkipEffect(), 8: SkipEffect()})
         assert result.reason in ("exit", "crash", "max-steps")
 
     def test_plan_and_single_fault_combined(self, wl):
         machine = Machine(wl.build(), stdin=wl.bad_input)
-        skip = lambda insn, cpu: None
-        result = machine.run(fault_step=2, fault_intercept=skip,
-                             fault_plan={5: skip})
+        result = machine.run(fault_plan={2: SkipEffect(), 5: SkipEffect()})
         assert result.steps > 0
+        # a plan holds fault effects only, never bare callables
+        with pytest.raises(TypeError, match="not a fault effect"):
+            machine.run(fault_plan={2: lambda insn, cpu: None})
 
 
 class TestPairCampaign:

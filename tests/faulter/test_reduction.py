@@ -17,7 +17,7 @@ import pickle
 import pytest
 
 from repro.faulter import (
-    Faulter, MultiprocessBackend, SequentialBackend, engine)
+    EngineConfig, Faulter, MultiprocessBackend, SequentialBackend, engine)
 from repro.faulter.models import MODELS
 from repro.faulter.reduction import (
     ReducedSpace,
@@ -278,13 +278,38 @@ class TestCertificate:
     def test_plan_reduction_gates(self, faulter):
         ctx = faulter.engine().context("skip")
         plan, reason = plan_reduction(
-            faulter, MODELS["skip"], ctx, ExhaustiveSpace())
+            faulter, MODELS["skip"], ctx, ExhaustiveSpace(),
+            SequentialBackend())
         assert plan is not None and reason is None
         plan, reason = plan_reduction(
             faulter, MODELS["skip"], ctx,
-            SpacePartition(ExhaustiveSpace(), 0, 0))
+            SpacePartition(ExhaustiveSpace(), 0, 0), SequentialBackend())
         assert plan is None
         assert reason.startswith("unsupported-space")
+
+
+class TestProbePassPin:
+    """The k=2 probe pass on seed-0 pincheck, pinned on ``report.meta``:
+    probes run on the campaign's own master walk, so moving them there
+    changed no verdict and no step count."""
+
+    @pytest.mark.parametrize("model, certificate, steps", [
+        ("skip",
+         {"full_points": 192, "executed_points": 120, "dead_points": 1,
+          "dominated_points": 71, "probes": 20, "probe_steps": 196},
+         (1225, 542)),
+        ("reg-bitflip",
+         {"full_points": 157, "executed_points": 71, "dead_points": 84,
+          "dominated_points": 2, "probes": 1, "probe_steps": 13},
+         (1124, 187)),
+    ])
+    def test_seed0_pincheck_pairs(self, model, certificate, steps):
+        report = pincheck.workload().target().campaign(
+            (model,), config=EngineConfig(k_faults=2))[model]
+        meta = report.meta
+        assert {key: meta["reduction"][key]
+                for key in certificate} == certificate
+        assert (meta["compiled_steps"], meta["precise_steps"]) == steps
 
 
 class TestCliSurface:
@@ -297,11 +322,13 @@ class TestCliSurface:
         assert rc in (0, 1)
         assert "reduction:" in out
 
-    def test_no_reduce_flag_parses(self):
-        from repro.cli import build_parser
+    @pytest.mark.parametrize("flag", ["--no-reduce",
+                                      "--no-trace-compile"])
+    def test_removed_knob_flags_exit_2(self, flag, capsys):
+        # reduction and the compiled tier are not CLI knobs
+        from repro.cli import main
 
-        args = build_parser().parse_args(
-            ["fault", "pincheck", "--no-reduce"])
-        assert args.reduce is False
-        args = build_parser().parse_args(["fault", "pincheck"])
-        assert args.reduce is None
+        with pytest.raises(SystemExit) as exc:
+            main(["fault", "pincheck", flag])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err

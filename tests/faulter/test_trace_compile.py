@@ -4,7 +4,9 @@ The compiled tier is a pure performance substrate: every campaign
 report — outcomes, per-point classifications — must equal the
 reference protocol (:mod:`tests.reference`) across every fault model,
 backend and workload, with the tier on and off, and the emulated step
-counts of both settings must agree.
+counts of both settings must agree.  The tier is not a campaign knob:
+the precise interpreter is reachable only as the reference
+``SequentialBackend(trace_compile=False)``.
 """
 
 import pytest
@@ -82,14 +84,19 @@ class TestBackendsAndStreaming:
 
     @pytest.mark.parametrize("reduce", (True, False))
     def test_multiprocess(self, faulters, reduce):
-        # fleet workers keep their executors (and walk positions)
-        # across campaigns, which can lower later step counts; start
-        # cold so both settings build theirs from scratch
+        # the fleet always runs the compiled tier; it must agree with
+        # the precise in-process reference (step counts differ: each
+        # partition walks its own prefix)
+        faulter = faulters["bootloader"]
         shutdown_fleet()
-        _assert_identical(
-            faulters["bootloader"], "skip",
-            MultiprocessBackend(workers=2),
-            MultiprocessBackend(workers=2, trace_compile=False), reduce)
+        compiled = _run(faulter, "skip", MultiprocessBackend(workers=2),
+                        reduce)
+        precise = _run(faulter, "skip",
+                       SequentialBackend(trace_compile=False), reduce)
+        assert compiled == reference_report(faulter, "skip", _space())
+        assert precise == compiled
+        assert compiled.meta["trace_compile"] is True
+        assert compiled.meta["compiled_steps"] > 0
 
     def test_multiprocess_aggregates_worker_counters(self, faulters):
         report = _run(
@@ -100,23 +107,26 @@ class TestBackendsAndStreaming:
 
 
 class TestKnobPlumbing:
+    """The tier is fixed: no config, backend or job field selects it."""
+
     def test_engine_config_roundtrip(self):
-        config = EngineConfig(trace_compile=False)
-        assert (EngineConfig.from_dict(config.to_dict()).trace_compile
-                is False)
-        assert EngineConfig().to_dict()["trace_compile"] is None
+        payload = EngineConfig().to_dict()
+        assert "trace_compile" not in payload
+        assert EngineConfig.from_dict(payload) == EngineConfig()
+        with pytest.raises(ValueError, match="trace_compile"):
+            EngineConfig.from_dict({"trace_compile": False})
 
     def test_engine_config_validates(self):
-        with pytest.raises(ValueError, match="trace_compile"):
-            EngineConfig(trace_compile="yes")
+        with pytest.raises(TypeError, match="trace_compile"):
+            EngineConfig(trace_compile=False)
+        with pytest.raises(TypeError, match="trace_compile"):
+            MultiprocessBackend(workers=2, trace_compile=False)
 
     def test_resolve_plumbs_the_knob(self):
-        backend = EngineConfig(trace_compile=False).resolve()
-        assert backend.trace_compile is False
-        backend = EngineConfig(backend="multiprocess",
-                               trace_compile=False).resolve()
-        assert backend.trace_compile is False
+        # every resolved backend runs the compiled tier
         assert EngineConfig().resolve().trace_compile is True
+        backend = EngineConfig(backend="multiprocess").resolve()
+        assert backend.trace_compile is True
 
     def test_default_is_on(self):
         assert SequentialBackend().trace_compile is True

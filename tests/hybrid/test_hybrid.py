@@ -198,7 +198,7 @@ class TestDuplicationBaseline:
         duplicate_everything(module)
         rebuilt = reassemble(module)
         from repro.emu import Machine
-        result = Machine(rebuilt).run(
-            fault_step=0, fault_intercept=lambda insn, cpu: None)
+        from repro.emu.effects import SkipEffect
+        result = Machine(rebuilt).run(fault_plan={0: SkipEffect()})
         # either detected (42) or self-healed by the duplicate (7)
         assert result.exit_code in (7, 42)

@@ -68,8 +68,8 @@ class TestEngineConfig:
     def test_roundtrip_lossless_and_json_safe(self):
         config = EngineConfig(
             backend="multiprocess", workers=3,
-            k_faults=2, samples=50, seed=7, trace_compile=False,
-            reduce=False, cache_dir="/tmp/r2r-cache")
+            k_faults=2, samples=50, seed=7,
+            cache_dir="/tmp/r2r-cache")
         payload = json.loads(json.dumps(config.to_dict()))
         assert EngineConfig.from_dict(payload) == config
 
@@ -90,6 +90,8 @@ class TestEngineConfig:
         ("max_resident_points", 8),   # knobs this version no longer has
         ("chunk_units", True),
         ("checkpoint_interval", 64),
+        ("trace_compile", False),
+        ("reduce", False),
     ])
     def test_from_dict_rejects_unknown_keys(self, key, value):
         """A misspelt or retired knob must not silently run the
@@ -126,8 +128,7 @@ class TestOracles:
         assert oracle.classify(FakeRun(stdout=b"DENIED")) == IGNORED
         assert oracle.classify(
             FakeRun(reason="crash", stdout=b"DENIED")) == CRASHED
-        # the marker wins even when the run also crashed (historical
-        # classify_result semantics)
+        # the marker wins even when the run also crashed
         assert oracle.classify(
             FakeRun(reason="crash", stdout=b"GRANTED")) == SUCCESS
 
@@ -526,11 +527,10 @@ class TestCLIKnobs:
             args = parser.parse_args(
                 sub + ["--good", "00", "--bad", "01", "--marker", "M",
                        "--backend", "multiprocess", "--workers", "2",
-                       "--no-reduce", "--no-trace-compile"])
+                       "--no-artifact-cache"])
             assert args.backend == "multiprocess"
             assert args.workers == 2
-            assert args.reduce is False
-            assert args.trace_compile is False
+            assert args.artifact_cache is False
 
     def test_harden_evaluate_forwards_engine_knobs(self, capsys,
                                                    tmp_path,
@@ -557,10 +557,10 @@ class TestCLIKnobs:
                      "--evaluate", "--good", "text:1234",
                      "--bad", "text:6789",
                      "--marker", "ACCESS GRANTED",
-                     "--no-reduce"])
+                     "--backend", "sequential"])
         assert code == 0
         config = seen["config"]
-        assert config.reduce is False
+        assert config.backend == "sequential"
         assert output.exists()
         assert "differential evaluation" in capsys.readouterr().out
 
