@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import Target
 from repro.binfmt import read_elf
 from repro.emu.flagops import PARITY_TABLE, Flags
 from repro.emu.jit import TraceCompiler
@@ -343,10 +344,16 @@ class TestSuperblockCarving:
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 #: sha256 over every ``.text`` address's carved code and lowered source;
-#: an IR or codegen change that alters any compiled block changes it
+#: an IR or codegen change that alters any compiled block changes it.
+#: The ``pincheck+*`` images are pincheck hardened by that approach:
+#: the re-fault compiles their code shapes, which the plain images lack.
 LOWERED_DIGESTS = {
     "pincheck":
         "3a848399b22c9aecf4cc718fb95513c2ca9ebedf580d8a207cdcb31ed2572ea9",
+    "pincheck+hybrid":
+        "5c68c07767c4685ad777e138738af09e78bbcbf771f8dc5c1eebcada03c5ac41",
+    "pincheck+detour":
+        "9ec0cf9038c2cd9d6a0c76360b5778881945c3b80eaf0bd1a6a2a9b7bf81d839",
     "bootloader":
         "92486524c175b09ee99f79545238e98a36f7d4124210cd067b921351e3643385",
     "bootloader_pie":
@@ -386,6 +393,12 @@ def _lowered_digest(exe) -> str:
 def test_lowered_source_is_pinned(name):
     if name == "bootloader_pie":
         exe = read_elf((FIXTURES / "bootloader_pie.elf").read_bytes())
+    elif name.startswith("pincheck+"):
+        wl = pincheck.workload()
+        target = Target(wl.build(), wl.good_input, wl.bad_input,
+                        wl.grant_marker, name=wl.name)
+        exe = target.harden(name.partition("+")[2],
+                            fault_models=()).hardened
     else:
         exe = {"pincheck": pincheck, "bootloader": bootloader}[
             name].workload().build()
