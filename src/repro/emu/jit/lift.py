@@ -13,16 +13,27 @@ methods would see; codegen replays those methods at block commit.
 a block ending in ``cmp``/``test`` typically replays a single update
 ("batched flag materialization").
 
-Guest state enters through readonly ``reg_in`` markers (one per GPR)
-stored into the :class:`GuestState` allocas, and leaves through
-``reg_out`` markers; mem2reg then renames everything into SSA and the
-dead stores of the approximate flag model fold away under DCE.
+The body is built in SSA form directly.  :class:`GuestState` and the
+translator are the rewriter's, unchanged, but they emit through
+:class:`_SlotBuilder`, which keeps the state's allocas out of the IR.
+A superblock body is one basic block, so the value a slot holds is
+simply the last value stored to it: a slot store records the value and
+a slot load returns it, which is exactly what mem2reg would compute
+from the alloca form (on-the-fly SSA construction, Braun et al., CC
+2013, without control flow).  Guest state enters through a readonly
+``reg_in`` marker emitted on a register's first read and leaves
+through a ``reg_out`` marker for each register the body wrote.  Both
+always exist for ``rsp``, which a ``call``/``ret`` terminator needs.
+The lifted flag values are never read back, so DCE drops them; guest
+memory loads and stores are emitted as usual.  mem2reg stays first in
+``_PIPELINE`` as a guard and finds no allocas.
 """
 
 from __future__ import annotations
 
 from repro.analysis.flagliveness import ALL_FLAGS, flag_materialization
 from repro.ir.builder import IRBuilder
+from repro.ir.instructions import Alloca
 from repro.ir.module import Function
 from repro.ir.passes import PassManager, constant_fold, cse, dce, mem2reg
 from repro.ir.types import I8, I64, VOID, FunctionType
@@ -31,8 +42,10 @@ from repro.isa.insn import Instruction, Mnemonic
 from repro.isa.operands import Imm
 from repro.lift.semantics import InstructionTranslator
 from repro.lift.state import GuestState
-from repro.isa.registers import all_gpr64
+from repro.isa.registers import Register, all_gpr64
+from repro.isa.registers import reg as reg_by_name
 
+_RSP = reg_by_name("rsp")
 _INC_DEC_FLAGS = frozenset({"pf", "af", "zf", "sf", "of"})
 _SHIFT_FLAGS = frozenset({"cf", "pf", "zf", "sf"})
 
@@ -42,6 +55,57 @@ _PIPELINE = PassManager([
     ("cse", cse),
     ("dce", dce),
 ])
+
+
+class _SlotBuilder(IRBuilder):
+    """Forwards :class:`GuestState` slot traffic to SSA values.
+
+    Slots are allocas that never enter the block.  ``current`` maps
+    each slot to the value it holds; a register slot reads as its
+    ``reg_in`` marker until the body stores to it, and ``written``
+    records the slots stored to since :meth:`bind_registers`.
+    """
+
+    def __init__(self, block):
+        super().__init__(block)
+        self.current: dict[Alloca, object] = {}
+        self.registers: dict[Alloca, Register] = {}
+        self.written: set[Alloca] = set()
+
+    def bind_registers(self, reg_slots: dict):
+        """Make each register slot read as ``reg_in`` until stored.
+
+        Called after :class:`GuestState` has initialized its slots, so
+        those initial stores neither reach the IR nor count as writes.
+        """
+        for register in all_gpr64():
+            slot = reg_slots[register.name]
+            self.current[slot] = None
+            self.registers[slot] = register
+        self.written.clear()
+
+    def alloca(self, allocated_type, name=""):
+        slot = Alloca(allocated_type, name)
+        self.current[slot] = None
+        return slot
+
+    def load(self, vtype, pointer, name=""):
+        if pointer not in self.current:
+            return super().load(vtype, pointer, name)
+        value = self.current[pointer]
+        if value is None:
+            register = self.registers[pointer]
+            value = self.current[pointer] = self.call(
+                I64, "reg_in", [Constant(I64, register.code)],
+                name=f"in_{register.name}", readonly=True)
+        return value
+
+    def store(self, value, pointer):
+        if pointer not in self.current:
+            return super().store(value, pointer)
+        self.current[pointer] = value
+        self.written.add(pointer)
+        return None
 
 
 class _FlagMarkers:
@@ -127,15 +191,13 @@ def lift_superblock(body: list[Instruction], start: int) -> Function:
     """Build and optimize the IR function for one superblock body."""
     function = Function(f"sb_{start:x}", FunctionType(VOID, ()))
     block = function.add_block("body")
-    builder = IRBuilder(block)
+    builder = _SlotBuilder(block)
     state = GuestState(builder)
+    builder.bind_registers(state.reg_slots)
+    # rsp always enters, read or not: codegen loads it up front for a
+    # call/ret terminator
+    state.read_reg(builder, _RSP)
     translator = InstructionTranslator(state, builder)
-
-    for register in all_gpr64():
-        value = builder.call(
-            I64, "reg_in", [Constant(I64, register.code)],
-            name=f"in_{register.name}", readonly=True)
-        builder.store(value, state.reg_slots[register.name])
 
     markers = _FlagMarkers(translator, builder)
     for insn in body:
@@ -144,11 +206,13 @@ def lift_superblock(body: list[Instruction], start: int) -> Function:
     markers.prune()
 
     for register in all_gpr64():
-        builder.call(
-            VOID, "reg_out",
-            [Constant(I64, register.code),
-             state.read_reg(builder, register)],
-            readonly=True)
+        slot = state.reg_slots[register.name]
+        if slot in builder.written or register is _RSP:
+            builder.call(
+                VOID, "reg_out",
+                [Constant(I64, register.code),
+                 state.read_reg(builder, register)],
+                readonly=True)
     builder.ret()
 
     _PIPELINE.run(function)

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.api import Target
+from repro.asm import assemble
 from repro.binfmt import read_elf
 from repro.emu.flagops import PARITY_TABLE, Flags
 from repro.emu.jit import TraceCompiler
@@ -26,6 +27,15 @@ from repro.emu.jit.codegen import (
 from repro.emu.jit.superblock import MAX_BODY, carve
 from repro.emu.machine import Machine
 from repro.errors import IRError, LiftError
+from repro.ir.builder import IRBuilder
+from repro.ir.instructions import Alloca, Call, IntToPtr, Load, Store
+from repro.ir.module import Function
+from repro.ir.types import I64, VOID, FunctionType
+from repro.ir.values import Constant
+from repro.isa.registers import all_gpr64
+from repro.isa.registers import reg as reg_by_name
+from repro.lift.semantics import InstructionTranslator
+from repro.lift.state import GuestState
 from repro.workloads import bootloader, corpus, pincheck
 
 FLAG_NAMES = ("cf", "pf", "af", "zf", "sf", "of")
@@ -317,6 +327,136 @@ def test_pass_pipeline_keeps_no_history():
     assert sizes() == before
 
 
+class TestSsaLift:
+    """The body reaches the pass pipeline already in SSA form.
+
+    No guest-state alloca or slot load/store is built; ``reg_in``
+    appears only for registers the body reads and ``reg_out`` only for
+    registers it writes, plus ``rsp``.
+    """
+
+    @staticmethod
+    def _carve(lines):
+        source = [".text", ".global _start", "_start:"]
+        source += [f"    {line}" for line in lines]
+        machine = Machine(assemble("\n".join(source)))
+        body, terminator = carve(machine, machine.cpu.rip)
+        return body, terminator, machine.cpu.rip
+
+    def _lift(self, monkeypatch, lines):
+        body, terminator, start = self._carve(lines)
+        captured = []
+        pipeline = lift_mod._PIPELINE
+
+        class Capture:
+            def run(self, function):
+                captured.extend(function.entry.instructions)
+                return pipeline.run(function)
+
+        monkeypatch.setattr(lift_mod, "_PIPELINE", Capture())
+        function = lift_mod.lift_superblock(body, start)
+        lower_superblock(function, body, terminator)
+        return captured
+
+    @staticmethod
+    def _markers(instructions, callee):
+        return {inst.operands[0].value for inst in instructions
+                if isinstance(inst, Call) and inst.callee == callee}
+
+    @pytest.mark.parametrize("lines, reads, writes", [
+        (["add rax, 1", "syscall"], {"rax"}, {"rax"}),
+        # the 8-bit write merges into the old upper 56 bits of rax
+        (["mov al, 1", "syscall"], {"rax"}, {"rax"}),
+        (["push rbx", "call target", "target:", "ret"], {"rbx"}, set()),
+    ], ids=["add-rax", "mov-al", "push-call"])
+    def test_slots_never_reach_the_pipeline(self, monkeypatch, lines,
+                                            reads, writes):
+        instructions = self._lift(monkeypatch, lines)
+        assert not any(isinstance(inst, Alloca) for inst in instructions)
+        # only guest memory traffic remains, through inttoptr
+        for inst in instructions:
+            if isinstance(inst, (Load, Store)):
+                assert isinstance(inst.pointer, IntToPtr)
+        rsp = reg_by_name("rsp").code
+        codes = {reg_by_name(name).code for name in reads}
+        assert self._markers(instructions, "reg_in") == codes | {rsp}
+        codes = {reg_by_name(name).code for name in writes}
+        assert self._markers(instructions, "reg_out") == codes | {rsp}
+
+
+    @staticmethod
+    def _alloca_lift(body, start):
+        """Reference: every register through a GuestState alloca, all
+        sixteen ``reg_in``/``reg_out`` markers, renamed by mem2reg."""
+        function = Function(f"sb_{start:x}", FunctionType(VOID, ()))
+        builder = IRBuilder(function.add_block("body"))
+        state = GuestState(builder)
+        translator = InstructionTranslator(state, builder)
+        for register in all_gpr64():
+            value = builder.call(I64, "reg_in",
+                                 [Constant(I64, register.code)],
+                                 readonly=True)
+            builder.store(value, state.reg_slots[register.name])
+        markers = lift_mod._FlagMarkers(translator, builder)
+        for insn in body:
+            markers.capture(insn)
+            translator.translate(insn)
+        markers.prune()
+        for register in all_gpr64():
+            builder.call(VOID, "reg_out",
+                         [Constant(I64, register.code),
+                          state.read_reg(builder, register)],
+                         readonly=True)
+        builder.ret()
+        lift_mod._PIPELINE.run(function)
+        return function
+
+    def test_lowers_like_the_alloca_reference(self):
+        # random bodies over the compilable instruction set, at every
+        # register width, with each kind of terminator
+        regs = {8: ["rax", "rbx", "rcx", "rsi", "rsp", "r8", "r15"],
+                4: ["eax", "ebx", "ecx", "esi", "esp", "r8d"],
+                1: ["al", "bl", "cl", "sil"]}
+        rng = random.Random(7)
+
+        def memory(prefix=""):
+            base, index = rng.choice(regs[8]), rng.choice(regs[8][:4])
+            return (f"{prefix}[{base}+{index}*{rng.choice((1, 8))}"
+                    f"+{rng.randrange(64)}]")
+
+        def line():
+            width = rng.choice((8, 8, 4, 1))
+            dst, src = rng.choice(regs[width]), rng.choice(regs[width])
+            return rng.choice([
+                f"mov {dst}, {src}",
+                f"mov {dst}, {rng.randrange(256)}",
+                f"{rng.choice(['add', 'sub', 'and', 'xor', 'cmp'])}"
+                f" {dst}, {rng.choice([src, str(rng.randrange(130))])}",
+                f"{rng.choice(['inc', 'neg', 'not'])} {dst}",
+                f"{rng.choice(['shl', 'sar'])} {dst}, "
+                f"{rng.choice(['1', '3', '0', 'cl'])}",
+                f"push {rng.choice(regs[8])}",
+                f"pop {rng.choice(regs[8])}",
+                f"lea {rng.choice(regs[8])}, {memory()}",
+                f"mov {rng.choice(regs[8])}, {memory('qword ptr ')}",
+                f"mov {memory('qword ptr ')}, {rng.choice(regs[8])}",
+                f"movzx {rng.choice(regs[4])}, {memory('byte ptr ')}",
+                f"imul {rng.choice(regs[8])}, {rng.choice(regs[8])}",
+            ])
+
+        for _ in range(300):
+            lines = [line() for _ in range(rng.randrange(1, 8))]
+            lines += [rng.choice(["syscall", "jmp target", "jne target",
+                                  "call target", "ret"]),
+                      "target:", "syscall"]
+            body, terminator, start = self._carve(lines)
+            reference = lower_superblock(self._alloca_lift(body, start),
+                                         body, terminator)[2]
+            function = lift_mod.lift_superblock(body, start)
+            assert lower_superblock(function, body, terminator)[2] == \
+                reference, lines
+
+
 class TestSuperblockCarving:
     def test_carve_stops_at_syscall(self):
         machine = Machine(corpus.build("exit42"))
@@ -334,7 +474,6 @@ class TestSuperblockCarving:
         source = [".text", ".global _start", "_start:"]
         source += ["    inc rax"] * (MAX_BODY + 10)
         source += ["    mov rax, 60", "    syscall"]
-        from repro.asm import assemble
         machine = Machine(assemble("\n".join(source)))
         body, terminator = carve(machine, machine.cpu.rip)
         assert len(body) == MAX_BODY
