@@ -15,7 +15,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import Target
 from repro.asm import assemble
 from repro.binfmt import read_elf
 from repro.emu.flagops import PARITY_TABLE, Flags
@@ -332,7 +331,8 @@ class TestSsaLift:
 
     No guest-state alloca or slot load/store is built; ``reg_in``
     appears only for registers the body reads and ``reg_out`` only for
-    registers it writes, plus ``rsp``.
+    registers it writes, plus ``rsp``.  The lowered source is the one
+    the alloca form, promoted by mem2reg, lowers to.
     """
 
     @staticmethod
@@ -382,7 +382,6 @@ class TestSsaLift:
         assert self._markers(instructions, "reg_in") == codes | {rsp}
         codes = {reg_by_name(name).code for name in writes}
         assert self._markers(instructions, "reg_out") == codes | {rsp}
-
 
     @staticmethod
     def _alloca_lift(body, start):
@@ -533,9 +532,7 @@ def test_lowered_source_is_pinned(name):
     if name == "bootloader_pie":
         exe = read_elf((FIXTURES / "bootloader_pie.elf").read_bytes())
     elif name.startswith("pincheck+"):
-        wl = pincheck.workload()
-        target = Target(wl.build(), wl.good_input, wl.bad_input,
-                        wl.grant_marker, name=wl.name)
+        target = pincheck.workload().target()
         exe = target.harden(name.partition("+")[2],
                             fault_models=()).hardened
     else:
