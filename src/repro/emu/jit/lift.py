@@ -4,8 +4,9 @@ The register and memory dataflow comes straight from
 :class:`repro.lift.semantics.InstructionTranslator` — the same
 translation the rewriter uses, kept honest by the differential tests.
 The lifter's *flag* model, however, is documented as approximate (no
-AF/PF, ``imul`` clears CF/OF, variable shifts update only ZF/SF), so
-compiled blocks never consume lifted flag values.  Instead, every flag
+AF/PF, ``imul`` clears CF/OF, variable shifts update only ZF/SF), and
+no body instruction reads a flag (flag readers end a superblock), so
+:class:`_BodyTranslator` does not build it at all.  Instead, every flag
 writer deposits a readonly ``flag_*`` marker call capturing the exact
 operand values the interpreter's :class:`~repro.emu.flagops.Flags`
 methods would see; codegen replays those methods at block commit.
@@ -24,9 +25,8 @@ from the alloca form (on-the-fly SSA construction, Braun et al., CC
 ``reg_in`` marker emitted on a register's first read and leaves
 through a ``reg_out`` marker for each register the body wrote.  Both
 always exist for ``rsp``, which a ``call``/``ret`` terminator needs.
-The lifted flag values are never read back, so DCE drops them; guest
-memory loads and stores are emitted as usual.  mem2reg stays first in
-``_PIPELINE`` as a guard and finds no allocas.
+Guest memory loads and stores are emitted as usual.  mem2reg stays
+first in ``_PIPELINE`` as a guard and finds no allocas.
 """
 
 from __future__ import annotations
@@ -106,6 +106,17 @@ class _SlotBuilder(IRBuilder):
         self.current[pointer] = value
         self.written.add(pointer)
         return None
+
+
+class _BodyTranslator(InstructionTranslator):
+    """The rewriter's translator without its lifted flag model.
+
+    Compiled blocks take their flags from the ``flag_*`` markers only,
+    so the approximate flag IR would be built just for DCE to drop.
+    """
+
+    def lift_flags(self, kind, a, c, result):
+        pass
 
 
 class _FlagMarkers:
@@ -197,7 +208,7 @@ def lift_superblock(body: list[Instruction], start: int) -> Function:
     # rsp always enters, read or not: codegen loads it up front for a
     # call/ret terminator
     state.read_reg(builder, _RSP)
-    translator = InstructionTranslator(state, builder)
+    translator = _BodyTranslator(state, builder)
 
     markers = _FlagMarkers(translator, builder)
     for insn in body:

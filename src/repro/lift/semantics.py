@@ -91,13 +91,48 @@ class InstructionTranslator:
                 return operand.size
         return 8
 
-    # -- flag helpers ---------------------------------------------------------
+    # -- flag model -----------------------------------------------------------
 
-    def _set_zf_sf(self, result):
+    def lift_flags(self, kind: str, a, c, result):
+        """Store the lifted ZF/SF/CF/OF of one flag writer.
+
+        ``kind`` is ``add``, ``sub``, ``inc``, ``dec`` or ``neg`` (the
+        operation ``result = a op c``; ``c`` is 1 for inc/dec, and neg
+        is ``0 - c``), ``logic`` (also ``imul``: CF/OF cleared), or
+        ``shl``/``lshr``/``ashr`` with ``c`` the masked immediate count
+        (``None`` for a run-time count: ZF/SF only).
+        """
         b = self.builder
+        state = self.state
         zero = Constant(result.type, 0)
-        self.state.write_flag(b, "zf", b.icmp("eq", result, zero))
-        self.state.write_flag(b, "sf", b.icmp("slt", result, zero))
+        if kind == "sub":
+            # ZF of a subtraction is equality of the inputs: lift it as
+            # a *direct* compare so the hardening pass duplicates the
+            # comparison itself instead of sharing one subtraction
+            # result (and DCE can drop the subtraction when only ZF is
+            # consumed).
+            state.write_flag(b, "zf", b.icmp("eq", a, c))
+        else:
+            state.write_flag(b, "zf", b.icmp("eq", result, zero))
+        state.write_flag(b, "sf", b.icmp("slt", result, zero))
+        if kind in ("add", "inc"):
+            if kind == "add":
+                state.write_flag(b, "cf", b.icmp("ult", result, a))
+            self._set_of_from_signs(b.not_(b.xor(a, c)), b.xor(a, result))
+        elif kind in ("sub", "dec", "neg"):
+            if kind == "sub":
+                state.write_flag(b, "cf", b.icmp("ult", a, c))
+            elif kind == "neg":
+                state.write_flag(b, "cf", b.icmp("ne", c, zero))
+            self._set_of_from_signs(b.xor(a, c), b.xor(a, result))
+        elif kind == "logic":
+            state.write_flag_const(b, "cf", 0)
+            state.write_flag_const(b, "of", 0)
+        elif c is not None:
+            shift = (a.type.bits - c if kind == "shl" else c - 1)
+            carry_bit = b.lshr(a, Constant(a.type, shift))
+            carry = b.and_(carry_bit, Constant(a.type, 1))
+            state.write_flag(b, "cf", b.icmp("ne", carry, zero))
 
     def _set_of_from_signs(self, x1, x2):
         """OF = sign bit of (x1 & x2)."""
@@ -167,23 +202,7 @@ class InstructionTranslator:
         a = self.read(insn.operands[0], insn, width)
         c = self.read(insn.operands[1], insn, width)
         result = b.binop(op, a, c)
-        zero = Constant(result.type, 0)
-        if op == "sub":
-            # ZF of a subtraction is equality of the inputs: lift it as
-            # a *direct* compare so the hardening pass duplicates the
-            # comparison itself instead of sharing one subtraction
-            # result (and DCE can drop the subtraction when only ZF is
-            # consumed).
-            self.state.write_flag(b, "zf", b.icmp("eq", a, c))
-        else:
-            self.state.write_flag(b, "zf", b.icmp("eq", result, zero))
-        self.state.write_flag(b, "sf", b.icmp("slt", result, zero))
-        if op == "add":
-            self.state.write_flag(b, "cf", b.icmp("ult", result, a))
-            self._set_of_from_signs(b.not_(b.xor(a, c)), b.xor(a, result))
-        else:  # sub
-            self.state.write_flag(b, "cf", b.icmp("ult", a, c))
-            self._set_of_from_signs(b.xor(a, c), b.xor(a, result))
+        self.lift_flags(op, a, c, result)
         return result
 
     def _lift_add(self, insn):
@@ -201,9 +220,7 @@ class InstructionTranslator:
         a = self.read(insn.operands[0], insn, width)
         c = self.read(insn.operands[1], insn, width)
         result = b.binop(op, a, c)
-        self._set_zf_sf(result)
-        self.state.write_flag_const(b, "cf", 0)
-        self.state.write_flag_const(b, "of", 0)
+        self.lift_flags("logic", a, c, result)
         return result
 
     def _lift_and(self, insn):
@@ -224,9 +241,7 @@ class InstructionTranslator:
         a = self.read(insn.operands[0], insn, width)
         c = self.read(insn.operands[1], insn, width)
         result = b.mul(a, c)
-        self._set_zf_sf(result)
-        self.state.write_flag_const(b, "cf", 0)  # approximation
-        self.state.write_flag_const(b, "of", 0)
+        self.lift_flags("logic", a, c, result)  # approximation: CF/OF
         self.write(insn.operands[0], insn, result)
 
     def _lift_inc(self, insn):
@@ -235,8 +250,7 @@ class InstructionTranslator:
         a = self.read(insn.operands[0], insn, width)
         one = Constant(a.type, 1)
         result = b.add(a, one)
-        self._set_zf_sf(result)  # CF preserved by inc
-        self._set_of_from_signs(b.not_(b.xor(a, one)), b.xor(a, result))
+        self.lift_flags("inc", a, one, result)  # CF preserved by inc
         self.write(insn.operands[0], insn, result)
 
     def _lift_dec(self, insn):
@@ -245,8 +259,7 @@ class InstructionTranslator:
         a = self.read(insn.operands[0], insn, width)
         one = Constant(a.type, 1)
         result = b.sub(a, one)
-        self._set_zf_sf(result)
-        self._set_of_from_signs(b.xor(a, one), b.xor(a, result))
+        self.lift_flags("dec", a, one, result)
         self.write(insn.operands[0], insn, result)
 
     def _lift_neg(self, insn):
@@ -255,9 +268,7 @@ class InstructionTranslator:
         a = self.read(insn.operands[0], insn, width)
         zero = Constant(a.type, 0)
         result = b.sub(zero, a)
-        self._set_zf_sf(result)
-        self.state.write_flag(b, "cf", b.icmp("ne", a, zero))
-        self._set_of_from_signs(b.xor(zero, a), b.xor(zero, result))
+        self.lift_flags("neg", zero, a, result)
         self.write(insn.operands[0], insn, result)
 
     def _lift_not(self, insn):
@@ -277,21 +288,14 @@ class InstructionTranslator:
             if count == 0:
                 return a
             result = b.binop(op, a, Constant(a.type, count))
-            self._set_zf_sf(result)
-            if op == "shl":
-                carry_bit = b.lshr(a, Constant(a.type, bits - count))
-            else:
-                carry_bit = b.lshr(a, Constant(a.type, count - 1))
-            carry = b.and_(carry_bit, Constant(a.type, 1))
-            self.state.write_flag(
-                b, "cf", b.icmp("ne", carry, Constant(a.type, 0)))
+            self.lift_flags(op, a, count, result)
             return result
         # variable count: result + ZF/SF only (documented approximation)
         count = self._coerce(self.read(amount, insn, 1), a.type)
         masked = b.and_(count, Constant(a.type,
                                         0x3F if bits == 64 else 0x1F))
         result = b.binop(op, a, masked)
-        self._set_zf_sf(result)
+        self.lift_flags(op, a, None, result)
         return result
 
     def _lift_shl(self, insn):

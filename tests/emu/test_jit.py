@@ -27,7 +27,8 @@ from repro.emu.jit.superblock import MAX_BODY, carve
 from repro.emu.machine import Machine
 from repro.errors import IRError, LiftError
 from repro.ir.builder import IRBuilder
-from repro.ir.instructions import Alloca, Call, IntToPtr, Load, Store
+from repro.ir.instructions import (
+    Alloca, Call, ICmp, IntToPtr, Load, Store)
 from repro.ir.module import Function
 from repro.ir.types import I64, VOID, FunctionType
 from repro.ir.values import Constant
@@ -410,9 +411,10 @@ class TestSsaLift:
         lift_mod._PIPELINE.run(function)
         return function
 
-    def test_lowers_like_the_alloca_reference(self):
-        # random bodies over the compilable instruction set, at every
-        # register width, with each kind of terminator
+    @classmethod
+    def _random_bodies(cls, count=300):
+        """Seeded random bodies over the compilable instruction set, at
+        every register width, with each kind of terminator."""
         regs = {8: ["rax", "rbx", "rcx", "rsi", "rsp", "r8", "r15"],
                 4: ["eax", "ebx", "ecx", "esi", "esp", "r8d"],
                 1: ["al", "bl", "cl", "sil"]}
@@ -443,17 +445,31 @@ class TestSsaLift:
                 f"imul {rng.choice(regs[8])}, {rng.choice(regs[8])}",
             ])
 
-        for _ in range(300):
+        for _ in range(count):
             lines = [line() for _ in range(rng.randrange(1, 8))]
             lines += [rng.choice(["syscall", "jmp target", "jne target",
                                   "call target", "ret"]),
                       "target:", "syscall"]
+            yield lines
+
+    def test_lowers_like_the_alloca_reference(self):
+        # the reference lifts with the translator's flag model, which
+        # the JIT's lift never builds: DCE must have dropped all of it
+        for lines in self._random_bodies():
             body, terminator, start = self._carve(lines)
             reference = lower_superblock(self._alloca_lift(body, start),
                                          body, terminator)[2]
             function = lift_mod.lift_superblock(body, start)
             assert lower_superblock(function, body, terminator)[2] == \
                 reference, lines
+
+    def test_no_flag_model_reaches_the_pipeline(self, monkeypatch):
+        # a body never reads a flag, so its only compares would be the
+        # translator's flag model; flags travel in flag_* markers
+        for lines in self._random_bodies():
+            instructions = self._lift(monkeypatch, lines)
+            assert not any(isinstance(inst, ICmp)
+                           for inst in instructions), lines
 
 
 class TestSuperblockCarving:
