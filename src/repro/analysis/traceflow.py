@@ -44,8 +44,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from repro.analysis.flagliveness import ALL_FLAGS
+from repro.emu.effects import decode_window
 from repro.errors import DecodingError
-from repro.isa.decoder import decode
 from repro.isa.insn import CONTROL_FLOW, Instruction, Mnemonic
 from repro.isa.metadata import effects
 from repro.isa.operands import Mem, Reg
@@ -252,6 +252,47 @@ class VariantPrune:
 _MISSING = object()
 
 
+def _encoding_defs(facts: StepFacts, window: bytes, mutated: bytes):
+    """The step-independent half of :meth:`TraceFacts.encoding_prune`.
+
+    Either a final verdict (a :class:`VariantPrune`, or ``None`` when
+    no proof applies), or ``(spans, flags)``: the register bit spans
+    and the flags the original or the mutated encoding may define,
+    all of which must be dead after the step.
+    """
+    original = facts.insn
+    length = original.length
+    if mutated[:length] == window[:length]:
+        # e.g. a stuck-at-zero byte that is already zero
+        return VariantPrune("dead", "encoding-identity", -1)
+    try:
+        replacement = decode_window(original.address, mutated)
+    except DecodingError:
+        return VariantPrune("crash", "undecodable", math.inf)
+    if replacement.length != length:
+        return None
+    m_old, m_new = original.mnemonic, replacement.mnemonic
+    if m_old in CONTROL_FLOW or m_new in CONTROL_FLOW:
+        return None
+    if m_old is Mnemonic.SYSCALL or m_new is Mnemonic.SYSCALL:
+        return None
+    new_facts = derive_step_facts(replacement)
+    if (
+        facts.eff.writes_memory
+        or new_facts.eff.writes_memory
+        or new_facts.eff.reads_memory
+    ):
+        return None
+    spans: dict[int, int] = {}
+    for source in (facts.write_spans, new_facts.write_spans):
+        for code, span in source.items():
+            spans[code] = spans.get(code, 0) | span
+    flags = frozenset()
+    if facts.eff.writes_flags or new_facts.eff.writes_flags:
+        flags = facts.touched | new_facts.touched
+    return tuple(spans.items()), flags
+
+
 class TraceFacts:
     """Lazily-computed fault-equivalence facts over one trace.
 
@@ -262,6 +303,13 @@ class TraceFacts:
     returning the pre-step flag state per trace step.  All three are
     deterministic functions of (image, bad input), so independently
     constructed instances agree across processes.
+
+    Per-instruction work is done once per trace *address*, not once
+    per step — a loop revisits the same code: :class:`StepFacts` are
+    derived once per address, and the step-independent half of an
+    encoding proof (decode, early outs, defined spans and flags) once
+    per (address, mutated window).  Only the liveness scans after the
+    step are per step.
     """
 
     def __init__(
@@ -275,7 +323,9 @@ class TraceFacts:
         self._insn_at = insn_at
         self._window_at = window_at
         self._flag_replay = flag_replay
-        self._steps: dict[int, Optional[StepFacts]] = {}
+        # keyed by trace address (None past the trace's end)
+        self._steps: dict[Optional[int], Optional[StepFacts]] = {}
+        self._encodings: dict[tuple[int, bytes], object] = {}
         self._reg_profiles: dict = {}
         self._flag_dead: dict = {}
         self._flag_regions: dict[str, list[int]] = {}
@@ -285,12 +335,14 @@ class TraceFacts:
         self.scan_steps = 0
 
     def step(self, step: int) -> Optional[StepFacts]:
-        cached = self._steps.get(step, _MISSING)
+        """Facts of the instruction at ``step``, keyed by its address."""
+        address = self.trace[step] if 0 <= step < len(self.trace) else None
+        cached = self._steps.get(address, _MISSING)
         if cached is not _MISSING:
             return cached
         insn = self._insn_at(step)
         facts = derive_step_facts(insn) if insn is not None else None
-        self._steps[step] = facts
+        self._steps[address] = facts
         return facts
 
     # ----- register deadness ------------------------------------------
@@ -518,7 +570,8 @@ class TraceFacts:
         re-decodes to the identical bytes, or to a same-length,
         non-control, non-memory instruction all of whose definitions
         (old and new) are dead; it is a *crash* when the mutated window
-        no longer decodes.
+        no longer decodes.  Everything but the liveness scans after
+        ``step`` is memoized per (address, mutated window).
         """
         facts = self.step(step)
         if facts is None or self._window_at is None:
@@ -526,46 +579,25 @@ class TraceFacts:
         window = self._window_at(step)
         if window is None:
             return None
-        original = facts.insn
         mutated = bytearray(window)
         mutate(mutated)
-        length = original.length
-        if bytes(mutated[:length]) == bytes(window[:length]):
-            # e.g. a stuck-at-zero byte that is already zero
-            return VariantPrune("dead", "encoding-identity", -1)
-        try:
-            replacement = decode(bytes(mutated), 0, original.address)
-        except DecodingError:
-            return VariantPrune("crash", "undecodable", math.inf)
-        if replacement.length != length:
-            return None
-        m_old, m_new = original.mnemonic, replacement.mnemonic
-        if m_old in CONTROL_FLOW or m_new in CONTROL_FLOW:
-            return None
-        if m_old is Mnemonic.SYSCALL or m_new is Mnemonic.SYSCALL:
-            return None
-        new_facts = derive_step_facts(replacement)
-        if (
-            facts.eff.writes_memory
-            or new_facts.eff.writes_memory
-            or new_facts.eff.reads_memory
-        ):
-            return None
-        diff: dict[int, int] = {}
-        for source in (facts.write_spans, new_facts.write_spans):
-            for code, span in source.items():
-                diff[code] = diff.get(code, 0) | span
+        key = (facts.insn.address, bytes(mutated))
+        defs = self._encodings.get(key, _MISSING)
+        if defs is _MISSING:
+            defs = self._encodings[key] = _encoding_defs(facts, window, key[1])
+        if not isinstance(defs, tuple):
+            return defs
+        spans, flags = defs
         settled = -1.0
-        for code, span in diff.items():
+        for code, span in spans:
             if span & ~self.reg_dead_mask(step + 1, code):
                 return None
             settled = max(
                 settled, self.reg_settle(step + 1, code, span)
             )
-        if facts.eff.writes_flags or new_facts.eff.writes_flags:
-            for flag in facts.touched | new_facts.touched:
-                dead, flag_settled = self.flag_dead(step + 1, flag)
-                if not dead:
-                    return None
-                settled = max(settled, flag_settled)
+        for flag in flags:
+            dead, flag_settled = self.flag_dead(step + 1, flag)
+            if not dead:
+                return None
+            settled = max(settled, flag_settled)
         return VariantPrune("dead", "encoding-dead", settled)

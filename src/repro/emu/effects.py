@@ -25,9 +25,11 @@ tuple)`` pair.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Optional
 
 from repro.emu.cpu import branch_target
+from repro.errors import DecodingError
 from repro.isa.decoder import decode
 from repro.isa.insn import Instruction, Mnemonic
 from repro.isa.operands import Mem
@@ -35,6 +37,38 @@ from repro.isa.operands import Mem
 # Effect stages (reported by models in docs and diagnostics).
 FETCH_STAGE = "fetch"
 STATE_STAGE = "state"
+
+#: Capacity of the process-wide mutated-decode memo, evicted LRU-first.
+DECODE_CAPACITY = 8192
+
+# (address, fetch window) -> Instruction, or the DecodingError message
+_DECODED: OrderedDict = OrderedDict()
+
+
+def decode_window(address: int, window: bytes) -> Instruction:
+    """Decode a (possibly mutated) fetch window placed at ``address``.
+
+    Memoized process-wide on the whole window, not just the original
+    instruction's bytes, since a mutation may lengthen the instruction
+    into the bytes that follow.  An undecodable window raises a fresh
+    :class:`~repro.errors.DecodingError` with the original message on
+    every call.
+    """
+    key = (address, window)
+    entry = _DECODED.get(key)
+    if entry is None:
+        try:
+            entry = decode(window, 0, address)
+        except DecodingError as error:
+            entry = str(error)
+        _DECODED[key] = entry
+        if len(_DECODED) > DECODE_CAPACITY:
+            _DECODED.popitem(last=False)
+    else:
+        _DECODED.move_to_end(key)
+    if isinstance(entry, str):
+        raise DecodingError(entry)
+    return entry
 
 
 class FaultEffect:
@@ -102,7 +136,7 @@ class EncodingBitFlipEffect(FetchEffect):
     def apply(self, machine, insn):
         raw = bytearray(machine.memory.fetch(insn.address, 15))
         raw[self.bit // 8] ^= 1 << (self.bit % 8)
-        return decode(bytes(raw), 0, insn.address)
+        return decode_window(insn.address, bytes(raw))
 
 
 class EncodingStuckByteEffect(FetchEffect):
@@ -114,7 +148,7 @@ class EncodingStuckByteEffect(FetchEffect):
     def apply(self, machine, insn):
         raw = bytearray(machine.memory.fetch(insn.address, 15))
         raw[self.index] = 0
-        return decode(bytes(raw), 0, insn.address)
+        return decode_window(insn.address, bytes(raw))
 
 
 def as_effect(value) -> FaultEffect:

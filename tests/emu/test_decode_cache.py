@@ -6,8 +6,16 @@ overlapping cached decodes, and a journal rollback must re-evict what
 it restores.
 """
 
+from collections import OrderedDict
+
+import pytest
+
+from repro.asm import assemble
 from repro.emu import Machine
-from repro.emu.effects import MemoryBitFlipEffect
+from repro.emu import effects
+from repro.emu.effects import (
+    EncodingBitFlipEffect, MemoryBitFlipEffect, decode_window)
+from repro.errors import DecodingError
 from repro.workloads import corpus, pincheck
 
 EXIT42_IMM_OFFSET = 3  # mov rdi, 42 = 48 c7 c7 2a 00 00 00
@@ -100,3 +108,61 @@ class TestMemBitFlipOnCode:
         before = machine.memory.peek(machine.cpu.rip, 8)
         MemoryBitFlipEffect(0, 0).mutate(machine, insn)
         assert machine.memory.peek(machine.cpu.rip, 8) == before
+
+
+class TestMutatedDecodeMemo:
+    """Encoding faults decode through one bounded process-wide memo
+    keyed by (address, whole mutated fetch window)."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self, monkeypatch):
+        monkeypatch.setattr(effects, "_DECODED", OrderedDict())
+
+    @staticmethod
+    def _push_rax_then(line):
+        # bit 4 turns push rax (0x50) into a REX prefix, so the mutated
+        # decode runs into the following instruction's bytes
+        return assemble("\n".join([
+            ".text", ".global _start", "_start:", "    push rax",
+            f"    {line}", "    mov eax, 60", "    xor edi, edi",
+            "    syscall"]))
+
+    def _flipped_run(self, image):
+        return Machine(image).run(
+            fault_plan={0: EncodingBitFlipEffect(4)})
+
+    def test_undecodable_window_crashes_alike_when_memoized(self):
+        # "40 48 01 d8": two stacked REX prefixes
+        image = self._push_rax_then("add rax, rbx")
+        first = self._flipped_run(image)
+        assert len(effects._DECODED) == 1
+        repeat = self._flipped_run(image)
+        assert first.reason == repeat.reason == "crash"
+        assert first.crash_detail == repeat.crash_detail != ""
+
+    def test_cached_error_is_raised_fresh(self):
+        window = bytes.fromhex("4048") + bytes(13)
+        errors = []
+        for _ in range(2):
+            with pytest.raises(DecodingError) as caught:
+                decode_window(0x401000, window)
+            errors.append(caught.value)
+        assert errors[0] is not errors[1]
+        assert str(errors[0]) == str(errors[1])
+
+    def test_key_is_the_whole_window(self):
+        # same address, same instruction bytes, different following
+        # bytes: "40 90" decodes where "40 48" did not
+        self._flipped_run(self._push_rax_then("add rax, rbx"))
+        result = self._flipped_run(self._push_rax_then("nop"))
+        assert result.reason != "crash"
+        assert len(effects._DECODED) == 2
+
+    def test_never_grows_past_its_capacity(self):
+        capacity = effects.DECODE_CAPACITY
+        for address in range(capacity + 16):
+            decode_window(address, b"\x90" + bytes(14))
+        assert len(effects._DECODED) == capacity
+        # least recently used first: the oldest sixteen are gone
+        assert (0, b"\x90" + bytes(14)) not in effects._DECODED
+        assert (16, b"\x90" + bytes(14)) in effects._DECODED

@@ -12,10 +12,16 @@ reference, so it checks the reduced run against the full one).
 """
 
 import json
+import math
 import pickle
 
 import pytest
 
+from repro.analysis.traceflow import (
+    TraceFacts, VariantPrune, derive_step_facts)
+from repro.asm import assemble
+from repro.emu import Machine
+from repro.errors import DecodingError, EmulationError
 from repro.faulter import (
     EngineConfig, Faulter, MultiprocessBackend, SequentialBackend, engine)
 from repro.faulter.models import MODELS
@@ -34,6 +40,8 @@ from repro.faulter.space import (
     SpacePartition,
     WindowedSpace,
 )
+from repro.isa.decoder import decode
+from repro.isa.insn import CONTROL_FLOW, Mnemonic
 from repro.workloads import bootloader, pincheck
 from tests.reference import reference_report
 
@@ -332,3 +340,126 @@ class TestCliSurface:
             main(["fault", "pincheck", flag])
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
+
+
+class _StepwiseFacts(TraceFacts):
+    """Memo-free reference proofs: :class:`StepFacts` derived afresh at
+    every step, and every encoding proof decoded and derived afresh."""
+
+    def __init__(self, image, bad_input, trace):
+        probe = Machine(image, stdin=bad_input)
+
+        def window_at(step):
+            try:
+                return bytes(probe.memory.fetch(trace[step], 15))
+            except (IndexError, EmulationError):
+                return None
+
+        def insn_at(step):
+            window = window_at(step)
+            try:
+                return decode(window, 0, trace[step]) if window else None
+            except DecodingError:
+                return None
+
+        super().__init__(trace, insn_at, window_at)
+
+    def step(self, step):
+        insn = self._insn_at(step)
+        return derive_step_facts(insn) if insn is not None else None
+
+    def encoding_prune(self, step, mutate):
+        facts = self.step(step)
+        window = self._window_at(step)
+        if facts is None or window is None:
+            return None
+        mutated = bytearray(window)
+        mutate(mutated)
+        original = facts.insn
+        if mutated[:original.length] == window[:original.length]:
+            return VariantPrune("dead", "encoding-identity", -1)
+        try:
+            replacement = decode(bytes(mutated), 0, original.address)
+        except DecodingError:
+            return VariantPrune("crash", "undecodable", math.inf)
+        if replacement.length != original.length:
+            return None
+        for insn in (original, replacement):
+            if insn.mnemonic in CONTROL_FLOW or \
+                    insn.mnemonic is Mnemonic.SYSCALL:
+                return None
+        new_facts = derive_step_facts(replacement)
+        if (facts.eff.writes_memory or new_facts.eff.writes_memory
+                or new_facts.eff.reads_memory):
+            return None
+        spans = {}
+        for source in (facts.write_spans, new_facts.write_spans):
+            for code, span in source.items():
+                spans[code] = spans.get(code, 0) | span
+        settled = -1.0
+        for code, span in spans.items():
+            if span & ~self.reg_dead_mask(step + 1, code):
+                return None
+            settled = max(settled, self.reg_settle(step + 1, code, span))
+        if facts.eff.writes_flags or new_facts.eff.writes_flags:
+            for flag in facts.touched | new_facts.touched:
+                dead, flag_settled = self.flag_dead(step + 1, flag)
+                if not dead:
+                    return None
+                settled = max(settled, flag_settled)
+        return VariantPrune("dead", "encoding-dead", settled)
+
+
+def _verdicts(image, bad_input, model_name):
+    """``(memoized, memo-free)`` verdicts of every point of the model
+    on the bad-input trace, and the production facts."""
+    trace = engine.derive_trace(image, bad_input, 100_000)
+    ctx = engine.build_space_context(image, bad_input, MODELS[model_name],
+                                     trace)
+    reference = _StepwiseFacts(image, bad_input, trace)
+    memoized, fresh = {}, {}
+    for step in range(len(trace)):
+        for detail in ctx.variants(step):
+            memoized[step, detail] = ctx.model.prune_variant(
+                step, detail, ctx.facts)
+            fresh[step, detail] = ctx.model.prune_variant(
+                step, detail, reference)
+    return memoized, fresh, ctx.facts
+
+
+class TestMemoizedProofs:
+    """Proofs memoized per address and per (address, mutated window)
+    equal a memo-free recomputation: kind, reason and ``settled``."""
+
+    @pytest.fixture(scope="class")
+    def images(self):
+        target = bootloader.workload().target()
+        return {"bootloader": target.exe,
+                "bootloader+hybrid": target.harden(
+                    "hybrid", fault_models=()).hardened}
+
+    @pytest.mark.parametrize("model", ["bitflip", "skip"])
+    @pytest.mark.parametrize("name", ["bootloader", "bootloader+hybrid"])
+    def test_loop_heavy_traces(self, images, name, model):
+        wl = bootloader.workload()
+        memoized, fresh, facts = _verdicts(images[name], wl.bad_input,
+                                           model)
+        assert memoized == fresh
+        if model == "bitflip":
+            # the hash loop revisits its code: the memo must hit
+            assert 0 < len(facts._encodings) < len(memoized)
+
+    def test_key_is_the_whole_window(self):
+        # two copies of push rax (0x50); bit 4 turns it into a REX
+        # prefix, so the mutated decode runs into the following bytes:
+        # "40 90" decodes (a longer instruction, no proof), "40 48 .."
+        # stacks two prefixes and does not decode (a crash)
+        image = assemble("\n".join([
+            ".text", ".global _start", "_start:",
+            "    push rax", "    nop",
+            "    push rax", "    add rax, rbx",
+            "    mov eax, 60", "    xor edi, edi", "    syscall"]))
+        memoized, fresh, _ = _verdicts(image, b"", "bitflip")
+        assert memoized == fresh
+        assert memoized[0, (4,)] is None
+        assert memoized[2, (4,)].kind == "crash"
