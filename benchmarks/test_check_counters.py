@@ -42,22 +42,48 @@ def test_incorrect_run_fails():
     assert len(failures) == 1 and "correct" in failures[0]
 
 
+def _pinned_file(tmp_path):
+    path = tmp_path / "pinned.json"
+    path.write_text(json.dumps({"workloads": {
+        "pincheck": PINNED,
+        "bootloader": {"counters": {"emu.steps.emulated": 900}}}}))
+    return path
+
+
 def test_reads_the_last_line_of_the_log(tmp_path, capsys):
-    pinned = tmp_path / "pinned.json"
-    pinned.write_text(json.dumps(PINNED))
+    pinned = _pinned_file(tmp_path)
     log = tmp_path / "perfbench.log"
     log.write_text("emu.steps.emulated   500 count\n"
                    + json.dumps(_result()) + "\n")
-    assert check_counters.main([str(pinned), str(log)]) == 0
+    args = [str(pinned), str(log), "--workload", "pincheck"]
+    assert check_counters.main(args) == 0
     log.write_text(json.dumps(_result(ir__verify__calls=41)) + "\n")
-    assert check_counters.main([str(pinned), str(log)]) == 1
+    assert check_counters.main(args) == 1
     assert "ir.verify.calls: 41 != pinned 40" in capsys.readouterr().out
+
+
+def test_checks_the_named_workload_only(tmp_path, capsys):
+    pinned = _pinned_file(tmp_path)
+    log = tmp_path / "perfbench.log"
+    log.write_text(json.dumps(_result()) + "\n")
+    assert check_counters.main(
+        [str(pinned), str(log), "--workload", "bootloader"]) == 1
+    assert "emu.steps.emulated: 500 != pinned 900" in \
+        capsys.readouterr().out
+    with pytest.raises(SystemExit) as caught:
+        check_counters.main([str(pinned), str(log), "--workload", "x"])
+    assert caught.value.code == 2
 
 
 def test_committed_file_pins_the_gated_counters():
     path = pathlib.Path(__file__).parent / "perfbench_counters.json"
-    pinned = json.loads(path.read_text())
-    assert set(pinned["counters"]) == {
-        "emu.steps.emulated", "emu.steps.compiled", "emu.steps.precise",
-        "emu.jit.superblocks_compiled", "faulter.points.executed",
-        "ir.verify.calls", "faulter.fleet.jobs"}
+    workloads = json.loads(path.read_text())["workloads"]
+    assert set(workloads) == {"pincheck", "bootloader"}
+    for name, pinned in workloads.items():
+        assert f"--workload {name} --seed 0 --trace 1" in \
+            pinned["command"]
+        assert set(pinned["counters"]) == {
+            "emu.steps.emulated", "emu.steps.compiled",
+            "emu.steps.precise", "emu.jit.superblocks_compiled",
+            "faulter.points.executed", "ir.verify.calls",
+            "faulter.fleet.jobs"}

@@ -323,8 +323,8 @@ class TraceFacts:
         self._insn_at = insn_at
         self._window_at = window_at
         self._flag_replay = flag_replay
-        # keyed by trace address (None past the trace's end)
-        self._steps: dict[Optional[int], Optional[StepFacts]] = {}
+        # trace address (None past the trace's end) -> facts
+        self._at_address: dict[Optional[int], Optional[StepFacts]] = {}
         self._encodings: dict[tuple[int, bytes], object] = {}
         self._reg_profiles: dict = {}
         self._flag_dead: dict = {}
@@ -337,12 +337,12 @@ class TraceFacts:
     def step(self, step: int) -> Optional[StepFacts]:
         """Facts of the instruction at ``step``, keyed by its address."""
         address = self.trace[step] if 0 <= step < len(self.trace) else None
-        cached = self._steps.get(address, _MISSING)
+        cached = self._at_address.get(address, _MISSING)
         if cached is not _MISSING:
             return cached
         insn = self._insn_at(step)
         facts = derive_step_facts(insn) if insn is not None else None
-        self._steps[address] = facts
+        self._at_address[address] = facts
         return facts
 
     # ----- register deadness ------------------------------------------

@@ -129,7 +129,7 @@ class InstructionTranslator:
             state.write_flag_const(b, "cf", 0)
             state.write_flag_const(b, "of", 0)
         elif c is not None:
-            shift = (a.type.bits - c if kind == "shl" else c - 1)
+            shift = a.type.bits - c if kind == "shl" else c - 1
             carry_bit = b.lshr(a, Constant(a.type, shift))
             carry = b.and_(carry_bit, Constant(a.type, 1))
             state.write_flag(b, "cf", b.icmp("ne", carry, zero))
