@@ -11,8 +11,8 @@ from conftest import once
 
 from repro.disasm import disassemble, reassemble
 from repro.emu import run_executable
-from repro.hybrid.duplication import duplicate_everything
 from repro.patcher import FaulterPatcherLoop
+from tests.duplication import duplicate_everything
 
 
 def _duplicate(wl):

@@ -7,15 +7,12 @@ functions of the recorded bad-input trace, the same trace both
 backends already re-derive deterministically — so every process that
 enumerates a reduced space recomputes identical facts.
 
-It is the dynamic-trace counterpart of the static analyses it borrows
-its vocabulary from: the forward dead-bit scan is
-:class:`repro.analysis.liveness.RegisterLiveness` specialized to one
-straight-line path (the trace), and the def/use extraction reuses the
-same per-instruction :func:`repro.isa.metadata.effects` facts that
-:class:`repro.analysis.defuse.DefUse` chains are built from.  Flag
-vocabulary (:data:`~repro.analysis.flagliveness.ALL_FLAGS`, the
-may/definite write split) comes from
-:mod:`repro.analysis.flagliveness`.
+It is the dynamic-trace counterpart of a static register liveness:
+the forward dead-bit scan is liveness specialized to one straight-line
+path (the trace), and the def/use extraction reads the per-instruction
+:func:`repro.isa.metadata.effects` facts.  Flag vocabulary
+(:data:`~repro.analysis.flagliveness.ALL_FLAGS`, the may/definite
+write split) comes from :mod:`repro.analysis.flagliveness`.
 
 Soundness conventions, shared with the fault models' hooks:
 

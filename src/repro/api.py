@@ -198,13 +198,13 @@ class Target:
 
         The cached faulter survives across ``campaign``/``evaluate``
         calls, so a store with the config's root is kept (its
-        in-memory memo and stats stay warm) and only a root change
-        swaps it.
+        in-memory memo and stats stay warm), a root change swaps it,
+        and a config with the cache off clears it.
         """
         faulter = self.faulter()
         store = runner.config.artifact_store()
-        if store is not None and (faulter.artifacts is None
-                                  or faulter.artifacts.root != store.root):
+        if store is None or faulter.artifacts is None \
+                or faulter.artifacts.root != store.root:
             faulter.artifacts = store
         return runner.reports(self.exe, models, self.name,
                               faulter=faulter)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional
+from typing import Optional
 
 
 @dataclass
@@ -115,9 +115,6 @@ class Executable:
                 return sym
         raise KeyError(f"no symbol named {name!r}")
 
-    def symbols_in(self, section_name: str) -> Iterable[SymbolDef]:
-        return [s for s in self.symbols if s.section == section_name]
-
     def recovery_symbols(self) -> list[SymbolDef]:
         """Static symbols plus dynamic ones not shadowing a static name.
 
@@ -135,9 +132,6 @@ class Executable:
     def address_ranges(self) -> list[tuple[int, int]]:
         """Sorted (start, end) ranges of all loadable sections."""
         return sorted((s.addr, s.end) for s in self.sections)
-
-    def in_loaded_range(self, address: int) -> bool:
-        return self.section_at(address) is not None
 
     def stripped(self) -> "Executable":
         """Copy without static symbols (exercises symbol-free recovery).
@@ -165,6 +159,3 @@ class Executable:
     def code_size(self) -> int:
         """Total size of executable sections (the paper's overhead metric)."""
         return sum(s.mem_size for s in self.sections if s.executable)
-
-    def with_entry(self, entry: int) -> "Executable":
-        return replace(self, entry=entry)

@@ -26,7 +26,6 @@ from repro.emu.effects import (
     FlagForceEffect,
     MemoryBitFlipEffect,
     RegisterBitFlipEffect,
-    ReplaceEffect,
     SkipEffect,
     StateEffect,
 )
@@ -35,7 +34,7 @@ from repro.emu.flagops import Flags
 
 __all__ = ["Machine", "RunResult", "run_executable", "CPU", "Memory",
            "Flags", "FaultEffect", "FetchEffect", "StateEffect",
-           "SkipEffect", "ReplaceEffect", "EncodingBitFlipEffect",
+           "SkipEffect", "EncodingBitFlipEffect",
            "EncodingStuckByteEffect", "RegisterBitFlipEffect",
            "FlagForceEffect", "MemoryBitFlipEffect",
            "BranchInvertEffect"]

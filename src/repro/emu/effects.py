@@ -114,16 +114,6 @@ class SkipEffect(FetchEffect):
         return None
 
 
-class ReplaceEffect(FetchEffect):
-    """Execute a pre-built replacement instruction instead."""
-
-    def __init__(self, replacement: Instruction):
-        self.replacement = replacement
-
-    def apply(self, machine, insn):
-        return self.replacement
-
-
 class EncodingBitFlipEffect(FetchEffect):
     """Flip one bit of the fetched encoding and re-decode in place.
 

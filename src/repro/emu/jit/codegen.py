@@ -6,9 +6,9 @@ The emitted function has signature ``fn(cpu, mem, flags)`` and must be
 and next PC, and the same exception on the same faulting access.  Three
 rules make that hold:
 
-* integer semantics mirror ``ir/interp.py`` exactly (masked arithmetic,
-  interpreter shift/udiv edge cases, signed compares via two's
-  complement views);
+* integer semantics mirror the IR's exactly, as the tests' reference
+  interpreter (``tests/ir_interp.py``) runs it: masked arithmetic, its
+  shift/udiv edge cases, signed compares via two's complement views;
 * memory traffic stays in program order (loads/stores can fault or trip
   the self-modification hook mid-block), while registers, flags and the
   PC are committed only at the very end — an aborted block therefore
@@ -91,7 +91,7 @@ class _Emitter:
         self.names[id(value)] = name
 
     def signed(self, value: Value, bits: int) -> str:
-        """Two's complement signed view (matches interp's ``_signed``)."""
+        """Two's complement signed view of ``value``."""
         if isinstance(value, Constant):
             return repr(value.value)
         name = self.ref(value)
@@ -160,8 +160,8 @@ class _Emitter:
                 self.assign(inst, f"({a} >> {b}) "
                                   f"if {b} < {bits} else 0")
         elif op == "ashr":
-            # interp clamps the count to bits-1 and shifts the signed
-            # view, masking the result back to width
+            # the count clamps to bits-1 and the signed view shifts,
+            # masked back to width
             signed = self.signed(inst.lhs, bits)
             if isinstance(inst.rhs, Constant):
                 count = min(inst.rhs.unsigned, bits - 1)

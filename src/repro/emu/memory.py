@@ -40,9 +40,6 @@ class Memory:
                 self._pages[page] = bytearray(PAGE_SIZE)
             self._perms[page] = flags
 
-    def is_mapped(self, address: int) -> bool:
-        return (address >> 12) in self._pages
-
     def load(self, address: int, data: bytes, flags: str = "rw"):
         """Map and initialize a region (used by the ELF loader)."""
         self.map(address, max(len(data), 1), flags)

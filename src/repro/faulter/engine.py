@@ -798,6 +798,13 @@ class EngineConfig:
     cache_dir: Optional[str] = None
 
     def __post_init__(self):
+        for name in ("workers", "k_faults", "samples", "seed"):
+            value = getattr(self, name)
+            if name == "workers" and value is None:
+                continue
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(
+                    f"{name} must be an int, got {value!r}")
         if self.backend is not None and self.backend not in BACKENDS:
             raise ValueError(
                 f"unknown backend {self.backend!r}; known: "

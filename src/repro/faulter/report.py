@@ -135,9 +135,6 @@ class CampaignReport:
             point.faults.append(fault)
         return sorted(by_address.values(), key=lambda p: p.address)
 
-    def vulnerable_addresses(self) -> list[int]:
-        return [point.address for point in self.vulnerable_points()]
-
     def summary(self) -> str:
         lines = [
             f"fault campaign: target={self.target} model={self.model}",

@@ -51,9 +51,6 @@ class CFG:
     def predecessors(self, block: CodeBlock) -> list[Edge]:
         return self._pred.get(block.uid, [])
 
-    def has_unknown_successor(self, block: CodeBlock) -> bool:
-        return any(e.dst is None for e in self.successors(block))
-
     def to_dot(self, module: Module) -> str:
         """Graphviz rendering (used by the Fig. 4/5 benches)."""
         lines = ["digraph cfg {", "  node [shape=box fontname=monospace];"]

@@ -248,13 +248,6 @@ class Module:
                     return section, block, index
         raise RewriteError(f"no instruction at address {address:#x}")
 
-    def block_at(self, address: int):
-        """The block whose *original* address is ``address``, if any."""
-        for block in self.all_blocks():
-            if block.address == address:
-                return block
-        return None
-
     # -- statistics -----------------------------------------------------------
 
     def text_size(self) -> int:

@@ -242,13 +242,3 @@ def harden_branches(target: IRModule | Function,
     hardening = BranchHardening(uid_seed, branch_filter=branch_filter)
     hardening.run(target)
     return hardening.stats
-
-
-def hardening_report(stats: HardeningStats) -> str:
-    lines = [
-        "conditional branch hardening:",
-        f"  branches hardened     : {stats.branches_hardened}",
-        f"  validation blocks     : {stats.validation_blocks}",
-        f"  fault-response blocks : {stats.fault_response_blocks}",
-    ]
-    return "\n".join(lines)

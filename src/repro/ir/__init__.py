@@ -2,10 +2,10 @@
 
 A typed SSA IR with the module/function/basic-block/instruction
 hierarchy the paper highlights as the reason to lift binaries: explicit
-use-def chains, a builder, a verifier, a textual printer, an interpreter
-(used for differential testing against the CPU emulator), and a pass
+use-def chains, a builder, a verifier, a textual printer, and a pass
 manager with the standard cleanup passes (mem2reg, DCE, constant
-folding, CFG simplification).
+folding, CFG simplification).  The IR interpreter the tests run lifted
+code on lives beside them, in ``tests/ir_interp.py``.
 
 The hybrid countermeasure of Section V-B is implemented as a pass over
 this IR, exactly as the paper implements it as an LLVM optimization
@@ -25,8 +25,7 @@ from repro.ir.instructions import (
 )
 from repro.ir.builder import IRBuilder
 from repro.ir.verifier import verify
-from repro.ir.printer import print_module, print_function
-from repro.ir.interp import Interpreter
+from repro.ir.printer import print_function
 
 __all__ = [
     "IntType", "PointerType", "VoidType", "FunctionType",
@@ -36,6 +35,5 @@ __all__ = [
     "Alloca", "BinOp", "Br", "Call", "CondBr", "ICmp", "IntToPtr",
     "Load", "Phi", "PtrToInt", "Ret", "Select", "SExt", "Store",
     "Switch", "Trunc", "Unreachable", "ZExt", "Instruction",
-    "IRBuilder", "verify", "print_module", "print_function",
-    "Interpreter",
+    "IRBuilder", "verify", "print_function",
 ]

@@ -128,12 +128,6 @@ class Function(Value):
     def fresh_name(self, prefix: str = "v") -> str:
         return f"{prefix}{next(self._name_counter)}"
 
-    def block_by_name(self, name: str) -> BasicBlock:
-        for block in self.blocks:
-            if block.name == name:
-                return block
-        raise KeyError(f"no block named {name!r}")
-
     def instructions(self):
         for block in self.blocks:
             yield from block.instructions

@@ -19,13 +19,3 @@ def instruction_histogram(function: Function) -> Counter:
         else:
             histogram[instruction.opcode] += 1
     return histogram
-
-
-def histogram_delta(before: Counter, after: Counter) -> Counter:
-    """after - before, keeping negative entries."""
-    delta: Counter = Counter()
-    for key in set(before) | set(after):
-        diff = after.get(key, 0) - before.get(key, 0)
-        if diff:
-            delta[key] = diff
-    return delta

@@ -5,14 +5,7 @@ from __future__ import annotations
 from repro.ir.instructions import (
     Alloca, BinOp, Br, Call, CondBr, ICmp, Load, Phi, Ret, Select, Store,
     Switch, Trunc, Unreachable, ZExt, SExt, IntToPtr, PtrToInt)
-from repro.ir.module import BasicBlock, Function, IRModule
-
-
-def print_module(module: IRModule) -> str:
-    parts = [f"; module {module.name}"]
-    for function in module.functions:
-        parts.append(print_function(function))
-    return "\n\n".join(parts)
+from repro.ir.module import BasicBlock, Function
 
 
 def print_function(function: Function) -> str:

@@ -17,10 +17,6 @@ class IntType:
     def mask(self) -> int:
         return (1 << self.bits) - 1
 
-    @property
-    def sign_bit(self) -> int:
-        return 1 << (self.bits - 1)
-
 
 @dataclass(frozen=True)
 class PointerType:

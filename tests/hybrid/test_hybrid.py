@@ -7,14 +7,14 @@ import pytest
 from repro.asm import assemble
 from repro.binfmt import write_elf
 from repro.emu import run_executable
-from repro.hybrid import (
-    BranchHardening, duplicate_everything, harden_branches, hybrid_harden)
-from repro.ir import Interpreter, verify
+from repro.hybrid import BranchHardening, harden_branches, hybrid_harden
+from repro.ir import verify
 from repro.ir.instructions import CondBr, Switch
 from repro.ir.passes.pass_manager import standard_cleanup
 from repro.lift import Lifter
-from repro.lift.lifter import guest_memory
 from repro.workloads import bootloader, corpus, pincheck
+from tests.duplication import duplicate_everything
+from tests.ir_interp import Interpreter, guest_memory
 
 BRANCHY = """
 .text

@@ -2,11 +2,10 @@
 
 import pytest
 
-from repro.ir import (
-    Constant, Function, FunctionType, I64, IRBuilder, Interpreter,
-    verify)
+from repro.ir import Constant, Function, FunctionType, I64, IRBuilder, verify
 from repro.ir.passes import cse, dce, instruction_histogram
 from repro.ir.types import VOID
+from tests.ir_interp import Interpreter
 
 
 def fn_with_entry():

@@ -4,9 +4,9 @@ import pytest
 
 from repro.errors import IRError
 from repro.ir import (
-    Constant, Function, FunctionType, I1, I8, I64, IRBuilder,
-    Interpreter, verify)
+    Constant, Function, FunctionType, I1, I8, I64, IRBuilder, verify)
 from repro.ir.types import VOID
+from tests.ir_interp import Interpreter
 
 
 def fn_with_entry():

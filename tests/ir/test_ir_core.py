@@ -5,11 +5,12 @@ import pytest
 from repro.errors import IRError
 from repro.ir import (
     Constant, Function, FunctionType, I1, I64, IRBuilder, IRModule,
-    Interpreter, verify, print_function,
+    verify, print_function,
 )
 from repro.ir.passes import (
     constant_fold, dce, instruction_histogram, mem2reg, simplify_cfg)
 from repro.ir.passes.pass_manager import standard_cleanup
+from tests.ir_interp import Interpreter
 
 
 def make_function(name="f"):

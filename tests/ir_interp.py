@@ -1,16 +1,14 @@
-"""IR interpreter.
+"""IR interpreter: the tests' reference for lifted code.
 
-Executes a lifted function against a guest memory image and I/O state,
-mirroring the CPU emulator's observable behaviour — the differential
-oracle for lifter correctness (binary-under-emulator vs
-lifted-IR-under-interpreter must match).
+Mirrors the CPU emulator's observable behaviour, so a lifted function
+run here must match the binary run under emulation.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.emu.machine import CRASH, EXIT, HALT, MAX_STEPS, RunResult
+from repro.emu.machine import CRASH, EXIT, HALT, MAX_STEPS, Machine, RunResult
 from repro.emu.memory import Memory
 from repro.emu.syscalls import IOState
 from repro.errors import IRError, MemoryFault
@@ -257,3 +255,8 @@ class Interpreter:
         if number in (60, 231):
             raise _Exit(rdi & 0xFF)
         return (-38) & _MASK64  # ENOSYS
+
+
+def guest_memory(exe) -> Memory:
+    """The emulator's initial memory image for ``exe``."""
+    return Machine(exe).memory

@@ -5,10 +5,10 @@ import pytest
 from repro.asm import assemble
 from repro.emu import run_executable
 from repro.errors import LiftError
-from repro.ir import Interpreter, verify
+from repro.ir import verify
 from repro.lift import Lifter, lift_executable
-from repro.lift.lifter import guest_memory
 from repro.workloads import bootloader, corpus, pincheck
+from tests.ir_interp import Interpreter, guest_memory
 
 
 def differential(exe, stdin=b""):

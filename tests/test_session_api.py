@@ -84,6 +84,15 @@ class TestEngineConfig:
             EngineConfig(backend="sequential", workers=4)
         with pytest.raises(ValueError, match="k_faults"):
             EngineConfig(k_faults=0)
+        # malformed numbers fail here, not deep inside the fleet
+        for key, value in [("workers", 2.5), ("workers", True),
+                           ("k_faults", "2"), ("samples", 1.0),
+                           ("samples", False), ("seed", "x"),
+                           ("seed", None)]:
+            with pytest.raises(ValueError, match=key):
+                EngineConfig(**{key: value})
+        with pytest.raises(ValueError, match="workers"):
+            EngineConfig.from_dict({"workers": "2"})
 
     @pytest.mark.parametrize("key, value", [
         ("max_resident_point", 8),    # a typo
