@@ -14,7 +14,6 @@ from conftest import once
 from repro.detour.rewriter import duplicate_with_detours
 from repro.disasm import disassemble, reassemble
 from repro.emu import run_executable
-from repro.gtirb.ir import InsnEntry
 from repro.patcher import Patcher
 from repro.patcher.patterns import _is_idempotent, duplicate_pattern
 

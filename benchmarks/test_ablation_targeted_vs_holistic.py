@@ -9,7 +9,6 @@ targeted Faulter+Patcher loop.
 
 from conftest import once
 
-from repro.faulter import Faulter
 from repro.hybrid import hybrid_harden
 from repro.patcher import FaulterPatcherLoop
 

@@ -2,9 +2,10 @@
 
 "duplicating every instruction ... implies at least 300% overhead in
 code size ... Therefore, both of our methods perform better than a
-simple duplication scheme."  (Here "both methods" refers to the
-targeted Faulter+Patcher loop; see EXPERIMENTS.md for the holistic
-hybrid discussion.)
+simple duplication scheme."  (Here only the targeted Faulter+Patcher
+loop is measured against duplication; the holistic hybrid's overhead
+is measured in ``test_table5_overhead.py``, which checks that it costs
+at least twice Faulter+Patcher's.)
 """
 
 from conftest import once

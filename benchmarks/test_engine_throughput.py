@@ -1,9 +1,11 @@
 """Campaign-engine throughput: compiled vs precise vs parallel.
 
-Seeds the perf trajectory for the faulter hot loop.  A sampled
-campaign over a long bootloader trace (>= 1k instructions) runs on
-the master walk (one machine walks the trace; each fault snapshots,
-runs its suffix and rolls back) under four engine configurations:
+Seeds the perf trajectory for the faulter hot loop.  A skip campaign
+over ``SAMPLES`` seeded offsets of a long bootloader trace (>= 1k
+instructions; every offset has exactly one skip variant, so that is
+``SAMPLES`` points, enumerated in draw order) runs on the master walk
+(one machine walks the trace; each fault snapshots, runs its suffix
+and rolls back) under four engine configurations:
 
 * ``trace-compiled``    — in-process, with the compiled tier (the
   engine default); the headline number, timed through
@@ -21,7 +23,8 @@ and the engine's peak-resident-fault-points gauge are recorded in
 ``benchmarks/out/BENCH_campaign.json`` (gitignored, so a test run
 leaves the tree clean; the committed baseline is ``BENCH_campaign.json``
 at the repo root).  A ``models`` section adds a
-state-family row (a sampled ``reg-bitflip`` campaign), so the
+state-family row (``reg-bitflip`` over ``STATE_SAMPLES`` seeded fault
+points spread over the trace), so the
 fault-effect protocol's hot path is on the same perf trajectory as the
 classic fetch faults, and a ``k2-reduced`` row (a dense k=2
 ``flag-stuck`` pair product with equivalence reduction on, see
@@ -37,6 +40,7 @@ the baseline).
 
 import json
 import pathlib
+import random
 import resource
 import shutil
 import tempfile
@@ -47,10 +51,11 @@ from conftest import once
 from repro.binfmt.reader import read_elf
 from repro.emu.jit import compiler as jit_compiler
 from repro.faulter import (
-    ArtifactStore, Faulter, MultiprocessBackend, SampledSpace,
-    SequentialBackend, shutdown_fleet)
+    ArtifactStore, Faulter, MultiprocessBackend, SequentialBackend,
+    shutdown_fleet)
 from repro.faulter.space import ExhaustiveSpace, ProductSpace
 from repro.workloads import bootloader
+from tests.spaces import DrawOrderWindow, SampledPoints
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 BENCH_PATH = REPO_ROOT / "benchmarks" / "out" / "BENCH_campaign.json"
@@ -61,7 +66,7 @@ TRACE_SIZE = 200     # bootloader payload -> trace >= 1k instructions
 # gate's faults/s comparison out of the noise floor
 SAMPLES = 384
 SEED = 2024
-# state-model row: fewer samples (register faults rarely short-circuit
+# state-model row: fewer points (register faults rarely short-circuit
 # the run, so each faulted replay tends to execute the full suffix)
 STATE_MODEL = "reg-bitflip"
 STATE_SAMPLES = 192
@@ -86,8 +91,15 @@ WARM_MIN_SPEEDUP = 2.0
 GATED_REPEATS = 3
 
 
-def _measure(faulter, backend, model="skip", samples=SAMPLES):
-    space = SampledSpace(samples=samples, seed=SEED)
+def _measure(faulter, backend, model="skip", space=None):
+    if space is None:
+        # draw order spreads every fleet partition over the whole
+        # trace; sorted offsets would give the first partitions the
+        # long suffixes, and the fleet rows would time that imbalance
+        # instead of warm-up and work stealing
+        trace_length = len(faulter.trace())
+        space = DrawOrderWindow(indices=tuple(
+            random.Random(SEED).sample(range(trace_length), SAMPLES)))
     start = time.perf_counter()
     report = faulter.engine().run(model, space, backend=backend)
     elapsed = time.perf_counter() - start
@@ -219,7 +231,7 @@ def test_engine_throughput(benchmark, record):
         shutil.rmtree(cache_root, ignore_errors=True)
         shutdown_fleet()
 
-    # all backends classify the sampled space identically
+    # all backends classify the sampled offsets identically
     for report in (*reports.values(), cold_report, warm_report):
         assert report == expected
 
@@ -242,8 +254,8 @@ def test_engine_throughput(benchmark, record):
     # state-family row: the generalized fault-effect path must stay on
     # the same trajectory as fetch substitution
     state_report, state_elapsed = _measure(
-        faulter, SequentialBackend(),
-        model=STATE_MODEL, samples=STATE_SAMPLES)
+        faulter, SequentialBackend(), model=STATE_MODEL,
+        space=SampledPoints(points=STATE_SAMPLES, seed=SEED))
     models = {
         STATE_MODEL: {
             "wall_seconds": round(state_elapsed, 4),
@@ -338,7 +350,7 @@ def test_engine_throughput(benchmark, record):
     BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
     lines = [
-        "ENGINE THROUGHPUT: sampled skip campaign "
+        "ENGINE THROUGHPUT: skip campaign over seeded offsets "
         f"({wl.name}, trace={trace_length}, n={SAMPLES})",
         "",
         f"  {'backend':<16}{'faults/s':>12}{'emulated steps':>18}",

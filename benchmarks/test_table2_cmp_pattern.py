@@ -68,7 +68,6 @@ def test_table2(benchmark, record):
     # (bit flips on its ModRM) and check for detection or harmlessness
     machine = Machine(rebuilt)
     trace = machine.run(record_trace=True).trace
-    from repro.faulter import Faulter
     # exit code 1 == 'grant marker' proxy: reuse campaign machinery by
     # defining the marker as the setb-true exit path output (none), so
     # instead verify by direct skip injection on the duplicated cmp:

@@ -12,7 +12,6 @@ from repro.disasm import disassemble, reassemble
 from repro.disasm.pprint import render_instruction
 from repro.emu import Machine, run_executable
 from repro.emu.effects import BranchInvertEffect
-from repro.isa.cond import Cond
 from repro.isa.insn import Mnemonic
 from repro.patcher import Patcher
 

@@ -11,10 +11,11 @@ binaries; our lifter/backend instead of Rev.ng/LLVM), so absolute
 numbers shift — the *shape* assertions encode the paper's claims:
 targeted patching is much cheaper than holistic hardening, and the
 Faulter+Patcher approach stays far below the 300% duplication strawman.
-See EXPERIMENTS.md for the full discussion.
+Our hybrid/F+P ratio runs wider than the paper's 2x-5x because our
+backend's translation overhead (printed per case as "translation
+alone") exceeds Rev.ng's on these hand-sized binaries.
 """
 
-import pytest
 from conftest import once
 
 from repro.hybrid import hybrid_harden

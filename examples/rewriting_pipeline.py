@@ -7,7 +7,6 @@ stage: the recovered blocks and symbols, the symbolized listing, a
 manual patch, and the reassembled (still working) executable.
 """
 
-from repro.asm import assemble
 from repro.disasm import disassemble, pretty_print, reassemble
 from repro.disasm.functions import find_functions
 from repro.emu import run_executable

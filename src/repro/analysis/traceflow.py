@@ -325,10 +325,8 @@ class TraceFacts:
         self._encodings: dict[tuple[int, bytes], object] = {}
         self._reg_profiles: dict = {}
         self._flag_dead: dict = {}
-        self._flag_regions: dict[str, list[int]] = {}
         self._flag_values: Optional[list] = None
         self.prune_cache: dict = {}
-        self.class_cache: dict = {}
         self.scan_steps = 0
 
     def step(self, step: int) -> Optional[StepFacts]:
@@ -527,35 +525,6 @@ class TraceFacts:
         if dead:
             return VariantPrune("dead", "flag-dead", settled)
         return None
-
-    def flag_class_key(
-        self, step: int, flag: str, value: int
-    ) -> Optional[tuple]:
-        """Equivalence-class key for a flag-force fault.
-
-        Two forces of the same flag/value are equivalent when no step
-        between them consumes or may-write the flag: the forced value
-        survives untouched from the earlier point to the later one, so
-        both runs coincide from the later point on.  The key is the
-        index of the surrounding quiet region.
-        """
-        regions = self._flag_regions.get(flag)
-        if regions is None:
-            regions = []
-            region = 0
-            for j in range(len(self.trace)):
-                regions.append(region)
-                facts = self.step(j)
-                if (
-                    facts is None
-                    or flag in facts.consumed
-                    or flag in facts.touched
-                ):
-                    region += 1
-            self._flag_regions[flag] = regions
-        if not 0 <= step < len(regions):
-            return None
-        return (flag, int(bool(value)), regions[step])
 
     def encoding_prune(
         self, step: int, mutate: Callable[[bytearray], None]

@@ -72,7 +72,6 @@ from repro.faulter.space import (
     FaultPoint,
     FaultSpace,
     KFaultProductSpace,
-    SampledSpace,
     SpacePartition,
     WindowedSpace,
 )
@@ -122,7 +121,6 @@ __all__ = [
     "FaultPoint",
     "FaultSpace",
     "KFaultProductSpace",
-    "SampledSpace",
     "SpacePartition",
     "WindowedSpace",
 ]

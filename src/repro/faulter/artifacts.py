@@ -311,7 +311,7 @@ def jit_key(image_digest: str) -> str:
 
 def facts_key(image_digest: str, bad_input: bytes,
               trace_length: int, model_name: str) -> str:
-    """Equivalence-reduction proofs (prune/class verdicts per variant).
+    """Equivalence-reduction proofs (one prune verdict per variant).
 
     Verdicts come from the *model's* reduction hooks, so the key is
     model-scoped — ``skip`` proofs can never answer for ``bitflip``.

@@ -187,8 +187,8 @@ class Faulter:
         trace.
 
         ``trace_window`` optionally restricts the dynamic offsets
-        attacked (an iterable of trace indices) — the statistical-FI
-        escape hatch for long traces.  ``backend`` is the execution
+        attacked (an iterable of trace indices) — the escape hatch
+        for long traces.  ``backend`` is the execution
         backend (default: master-walk :class:`SequentialBackend`).
         ``reduce=False`` turns equivalence reduction off — the
         unreduced reference run for checks; the report covers the full

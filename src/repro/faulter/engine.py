@@ -1,6 +1,6 @@
 """The unified fault-campaign engine.
 
-Every campaign flavor — exhaustive, windowed, statistical, k-fault —
+Every campaign flavor — exhaustive, windowed, k-fault —
 is the same computation: enumerate a :class:`FaultSpace`
 over the bad-input trace, execute each point on an
 :class:`ExecutionBackend`, and fold the per-point outcomes into one
@@ -98,13 +98,10 @@ def _valid_flag_states(payload) -> bool:
 def _valid_facts_payload(payload) -> bool:
     return (isinstance(payload, dict)
             and isinstance(payload.get("prune"), dict)
-            and isinstance(payload.get("class"), dict)
             and all(isinstance(key, tuple)
                     and (verdict is None
                          or isinstance(verdict, VariantPrune))
-                    for key, verdict in payload["prune"].items())
-            and all(isinstance(key, tuple)
-                    for key in payload["class"]))
+                    for key, verdict in payload["prune"].items()))
 
 
 def derive_trace(
@@ -220,9 +217,7 @@ def build_space_context(
                 # the reduction hooks are deterministic, so preloaded
                 # verdicts are exactly what recomputation would yield
                 facts.prune_cache.update(payload["prune"])
-                facts.class_cache.update(payload["class"])
-                facts.loaded_proofs = (len(payload["prune"])
-                                       + len(payload["class"]))
+                facts.loaded_proofs = len(payload["prune"])
         return facts
 
     return SpaceContext(
@@ -243,15 +238,14 @@ def _persist_facts(ctx, artifacts, image_key, bad_input) -> None:
     facts = getattr(ctx, "_facts", None)
     if facts is None:
         return
-    proofs = len(facts.prune_cache) + len(facts.class_cache)
+    proofs = len(facts.prune_cache)
     if proofs <= getattr(facts, "loaded_proofs", 0):
         return
     if artifacts.save(
         "facts",
         artifacts_mod.facts_key(image_key, bad_input,
                                 len(ctx.trace), ctx.model.name),
-        {"prune": dict(facts.prune_cache),
-         "class": dict(facts.class_cache)},
+        {"prune": dict(facts.prune_cache)},
     ):
         facts.loaded_proofs = proofs
 
@@ -427,7 +421,10 @@ def _worker_context(
     master_max_steps: int,
     store: Optional[ArtifactStore] = None,
 ):
-    key = (elf_bytes, bad_input, model_name, master_max_steps)
+    # the store root is part of the key: the context's facts and the
+    # executors memoized with it read and write that store
+    root = str(store.root) if store is not None else None
+    key = (elf_bytes, bad_input, model_name, master_max_steps, root)
     cached = _WORKER_CONTEXTS.get(key)
     if cached is None:
         image_key = artifacts_mod.image_digest(elf_bytes)

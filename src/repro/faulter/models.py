@@ -93,17 +93,6 @@ class FaultModel:
         """
         return None
 
-    def variant_class(self, step: int, detail: tuple, facts):
-        """Equivalence-reduction hook: key variants with identical
-        live-state effect.
-
-        Variants mapping to the same (hashable) key are interchangeable
-        under a total-cap space: one representative is executed and its
-        verdict reused for the class.  ``None`` leaves the variant
-        unmerged.
-        """
-        return None
-
 
 class EncodingFaultModel(FaultModel):
     """Faults perturbing the instruction fetch (encoding corruption)."""
@@ -264,12 +253,6 @@ class FlagStuck(StateFaultModel):
         # step (replayed), or is neither consumed at the step nor
         # live afterwards
         return facts.flag_prune(step, flag, value)
-
-    def variant_class(self, step, detail, facts):
-        flag, value = detail
-        # forces of the same flag/value with no consumer or writer
-        # between them coincide from the later point on
-        return facts.flag_class_key(step, flag, value)
 
 
 class MemOperandBitFlip(StateFaultModel):

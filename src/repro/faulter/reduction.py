@@ -1,4 +1,4 @@
-"""Fault-space equivalence reduction (dead points, classes, domination).
+"""Fault-space equivalence reduction (dead points, domination).
 
 A campaign over ``N`` fault points pays one emulated run per point,
 but most points provably cannot change what the oracle observes: a
@@ -13,27 +13,23 @@ the verdict it shares — so the reduced campaign's report covers the
 against the unreduced run, ``Faulter.run_campaign(model,
 reduce=False)``.
 
-Three reductions, mirroring the multi-fault methodology (Boespflug et
-al.) and ARMORY's fault-model reductions:
+Two reductions, mirroring the multi-fault methodology (Boespflug et
+al.); a single fault is a 1-tuple under the same rules:
 
-* **dead points** — a variant with a *dead* proof is bit-identical to
-  the unfaulted continuation, so it inherits the bad baseline's
-  verdict without running; a *crash* proof (undecodable mutated
-  encoding) inherits ``CRASHED`` under oracles that classify crashes
-  deterministically.
-* **equivalence classes** — variants with identical live-state effect
-  (e.g. two ``flag-stuck`` forces with no consumer between them) share
-  one representative run.  Only total-cap spaces merge: suffix-cap
-  budgets differ per point, so class members are not run-identical.
+* **dead points** — a fault with a *dead* proof is bit-identical to
+  the unfaulted continuation, so a point whose faults are all dead
+  (each settled before the next one diverges) inherits the bad
+  baseline's verdict without running; a *crash* proof (undecodable
+  mutated encoding) at the first live fault inherits ``CRASHED`` under
+  oracles that classify crashes deterministically.
 * **domination** (k-fault tuples) — a tuple whose leading faults are
   dead *and settled* before the first live fault diverges collapses
   onto that fault's single-fault outcome; the survivor outcomes come
   from a shared probe pass, run as total-cap points on the campaign
-  backend's master walk (:mod:`repro.faulter.executor`).  A tuple of
-  all-dead faults collapses onto the baseline outcome outright.
+  backend's master walk (:mod:`repro.faulter.executor`).
 
-The reduced spaces are first-class
-:class:`~repro.faulter.space.FaultSpace` specs — picklable,
+The reduced space is a first-class
+:class:`~repro.faulter.space.FaultSpace` spec — picklable,
 partitionable, streamable through both backends unchanged — because
 every proof is a deterministic function of (image, bad input): worker
 processes re-derive identical facts and re-enumerate identical
@@ -57,7 +53,6 @@ from repro.faulter.space import (
     FaultSpace,
     KFaultProductSpace,
     ProductSpace,
-    SampledSpace,
     SpaceContext,
     WindowedSpace,
 )
@@ -71,149 +66,81 @@ EXAMPLE_CAP = 32
 # component cannot win.
 MIN_PROBE_USES = 2
 
-_SINGLE_SPACES = (ExhaustiveSpace, WindowedSpace, SampledSpace)
+_SPACES = (ExhaustiveSpace, WindowedSpace, KFaultProductSpace, ProductSpace)
 _TUPLE_SPACES = (KFaultProductSpace, ProductSpace)
-
-
-def _prune(ctx: SpaceContext, step: int, detail: tuple):
-    """Memoized per-variant proof from the model's reduction hook."""
-    facts = ctx.facts
-    key = (step, detail)
-    cached = facts.prune_cache.get(key, _MISSING)
-    if cached is not _MISSING:
-        return cached
-    verdict = ctx.model.prune_variant(step, detail, facts)
-    facts.prune_cache[key] = verdict
-    return verdict
-
-
-def _class_key(ctx: SpaceContext, step: int, detail: tuple):
-    """Memoized equivalence-class key from the model's hook."""
-    facts = ctx.facts
-    key = (step, detail)
-    cached = facts.class_cache.get(key, _MISSING)
-    if cached is not _MISSING:
-        return cached
-    value = ctx.model.variant_class(step, detail, facts)
-    facts.class_cache[key] = value
-    return value
-
 
 _MISSING = object()
 
 
+def _disposer(ctx: SpaceContext, began: dict, allow_crash: bool):
+    """The elision decision for fault points on ``ctx``'s trace.
+
+    Returns ``disposition(point) -> (kind, info)``; a single fault is
+    a 1-tuple.  It walks the point's faults past its provably dead
+    prefix, memoizing each fault's proof from the model's reduction
+    hook, and answers:
+
+    * ``("baseline", proof)`` — every fault is dead, so the run is the
+      bad baseline (``proof`` is the last fault's dead proof);
+    * ``("crash", None)`` — the first live fault statically crashes
+      and the oracle classifies crashes deterministically;
+    * ``("probe", key)`` — the first live fault ``key`` has a probed
+      single-fault outcome in ``began`` and every later fault's step
+      is at or past the probe run's end, so the extra faults had no
+      substrate;
+    * ``("run", key)`` — the point must execute; ``key`` is its first
+      live fault, or ``None`` when a stripped fault has not settled by
+      the divergence point, which voids the proof.
+
+    The facts, memo and hook are bound once here, so a campaign's
+    per-point loop pays one call per point.
+    """
+    facts = ctx.facts
+    proofs = facts.prune_cache
+    prune = ctx.model.prune_variant
+
+    def disposition(point: FaultPoint):
+        details = point.details
+        settled = -1.0
+        proof = None
+        index = 0
+        for step in point.steps:
+            key = (step, details[index])
+            proof = proofs.get(key, _MISSING)
+            if proof is _MISSING:
+                proof = proofs[key] = prune(step, key[1], facts)
+            if proof is not None and proof.kind == "dead":
+                if proof.settled > settled:
+                    settled = proof.settled
+                index += 1
+                continue
+            if settled >= step:
+                return ("run", None)
+            if proof is not None and proof.kind == "crash" and allow_crash:
+                return ("crash", None)
+            if began:
+                ends = began.get(key)
+                if ends is not None and all(
+                    later >= ends for later in point.steps[index + 1:]
+                ):
+                    return ("probe", key)
+            return ("run", key)
+        return ("baseline", proof)
+
+    return disposition
+
+
 @dataclass(frozen=True)
 class ReducedSpace(FaultSpace):
-    """The survivor subset of a single-fault base space.
+    """The survivor subset of a single- or k-fault base space.
 
-    Enumerates the base space, drops every point with a dead proof
-    (and, under crash-deterministic oracles, every guaranteed-crash
-    point), keeps one representative per equivalence class when
-    ``merge`` is set, and renumbers the survivors ``0..R-1`` so the
-    engine's streaming/partitioning machinery applies unchanged.
-    """
-
-    base: FaultSpace
-    allow_crash: bool = True
-    merge: bool = False
-
-    @property
-    def cap_policy(self) -> str:  # type: ignore[override]
-        return self.base.cap_policy
-
-    def enumerate(self, ctx: SpaceContext) -> Iterator[FaultPoint]:
-        order = 0
-        seen: set = set()
-        for point in self.base.enumerate(ctx):
-            step = point.steps[0]
-            detail = point.details[0]
-            verdict = _prune(ctx, step, detail)
-            if verdict is not None and (
-                verdict.kind == "dead"
-                or (verdict.kind == "crash" and self.allow_crash)
-            ):
-                continue
-            if self.merge:
-                key = _class_key(ctx, step, detail)
-                if key is not None:
-                    if key in seen:
-                        continue
-                    seen.add(key)
-            yield FaultPoint(order, point.steps, point.details)
-            order += 1
-
-    def describe(self) -> str:
-        return f"reduced({self.base.describe()})"
-
-
-def _strip_leading_dead(
-    ctx: SpaceContext, point: FaultPoint, allow_crash: bool
-):
-    """Walk a tuple's components past its provably-dead prefix.
-
-    Returns ``("baseline", None)`` when every component is dead (no
-    divergence ever happens, so the run is the bad baseline),
-    ``("crash", None)`` for a static crash at the first live
-    component, ``("live", index)`` at the first component that
-    diverges — or ``None`` when a stripped fault has not settled by
-    the divergence point, which voids the proof.
-    """
-    settled = -1.0
-    for index in range(len(point.steps)):
-        step = point.steps[index]
-        detail = point.details[index]
-        verdict = _prune(ctx, step, detail)
-        if verdict is not None and verdict.kind == "dead":
-            settled = max(settled, verdict.settled)
-            continue
-        if settled >= step:
-            return None
-        if (
-            verdict is not None
-            and verdict.kind == "crash"
-            and allow_crash
-        ):
-            return ("crash", None)
-        return ("live", index)
-    return ("baseline", None)
-
-
-def _tuple_disposition(
-    ctx: SpaceContext,
-    point: FaultPoint,
-    began: dict,
-    allow_crash: bool,
-):
-    """Elision decision for one k-fault tuple.
-
-    ``None`` means the tuple must be executed.  Otherwise returns
-    ``("baseline", None)``, ``("crash", None)``, or ``("probe", key)``
-    — the last only when the first live component has a probed
-    single-fault outcome *and* every later component's step is at or
-    past the probe run's end, so the extra faults had no substrate.
-    """
-    stripped = _strip_leading_dead(ctx, point, allow_crash)
-    if stripped is None:
-        return None
-    kind, index = stripped
-    if kind != "live":
-        return (kind, None)
-    key = (point.steps[index], point.details[index])
-    ends = began.get(key)
-    if ends is None:
-        return None
-    if all(step >= ends for step in point.steps[index + 1:]):
-        return ("probe", key)
-    return None
-
-
-@dataclass(frozen=True)
-class ReducedTupleSpace(FaultSpace):
-    """The survivor subset of a k-fault product space.
-
-    ``probes`` carries ``((step, detail), resume point)`` pairs for
-    the probed first-live components — data only, so the space still
-    pickles in O(probes), independent of the point population.
+    Enumerates the base space, drops every point that
+    :func:`_disposer` elides, and renumbers the survivors
+    ``0..R-1`` so the engine's streaming/partitioning machinery
+    applies unchanged.  ``probes`` carries ``((step, detail), resume
+    point)`` pairs for a tuple space's probed first-live faults — data
+    only, so the space still pickles in O(probes), independent of the
+    point population.
     """
 
     base: FaultSpace
@@ -225,16 +152,12 @@ class ReducedTupleSpace(FaultSpace):
         return self.base.cap_policy
 
     def enumerate(self, ctx: SpaceContext) -> Iterator[FaultPoint]:
-        began = dict(self.probes)
+        disposition = _disposer(ctx, dict(self.probes), self.allow_crash)
         order = 0
         for point in self.base.enumerate(ctx):
-            if (
-                _tuple_disposition(ctx, point, began, self.allow_crash)
-                is not None
-            ):
-                continue
-            yield FaultPoint(order, point.steps, point.details)
-            order += 1
+            if disposition(point)[0] == "run":
+                yield FaultPoint(order, point.steps, point.details)
+                order += 1
 
     def describe(self) -> str:
         return f"reduced({self.base.describe()})"
@@ -321,7 +244,6 @@ class ReductionCertificate:
         for label in (
             "dead_points",
             "crash_points",
-            "merged_points",
             "dominated_points",
         ):
             count = self.payload.get(label, 0)
@@ -345,33 +267,25 @@ class ReductionPlan:
     def __init__(
         self,
         ctx: SpaceContext,
-        base: FaultSpace,
-        space: FaultSpace,
+        space: ReducedSpace,
         baseline_outcome: str,
-        allow_crash: bool,
-        merge: bool = False,
         probe_outcomes: Optional[dict] = None,
         probe_stats: Optional[ExecutionStats] = None,
     ):
         self.ctx = ctx
-        self.base = base
+        self.base = space.base
         self.space = space
         self.baseline_outcome = baseline_outcome
-        self.allow_crash = allow_crash
-        self.merge = merge
         self.probe_outcomes = probe_outcomes or {}
         self.probe_stats = probe_stats or ExecutionStats()
-        self._tuple = isinstance(space, ReducedTupleSpace)
         # certificate accumulators (filled by expand)
         self._full = 0
         self._executed = 0
         self._dead = 0
         self._crashed = 0
-        self._merged = 0
         self._dominated = 0
         self._dead_reasons: dict[str, int] = {}
         self._dead_examples: list[dict] = []
-        self._classes: dict = {}
 
     # -- expansion -----------------------------------------------------
 
@@ -379,9 +293,29 @@ class ReductionPlan:
         """Merge the executed survivor outcomes (in enumeration order)
         back into the full base enumeration, yielding every base point
         with its verdict."""
-        if self._tuple:
-            return self._expand_tuple(outcomes)
-        return self._expand_single(outcomes)
+        executed = iter(outcomes)
+        disposition = _disposer(
+            self.ctx, dict(self.space.probes), self.space.allow_crash
+        )
+        for point in self.base.enumerate(self.ctx):
+            self._full += 1
+            kind, info = disposition(point)
+            if kind == "run":
+                self._executed += 1
+                yield point, self._take(executed, point)
+            elif kind == "baseline":
+                self._dead += 1
+                if len(point.steps) == 1:
+                    # a single fault's proof has one reason to record;
+                    # an all-dead tuple's has one per fault
+                    self._note_dead(point, info)
+                yield point, self.baseline_outcome
+            elif kind == "crash":
+                self._crashed += 1
+                yield point, CRASHED
+            else:
+                self._dominated += 1
+                yield point, self.probe_outcomes[info][0]
 
     @staticmethod
     def _take(executed, point: FaultPoint):
@@ -398,7 +332,6 @@ class ReductionPlan:
         return outcome
 
     def _note_dead(self, point: FaultPoint, verdict) -> None:
-        self._dead += 1
         self._dead_reasons[verdict.reason] = (
             self._dead_reasons.get(verdict.reason, 0) + 1
         )
@@ -411,74 +344,6 @@ class ReductionPlan:
                     "settled": _json_settled(verdict.settled),
                 }
             )
-
-    def _expand_single(self, outcomes):
-        ctx = self.ctx
-        executed = iter(outcomes)
-        classes = self._classes
-        for point in self.base.enumerate(ctx):
-            self._full += 1
-            step = point.steps[0]
-            detail = point.details[0]
-            verdict = _prune(ctx, step, detail)
-            if verdict is not None and verdict.kind == "dead":
-                self._note_dead(point, verdict)
-                yield point, self.baseline_outcome
-                continue
-            if (
-                verdict is not None
-                and verdict.kind == "crash"
-                and self.allow_crash
-            ):
-                self._crashed += 1
-                yield point, CRASHED
-                continue
-            key = None
-            if self.merge:
-                key = _class_key(ctx, step, detail)
-                if key is not None and key in classes:
-                    entry = classes[key]
-                    entry["members"] += 1
-                    self._merged += 1
-                    yield point, entry["outcome"]
-                    continue
-            outcome = self._take(executed, point)
-            if key is not None:
-                classes[key] = {
-                    "key": repr(key),
-                    "representative": {
-                        "step": step,
-                        "detail": _detail_to_json(detail),
-                    },
-                    "outcome": outcome,
-                    "members": 1,
-                }
-            self._executed += 1
-            yield point, outcome
-
-    def _expand_tuple(self, outcomes):
-        ctx = self.ctx
-        executed = iter(outcomes)
-        began = dict(self.space.probes)
-        for point in self.base.enumerate(ctx):
-            self._full += 1
-            disposition = _tuple_disposition(
-                ctx, point, began, self.allow_crash
-            )
-            if disposition is None:
-                self._executed += 1
-                yield point, self._take(executed, point)
-                continue
-            kind, key = disposition
-            if kind == "baseline":
-                self._dead += 1
-                yield point, self.baseline_outcome
-            elif kind == "crash":
-                self._crashed += 1
-                yield point, CRASHED
-            else:
-                self._dominated += 1
-                yield point, self.probe_outcomes[key][0]
 
     # -- certificate ---------------------------------------------------
 
@@ -497,22 +362,13 @@ class ReductionPlan:
             "executed_points": self._executed,
             "dead_points": self._dead,
             "crash_points": self._crashed,
-            "merged_points": self._merged,
             "dominated_points": self._dominated,
             "dead_reasons": dict(sorted(self._dead_reasons.items())),
             "dead_examples": self._dead_examples,
             "baseline_outcome": self.baseline_outcome,
             "analysis_steps": facts.scan_steps if facts else 0,
         }
-        if self.merge:
-            classes = [
-                entry
-                for entry in self._classes.values()
-                if entry["members"] > 1
-            ]
-            payload["class_count"] = len(classes)
-            payload["classes"] = classes[:EXAMPLE_CAP]
-        if self._tuple:
+        if isinstance(self.base, _TUPLE_SPACES):
             payload["probes"] = len(self.probe_outcomes)
             payload["probe_steps"] = self.probe_stats.emulated_steps
             payload["probe_points"] = [
@@ -549,7 +405,7 @@ def plan_reduction(
     "identical to the unfaulted continuation" cap-relative); the space
     must be a known single-fault or k-fault-tuple enumerator (suffix
     -cap tuples never arise; total-cap is what makes domination
-    exact).
+    exact).  Only tuple spaces plan probes.
     """
     if ctx.facts is None:
         return None, "no-analysis-context"
@@ -558,36 +414,23 @@ def plan_reduction(
         return None, "no-baseline"
     if baseline.reason == MAX_STEPS:
         return None, "unterminated-baseline"
-    if not isinstance(space, _SINGLE_SPACES + _TUPLE_SPACES):
+    if not isinstance(space, _SPACES):
         return None, f"unsupported-space:{space.describe()}"
     allow_crash = isinstance(
         faulter.oracle, (MarkerOracle, ExitCodeOracle)
     )
     baseline_outcome = faulter.classify(baseline)
-    if isinstance(space, _SINGLE_SPACES):
-        merge = space.cap_policy == TOTAL_CAP
-        reduced = ReducedSpace(
-            space, allow_crash=allow_crash, merge=merge
-        )
-        plan = ReductionPlan(
-            ctx,
-            space,
-            reduced,
-            baseline_outcome,
-            allow_crash,
-            merge=merge,
-        )
-        return plan, None
+    if not isinstance(space, _TUPLE_SPACES):
+        reduced = ReducedSpace(space, allow_crash=allow_crash)
+        return ReductionPlan(ctx, reduced, baseline_outcome), None
     if space.cap_policy != TOTAL_CAP:
         return None, "suffix-cap-tuple-space"
     uses: dict = {}
+    disposition = _disposer(ctx, {}, allow_crash)
     for point in space.enumerate(ctx):
-        stripped = _strip_leading_dead(ctx, point, allow_crash)
-        if stripped is None or stripped[0] != "live":
-            continue
-        index = stripped[1]
-        key = (point.steps[index], point.details[index])
-        uses[key] = uses.get(key, 0) + 1
+        kind, key = disposition(point)
+        if kind == "run" and key is not None:
+            uses[key] = uses.get(key, 0) + 1
     components = {
         key for key, count in uses.items() if count >= MIN_PROBE_USES
     }
@@ -603,15 +446,11 @@ def plan_reduction(
             key=lambda item: item[0][0],
         )
     )
-    reduced = ReducedTupleSpace(
-        space, probes=probes, allow_crash=allow_crash
-    )
+    reduced = ReducedSpace(space, probes=probes, allow_crash=allow_crash)
     plan = ReductionPlan(
         ctx,
-        space,
         reduced,
         baseline_outcome,
-        allow_crash,
         probe_outcomes=probe_outcomes,
         probe_stats=probe_stats,
     )

@@ -16,8 +16,6 @@ Enumerators:
   paper's default single-fault campaign),
 * :class:`WindowedSpace` — exhaustive over a subset of trace offsets
   (the long-trace escape hatch),
-* :class:`SampledSpace` — uniform over the flat (offset x variant)
-  population, seeded (statistical FI, Leveugle et al.),
 * :class:`KFaultProductSpace` — sampled k-tuples of distinct offsets
   per run (the multi-fault extension; k=2 is the pair campaign),
 * :class:`ProductSpace` — the *exhaustive* k-fault product over a
@@ -53,7 +51,7 @@ from typing import Callable, Iterator, Sequence
 #       cap (the exhaustive master-walk convention),
 #   TOTAL_CAP  — prefix steps count against the cap, as if the run had
 #       started from step 0 (the fresh-run convention of the
-#       statistical and multi-fault drivers).
+#       multi-fault spaces, which makes tuple domination exact).
 SUFFIX_CAP = "suffix"
 TOTAL_CAP = "total"
 
@@ -255,49 +253,6 @@ class WindowedSpace(FaultSpace):
 
     def describe(self) -> str:
         return f"windowed[{len(self.indices)}]"
-
-
-@dataclass(frozen=True)
-class SampledSpace(FaultSpace):
-    """Uniform sample (without replacement) of the flat population.
-
-    Reproduces the statistical-FI sampling discipline: a seeded
-    ``random.sample`` over ``range(population)``, each flat index
-    mapped back to its (offset, variant) pair.  The seeded draw makes
-    the space splittable: any process can re-draw the same sample
-    locally and slice out its own window.
-    """
-
-    samples: int
-    seed: int = 0
-    cap_policy = TOTAL_CAP
-
-    def _chosen(self, ctx: SpaceContext) -> list[int]:
-        population = ctx.population()
-        count = min(self.samples, population)
-        rng = random.Random(self.seed)
-        return rng.sample(range(population), count) if count else []
-
-    def enumerate(self, ctx: SpaceContext) -> Iterator[FaultPoint]:
-        for order, flat_index in enumerate(self._chosen(ctx)):
-            step, variant_index = ctx.locate(flat_index)
-            detail = ctx.variants(step)[variant_index]
-            yield FaultPoint(order, (step,), (detail,))
-
-    def count(self, ctx: SpaceContext) -> int:
-        return min(self.samples, ctx.population())
-
-    def enumerate_window(
-        self, ctx: SpaceContext, start: int, stop: int
-    ) -> Iterator[FaultPoint]:
-        chosen = self._chosen(ctx)
-        for order in range(max(start, 0), min(stop, len(chosen))):
-            step, variant_index = ctx.locate(chosen[order])
-            detail = ctx.variants(step)[variant_index]
-            yield FaultPoint(order, (step,), (detail,))
-
-    def describe(self) -> str:
-        return f"sampled[n={self.samples}, seed={self.seed}]"
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,5 @@
 """Dataflow analyses over recovered modules."""
 
-import pytest
-
 from repro.analysis import FlagLiveness
 from repro.asm import assemble
 from repro.disasm import disassemble

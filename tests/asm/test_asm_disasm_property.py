@@ -14,7 +14,7 @@ from repro.asm import assemble
 from repro.disasm import disassemble, reassemble
 from repro.isa import Imm, Mem, Mnemonic, Reg
 from repro.isa.decoder import decode_all
-from repro.isa.registers import all_gpr64, sub_register
+from repro.isa.registers import all_gpr64
 
 # straight-line data ops only; operands chosen to be assembly-printable
 GPR = [r for r in all_gpr64() if r.name not in ("rsp", "rbp")]

@@ -5,7 +5,7 @@ import pytest
 from repro.asm import parse_source
 from repro.asm.source import DataStmt, InsnStmt, LabelDef, SpaceStmt
 from repro.errors import AsmError
-from repro.isa import Imm, Label, Mem, Mnemonic, Reg
+from repro.isa import Imm, Label
 from repro.isa.registers import RIP
 
 

@@ -7,7 +7,7 @@ from repro.errors import RewriteError
 from repro.gtirb.ir import (
     CodeBlock, DataBlock, GSection, InsnEntry, Module, SymExpr, Symbol)
 from repro.isa import Cond, Imm, Mem, Mnemonic, Reg, reg
-from repro.isa.insn import Instruction, insn
+from repro.isa.insn import insn
 from repro.isa.registers import RIP
 
 

@@ -17,7 +17,6 @@ from repro.disasm.units import (
     ORIGIN_FUNCTION,
     RewritePlan,
     RewriteUnit,
-    build_plan,
     recover_plan,
 )
 from repro.workloads import bootloader, corpus, pincheck

@@ -4,8 +4,7 @@ import pytest
 
 from repro.asm import assemble
 from repro.disasm import disassemble
-from repro.gtirb.ir import DataBlock, SymExpr
-from repro.isa.insn import Mnemonic
+from repro.gtirb.ir import SymExpr
 
 
 def module_of(source, mode="refined"):

@@ -1,7 +1,5 @@
 """Fine-grained CPU semantics: sub-registers, addressing, faults."""
 
-import pytest
-
 from repro.asm import assemble
 from repro.emu import Machine, run_executable
 from repro.emu.cpu import CPU

@@ -1,7 +1,5 @@
 """End-to-end emulator tests over the corpus and case studies."""
 
-import pytest
-
 from repro.emu import Machine, run_executable
 from repro.emu.effects import SkipEffect
 from repro.workloads import bootloader, corpus, pincheck

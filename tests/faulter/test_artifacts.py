@@ -19,6 +19,7 @@ from repro.faulter.artifacts import (
     jit_key,
     trace_key,
 )
+from repro.faulter import engine
 from repro.faulter.engine import (
     MultiprocessBackend, shutdown_fleet)
 from repro.workloads import pincheck
@@ -307,7 +308,7 @@ class TestEndToEndRobustness:
 
     def test_reduction_proofs_are_cached_and_reloaded(self, wl, exe,
                                                       tmp_path):
-        """A campaign persists its prune/class verdicts under the
+        """A campaign persists its prune verdicts under the
         ``facts`` kind; a later cold process loads them instead of
         re-running the traceflow analysis — identically."""
         store = ArtifactStore(tmp_path)
@@ -353,6 +354,35 @@ class TestEndToEndRobustness:
             ("bitflip",), config=EngineConfig(artifact_cache=False))
         assert off["bitflip"].meta["artifacts"] == {"enabled": False}
         assert sorted(tmp_path.rglob("*")) == stored
+
+    def test_warm_worker_follows_a_later_cache_off_campaign(
+            self, wl, exe, tmp_path, monkeypatch):
+        """A fleet worker memoizes its context, and the executors in
+        it, per target; a later campaign on the same target without a
+        store must neither read nor write the earlier campaign's store.
+        One worker and a small window make the fleet path (several
+        partitions, one process) deterministic."""
+        def snapshot():
+            return {path: path.read_bytes()
+                    for path in tmp_path.rglob("*") if path.is_file()}
+
+        shutdown_fleet()  # workers fork with the patched window
+        monkeypatch.setattr(engine, "MAX_RESIDENT_POINTS", 64)
+        backend = MultiprocessBackend(workers=1)
+        try:
+            cached = make_faulter(wl, exe, ArtifactStore(tmp_path)) \
+                .run_campaign("bitflip", trace_window=range(6),
+                              backend=backend)
+            assert cached.meta["artifacts"]["enabled"]
+            stored = snapshot()
+            assert stored
+            off = make_faulter(wl, exe).run_campaign(
+                "bitflip", backend=backend)
+        finally:
+            shutdown_fleet()
+        assert off == reference_report(make_faulter(wl, exe), "bitflip")
+        assert off.meta["artifacts"] == {"enabled": False}
+        assert snapshot() == stored
 
 
 def teardown_module(module):

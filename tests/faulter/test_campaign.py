@@ -3,8 +3,8 @@
 import pytest
 
 from repro.errors import ReproError
-from repro.faulter import Faulter, InstructionSkip, SingleBitFlip, model_by_name
-from repro.workloads import bootloader, corpus, pincheck
+from repro.faulter import Faulter, model_by_name
+from repro.workloads import bootloader, pincheck
 
 
 @pytest.fixture(scope="module")

@@ -10,10 +10,11 @@ import pytest
 
 from repro.faulter import (
     CampaignReport, EngineConfig, Faulter, KFaultProductSpace,
-    MultiprocessBackend, SampledSpace, SequentialBackend, WindowedSpace)
+    MultiprocessBackend, SequentialBackend, WindowedSpace)
 from repro.faulter.space import ExhaustiveSpace
 from repro.workloads import pincheck
 from tests.reference import reference_report
+from tests.spaces import DrawOrderWindow, SampledPoints
 
 
 @pytest.fixture(scope="module")
@@ -74,13 +75,27 @@ class TestSpaces:
 
     def test_sampled_is_within_population(self, faulter):
         ctx = faulter.engine().context("bitflip")
-        space = SampledSpace(samples=40, seed=9)
+        space = SampledPoints(points=40, seed=9)
         points = list(space.enumerate(ctx))
-        assert len(points) == 40
+        assert len(points) == space.count(ctx) == 40
         for point in points:
             step = point.first_step
             assert 0 <= step < len(ctx.trace)
             assert point.details[0] in ctx.variants(step)
+        # spread over the trace, not whole offsets one after another
+        assert len({point.first_step for point in points}) > 20
+
+    def test_draw_order_window_keeps_the_given_order(self, faulter):
+        ctx = faulter.engine().context("skip")
+        space = DrawOrderWindow(indices=(5, 3, 5, 10**6, 1))
+        steps = [p.first_step for p in space.enumerate(ctx)]
+        assert steps == [5, 3, 1]
+        assert space.count(ctx) == 3
+        # every partition of a drawn window spans the trace, where a
+        # sorted window's first partition would hold the early offsets
+        parts = DrawOrderWindow(indices=(9, 1, 8, 2)).partition(ctx, 2)
+        assert [[p.first_step for p in part.enumerate(ctx)]
+                for part in parts] == [[9, 1], [8, 2]]
 
     def test_k_fault_steps_distinct_and_sorted(self, faulter):
         ctx = faulter.engine().context("skip")
@@ -113,8 +128,9 @@ class TestDefaultBackendMatchesReference:
     reference protocol."""
 
     def test_statistical_matches_reference(self, faulter):
-        # the statistical-FI sample (Leveugle et al.) is a SampledSpace
-        space = SampledSpace(samples=120, seed=5)
+        # statistical FI (Leveugle et al.) over a seeded sample of
+        # fault points
+        space = SampledPoints(points=120, seed=5)
         assert faulter.engine().run("bitflip", space) == \
             reference_report(faulter, "bitflip", space)
 

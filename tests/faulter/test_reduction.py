@@ -11,6 +11,7 @@ by at least 5x emulated steps (its space is too large for the
 reference, so it checks the reduced run against the full one).
 """
 
+import hashlib
 import json
 import math
 import pickle
@@ -26,8 +27,8 @@ from repro.faulter import (
     EngineConfig, Faulter, MultiprocessBackend, SequentialBackend, engine)
 from repro.faulter.models import MODELS
 from repro.faulter.reduction import (
+    EXAMPLE_CAP,
     ReducedSpace,
-    ReducedTupleSpace,
     ReductionCertificate,
     plan_reduction,
 )
@@ -36,7 +37,6 @@ from repro.faulter.space import (
     ExhaustiveSpace,
     KFaultProductSpace,
     ProductSpace,
-    SampledSpace,
     SpacePartition,
     WindowedSpace,
 )
@@ -44,6 +44,7 @@ from repro.isa.decoder import decode
 from repro.isa.insn import CONTROL_FLOW, Mnemonic
 from repro.workloads import bootloader, pincheck
 from tests.reference import reference_report
+from tests.spaces import SampledPoints
 
 
 @pytest.fixture(scope="module")
@@ -113,7 +114,7 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("space_factory", [
         lambda: WindowedSpace(indices=tuple(range(3, 40))),
-        lambda: SampledSpace(samples=40, seed=7),
+        lambda: SampledPoints(points=40, seed=7),
         lambda: KFaultProductSpace(k=2, samples=40, seed=7),
     ], ids=["windowed", "sampled", "k-fault"])
     def test_bootloader_spaces(self, boot, space_factory):
@@ -133,70 +134,6 @@ class TestBitIdentity:
         cert = ReductionCertificate(reduced.meta["reduction"])
         assert cert.executed_points < cert.full_points
         assert cert.payload["dead_points"] > 0
-
-    def test_class_merging_stays_bit_identical(self):
-        """Class merging needs >= 2 live forces in one quiet flag
-        region.  The bundled workloads test their flags right after
-        setting them (``cmp; jcc``), so craft a compare with a quiet
-        gap before the branch and widen flag-stuck to every step —
-        merging must fire and identity must still hold."""
-        from repro.faulter.models import FORCEABLE_FLAGS, MODELS
-        from repro.workloads.base import Workload
-
-        class EveryStepFlagStuck(type(MODELS["flag-stuck"])):
-            name = "flag-stuck-everywhere"
-
-            def variants(self, insn, meta=None):
-                return [(flag, value) for flag in FORCEABLE_FLAGS
-                        for value in (0, 1)]
-
-        wl = Workload(
-            name="quietgap",
-            source="""
-.section .text
-.global _start
-_start:
-    xor rax, rax              # SYS_read one byte
-    xor rdi, rdi
-    lea rsi, [rel buf]
-    mov rdx, 1
-    syscall
-    mov al, byte ptr [rel buf]
-    cmp al, 0x37              # expect '7'
-    lea rsi, [rel msg_ok]     # quiet gap: no flag touch
-    mov rdx, 3                # before the branch consumes zf
-    jne deny
-    mov rax, 1                # SYS_write the grant marker
-    mov rdi, 1
-    syscall
-deny:
-    mov rax, 60
-    xor rdi, rdi
-    syscall
-
-.section .data
-msg_ok: .ascii "OK\\n"
-
-.section .bss
-buf: .zero 1
-""",
-            good_input=b"7",
-            bad_input=b"0",
-            grant_marker=b"OK",
-        )
-        faulter = Faulter(wl.build(), wl.good_input, wl.bad_input,
-                          wl.grant_marker, name=wl.name)
-        model = EveryStepFlagStuck()
-        space = SampledSpace(samples=10**6, seed=0)  # total-cap, all
-        full, reduced = _pair(faulter, model, space,
-                              collect_outcomes=True)
-        reference = reference_report(faulter, model, space,
-                                     collect_outcomes=True)
-        assert reduced == reference
-        assert full == reference
-        cert = ReductionCertificate(reduced.meta["reduction"])
-        assert cert.payload["merged_points"] > 0
-        assert cert.payload["class_count"] > 0
 
 
 class TestProductSpeedup:
@@ -230,8 +167,8 @@ class TestReducedSpaces:
     through the standard streaming machinery."""
 
     def test_pickle_is_population_independent(self):
-        single = ReducedSpace(ExhaustiveSpace(), merge=True)
-        tuples = ReducedTupleSpace(
+        single = ReducedSpace(ExhaustiveSpace())
+        tuples = ReducedSpace(
             KFaultProductSpace(k=2, samples=10**9, seed=1),
             probes=(((3, (0,)), 17), ((9, (1,)), 40)))
         assert len(pickle.dumps(single)) < 512
@@ -239,7 +176,7 @@ class TestReducedSpaces:
 
     def test_partition_matches_enumeration_window(self, faulter):
         ctx = faulter.engine().context("skip")
-        space = ReducedSpace(ExhaustiveSpace(), merge=True)
+        space = ReducedSpace(ExhaustiveSpace())
         whole = list(space.enumerate(ctx))
         assert whole  # survivors exist
         for part in space.partition(ctx, 3):
@@ -318,6 +255,44 @@ class TestProbePassPin:
         assert {key: meta["reduction"][key]
                 for key in certificate} == certificate
         assert (meta["compiled_steps"], meta["precise_steps"]) == steps
+
+
+class TestCertificatePin:
+    """Seed-0 pincheck certificates, pinned: the summary line, the
+    dead-proof reasons and a digest of the whole JSON payload, so a
+    change to how single faults or tuples are reduced shows up as a
+    diff.  The digest leaves out ``merged_points`` (always 0, and gone
+    with class merging) and ``analysis_steps``, whose scan count
+    follows set iteration order and so varies with the hash seed."""
+
+    @pytest.mark.parametrize("k, model, summary, reasons, digest", [
+        (1, "skip", "reduction: 23 -> 21 executed, 1.1x (dead 2)",
+         {"jcc-not-taken": 2}, "8b4f36aea28c9a16"),
+        (1, "bitflip", "reduction: 936 -> 771 executed, 1.2x (crash 165)",
+         {}, "d208fec9d836c834"),
+        (1, "reg-bitflip",
+         "reduction: 2496 -> 1160 executed, 2.2x (dead 1336)",
+         {"reg-dead": 1336}, "13bbf466a9e62986"),
+        (2, "skip", None, {}, "17dcd9c70b1f65d6"),
+        (2, "bitflip", None, {}, "3b1c0ba3523e27e1"),
+        (2, "reg-bitflip",
+         "reduction: 157 -> 71 executed, 2.2x "
+         "(dead 84, dominated 2, probes 1)",
+         {}, "c5a7441fc06c185d"),
+    ])
+    def test_seed0_pincheck(self, k, model, summary, reasons, digest):
+        report = pincheck.workload().target().campaign(
+            (model,), config=EngineConfig(k_faults=k))[model]
+        payload = dict(report.meta["reduction"])
+        payload.pop("merged_points", None)
+        payload.pop("analysis_steps")
+        if summary is not None:
+            assert ReductionCertificate(payload).summary() == summary
+        assert payload["dead_reasons"] == reasons
+        assert len(payload["dead_examples"]) == min(
+            EXAMPLE_CAP, sum(reasons.values()))
+        assert hashlib.sha256(
+            json.dumps(payload).encode()).hexdigest()[:16] == digest
 
 
 class TestCliSurface:

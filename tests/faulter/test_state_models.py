@@ -28,18 +28,19 @@ from repro.faulter import (
     engine,
     model_by_name,
 )
-from repro.faulter.space import ExhaustiveSpace, SampledSpace
+from repro.faulter.space import ExhaustiveSpace
 from repro.isa.metadata import effects as isa_effects
 from repro.isa.registers import reg
 from repro.workloads import bootloader, pincheck
 from tests.reference import reference_report
+from tests.spaces import SampledPoints
 
 # Bounded space per model: exhaustive where the population is tiny,
 # seeded samples where it is not (reg-bitflip enumerates 64 bits per
 # live register per step).
 SPACE_FOR = {
-    "reg-bitflip": lambda: SampledSpace(samples=60, seed=13),
-    "mem-bitflip": lambda: SampledSpace(samples=60, seed=13),
+    "reg-bitflip": lambda: SampledPoints(points=60, seed=13),
+    "mem-bitflip": lambda: SampledPoints(points=60, seed=13),
     "flag-stuck": lambda: ExhaustiveSpace(),
     "branch-invert": lambda: ExhaustiveSpace(),
 }

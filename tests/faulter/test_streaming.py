@@ -25,17 +25,17 @@ from repro.faulter import (
 from repro.faulter.space import (
     ExhaustiveSpace,
     KFaultProductSpace,
-    SampledSpace,
     SpacePartition,
     WindowedSpace,
 )
 from repro.workloads import bootloader, pincheck
 from tests.reference import reference_report
+from tests.spaces import SampledPoints
 
 SPACES = {
     "exhaustive": lambda: ExhaustiveSpace(),
     "windowed": lambda: WindowedSpace(indices=tuple(range(3, 17))),
-    "sampled": lambda: SampledSpace(samples=60, seed=11),
+    "sampled": lambda: SampledPoints(points=60, seed=11),
     "k-fault": lambda: KFaultProductSpace(k=2, samples=60, seed=11),
 }
 
@@ -155,7 +155,7 @@ class TestPartitionProtocol:
 
     def test_partition_reenumerates_its_window(self, faulter):
         ctx = faulter.engine().context("skip")
-        space = SampledSpace(samples=40, seed=9)
+        space = SampledPoints(points=40, seed=9)
         whole = list(space.enumerate(ctx))
         for part in space.partition(ctx, 3):
             assert list(part.enumerate(ctx)) == \
@@ -163,10 +163,10 @@ class TestPartitionProtocol:
 
     def test_partition_inherits_cap_policy(self, faulter):
         ctx = faulter.engine().context("skip")
-        sampled = SampledSpace(samples=10, seed=0)
+        pairs = KFaultProductSpace(k=2, samples=10, seed=0)
         exhaustive = ExhaustiveSpace()
-        assert sampled.partition(ctx, 2)[0].cap_policy == \
-            sampled.cap_policy
+        assert pairs.partition(ctx, 2)[0].cap_policy == \
+            pairs.cap_policy
         assert exhaustive.partition(ctx, 2)[0].cap_policy == \
             exhaustive.cap_policy
 

@@ -13,13 +13,13 @@ import pytest
 
 from repro.faulter import (
     MultiprocessBackend,
-    SampledSpace,
     SequentialBackend,
 )
 from repro.faulter.engine import EngineConfig, shutdown_fleet
 from repro.faulter.models import MODELS
 from repro.workloads import bootloader, corpus, pincheck
 from tests.reference import reference_report
+from tests.spaces import SampledPoints
 
 WORKLOADS = {
     "pincheck": pincheck.workload,
@@ -35,7 +35,7 @@ def faulters():
 
 
 def _space():
-    return SampledSpace(samples=24, seed=11)
+    return SampledPoints(points=24, seed=11)
 
 
 def _run(faulter, model, backend, reduce=None):

@@ -2,13 +2,11 @@
 
 import pytest
 
-from repro.asm import assemble
 from repro.disasm import disassemble
 from repro.errors import RewriteError
-from repro.gtirb import CodeBlock, DataBlock, Module, Symbol, build_cfg
-from repro.gtirb.ir import GSection, InsnEntry
+from repro.gtirb import CodeBlock, DataBlock, build_cfg
+from repro.gtirb.ir import InsnEntry
 from repro.isa.insn import Instruction, Mnemonic
-from repro.isa.operands import Imm
 from repro.workloads import pincheck
 
 

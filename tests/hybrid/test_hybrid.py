@@ -9,10 +9,10 @@ from repro.binfmt import write_elf
 from repro.emu import run_executable
 from repro.hybrid import BranchHardening, harden_branches, hybrid_harden
 from repro.ir import verify
-from repro.ir.instructions import CondBr, Switch
+from repro.ir.instructions import Switch
 from repro.ir.passes.pass_manager import standard_cleanup
 from repro.lift import Lifter
-from repro.workloads import bootloader, corpus, pincheck
+from repro.workloads import bootloader, pincheck
 from tests.duplication import duplicate_everything
 from tests.ir_interp import Interpreter, guest_memory
 

@@ -1,7 +1,5 @@
 """CSE pass unit tests, including the volatile-duplicate contract."""
 
-import pytest
-
 from repro.ir import Constant, Function, FunctionType, I64, IRBuilder, verify
 from repro.ir.passes import cse, dce, instruction_histogram
 from repro.ir.types import VOID

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.errors import IRError
-from repro.ir import (
-    Constant, Function, FunctionType, I1, I8, I64, IRBuilder, verify)
+from repro.ir import Constant, Function, FunctionType, I8, I64, IRBuilder
 from repro.ir.types import VOID
 from tests.ir_interp import Interpreter
 

@@ -4,9 +4,8 @@ import pytest
 
 from repro.errors import IRError
 from repro.ir import (
-    Constant, Function, FunctionType, I1, I64, IRBuilder, IRModule,
-    verify, print_function,
-)
+    Constant, Function, FunctionType, I1, I64, IRBuilder, verify,
+    print_function)
 from repro.ir.passes import (
     constant_fold, dce, instruction_histogram, mem2reg, simplify_cfg)
 from repro.ir.passes.pass_manager import standard_cleanup

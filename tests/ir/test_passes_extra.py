@@ -5,7 +5,6 @@ import pytest
 from repro.errors import IRError
 from repro.ir import (
     Constant, Function, FunctionType, I1, I64, IRBuilder, verify)
-from repro.ir.instructions import Br, Phi
 from repro.ir.passes import constant_fold, dce, simplify_cfg
 from repro.ir.verifier import dominators
 from tests.ir_interp import Interpreter

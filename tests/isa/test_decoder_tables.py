@@ -11,7 +11,7 @@ import pytest
 from repro.errors import DecodingError
 from repro.isa import Mnemonic, decode
 from repro.isa.cond import Cond
-from repro.isa.operands import Imm, Mem, Reg
+from repro.isa.operands import Mem
 
 
 def b(*values):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 
 from repro.isa import Cond, Imm, Mem, Mnemonic, Reg, decode, encode, reg
 from repro.isa.insn import Instruction, insn
-from repro.isa.registers import RIP, all_gpr64, by_code, sub_register
+from repro.isa.registers import RIP, all_gpr64, sub_register
 
 GPR64 = all_gpr64()
 

@@ -5,7 +5,6 @@ import pytest
 from repro.asm import assemble
 from repro.emu import run_executable
 from repro.lower import lower_executable
-from repro.lower.isel import ISel, split_critical_edges
 from repro.lower.mir import MFunction, MImm, MInsn, VReg
 from repro.lower.peephole import (
     copy_propagate, eliminate_dead_defs, remove_self_moves)

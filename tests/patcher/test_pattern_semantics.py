@@ -5,7 +5,6 @@ a patched program must produce exactly the behaviour of the original.
 """
 
 import hypothesis.strategies as st
-import pytest
 from hypothesis import given, settings
 
 from repro.asm import assemble

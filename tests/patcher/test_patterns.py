@@ -1,7 +1,5 @@
 """Pattern-level tests: each Table I-III pattern in isolation."""
 
-import pytest
-
 from repro.disasm import disassemble, reassemble
 from repro.emu import run_executable
 from repro.faulter import Faulter

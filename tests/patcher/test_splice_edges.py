@@ -1,7 +1,5 @@
 """Splicing edge cases: block boundaries, symbols, loop limits."""
 
-import pytest
-
 from repro.asm import assemble
 from repro.disasm import disassemble, reassemble
 from repro.emu import run_executable

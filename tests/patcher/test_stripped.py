@@ -1,8 +1,6 @@
 """Hardening binaries with no symbol table (the paper's scenario:
 legacy binaries, lost sources — symbols are a luxury)."""
 
-import pytest
-
 from repro.emu import run_executable
 from repro.faulter import Faulter
 from repro.patcher import FaulterPatcherLoop
