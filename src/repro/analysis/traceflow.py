@@ -117,6 +117,16 @@ def consumed_flags(insn: Instruction) -> frozenset:
     return frozenset()
 
 
+# The order a proof scans flags in.  A proof returns at its first live
+# flag, so the scan count (``TraceFacts.scan_steps``) follows this
+# order; a set's iteration order would vary with the hash seed.
+_FLAG_ORDER = ("cf", "pf", "af", "zf", "sf", "of")
+
+
+def _ordered_flags(flags) -> tuple:
+    return tuple(flag for flag in _FLAG_ORDER if flag in flags)
+
+
 def _flag_sets(mnemonic: Mnemonic) -> tuple[frozenset, frozenset]:
     """``(definitely killed, may-touched)`` flags of one writer."""
     if mnemonic in _FLAG_KILL_ALL:
@@ -140,7 +150,7 @@ class StepFacts:
     write_spans: dict  # code -> bit mask a skip/replace can perturb
     consumed: frozenset  # flags read
     killed: frozenset  # flags definitely recomputed
-    touched: frozenset  # flags possibly written
+    touched: tuple  # flags possibly written, in _FLAG_ORDER
 
 
 def derive_step_facts(insn: Instruction) -> StepFacts:
@@ -205,8 +215,10 @@ def derive_step_facts(insn: Instruction) -> StepFacts:
         if register.code not in seen:
             add_read(register.code, MASK64)
 
+    # by register code, so proofs scan registers in a fixed order
     write_spans: dict[int, int] = {
-        register.code: MASK64 for register in eff.writes
+        code: MASK64
+        for code in sorted(register.code for register in eff.writes)
     }
     if (
         ops
@@ -228,7 +240,7 @@ def derive_step_facts(insn: Instruction) -> StepFacts:
         write_spans=write_spans,
         consumed=consumed_flags(insn),
         killed=killed,
-        touched=touched,
+        touched=_ordered_flags(touched),
     )
 
 
@@ -284,9 +296,9 @@ def _encoding_defs(facts: StepFacts, window: bytes, mutated: bytes):
     for source in (facts.write_spans, new_facts.write_spans):
         for code, span in source.items():
             spans[code] = spans.get(code, 0) | span
-    flags = frozenset()
+    flags = ()
     if facts.eff.writes_flags or new_facts.eff.writes_flags:
-        flags = facts.touched | new_facts.touched
+        flags = _ordered_flags(facts.touched + new_facts.touched)
     return tuple(spans.items()), flags
 
 

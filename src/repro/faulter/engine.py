@@ -29,7 +29,8 @@ restarts it.  The reduction planner's probe runs use the same walk.
 the master walk on a persistent *warm fleet* of worker processes;
 each worker receives a :class:`~repro.faulter.space.SpacePartition` —
 the base space spec plus an enumeration-order window, O(1) bytes per
-worker instead of O(points) — derives the trace and context locally
+worker instead of O(points), reduced per window for a reduced
+campaign — derives the trace and context locally
 (or loads them from the content-addressed
 :class:`~repro.faulter.artifacts.ArtifactStore`, when one is
 configured), and streams its own share.  Workers reuse the probe's
@@ -43,9 +44,9 @@ straggler partition no longer gates the whole wave.
 from __future__ import annotations
 
 import atexit
-import math
 import os
 import pickle
+import weakref
 from dataclasses import dataclass, fields
 from multiprocessing import get_context
 from queue import Empty
@@ -678,6 +679,12 @@ class MultiprocessBackend(ExecutionBackend):
     returning shards back to partition order — so aggregate residency
     stays O(workers x window) while stragglers never gate wall-clock.
 
+    The sizes count the space that is sliced.  A reduced space
+    partitions its base and reduces each window, so a worker disposes
+    only its own window's points, and the parent disposes none before
+    it expands the outcomes; a window's survivors are at most its
+    base points, so the residency bound holds.
+
     Fleet workers persist across campaigns: each derives the
     trace/context once per target (or loads it from the artifact
     store, when the faulter carries one) and reuses it for every
@@ -689,21 +696,14 @@ class MultiprocessBackend(ExecutionBackend):
     def __init__(self, workers: Optional[int] = None):
         self.workers = workers
 
-    def _partition_count(self, total: int, workers: int) -> int:
-        """Enough partitions for the fleet, capped by the window: up
-        to 2 x workers shards are in flight or parked at once, so each
-        gets that share of the window."""
-        window = max(1, MAX_RESIDENT_POINTS // (workers * 2))
-        return max(workers, math.ceil(total / window))
-
     def iter_outcomes(self, faulter, model, space, ctx, stats):
         workers = self.workers
         if workers is None:
             workers = default_workers()
-        total = space.count(ctx)
-        partitions = space.partition(
-            ctx, self._partition_count(total, workers)
-        )
+        # up to 2 x workers shards are in flight or parked at once, so
+        # each partition gets that share of the window
+        window = max(1, MAX_RESIDENT_POINTS // (workers * 2))
+        partitions = space.partition(ctx, workers, max_points=window)
         if len(partitions) <= 1:
             fallback = SequentialBackend()
             yield from fallback.iter_outcomes(
@@ -874,11 +874,24 @@ class EngineConfig:
 
 
 class CampaignEngine:
-    """Runs any fault space on any backend for one faulter target."""
+    """Runs any fault space on any backend for one faulter target.
+
+    The faulter caches its engine (``Faulter.engine``), so the engine
+    refers back to it weakly: with no reference cycle between them, a
+    dropped target frees its contexts and reduction proofs at once,
+    not at the interpreter's next full garbage collection.
+    """
 
     def __init__(self, faulter):
-        self.faulter = faulter
+        self._faulter = weakref.ref(faulter)
         self._contexts: dict[str, SpaceContext] = {}
+
+    @property
+    def faulter(self):
+        faulter = self._faulter()
+        if faulter is None:
+            raise ReferenceError("the engine's faulter no longer exists")
+        return faulter
 
     def context(self, model: FaultModel | str) -> SpaceContext:
         """Space context for ``model`` over the cached bad-input trace."""

@@ -31,9 +31,10 @@ al.); a single fault is a 1-tuple under the same rules:
 The reduced space is a first-class
 :class:`~repro.faulter.space.FaultSpace` spec — picklable,
 partitionable, streamable through both backends unchanged — because
-every proof is a deterministic function of (image, bad input): worker
-processes re-derive identical facts and re-enumerate identical
-survivor sets.
+every proof is a deterministic function of (image, bad input): a
+worker process re-derives identical facts and reduces its own window
+of the base space to exactly the survivors the whole reduced
+enumeration holds there.
 """
 
 from __future__ import annotations
@@ -134,13 +135,15 @@ def _disposer(ctx: SpaceContext, began: dict, allow_crash: bool):
 class ReducedSpace(FaultSpace):
     """The survivor subset of a single- or k-fault base space.
 
-    Enumerates the base space, drops every point that
-    :func:`_disposer` elides, and renumbers the survivors
-    ``0..R-1`` so the engine's streaming/partitioning machinery
-    applies unchanged.  ``probes`` carries ``((step, detail), resume
-    point)`` pairs for a tuple space's probed first-live faults — data
-    only, so the space still pickles in O(probes), independent of the
-    point population.
+    Enumerates the base space and yields every point that
+    :func:`_disposer` does not elide, unchanged: a survivor keeps its
+    base ``order``, so the executed outcomes merge back into the base
+    enumeration by position.  It partitions by reducing each partition
+    of its base, so a worker disposes only the points of its own base
+    window.  ``probes`` carries ``((step, detail), resume point)``
+    pairs for a tuple space's probed first-live faults — data only, so
+    the space and each of its partitions pickle in O(probes),
+    independent of the point population.
     """
 
     base: FaultSpace
@@ -153,11 +156,19 @@ class ReducedSpace(FaultSpace):
 
     def enumerate(self, ctx: SpaceContext) -> Iterator[FaultPoint]:
         disposition = _disposer(ctx, dict(self.probes), self.allow_crash)
-        order = 0
         for point in self.base.enumerate(ctx):
             if disposition(point)[0] == "run":
-                yield FaultPoint(order, point.steps, point.details)
-                order += 1
+                yield point
+
+    def partition(
+        self, ctx: SpaceContext, parts: int, max_points: int | None = None
+    ) -> list[FaultSpace]:
+        # a partition holds at most as many survivors as base points,
+        # so ``max_points`` bounds it as it bounds the base window
+        return [
+            ReducedSpace(part, self.probes, self.allow_crash)
+            for part in self.base.partition(ctx, parts, max_points)
+        ]
 
     def describe(self) -> str:
         return f"reduced({self.base.describe()})"
@@ -321,12 +332,14 @@ class ReductionPlan:
     def _take(executed, point: FaultPoint):
         reduced, outcome = next(executed)
         if (
-            reduced.steps != point.steps
+            reduced.order != point.order
+            or reduced.steps != point.steps
             or reduced.details != point.details
         ):
             raise RuntimeError(
                 "reduced enumeration out of sync with its base space: "
-                f"expected {point.steps}/{point.details}, executed "
+                f"expected #{point.order} {point.steps}/{point.details}, "
+                f"executed #{reduced.order} "
                 f"{reduced.steps}/{reduced.details}"
             )
         return outcome

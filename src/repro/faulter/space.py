@@ -23,7 +23,8 @@ Enumerators:
   against),
 * :class:`SpacePartition` — a contiguous enumeration-order window of
   any base space, re-enumerated locally (what a partition ships to a
-  worker process: a (space spec, window) pair, never a point dump).
+  worker process: a (space spec, window) pair, never a point dump; a
+  reduced space ships one under its survivor filter).
 
 Each point carries its enumeration ``order`` so a backend may execute
 points in whatever order is fastest (e.g. sorted by trace offset for
@@ -169,27 +170,21 @@ class FaultSpace:
         return itertools.islice(self.enumerate(ctx), start, stop)
 
     def partition(
-        self, ctx: SpaceContext, parts: int
-    ) -> list["SpacePartition"]:
-        """Split into up to ``parts`` declarative sub-specs.
+        self, ctx: SpaceContext, parts: int, max_points: int | None = None
+    ) -> list[FaultSpace]:
+        """Split into ``parts`` declarative sub-specs, or more.
 
         Each partition is a contiguous window of the enumeration order
         — which both balances variant-heavy offsets across workers and
         keeps each partition's report fragment in enumeration order —
         described as a ``(base space, start, stop)`` triple that
-        re-enumerates locally.  Pickled size is O(1) in the number of
-        points, so shipping a partition to a worker process costs the
-        same for a hundred points as for a million.
+        re-enumerates locally.  There are ``parts`` of them (fewer for
+        a smaller space), or more where ``max_points`` demands it; the
+        space is counted once, here.  Pickled size is O(1) in the
+        number of points, so shipping a partition to a worker process
+        costs the same for a hundred points as for a million.
         """
-        total = self.count(ctx)
-        if not total:
-            return []
-        parts = max(1, min(parts, total))
-        size = (total + parts - 1) // parts
-        return [
-            SpacePartition(self, start, min(start + size, total))
-            for start in range(0, total, size)
-        ]
+        return _windows(self, 0, self.count(ctx), parts, max_points)
 
     def describe(self) -> str:
         return type(self).__name__
@@ -381,21 +376,28 @@ class SpacePartition(FaultSpace):
         return max(0, self.stop - self.start)
 
     def partition(
-        self, ctx: SpaceContext, parts: int
-    ) -> list["SpacePartition"]:
-        total = self.count(ctx)
-        if not total:
-            return []
-        parts = max(1, min(parts, total))
-        size = (total + parts - 1) // parts
-        return [
-            SpacePartition(
-                self.base,
-                self.start + offset,
-                min(self.start + offset + size, self.stop),
-            )
-            for offset in range(0, total, size)
-        ]
+        self, ctx: SpaceContext, parts: int, max_points: int | None = None
+    ) -> list[FaultSpace]:
+        return _windows(self.base, self.start, self.stop, parts, max_points)
 
     def describe(self) -> str:
         return f"{self.base.describe()}[{self.start}:{self.stop}]"
+
+
+def _windows(
+    base: FaultSpace, start: int, stop: int, parts: int, max_points
+) -> list[FaultSpace]:
+    """Equal contiguous ``[start, stop)`` windows of ``base``'s
+    enumeration: ``parts`` of them, or more so that none holds more
+    than ``max_points`` points, but never more than there are points."""
+    total = stop - start
+    if total <= 0:
+        return []
+    if max_points is not None:
+        parts = max(parts, (total + max_points - 1) // max_points)
+    parts = max(1, min(parts, total))
+    size = (total + parts - 1) // parts
+    return [
+        SpacePartition(base, lo, min(lo + size, stop))
+        for lo in range(start, stop, size)
+    ]

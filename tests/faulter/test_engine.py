@@ -6,6 +6,9 @@ a report *bit-identical* to the paper's literal protocol in
 execution metadata).
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.faulter import (
@@ -263,3 +266,25 @@ class TestTraceCaching:
                           wl.grant_marker, name=wl.name)
         first = faulter.trace()
         assert faulter.trace() is first
+
+    def test_dropped_faulter_frees_its_contexts_at_once(self, wl):
+        """The faulter caches its engine and the engine refers back
+        weakly, so dropping the faulter frees its contexts without a
+        garbage collection."""
+        faulter = Faulter(wl.build(), wl.good_input, wl.bad_input,
+                          wl.grant_marker, name=wl.name)
+        faulter.run_campaign("skip")
+        engine = weakref.ref(faulter.engine())
+        context = weakref.ref(faulter.engine().context("skip"))
+        gc.disable()
+        try:
+            del faulter
+            assert engine() is None and context() is None
+        finally:
+            gc.enable()
+
+    def test_engine_outliving_its_faulter_says_so(self, wl):
+        engine = Faulter(wl.build(), wl.good_input, wl.bad_input,
+                         wl.grant_marker, name=wl.name).engine()
+        with pytest.raises(ReferenceError):
+            engine.run("skip", ExhaustiveSpace())

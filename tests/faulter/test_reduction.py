@@ -14,7 +14,11 @@ reference, so it checks the reduced run against the full one).
 import hashlib
 import json
 import math
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +28,8 @@ from repro.asm import assemble
 from repro.emu import Machine
 from repro.errors import DecodingError, EmulationError
 from repro.faulter import (
-    EngineConfig, Faulter, MultiprocessBackend, SequentialBackend, engine)
+    EngineConfig, Faulter, MultiprocessBackend, SequentialBackend, engine,
+    reduction)
 from repro.faulter.models import MODELS
 from repro.faulter.reduction import (
     EXAMPLE_CAP,
@@ -45,6 +50,8 @@ from repro.isa.insn import CONTROL_FLOW, Mnemonic
 from repro.workloads import bootloader, pincheck
 from tests.reference import reference_report
 from tests.spaces import SampledPoints
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -162,9 +169,28 @@ class TestProductSpeedup:
         assert full_steps >= 5 * max(1, reduced_steps)
 
 
+def _record_dispositions(monkeypatch) -> list:
+    """Record, in this process, the base ``order`` of every point the
+    reduction disposes from now on."""
+    disposed = []
+    disposer = reduction._disposer
+
+    def recording(ctx, began, allow_crash):
+        disposition = disposer(ctx, began, allow_crash)
+
+        def recorded(point):
+            disposed.append(point.order)
+            return disposition(point)
+
+        return recorded
+
+    monkeypatch.setattr(reduction, "_disposer", recording)
+    return disposed
+
+
 class TestReducedSpaces:
-    """Reduced spaces are first-class: picklable in O(1), partitionable
-    through the standard streaming machinery."""
+    """Reduced spaces are first-class: picklable in O(probes), and
+    partitioned by reducing each partition of the base space."""
 
     def test_pickle_is_population_independent(self):
         single = ReducedSpace(ExhaustiveSpace())
@@ -175,19 +201,76 @@ class TestReducedSpaces:
         assert len(pickle.dumps(tuples)) < 512
 
     def test_partition_matches_enumeration_window(self, faulter):
-        ctx = faulter.engine().context("skip")
-        space = ReducedSpace(ExhaustiveSpace())
-        whole = list(space.enumerate(ctx))
-        assert whole  # survivors exist
-        for part in space.partition(ctx, 3):
-            assert list(part.enumerate(ctx)) == \
-                whole[part.start:part.stop]
+        """Survivors keep their base order; concatenated, the
+        partitions' survivors are the whole reduced enumeration —
+        points, steps, details and base order — and each partition
+        pickles in O(probes)."""
+        for model, base in (
+            ("reg-bitflip", ExhaustiveSpace()),
+            ("skip", WindowedSpace(indices=tuple(range(2, 20)))),
+            ("reg-bitflip", KFaultProductSpace(k=2, samples=200, seed=0)),
+        ):
+            ctx = faulter.engine().context(model)
+            plan, _ = plan_reduction(faulter, MODELS[model], ctx, base,
+                                     SequentialBackend())
+            space = plan.space
+            whole = list(space.enumerate(ctx))
+            assert 0 < len(whole) < base.count(ctx)
+            # survivors are the base points themselves, base order kept
+            base_points = list(base.enumerate(ctx))
+            orders = [point.order for point in whole]
+            assert orders == sorted(set(orders))
+            assert [base_points[order] for order in orders] == whole
+            for parts, max_points in ((1, None), (3, None), (2, 97)):
+                partitions = space.partition(ctx, parts, max_points)
+                assert len(partitions) >= min(parts, len(base_points))
+                assert [point for part in partitions
+                        for point in part.enumerate(ctx)] == whole
+                for part in partitions:
+                    assert len(pickle.dumps(part)) <= \
+                        len(pickle.dumps(space)) + 128
+                    if max_points is not None:
+                        assert part.base.count(ctx) <= max_points
 
-    def test_survivors_renumbered(self, faulter):
-        ctx = faulter.engine().context("skip")
-        space = ReducedSpace(ExhaustiveSpace())
-        orders = [point.order for point in space.enumerate(ctx)]
-        assert orders == list(range(len(orders)))
+    def test_partition_disposes_only_its_window(self, faulter,
+                                                monkeypatch):
+        """Each partition disposes exactly the points of its own base
+        window, so partitioning costs one reduction pass in total."""
+        ctx = faulter.engine().context("reg-bitflip")
+        population = ExhaustiveSpace().count(ctx)
+        disposed = _record_dispositions(monkeypatch)
+        partitions = ReducedSpace(ExhaustiveSpace()).partition(ctx, 5)
+        assert disposed == []
+        windows = []
+        for part in partitions:
+            del disposed[:]
+            for _ in part.enumerate(ctx):
+                pass
+            windows.append(list(disposed))
+        assert len(windows) == 5
+        assert [order for window in windows for order in window] == \
+            list(range(population))
+
+    def test_fleet_campaign_disposes_each_point_once(self, faulter,
+                                                     monkeypatch):
+        """A fleet campaign over a reduced space (two workers, so at
+        least two partitions) disposes each base point in the parent
+        exactly once, in the expansion, and its report is the
+        sequential one."""
+        sequential = faulter.engine().run("reg-bitflip", ExhaustiveSpace())
+        population = ExhaustiveSpace().count(
+            faulter.engine().context("reg-bitflip"))
+        disposed = _record_dispositions(monkeypatch)
+        try:
+            fleet = faulter.engine().run(
+                "reg-bitflip", ExhaustiveSpace(),
+                backend=MultiprocessBackend(workers=2))
+        finally:
+            # workers forked during the patch must not outlive it
+            engine.shutdown_fleet()
+        assert disposed == list(range(population))
+        assert fleet == sequential
+        assert fleet.meta["reduction"]["executed_points"] < population
 
 
 class TestCertificate:
@@ -261,31 +344,29 @@ class TestCertificatePin:
     """Seed-0 pincheck certificates, pinned: the summary line, the
     dead-proof reasons and a digest of the whole JSON payload, so a
     change to how single faults or tuples are reduced shows up as a
-    diff.  The digest leaves out ``merged_points`` (always 0, and gone
-    with class merging) and ``analysis_steps``, whose scan count
-    follows set iteration order and so varies with the hash seed."""
+    diff.  ``analysis_steps`` is in the digest: the proofs scan flags
+    and registers in a fixed order, so the scan count does not depend
+    on the hash seed."""
 
     @pytest.mark.parametrize("k, model, summary, reasons, digest", [
         (1, "skip", "reduction: 23 -> 21 executed, 1.1x (dead 2)",
-         {"jcc-not-taken": 2}, "8b4f36aea28c9a16"),
+         {"jcc-not-taken": 2}, "5c2221831a032748"),
         (1, "bitflip", "reduction: 936 -> 771 executed, 1.2x (crash 165)",
-         {}, "d208fec9d836c834"),
+         {}, "841b8f80086ce4fa"),
         (1, "reg-bitflip",
          "reduction: 2496 -> 1160 executed, 2.2x (dead 1336)",
-         {"reg-dead": 1336}, "13bbf466a9e62986"),
-        (2, "skip", None, {}, "17dcd9c70b1f65d6"),
-        (2, "bitflip", None, {}, "3b1c0ba3523e27e1"),
+         {"reg-dead": 1336}, "76c903e8b286c4fe"),
+        (2, "skip", None, {}, "4f9a39353afcb96f"),
+        (2, "bitflip", None, {}, "462db1f3692655fc"),
         (2, "reg-bitflip",
          "reduction: 157 -> 71 executed, 2.2x "
          "(dead 84, dominated 2, probes 1)",
-         {}, "c5a7441fc06c185d"),
+         {}, "46a37fecb8116c3f"),
     ])
     def test_seed0_pincheck(self, k, model, summary, reasons, digest):
         report = pincheck.workload().target().campaign(
             (model,), config=EngineConfig(k_faults=k))[model]
         payload = dict(report.meta["reduction"])
-        payload.pop("merged_points", None)
-        payload.pop("analysis_steps")
         if summary is not None:
             assert ReductionCertificate(payload).summary() == summary
         assert payload["dead_reasons"] == reasons
@@ -293,6 +374,35 @@ class TestCertificatePin:
             EXAMPLE_CAP, sum(reasons.values()))
         assert hashlib.sha256(
             json.dumps(payload).encode()).hexdigest()[:16] == digest
+
+
+class TestHashSeedIndependence:
+    _SCRIPT = "\n".join([
+        "import json",
+        "from repro.faulter import EngineConfig",
+        "from repro.workloads import pincheck",
+        "target = pincheck.workload().target()",
+        "print(json.dumps([",
+        "    target.campaign((model,), config=EngineConfig(k_faults=k))"
+        "[model].meta['reduction']",
+        "    for k in (1, 2) for model in ('skip', 'bitflip')]))",
+    ])
+
+    def test_certificates_equal_across_hash_seeds(self):
+        """Two interpreters with different string hashing produce the
+        same certificates, ``analysis_steps`` included."""
+        runs = [
+            subprocess.run(
+                [sys.executable, "-c", self._SCRIPT],
+                capture_output=True, text=True, check=True,
+                env={**os.environ, "PYTHONHASHSEED": seed,
+                     "PYTHONPATH": str(SRC)})
+            for seed in ("0", "3")
+        ]
+        first, second = (json.loads(run.stdout) for run in runs)
+        assert first == second
+        assert [cert["analysis_steps"] for cert in first] == \
+            [81, 62, 81, 62]
 
 
 class TestCliSurface:
@@ -377,7 +487,7 @@ class _StepwiseFacts(TraceFacts):
                 return None
             settled = max(settled, self.reg_settle(step + 1, code, span))
         if facts.eff.writes_flags or new_facts.eff.writes_flags:
-            for flag in facts.touched | new_facts.touched:
+            for flag in {*facts.touched, *new_facts.touched}:
                 dead, flag_settled = self.flag_dead(step + 1, flag)
                 if not dead:
                     return None
