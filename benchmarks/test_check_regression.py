@@ -49,6 +49,18 @@ def test_warm_row_steps_are_gated_exactly():
     assert check_regression.compare(baseline, slow, 0.25)
 
 
+def test_warm_speedup_gates_the_median_of_pairs():
+    baseline = _bench(multiprocess={}, multiprocess_warm={})
+    for median, failures in ((1.3, 0), (1.29, 1)):
+        fresh = copy.deepcopy(baseline)
+        fresh["backends"]["multiprocess-warm"]["speedup_over_cold"] = {
+            "pairs": 5, "median": median,
+            "ratios": [1.0, 1.1, median, 2.0, 2.1]}
+        result = check_regression.compare(baseline, fresh, 0.25)
+        assert len(result) == failures
+        assert all("median speedup" in line for line in result)
+
+
 def test_rows_missing_from_the_baseline_fail():
     """A fresh row the baseline lacks (say, a renamed one) would
     otherwise pass with nothing gated."""

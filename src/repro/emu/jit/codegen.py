@@ -15,8 +15,12 @@ rules make that hold:
   leaves no architectural trace beyond journaled memory writes;
 * flag state is produced exclusively by replaying the exact
   :class:`~repro.emu.flagops.Flags` methods recorded as ``flag_*``
-  markers, in program order, after which a ``jcc`` terminator may
-  evaluate its condition on real flag attributes.
+  markers, in program order, after which a flag-reading terminator
+  evaluates real flag attributes: ``jcc`` picks the next PC, ``setcc``
+  merges its bit into the committed register's low byte, ``pushfq``
+  stores the replayed RFLAGS image (replayed on a copy, so the live
+  flags change only once the store succeeded) and ``popfq`` loads its
+  image first and applies it last.
 
 Anything the emitter cannot prove it lowers exactly raises
 :class:`JitUnsupported` and the block is rejected (the precise stepper
@@ -52,6 +56,11 @@ _COND_EXPR = {
     0xC: "(flags.sf != flags.of)",
     0xE: "(flags.zf or flags.sf != flags.of)",
 }
+
+
+#: Terminators whose stack traffic needs the block's final ``rsp``.
+_STACK_TERMINATORS = (Mnemonic.CALL, Mnemonic.RET, Mnemonic.PUSHFQ,
+                      Mnemonic.POPFQ)
 
 
 class JitUnsupported(Exception):
@@ -326,6 +335,24 @@ def _inline_flags(emitter: _Emitter, kind: str, args: list[str],
     return lines
 
 
+def _flag_replay(emitter: _Emitter, flag_calls: list[Call]) -> list[str]:
+    """Lines replaying the surviving ``flag_*`` markers in order."""
+    lines: list[str] = []
+    for call in flag_calls:
+        kind = call.callee[len("flag_"):]
+        args = [emitter.ref(arg) for arg in call.operands[:-1]]
+        bits = call.operands[-1].value
+        inline = _inline_flags(emitter, kind, args, bits)
+        if inline is not None:
+            lines.extend(inline)
+        else:
+            # variable-count shifts keep the call form: their runtime
+            # masked-count and count==1 edge cases live in flagops
+            method = f"set_{kind}"
+            lines.append(f"flags.{method}({', '.join(args)}, {bits})")
+    return lines
+
+
 def lower_superblock(function: Function, body: list[Instruction],
                      terminator):
     """Emit and compile the step function for one superblock.
@@ -359,7 +386,7 @@ def lower_superblock(function: Function, body: list[Instruction],
     emitter = _Emitter()
 
     terminator_mnemonic = terminator.mnemonic if terminator else None
-    needs_rsp = terminator_mnemonic in (Mnemonic.CALL, Mnemonic.RET)
+    needs_rsp = terminator_mnemonic in _STACK_TERMINATORS
     prologue: list[str] = []
     for code in sorted(reg_in):
         call = reg_in[code]
@@ -383,17 +410,54 @@ def lower_superblock(function: Function, body: list[Instruction],
     commits = {code: emitter.ref(value)
                for code, value in reg_out_value.items()
                if reg_in.get(code) is not value}
+    flag_lines = _flag_replay(emitter, flag_calls)
+    # popfq's flag load lands after flag replay and register commit
+    final_lines: list[str] = []
 
+    last = terminator if terminator is not None else body[-1]
+    fallthrough = (last.address + last.length) & _M64
     if terminator is None:
-        last = body[-1]
-        rip = f"{(last.address + last.length) & _M64}"
+        rip = f"{fallthrough}"
     elif terminator_mnemonic is Mnemonic.JMP:
         rip = f"{terminator.branch_target() & _M64}"
     elif terminator_mnemonic is Mnemonic.JCC:
         taken = terminator.branch_target() & _M64
-        fallthrough = (terminator.address + terminator.length) & _M64
         rip = (f"{taken} if {_cond_expr(terminator.cond)} "
                f"else {fallthrough}")
+    elif terminator_mnemonic is Mnemonic.SETCC:
+        # merges into the low byte of the register's committed value
+        code = terminator.operands[0].register.code
+        current = commits.get(code, f"regs[{code}]")
+        commits[code] = (f"({current} & {_M64 & ~0xFF}) | "
+                         f"(1 if {_cond_expr(terminator.cond)} else 0)")
+        rip = f"{fallthrough}"
+    elif terminator_mnemonic is Mnemonic.PUSHFQ:
+        rsp = emitter.ref(reg_out_value[_RSP_CODE])
+        emitter.lines.append(f"sp = ({rsp} - 8) & {_M64}")
+        if flag_lines:
+            # the RFLAGS image is the replayed flags', but the live
+            # flags may change only once the store has succeeded
+            emitter.lines.append("entry_flags = flags")
+            emitter.lines.append("flags = flags.copy()")
+            emitter.lines.extend(flag_lines)
+            flag_lines = []
+            emitter.lines.append("rf = flags.to_rflags()")
+            emitter.lines.append(
+                "mem.write(sp, rf.to_bytes(8, 'little'))")
+            emitter.lines.append("entry_flags.from_rflags(rf)")
+        else:
+            emitter.lines.append(
+                "mem.write(sp, flags.to_rflags().to_bytes(8, 'little'))")
+        commits[_RSP_CODE] = "sp"
+        stores = True
+        rip = f"{fallthrough}"
+    elif terminator_mnemonic is Mnemonic.POPFQ:
+        rsp = emitter.ref(reg_out_value[_RSP_CODE])
+        emitter.lines.append(
+            f"rf = int.from_bytes(mem.read({rsp}, 8), 'little')")
+        commits[_RSP_CODE] = f"({rsp} + 8) & {_M64}"
+        final_lines.append("flags.from_rflags(rf)")
+        rip = f"{fallthrough}"
     elif terminator_mnemonic is Mnemonic.CALL:
         return_address = (terminator.address + terminator.length) & _M64
         rsp = emitter.ref(reg_out_value[_RSP_CODE])
@@ -413,29 +477,14 @@ def lower_superblock(function: Function, body: list[Instruction],
     else:
         raise JitUnsupported(f"terminator {terminator_mnemonic}")
 
-    flag_lines: list[str] = []
-    for call in flag_calls:
-        kind = call.callee[len("flag_"):]
-        args = [emitter.ref(arg) for arg in call.operands[:-1]]
-        bits = call.operands[-1].value
-        inline = _inline_flags(emitter, kind, args, bits)
-        if inline is not None:
-            flag_lines.extend(inline)
-        else:
-            # variable-count shifts keep the call form: their runtime
-            # masked-count and count==1 edge cases live in flagops
-            method = f"set_{kind}"
-            flag_lines.append(
-                f"flags.{method}({', '.join(args)}, {bits})")
-
     commit_lines = [f"regs[{code}] = {expr}"
                     for code, expr in sorted(commits.items())]
 
     start = body[0].address if body else terminator.address
     source_lines = ["def superblock(cpu, mem, flags):",
                     "    regs = cpu.regs"]
-    for line in (prologue + emitter.lines + flag_lines
-                 + commit_lines + [f"cpu.rip = {rip}"]):
+    for line in (prologue + emitter.lines + flag_lines + commit_lines
+                 + final_lines + [f"cpu.rip = {rip}"]):
         source_lines.append("    " + line)
     source = "\n".join(source_lines) + "\n"
 

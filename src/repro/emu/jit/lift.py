@@ -5,8 +5,9 @@ The register and memory dataflow comes straight from
 translation the rewriter uses, kept honest by the differential tests.
 The lifter's *flag* model, however, is documented as approximate (no
 AF/PF, ``imul`` clears CF/OF, variable shifts update only ZF/SF), and
-no body instruction reads a flag (flag readers end a superblock), so
-:class:`_BodyTranslator` does not build it at all.  Instead, every flag
+no body instruction reads a flag (a flag reader ends a superblock, at
+most as its terminator), so :class:`_BodyTranslator` does not build
+it at all.  Instead, every flag
 writer deposits a readonly ``flag_*`` marker call capturing the exact
 operand values the interpreter's :class:`~repro.emu.flagops.Flags`
 methods would see; codegen replays those methods at block commit.

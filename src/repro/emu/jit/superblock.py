@@ -5,13 +5,23 @@ serves *every* visit that reaches the address while the underlying code
 bytes are unchanged (the compiler's coherence hooks evict blocks that
 self-modifying code touches).  The body may only contain instructions
 whose register/memory dataflow the lifter models bit-exactly; anything
-flag-*reading* (``jcc`` aside), privileged, or indirect ends the block.
+flag-*reading*, privileged, or indirect ends the block.
 
 Direct ``jmp``/``jcc``/``call``/``ret`` are compiled in as the block
 terminator: the next PC is computed from exact committed flags (``jcc``)
 or exact stack traffic (``call``/``ret``), which keeps hot loop bodies
 inside the compiled tier instead of bouncing to the precise stepper on
-every back edge.
+every back edge.  The flag readers of the countermeasure idioms —
+``setcc r8``, ``pushfq``, ``popfq`` (the patcher's Table I-III patterns,
+the hybrid lowering's materialized conditions) — terminate a block the
+same way, reading the replayed flags at its end.
+
+A flag reader never enters a *body*.  The body's flag markers are
+pruned to the live tail assuming every flag is read at the block's
+end, and the JIT's DCE drops guest loads that only fed pruned markers
+(the known load-elision defect, ``tests/test_known_defects.py``); a
+reader mid-body would change which markers are pruned, and with them
+which loads, and so the campaign reports.
 """
 
 from __future__ import annotations
@@ -59,8 +69,11 @@ def compilable_terminator(insn: Instruction) -> bool:
     if mnemonic in (Mnemonic.JMP, Mnemonic.JCC, Mnemonic.CALL):
         return (len(insn.operands) == 1
                 and isinstance(insn.operands[0], Imm))
-    if mnemonic is Mnemonic.RET:
+    if mnemonic in (Mnemonic.RET, Mnemonic.PUSHFQ, Mnemonic.POPFQ):
         return not insn.operands
+    if mnemonic is Mnemonic.SETCC:
+        return (len(insn.operands) == 1
+                and isinstance(insn.operands[0], Reg))
     return False
 
 

@@ -968,7 +968,7 @@ class CampaignEngine:
                 builder.add(point, outcome)
         else:
             executed = backend.iter_outcomes(
-                self.faulter, model, plan.space, ctx, stats
+                self.faulter, model, plan.survivors, ctx, stats
             )
             for point, outcome in plan.expand(executed):
                 builder.add(point, outcome)

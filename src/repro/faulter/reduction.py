@@ -40,7 +40,9 @@ enumeration holds there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterator, Optional
 
 from repro.emu.machine import MAX_STEPS
@@ -154,10 +156,16 @@ class ReducedSpace(FaultSpace):
     def cap_policy(self) -> str:  # type: ignore[override]
         return self.base.cap_policy
 
-    def enumerate(self, ctx: SpaceContext) -> Iterator[FaultPoint]:
+    def dispose(self, ctx: SpaceContext) -> Iterator[tuple]:
+        """Every base point as ``(point, kind, info)``, in base order
+        (``kind``/``info`` as :func:`_disposer` answers them)."""
         disposition = _disposer(ctx, dict(self.probes), self.allow_crash)
         for point in self.base.enumerate(ctx):
-            if disposition(point)[0] == "run":
+            yield (point, *disposition(point))
+
+    def enumerate(self, ctx: SpaceContext) -> Iterator[FaultPoint]:
+        for point, kind, _ in self.dispose(ctx):
+            if kind == "run":
                 yield point
 
     def partition(
@@ -172,6 +180,24 @@ class ReducedSpace(FaultSpace):
 
     def describe(self) -> str:
         return f"reduced({self.base.describe()})"
+
+
+@dataclass(frozen=True)
+class _TappedSpace(ReducedSpace):
+    """A :class:`ReducedSpace` that appends every base point's
+    disposition to ``tap`` as it enumerates, so
+    :meth:`ReductionPlan.expand` reuses an in-process enumeration
+    instead of disposing each point again.  Its partitions are plain
+    reduced spaces: fleet workers tap nothing."""
+
+    tap: deque = field(default_factory=deque, compare=False, repr=False)
+
+    def enumerate(self, ctx: SpaceContext) -> Iterator[FaultPoint]:
+        tap = self.tap
+        for entry in self.dispose(ctx):
+            tap.append(entry)
+            if entry[1] == "run":
+                yield entry[0]
 
 
 def _run_probes(faulter, model, components, backend):
@@ -286,6 +312,10 @@ class ReductionPlan:
         self.ctx = ctx
         self.base = space.base
         self.space = space
+        #: the space the campaign backend executes: ``space``, tapped
+        self.survivors = _TappedSpace(
+            space.base, space.probes, space.allow_crash
+        )
         self.baseline_outcome = baseline_outcome
         self.probe_outcomes = probe_outcomes or {}
         self.probe_stats = probe_stats or ExecutionStats()
@@ -301,19 +331,30 @@ class ReductionPlan:
     # -- expansion -----------------------------------------------------
 
     def expand(self, outcomes) -> Iterator[tuple[FaultPoint, str]]:
-        """Merge the executed survivor outcomes (in enumeration order)
-        back into the full base enumeration, yielding every base point
-        with its verdict."""
+        """Merge the executed survivor outcomes of :attr:`survivors`
+        (in enumeration order) back into the full base enumeration,
+        yielding every base point with its verdict.
+
+        Each base point is disposed once.  An in-process backend
+        enumerates :attr:`survivors` itself, which fills the tap; the
+        first outcome pulled starts that enumeration.  When nothing
+        was tapped, fleet workers disposed their own windows, and the
+        base is disposed here.
+        """
         executed = iter(outcomes)
-        disposition = _disposer(
-            self.ctx, dict(self.space.probes), self.space.allow_crash
-        )
-        for point in self.base.enumerate(self.ctx):
+        # outcomes pulled before expansion reached their point
+        held = deque(islice(executed, 1))
+        tap = self.survivors.tap
+        if tap:
+            dispositions = self._drain(tap, executed, held)
+        else:
+            dispositions = self.space.dispose(self.ctx)
+        for point, kind, info in dispositions:
             self._full += 1
-            kind, info = disposition(point)
             if kind == "run":
                 self._executed += 1
-                yield point, self._take(executed, point)
+                pair = held.popleft() if held else next(executed)
+                yield point, self._take(pair, point)
             elif kind == "baseline":
                 self._dead += 1
                 if len(point.steps) == 1:
@@ -329,8 +370,19 @@ class ReductionPlan:
                 yield point, self.probe_outcomes[info][0]
 
     @staticmethod
-    def _take(executed, point: FaultPoint):
-        reduced, outcome = next(executed)
+    def _drain(tap: deque, executed, held: deque) -> Iterator[tuple]:
+        """The tapped dispositions in base order.  The tap holds what
+        the backend has enumerated so far, up to the window it pulled
+        ahead; once it runs dry, pulling the next outcome makes the
+        backend enumerate further."""
+        while tap:
+            yield tap.popleft()
+            if not tap:
+                held.extend(islice(executed, 1))
+
+    @staticmethod
+    def _take(pair, point: FaultPoint):
+        reduced, outcome = pair
         if (
             reduced.order != point.order
             or reduced.steps != point.steps

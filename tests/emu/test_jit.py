@@ -23,8 +23,9 @@ from repro.emu.jit import compiler as compiler_mod
 from repro.emu.jit import lift as lift_mod
 from repro.emu.jit.codegen import (
     JitUnsupported, _Emitter, _inline_flags, lower_superblock)
+from repro.emu.jit.compiler import BlockInvalidated
 from repro.emu.jit.superblock import MAX_BODY, carve
-from repro.emu.machine import Machine
+from repro.emu.machine import STACK_TOP, Machine
 from repro.errors import IRError, LiftError
 from repro.ir.builder import IRBuilder
 from repro.ir.instructions import (
@@ -32,13 +33,17 @@ from repro.ir.instructions import (
 from repro.ir.module import Function
 from repro.ir.types import I64, VOID, FunctionType
 from repro.ir.values import Constant
-from repro.isa.registers import all_gpr64
+from repro.isa.cond import Cond
+from repro.isa.insn import Mnemonic
+from repro.isa.registers import all_gpr64, parent_gpr
 from repro.isa.registers import reg as reg_by_name
 from repro.lift.semantics import InstructionTranslator
 from repro.lift.state import GuestState
 from repro.workloads import bootloader, corpus, pincheck
 
 FLAG_NAMES = ("cf", "pf", "af", "zf", "sf", "of")
+FLAG_READERS = (Mnemonic.JCC, Mnemonic.SETCC, Mnemonic.CMOVCC,
+                Mnemonic.PUSHFQ, Mnemonic.POPFQ)
 
 
 def _state(machine):
@@ -494,24 +499,209 @@ class TestSuperblockCarving:
         assert len(body) == MAX_BODY
         assert terminator is None
 
+    def test_carve_ends_at_flag_readers(self):
+        # setcc/pushfq/popfq terminate a block; a flag reader never
+        # enters a body, and setcc into memory is left to the stepper
+        lines = ["cmp rax, rbx", "sete cl", "pushfq", "popfq",
+                 "setne byte ptr [rsp]", "mov rax, 60", "syscall"]
+        source = [".text", ".global _start", "_start:"]
+        source += [f"    {line}" for line in lines]
+        machine = Machine(assemble("\n".join(source)))
+        address = machine.cpu.rip
+        shapes = []
+        for _ in range(4):
+            body, terminator = carve(machine, address)
+            shapes.append(([insn.name for insn in body],
+                           terminator.name if terminator else None))
+            if terminator is not None:
+                address = terminator.address + terminator.length
+        assert shapes == [(["cmp"], "sete"), ([], "pushfq"),
+                          ([], "popfq"), ([], None)]
+
+
+def _guest(lines):
+    source = [".text", ".global _start", "_start:"]
+    source += [f"    {line}" for line in lines]
+    source += ["    mov rax, 60", "    syscall"]
+    machine = Machine(assemble("\n".join(source)))
+    # code writable, so self-modifying stores are legal
+    machine.memory.map(machine.cpu.rip & ~0xFFF, 0x1000, "rwx")
+    return machine
+
+
+def _memory(machine):
+    return {page: bytes(data)
+            for page, data in machine.memory._pages.items()}
+
+
+def _full_state(machine):
+    return _state(machine), _memory(machine)
+
+
+def _set_state(machine, regs, flag_bits):
+    machine.cpu.regs = list(regs)
+    for name, value in zip(FLAG_NAMES, flag_bits):
+        setattr(machine.cpu.flags, name, value)
+
+
+class TestFlagTerminators:
+    """setcc/pushfq/popfq terminators match the precise stepper.
+
+    Each block is stepped once compiled and once precisely from the
+    same random registers, flags and stack contents; registers, flags,
+    ``rip`` and every mapped byte must agree.
+    """
+
+    BYTE_REGS = ("al", "cl", "dl", "bl", "spl", "bpl", "sil", "dil",
+                 "r8b", "r9b", "r10b", "r11b", "r12b", "r13b", "r14b",
+                 "r15b")
+    CONDS = tuple(cond.suffix for cond in Cond)
+
+    @staticmethod
+    def _stack_regs(rng):
+        regs = [rng.getrandbits(64) for _ in range(16)]
+        # rsp inside the stack, with room for a push and a pop
+        regs[4] = STACK_TOP - 0x1000 - 8 * rng.randrange(4, 64)
+        return regs
+
+    def _check(self, machine, address, regs, flag_bits, stack=b""):
+        """Step the block at ``address`` compiled and precisely;
+        return the address after its terminator.
+
+        ``stack`` is written 32 bytes below ``rsp`` before each run, so
+        stores and loads on both sides of it see the same bytes."""
+        body, terminator = carve(machine, address)
+        assert terminator is not None
+        step, _, source = lower_superblock(
+            lift_mod.lift_superblock(body, address), body, terminator)
+        results = []
+        for compiled in (True, False):
+            _set_state(machine, regs, flag_bits)
+            machine.cpu.rip = address
+            if stack:
+                machine.memory.write(regs[4] - 32, stack)
+            if compiled:
+                step(machine.cpu, machine.memory, machine.cpu.flags)
+            else:
+                for insn in body + [terminator]:
+                    machine.cpu.execute(machine.fetch_decode(insn.address))
+            results.append(_full_state(machine))
+        assert results[0] == results[1], source
+        return terminator.address + terminator.length
+
+    def test_setcc_every_condition_and_byte_register(self):
+        rng = random.Random(25)
+        for name in self.BYTE_REGS:
+            wide = "rsi" if name not in ("sil", "spl") else "rdi"
+            lines = []
+            for cond in self.CONDS:
+                # terminator-only, then merged into a body write
+                lines += [f"set{cond} {name}",
+                          f"add {parent_gpr(reg_by_name(name)).name}, "
+                          f"{wide}",
+                          f"set{cond} {name}"]
+            machine = _guest(lines)
+            address = machine.cpu.rip
+            for _ in range(2 * len(self.CONDS)):
+                for _ in range(6):
+                    end = self._check(
+                        machine, address, self._stack_regs(rng),
+                        [rng.random() < 0.5 for _ in FLAG_NAMES])
+                address = end
+
+    BODIES = [
+        [],
+        ["cmp rax, rbx"],
+        ["inc rcx"],                     # CF passes through
+        ["shl rdx, cl"],                 # count may be 0: no update
+        ["add rax, rbx", "test rcx, rdx"],
+        ["imul rax, rbx"],
+        ["neg rsi", "mov rdi, rsi"],
+        ["sar rax, 1", "push rbx"],
+        ["xor eax, eax", "lea rsp, [rsp-8]"],
+        ["dec r9b", "pop r10"],
+    ]
+
+    @pytest.mark.parametrize("terminator", ["pushfq", "popfq"])
+    def test_flag_stack_terminators_after_flag_writers(self, terminator):
+        rng = random.Random(f"{terminator}-25")
+        for body in self.BODIES:
+            machine = _guest(body + [terminator])
+            entry = machine.cpu.rip
+            for _ in range(20):
+                regs = self._stack_regs(rng)
+                regs[1] = rng.choice((0, 1, 3, 64, rng.getrandbits(64)))
+                self._check(machine, entry, regs,
+                            [rng.random() < 0.5 for _ in FLAG_NAMES],
+                            stack=rng.randbytes(64))
+
+    @pytest.mark.parametrize("terminator, page", [
+        ("pushfq", "unmapped"), ("pushfq", "read-only"),
+        ("popfq", "unmapped")])
+    def test_faulting_stack_access_commits_nothing(self, terminator,
+                                                   page):
+        lines = ["add rax, 5", "cmp rbx, 7", "mov rsi, rax", terminator]
+        machines = [_guest(lines) for _ in range(2)]
+        for machine in machines:
+            machine.cpu.regs[0] = 0x1234
+            machine.cpu.regs[4] = 0x9000_0008
+            if page == "read-only":
+                machine.memory.map(0x9000_0000, 0x1000, "r")
+        compiled, precise = machines
+        compiler = TraceCompiler().attach(compiled)
+        entry = _full_state(compiled)
+        assert compiler.execute(compiled, 100) == 0
+        assert compiler.divergences == 1
+        assert _full_state(compiled) == entry
+        result_c, result_p = compiled.run(), precise.run()
+        assert result_c.reason == result_p.reason == "crash"
+        assert result_c.crash_detail == result_p.crash_detail
+        assert _full_state(compiled) == _full_state(precise)
+
+    def test_pushfq_into_its_own_block_invalidates_it(self):
+        # eight nops, then a pushfq whose store overwrites them
+        lines = ["nop"] * 8 + ["pushfq", "mov rdi, 7"]
+        machines = [_guest(lines) for _ in range(2)]
+        for machine in machines:
+            machine.cpu.regs[4] = machine.cpu.rip + 8
+        compiled, precise = machines
+        compiler = TraceCompiler().attach(compiled)
+        block = compiler._compile_at(compiled, compiled.cpu.rip)
+        assert block.insns[-1].name == "pushfq"
+        entry = _full_state(compiled)
+        mark = compiled.memory.journal_mark()
+        compiler._active = block
+        with pytest.raises(BlockInvalidated):
+            block.step(compiled.cpu, compiled.memory, compiled.cpu.flags)
+        compiler._active = None
+        compiled.memory.journal_rollback_to(mark)
+        assert _full_state(compiled) == entry
+        result_c, result_p = compiled.run(), precise.run()
+        assert result_c.exit_code == result_p.exit_code == 7
+        assert compiler.divergences >= 1
+        assert _full_state(compiled) == _full_state(precise)
+
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 #: sha256 over every ``.text`` address's carved code and lowered source;
 #: an IR or codegen change that alters any compiled block changes it.
 #: The ``pincheck+*`` images are pincheck hardened by that approach:
-#: the re-fault compiles their code shapes, which the plain images lack.
+#: the re-fault compiles their code shapes, which the plain images lack
+#: (the faulter+patcher image carries the Table I-III flag idioms).
 LOWERED_DIGESTS = {
     "pincheck":
         "3a848399b22c9aecf4cc718fb95513c2ca9ebedf580d8a207cdcb31ed2572ea9",
     "pincheck+hybrid":
-        "5c68c07767c4685ad777e138738af09e78bbcbf771f8dc5c1eebcada03c5ac41",
+        "ec406843ba6099d7f0a275198cc67e1a1ae5a1da2b2448d10039de632c43c858",
+    "pincheck+faulter+patcher":
+        "ae5bb3bf10ed3f2ce34d0ed2ec2b5c444e13a756719232fa9b62f3e9f9bd9a6f",
     "pincheck+detour":
         "9ec0cf9038c2cd9d6a0c76360b5778881945c3b80eaf0bd1a6a2a9b7bf81d839",
     "bootloader":
-        "92486524c175b09ee99f79545238e98a36f7d4124210cd067b921351e3643385",
+        "dbbac01fb501171f24ec4054f8eb68f855c74ac6a3b3c9ae2e64f4c6e4d073a3",
     "bootloader_pie":
-        "43348a299f0e5d8888b4fab2ce66e6fd8cc42d9d18803d3b0fac9a8024824981",
+        "8f0cfc6f9958fe8e6a8cb46e440055ae337f52baa35fb4cffae3a99c0e7f5b50",
 }
 
 
@@ -520,13 +710,15 @@ def _lowered_digest(exe) -> str:
 
     Every byte, not just the linear-sweep boundaries, so misaligned
     decodes (what encoding faults execute) are pinned too.  Blocks
-    that do not lift or lower contribute ``NONE``.
+    that do not lift or lower contribute ``NONE``.  No flag reader
+    may sit in a body: flags are replayed only at the block's end.
     """
     machine = Machine(exe)
     text = exe.section(".text")
     rows = []
     for address in range(text.addr, text.addr + len(text.data)):
         body, terminator = carve(machine, address)
+        assert not any(insn.mnemonic in FLAG_READERS for insn in body)
         insns = body + ([terminator] if terminator is not None else [])
         source = "NONE"
         if insns:
@@ -548,9 +740,12 @@ def test_lowered_source_is_pinned(name):
     if name == "bootloader_pie":
         exe = read_elf((FIXTURES / "bootloader_pie.elf").read_bytes())
     elif name.startswith("pincheck+"):
+        approach = name.partition("+")[2]
+        # the patcher hardens only the points these models break
+        models = (("skip", "bitflip") if approach == "faulter+patcher"
+                  else ())
         target = pincheck.workload().target()
-        exe = target.harden(name.partition("+")[2],
-                            fault_models=()).hardened
+        exe = target.harden(approach, fault_models=models).hardened
     else:
         exe = {"pincheck": pincheck, "bootloader": bootloader}[
             name].workload().build()

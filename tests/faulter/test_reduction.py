@@ -272,6 +272,29 @@ class TestReducedSpaces:
         assert fleet == sequential
         assert fleet.meta["reduction"]["executed_points"] < population
 
+    @pytest.mark.parametrize("window", [None, 97],
+                             ids=["one-window", "many-windows"])
+    def test_sequential_campaign_disposes_each_point_once(
+            self, faulter, window, monkeypatch):
+        """In-process, the expansion reuses the dispositions the
+        backend's own enumeration made: a sequential campaign over a
+        reduced space disposes each base point exactly once, with
+        the report and certificate of the unwindowed run."""
+        reference = faulter.engine().run(
+            "reg-bitflip", ExhaustiveSpace(), reduce=False)
+        certificate = faulter.engine().run(
+            "reg-bitflip", ExhaustiveSpace()).meta["reduction"]
+        population = ExhaustiveSpace().count(
+            faulter.engine().context("reg-bitflip"))
+        if window is not None:
+            monkeypatch.setattr(engine, "MAX_RESIDENT_POINTS", window)
+        disposed = _record_dispositions(monkeypatch)
+        report = faulter.engine().run("reg-bitflip", ExhaustiveSpace())
+        assert disposed == list(range(population))
+        assert report == reference
+        assert report.meta["reduction"] == certificate
+        assert 0 < certificate["executed_points"] < population
+
 
 class TestCertificate:
     def test_roundtrip_through_report_json(self, faulter):
