@@ -7,10 +7,13 @@ then::
     python benchmarks/check_regression.py BENCH_campaign.json \
         benchmarks/out/BENCH_campaign.json
 
-The check fails (exit 1) when any backend's — or any fault-model
-row's (the ``models`` section, e.g. ``reg-bitflip``) —
-``faults_per_second`` drops more than ``--threshold`` (default 25%)
-below the committed baseline, when any row *emulates more steps*
+Throughput is compared as a ratio: each backend row's — and each
+fault-model row's (the ``models`` section, e.g. ``reg-bitflip``) —
+``faults_per_second`` divided by the same file's ``precise`` row,
+which runs on the same machine under the same load.  The check fails
+(exit 1) when that ratio drops more than ``--threshold`` (default
+25%) below the committed baseline's ratio, when any row *emulates
+more steps*
 than the baseline, or when any row's ``compiled_steps`` or
 ``precise_steps`` differs from the baseline at all.  Step counts are
 deterministic for a fixed workload and seed, so more emulated steps
@@ -48,10 +51,22 @@ WARM_MIN_SPEEDUP = 1.3
 # step counters gated for exact equality with the baseline
 EXACT_STEP_FIELDS = ("compiled_steps", "precise_steps")
 
+# the backend row every faults/s figure is divided by: absolute
+# speeds follow the host and its load, their ratios follow the code
+REFERENCE_ROW = "precise"
+
+
+def _reference_speed(bench: dict) -> float | None:
+    return bench.get("backends", {}).get(REFERENCE_ROW, {}).get(
+        "faults_per_second")
+
 
 def _compare_rows(kind: str, baseline_rows: dict, fresh_rows: dict,
-                  threshold: float) -> list[str]:
-    """Gate one named-row section (``backends`` or ``models``)."""
+                  threshold: float, old_ref: float | None,
+                  new_ref: float | None) -> list[str]:
+    """Gate one named-row section (``backends`` or ``models``);
+    faults/s are gated relative to each file's ``old_ref``/``new_ref``
+    reference speed, and not at all when either file lacks one."""
     failures = []
     missing = set(baseline_rows) - set(fresh_rows)
     if missing:
@@ -66,13 +81,15 @@ def _compare_rows(kind: str, baseline_rows: dict, fresh_rows: dict,
         old, new = baseline_rows[name], fresh_rows[name]
         old_fps, new_fps = old.get("faults_per_second"), \
             new.get("faults_per_second")
-        if old_fps and new_fps is not None:
-            floor = old_fps * (1.0 - threshold)
-            if new_fps < floor:
+        if (old_fps and new_fps is not None and old_ref and new_ref
+                and (kind, name) != ("backends", REFERENCE_ROW)):
+            old_ratio, new_ratio = old_fps / old_ref, new_fps / new_ref
+            if new_ratio < old_ratio * (1.0 - threshold):
                 failures.append(
-                    f"{name}: {new_fps:.2f} faults/s is "
-                    f"{100 * (1 - new_fps / old_fps):.1f}% below the "
-                    f"baseline {old_fps:.2f} "
+                    f"{name}: {new_ratio:.2f}x the {REFERENCE_ROW} "
+                    f"row's faults/s is "
+                    f"{100 * (1 - new_ratio / old_ratio):.1f}% below "
+                    f"the baseline's {old_ratio:.2f}x "
                     f"(threshold {100 * threshold:.0f}%)")
         old_steps = old.get("emulated_steps")
         new_steps = new.get("emulated_steps")
@@ -107,11 +124,12 @@ def _check_warm_speedup(fresh_backends: dict) -> list[str]:
 
 def compare(baseline: dict, fresh: dict, threshold: float) -> list[str]:
     """Return a list of human-readable regression messages."""
+    refs = _reference_speed(baseline), _reference_speed(fresh)
     return (
         _compare_rows("backends", baseline.get("backends", {}),
-                      fresh.get("backends", {}), threshold)
+                      fresh.get("backends", {}), threshold, *refs)
         + _compare_rows("models", baseline.get("models", {}),
-                        fresh.get("models", {}), threshold)
+                        fresh.get("models", {}), threshold, *refs)
         + _check_warm_speedup(fresh.get("backends", {}))
     )
 
@@ -136,7 +154,8 @@ def main(argv=None) -> int:
     parser.add_argument("baseline", help="committed BENCH_campaign.json")
     parser.add_argument("fresh", help="freshly regenerated JSON")
     parser.add_argument("--threshold", type=float, default=0.25,
-                        help="tolerated fractional faults/s drop "
+                        help="tolerated fractional drop of a row's "
+                             "faults/s relative to the precise row "
                              "(default: 0.25)")
     args = parser.parse_args(argv)
     with open(args.baseline) as handle:

@@ -9,6 +9,9 @@ ROW = {"faults_per_second": 1000.0, "emulated_steps": 500,
 
 
 def _bench(**rows):
+    """Backend rows over ``ROW``, next to the ``precise`` row that
+    every faults/s figure is divided by."""
+    rows = {"precise": {}, **rows}
     return {"backends": {name.replace("_", "-"): dict(ROW, **row)
                          for name, row in rows.items()}}
 
@@ -17,6 +20,18 @@ def test_identical_runs_pass():
     bench = _bench(trace_compiled={})
     assert check_regression.compare(bench, copy.deepcopy(bench),
                                     0.25) == []
+
+
+def test_faults_per_second_are_gated_relative_to_precise():
+    baseline = _bench(trace_compiled={})
+    # trace-compiled alone 30% slower: the tier regressed
+    fresh = _bench(trace_compiled={"faults_per_second": 700.0})
+    failures = check_regression.compare(baseline, fresh, 0.25)
+    assert len(failures) == 1 and "trace-compiled" in failures[0]
+    # every row 40% slower: a slower host, not slower code
+    slow_host = _bench(precise={"faults_per_second": 600.0},
+                       trace_compiled={"faults_per_second": 600.0})
+    assert check_regression.compare(baseline, slow_host, 0.25) == []
 
 
 def test_compiled_and_precise_steps_are_gated_exactly():

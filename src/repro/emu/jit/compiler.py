@@ -47,10 +47,6 @@ from repro.isa.insn import Instruction
 
 _UNCOMPILED = object()
 
-# serialized-block payload schema (see export_blocks/import_blocks);
-# bump to orphan previously serialized caches
-EXPORT_VERSION = 1
-
 #: Capacity of the process-wide lowered-block map, evicted LRU-first;
 #: about 2.7x the distinct superblocks of a whole bootloader evaluate.
 SHARED_CAPACITY = 4096
@@ -272,13 +268,14 @@ class TraceCompiler:
                 "source": block.source,
                 "addresses": [insn.address for insn in block.insns],
             })
-        return {"version": EXPORT_VERSION, "blocks": blocks}
+        return {"blocks": blocks}
 
     def import_blocks(self, machine, payload) -> int:
         """Recompile serialized block sources against ``machine``.
 
-        The payload is keyed by the image digest, so the machine's
-        pristine bytes match the ones the sources were lowered from;
+        The payload is keyed by the image digest and the code digest,
+        so the machine's pristine bytes match the ones the sources were
+        lowered from, by this very lowering;
         each block's instructions are nevertheless re-decoded from the
         live memory and cross-checked against the recorded geometry —
         any mismatch (or any error at all) skips that block and the
@@ -287,8 +284,7 @@ class TraceCompiler:
         executing the source again.  Returns the number of blocks
         imported.
         """
-        if not isinstance(payload, dict) \
-                or payload.get("version") != EXPORT_VERSION:
+        if not isinstance(payload, dict):
             return 0
         imported = 0
         for spec in payload.get("blocks", ()):

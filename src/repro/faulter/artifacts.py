@@ -12,9 +12,10 @@ per-experiment setup cost is amortized.
 Design:
 
 * **Keys** are SHA-256 digests over length-prefixed canonical parts
-  (kind tag, format version, image digest, inputs, knobs).  Any change
-  to the binary, the input, or a relevant knob lands in a different
-  key — invalidation is structural, never time-based.
+  (kind tag, code digest, image digest, inputs, knobs).  Any change
+  to the binary, the input, a relevant knob or the ``repro`` sources
+  that derive the payload lands in a different key — invalidation is
+  structural, never time-based.
 * **Payloads** are pickled under a magic header plus a SHA-256 body
   digest.  :meth:`ArtifactStore.load` re-hashes on read, so a
   truncated, corrupted, or stale file is indistinguishable from a
@@ -35,6 +36,7 @@ derivation closures stay with their owners in ``engine.py``.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import pickle
@@ -43,9 +45,6 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
-
-# bump to orphan every previously written payload (schema change)
-FORMAT_VERSION = 1
 
 # file header: magic + body sha256; anything shorter is corrupt
 _MAGIC = b"r2rart\x01\x00"
@@ -120,6 +119,11 @@ class ArtifactStore:
 
     def __repr__(self):
         return f"ArtifactStore({str(self.root)!r})"
+
+    def __reduce__(self):
+        # a pickled store (in a fleet job) is its root: each process
+        # keeps its own counters and memo
+        return ArtifactStore, (str(self.root),)
 
     def _path(self, kind: str, key: str) -> Path:
         return self.root / kind / f"{key}.art"
@@ -284,29 +288,46 @@ class ArtifactStore:
 
 # -- key derivation (the content-addressing scheme) ---------------------
 #
-# Every key starts with (kind, FORMAT_VERSION, image digest); the tail
-# is the minimal knob slice the product depends on.  Model identity is
+# Every key starts with (kind, code digest, image digest); the tail is
+# the minimal knob slice the product depends on.  Model identity is
 # deliberately absent from trace/flags/jit keys — those products
 # are model-independent, so campaigns across models share them.
+
+
+@functools.cache
+def code_digest() -> str:
+    """SHA-256 over the ``repro`` package's sources, once per process.
+
+    Lowered block sources and reduction proofs are products of the
+    code as much as of the target, so a store written by other code
+    (another lowering, another proof) must read as misses.
+    """
+    package = Path(__file__).resolve().parent.parent
+    return digest_key(*(
+        part
+        for path in sorted(package.rglob("*.py"))
+        for part in (path.relative_to(package).as_posix(),
+                     path.read_bytes())
+    ))
 
 
 def trace_key(image_digest: str, bad_input: bytes,
               max_steps: int) -> str:
     """The recorded bad-input trace."""
-    return digest_key(b"trace", FORMAT_VERSION, image_digest,
+    return digest_key(b"trace", code_digest(), image_digest,
                       bad_input, max_steps)
 
 
 def flags_key(image_digest: str, bad_input: bytes,
               trace_length: int) -> str:
     """The traceflow flag replay (pre-step ZF/CF/SF per trace step)."""
-    return digest_key(b"flags", FORMAT_VERSION, image_digest,
+    return digest_key(b"flags", code_digest(), image_digest,
                       bad_input, trace_length)
 
 
 def jit_key(image_digest: str) -> str:
     """Serialized superblock sources (depend on code bytes only)."""
-    return digest_key(b"jit", FORMAT_VERSION, image_digest)
+    return digest_key(b"jit", code_digest(), image_digest)
 
 
 def facts_key(image_digest: str, bad_input: bytes,
@@ -316,7 +337,7 @@ def facts_key(image_digest: str, bad_input: bytes,
     Verdicts come from the *model's* reduction hooks, so the key is
     model-scoped — ``skip`` proofs can never answer for ``bitflip``.
     """
-    return digest_key(b"facts", FORMAT_VERSION, image_digest,
+    return digest_key(b"facts", code_digest(), image_digest,
                       bad_input, trace_length, model_name)
 
 

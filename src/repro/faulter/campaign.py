@@ -44,6 +44,7 @@ from copy import deepcopy
 from typing import Optional, Sequence
 
 from repro.binfmt.image import Executable
+from repro.binfmt.reader import read_elf
 from repro.binfmt.writer import write_elf
 from repro.emu.machine import Machine
 from repro.errors import ReproError
@@ -105,8 +106,20 @@ class Faulter:
         self._trace: Optional[list[int]] = None
         self._engine: Optional[CampaignEngine] = None
         self.artifacts = artifacts
+        self._elf: Optional[bytes] = None
         self._image_key: Optional[str] = None
         self._validate_baseline()
+
+    # A fleet job carries its Faulter: the image travels as its ELF
+    # bytes and the validated baselines travel along, so a worker never
+    # re-runs them; the trace and engine are re-derived per process.
+    def __getstate__(self):
+        return {**self.__dict__, "image": None, "_trace": None,
+                "_engine": None, "_elf": self.elf_bytes()}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.image = read_elf(self._elf)
 
     # -- baselines --------------------------------------------------------
 
@@ -144,15 +157,20 @@ class Faulter:
 
     # -- campaign ---------------------------------------------------------
 
+    def elf_bytes(self) -> bytes:
+        """The target image as ELF bytes (serialized once)."""
+        if self._elf is None:
+            image = self.image
+            if isinstance(image, (bytes, bytearray)):
+                self._elf = bytes(image)
+            else:
+                self._elf = write_elf(image)
+        return self._elf
+
     def image_digest(self) -> str:
         """Content digest of the target image (computed once)."""
         if self._image_key is None:
-            image = self.image
-            if isinstance(image, (bytes, bytearray)):
-                elf_bytes = bytes(image)
-            else:
-                elf_bytes = write_elf(image)
-            self._image_key = artifacts_mod.image_digest(elf_bytes)
+            self._image_key = artifacts_mod.image_digest(self.elf_bytes())
         return self._image_key
 
     def trace(self) -> list[int]:

@@ -26,18 +26,18 @@ across windows for offset-monotone spaces; a window behind the walk
 restarts it.  The reduction planner's probe runs use the same walk.
 
 ``MultiprocessBackend`` partitions the space declaratively and runs
-the master walk on a persistent *warm fleet* of worker processes;
-each worker receives a :class:`~repro.faulter.space.SpacePartition` —
-the base space spec plus an enumeration-order window, O(1) bytes per
-worker instead of O(points), reduced per window for a reduced
-campaign — derives the trace and context locally
-(or loads them from the content-addressed
-:class:`~repro.faulter.artifacts.ArtifactStore`, when one is
-configured), and streams its own share.  Workers reuse the probe's
-validated baseline (shipped as the continuation cap + grant marker)
-instead of re-validating the oracle per process, live across
-campaigns (``evaluate``/``r2r compare`` stop paying derivation
-twice), and pull partitions from a shared work-stealing queue, so a
+the master walk on a persistent *warm fleet* of worker processes (a
+stdlib process pool); each job carries the campaign's ``Faulter`` —
+its image as ELF bytes and its validated baselines, so no worker
+re-runs the good or bad input — and a
+:class:`~repro.faulter.space.SpacePartition` (the base space spec
+plus an enumeration-order window, reduced per window for a reduced
+campaign).  A worker keeps one live ``Faulter`` per target, whose
+trace and contexts it derives once (or loads from the
+content-addressed :class:`~repro.faulter.artifacts.ArtifactStore`,
+when one is configured), and streams its own share.  Workers live
+across campaigns (``evaluate``/``r2r compare`` stop paying derivation
+twice) and pull partitions from the pool's shared queue, so a
 straggler partition no longer gates the whole wave.
 """
 
@@ -45,16 +45,14 @@ from __future__ import annotations
 
 import atexit
 import os
-import pickle
 import weakref
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields
 from multiprocessing import get_context
-from queue import Empty
 from typing import Iterator, Optional, Sequence
 
 from repro.analysis.traceflow import TraceFacts, VariantPrune
-from repro.binfmt.reader import read_elf
-from repro.binfmt.writer import write_elf
 from repro.emu.machine import Machine
 from repro.errors import DecodingError, EmulationError
 from repro.faulter import artifacts as artifacts_mod
@@ -63,7 +61,6 @@ from repro.faulter.executor import (
     ExecutionStats,
     MasterWalkExecutor,
     PointOutcome,
-    executor_store,
     master_step,
 )
 from repro.faulter.models import FaultModel, model_by_name
@@ -227,14 +224,15 @@ def build_space_context(
     )
 
 
-def _persist_facts(ctx, artifacts, image_key, bad_input) -> None:
+def _persist_facts(ctx, faulter) -> None:
     """Save the reduction proofs a campaign computed, if any.
 
     Only consults facts the campaign actually materialized
     (``ctx._facts``) — never forces the analysis — and only writes
     when new verdicts accumulated beyond what the store supplied.
     """
-    if artifacts is None or image_key is None:
+    artifacts = faulter.artifacts
+    if artifacts is None:
         return
     facts = getattr(ctx, "_facts", None)
     if facts is None:
@@ -244,7 +242,7 @@ def _persist_facts(ctx, artifacts, image_key, bad_input) -> None:
         return
     if artifacts.save(
         "facts",
-        artifacts_mod.facts_key(image_key, bad_input,
+        artifacts_mod.facts_key(faulter.image_digest(), faulter.bad_input,
                                 len(ctx.trace), ctx.model.name),
         {"prune": dict(facts.prune_cache)},
     ):
@@ -303,207 +301,96 @@ class SequentialBackend(ExecutionBackend):
     def __init__(self, trace_compile: bool = True):
         self.trace_compile = trace_compile
 
-    # fleet workers pin (cache dict, key prefix) here so executors —
-    # machine, walk position, compiled blocks — survive across
-    # partitions and campaigns; None (the default) builds per campaign
-    _reuse_executors: Optional[tuple[dict, tuple]] = None
-
-    def _executor(self, faulter, space: FaultSpace, ctx: SpaceContext):
-        reuse = self._reuse_executors
-        if reuse is None:
-            return self.executor(faulter, ctx.model, space.cap_policy)
-        cache, prefix = reuse
-        key = prefix + (space.cap_policy,)
-        executor = cache.get(key)
-        if executor is None:
-            executor = self.executor(faulter, ctx.model, space.cap_policy)
-            if len(cache) >= _MAX_WORKER_EXECUTORS:
-                cache.clear()
-            cache[key] = executor
-        return executor
-
     def iter_outcomes(self, faulter, model, space, ctx, stats):
-        executor = None
+        executor = self.executor(faulter, model, space.cap_policy)
+        yield from self.stream(executor, space, ctx, stats)
+
+    @staticmethod
+    def stream(
+        executor: MasterWalkExecutor,
+        space: FaultSpace,
+        ctx: SpaceContext,
+        stats: ExecutionStats,
+    ) -> Iterator[PointOutcome]:
+        """Run ``space`` on ``executor`` one reorder window at a time.
+
+        A fleet worker hands in the executor it keeps warm across
+        partitions and campaigns; ``iter_outcomes`` a fresh one.
+        """
         window: list[FaultPoint] = []
         for point in space.enumerate(ctx):
             window.append(point)
             if len(window) >= MAX_RESIDENT_POINTS:
-                if executor is None:
-                    executor = self._executor(faulter, space, ctx)
-                yield from self._drain(executor, window, stats)
+                yield from _drain(executor, window, stats)
                 window = []
         if window:
-            if executor is None:
-                executor = self._executor(faulter, space, ctx)
-            yield from self._drain(executor, window, stats)
-        if executor is not None:
-            # persist freshly derived artifacts (JIT block sources)
-            # once the campaign's windows are done
-            executor.finalize()
-
-    @staticmethod
-    def _drain(
-        executor,
-        window: list[FaultPoint],
-        stats: ExecutionStats,
-    ) -> Iterator[PointOutcome]:
-        """Execute one window; reorder its rows back to enumeration
-        order."""
-        stats.observe_resident(len(window))
-        outcomes = executor.run_window(window, stats)
-        outcomes.sort(key=lambda pair: pair[0].order)
-        yield from outcomes
+            yield from _drain(executor, window, stats)
+        # persist freshly derived artifacts (JIT block sources) once
+        # the campaign's windows are done
+        executor.finalize()
 
 
-class _WorkerTarget:
-    """Duck-typed stand-in for a Faulter inside a fleet worker.
+def _drain(
+    executor, window: list[FaultPoint], stats: ExecutionStats
+) -> Iterator[PointOutcome]:
+    """Execute one window; reorder its rows back to enumeration
+    order."""
+    stats.observe_resident(len(window))
+    outcomes = executor.run_window(window, stats)
+    outcomes.sort(key=lambda pair: pair[0].order)
+    yield from outcomes
 
-    Carries only the probe's validated baseline — the continuation cap
-    and the (pickled) fault-detection oracle — so workers never re-run
-    the baseline validation.
+
+# A fleet worker's live target: (key, Faulter, executors).  The key is
+# everything that determines results — image, inputs, oracle, step
+# budget and artifact store — so a re-provisioned parent Faulter for
+# the same target still finds it warm.  Its trace and per-model
+# contexts live in the Faulter; its executors (machine, walk position,
+# compiled blocks), one per model and cap policy, live beside it.
+_LIVE: Optional[tuple] = None
+
+
+def _live_target(faulter) -> tuple:
+    """This worker's (Faulter, executors) for the shipped ``faulter``."""
+    global _LIVE
+    store = faulter.artifacts
+    key = (
+        faulter.elf_bytes(),
+        faulter.good_input,
+        faulter.bad_input,
+        faulter.oracle,
+        faulter.max_steps,
+        str(store.root) if store is not None else None,
+    )
+    if _LIVE is None or _LIVE[0] != key:
+        _LIVE = (key, faulter, {})
+    return _LIVE[1], _LIVE[2]
+
+
+def _run_partition(job) -> tuple[list[PointOutcome], ExecutionStats]:
+    """Fleet worker: run one declarative partition of the space.
+
+    The job is ``(faulter, model name, partition)``: the parent's
+    :class:`~repro.faulter.campaign.Faulter` (see its ``__getstate__``)
+    and a :class:`~repro.faulter.space.SpacePartition` spec, not a
+    point list.  The worker derives the bad-input trace (loaded from
+    the artifact store when one is configured) and re-enumerates its
+    own window locally.  The stats carry this job's artifact hit/miss
+    delta.
     """
-
-    def __init__(
-        self,
-        image,
-        bad_input: bytes,
-        oracle,
-        continuation_cap: int,
-        artifacts: Optional[ArtifactStore] = None,
-        image_key: Optional[str] = None,
-    ):
-        self.image = image
-        self.bad_input = bad_input
-        self.oracle = oracle
-        self.watches = oracle.watches()
-        self.continuation_cap = continuation_cap
-        self.artifacts = artifacts
-        self._image_key = image_key
-
-    def image_digest(self) -> Optional[str]:
-        return self._image_key
-
-    def classify(self, result) -> str:
-        return self.oracle.classify(result)
-
-
-# Per-process memos for fleet workers.  Deriving the trace and space
-# context is deterministic, so each persistent worker process does it
-# once per (binary, input[, model]) and reuses it across its queue of
-# partitions — and, because the fleet outlives campaigns, across
-# campaigns too.  The trace memo keeps one live target; the context
-# memo keeps one entry per fault model on top of it (bounded), so an
-# ``evaluate`` sweeping several models re-traces nothing.
-_WORKER_TRACES: dict = {}
-_WORKER_CONTEXTS: dict = {}
-_WORKER_STORES: dict = {}
-_MAX_WORKER_CONTEXTS = 8
-# executors memoized per context entry (machine, walk position and
-# compiled blocks stay warm across partitions and campaigns)
-_MAX_WORKER_EXECUTORS = 4
-
-
-def _worker_store(cache_root: Optional[str]):
-    """Per-process ArtifactStore memo (one live root at a time)."""
-    if cache_root is None:
-        return None
-    store = _WORKER_STORES.get(cache_root)
-    if store is None:
-        store = ArtifactStore(cache_root)
-        _WORKER_STORES.clear()
-        _WORKER_STORES[cache_root] = store
-    return store
-
-
-def _worker_context(
-    elf_bytes: bytes,
-    bad_input: bytes,
-    model_name: str,
-    master_max_steps: int,
-    store: Optional[ArtifactStore] = None,
-):
-    # the store root is part of the key: the context's facts and the
-    # executors memoized with it read and write that store
-    root = str(store.root) if store is not None else None
-    key = (elf_bytes, bad_input, model_name, master_max_steps, root)
-    cached = _WORKER_CONTEXTS.get(key)
-    if cached is None:
-        image_key = artifacts_mod.image_digest(elf_bytes)
-        trace_key = (elf_bytes, bad_input, master_max_steps)
-        entry = _WORKER_TRACES.get(trace_key)
-        if entry is None:
-            image = read_elf(elf_bytes)
-            trace = derive_trace(
-                image, bad_input, master_max_steps,
-                artifacts=store, image_key=image_key,
-            )
-            _WORKER_TRACES.clear()  # one live target per process
-            _WORKER_TRACES[trace_key] = (image, trace)
-        else:
-            image, trace = entry
-        model = model_by_name(model_name)
-        ctx = build_space_context(
-            image, bad_input, model, trace,
-            artifacts=store, image_key=image_key,
-        )
-        # the trailing dict memoizes executors *for this context*; its
-        # lifetime is tied to the entry, so an evicted context can
-        # never alias a stale executor
-        cached = (image, model, ctx, image_key, {})
-        if len(_WORKER_CONTEXTS) >= _MAX_WORKER_CONTEXTS:
-            _WORKER_CONTEXTS.clear()
-        _WORKER_CONTEXTS[key] = cached
-    return cached
-
-
-def _worker(job):
-    """Fleet worker: stream one declarative partition of the space.
-
-    The job carries a :class:`~repro.faulter.space.SpacePartition`
-    spec, not a point list — the worker derives the bad-input trace
-    (deterministic, so identical to the probe's; loaded from the
-    artifact store when one is configured) and re-enumerates its own
-    window locally.  Returns ``(outcomes, ExecutionStats)``; the stats
-    carry this job's artifact hit/miss delta.
-    """
-    (
-        elf_bytes,
-        bad_input,
-        oracle,
-        model_name,
-        continuation_cap,
-        partition,
-        master_max_steps,
-        cache_root,
-    ) = job
-    store = _worker_store(cache_root)
+    shipped, model_name, partition = job
+    faulter, executors = _live_target(shipped)
+    store = faulter.artifacts
     before = store.stats.snapshot() if store is not None else None
-    image, model, ctx, image_key, executors = _worker_context(
-        elf_bytes, bad_input, model_name, master_max_steps, store=store
-    )
-    target = _WorkerTarget(
-        image,
-        bad_input,
-        oracle,
-        continuation_cap,
-        artifacts=store,
-        image_key=image_key,
-    )
-    backend = SequentialBackend()
-    # reuse this context's executor across partitions and campaigns —
-    # the machine, walk position and compiled blocks stay warm in
-    # the persistent worker.  The key pins what the executor bakes
-    # in; the pickled oracle keeps two different detectors on the
-    # same target from ever sharing one (a mismatch only costs a
-    # rebuild).
-    backend._reuse_executors = (executors, (
-        continuation_cap,
-        pickle.dumps(oracle),
-    ))
+    ctx = faulter.engine().context(model_name)
+    key = (model_name, partition.cap_policy)
+    executor = executors.get(key)
+    if executor is None:
+        executor = executors[key] = SequentialBackend().executor(
+            faulter, ctx.model, partition.cap_policy)
     stats = ExecutionStats()
     outcomes = list(
-        backend.iter_outcomes(target, model, partition, ctx, stats)
-    )
+        SequentialBackend.stream(executor, partition, ctx, stats))
     if store is not None:
         stats.merge_artifacts(store.stats.delta(before))
     return outcomes, stats
@@ -514,130 +401,43 @@ def default_workers() -> int:
     return max(2, min(8, os.cpu_count() or 2))
 
 
-def _picklable_error(exc: BaseException) -> BaseException:
-    """``exc`` if it survives a pickle roundtrip, else a summary.
-
-    Worker exceptions travel back over a queue; an unpicklable one
-    would otherwise die in the queue's feeder thread and strand the
-    parent waiting for a result that never arrives.
-    """
-    try:
-        pickle.loads(pickle.dumps(exc))
-        return exc
-    except Exception:
-        return RuntimeError(f"{type(exc).__name__}: {exc}")
-
-
-def _fleet_main(tasks, results) -> None:
-    """Fleet worker loop: pull jobs until the ``None`` sentinel.
-
-    One crashed job never kills the worker — the exception ships back
-    tagged with the job id and the loop keeps serving.
-    """
-    while True:
-        item = tasks.get()
-        if item is None:
-            return
-        tag, job = item
-        try:
-            results.put((tag, "ok", _worker(job)))
-        except BaseException as exc:  # noqa: BLE001 — relayed, not hidden
-            results.put((tag, "err", _picklable_error(exc)))
-
-
 class _WorkerFleet:
-    """A persistent fleet of campaign workers around one task queue.
+    """The persistent campaign workers: a stdlib process pool.
 
-    The shared task queue *is* the work-stealing scheduler: idle
-    workers pull the next partition the moment they finish one, so a
-    straggler partition (dense fault window, crash-heavy region)
-    delays only its own worker, never a wave barrier.  Workers are
-    daemonic and live until :func:`shutdown_fleet` (registered via
-    ``atexit``) or a size change — their per-process memos
-    (trace/context/artifact store) are what make the fleet *warm*
-    across campaigns.
+    The pool's shared call queue is the work-stealing scheduler: an
+    idle worker takes the next partition the moment it finishes one,
+    so a straggler partition delays only its own worker.  With the
+    fork start method the pool forks all its workers on the first
+    submit, and they live until :func:`shutdown_fleet` (registered via
+    ``atexit``), a size change or a worker death.  Their per-process
+    live target is what makes the fleet *warm* across campaigns.
+
+    A campaign tracks its own jobs in ``epoch``, a dict from future to
+    partition index: it waits only on those and cancels the ones it
+    leaves behind, so no result ever reaches another campaign.
     """
-
-    # poll interval while waiting on results; each timeout re-checks
-    # worker liveness so a killed worker surfaces as an error, not a
-    # hang
-    _POLL_SECONDS = 1.0
 
     def __init__(self, size: int):
         self.size = size
-        context = (get_context("fork") if hasattr(os, "fork")
-                   else get_context("spawn"))
-        self._tasks = context.Queue()
-        self._results = context.Queue()
-        self._epoch = 0
-        self._processes = []
-        for _ in range(size):
-            process = context.Process(
-                target=_fleet_main,
-                args=(self._tasks, self._results),
-                daemon=True,
-            )
-            process.start()
-            self._processes.append(process)
+        context = get_context("fork" if hasattr(os, "fork") else "spawn")
+        self._pool = ProcessPoolExecutor(size, mp_context=context)
 
-    def alive(self) -> bool:
-        return all(p.is_alive() for p in self._processes)
+    def broken(self) -> bool:
+        """A worker died; the pool serves no more jobs."""
+        return bool(self._pool._broken)
 
-    def pids(self) -> list[int]:
-        return [p.pid for p in self._processes]
+    def submit(self, epoch: dict, index: int, job) -> None:
+        epoch[self._pool.submit(_run_partition, job)] = index
 
-    def new_epoch(self) -> int:
-        """Start a new campaign generation; stale results are dropped.
-
-        An abandoned outcome generator leaves submitted jobs in
-        flight; tagging every job with its epoch lets the next
-        campaign discard those leftovers instead of mistaking them for
-        its own shards.
-        """
-        self._epoch += 1
-        return self._epoch
-
-    def submit(self, epoch: int, index: int, job) -> None:
-        self._tasks.put(((epoch, index), job))
-
-    def recv(self, epoch: int) -> tuple[int, tuple]:
-        """Next ``(partition index, shard)`` belonging to ``epoch``."""
-        while True:
-            try:
-                tag, status, payload = self._results.get(
-                    timeout=self._POLL_SECONDS)
-            except Empty:
-                if not self.alive():
-                    self.shutdown()
-                    raise RuntimeError(
-                        "campaign worker died unexpectedly; "
-                        "fleet torn down") from None
-                continue
-            if tag[0] != epoch:
-                continue
-            if status == "err":
-                raise payload
-            return tag[1], payload
+    def recv(self, epoch: dict) -> tuple[int, tuple]:
+        """Next finished ``(partition index, shard)`` among ``epoch``;
+        a worker's exception re-raises here."""
+        done, _ = wait(epoch, return_when=FIRST_COMPLETED)
+        future = min(done, key=epoch.__getitem__)
+        return epoch.pop(future), future.result()
 
     def shutdown(self) -> None:
-        for _ in self._processes:
-            try:
-                self._tasks.put(None)
-            except Exception:
-                break
-        for process in self._processes:
-            process.join(timeout=2.0)
-        for process in self._processes:
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=1.0)
-        for q in (self._tasks, self._results):
-            try:
-                q.close()
-                q.cancel_join_thread()
-            except Exception:
-                pass
-        self._processes = []
+        self._pool.shutdown(wait=True, cancel_futures=True)
 
 
 _FLEET: Optional[_WorkerFleet] = None
@@ -646,14 +446,11 @@ _FLEET: Optional[_WorkerFleet] = None
 def _acquire_fleet(size: int) -> _WorkerFleet:
     """The shared fleet, (re)built on first use, size change or death."""
     global _FLEET
-    fleet = _FLEET
-    if fleet is not None and (fleet.size != size or not fleet.alive()):
-        fleet.shutdown()
-        fleet = None
-    if fleet is None:
-        fleet = _WorkerFleet(size)
-        _FLEET = fleet
-    return fleet
+    if _FLEET is not None and (_FLEET.size != size or _FLEET.broken()):
+        shutdown_fleet()
+    if _FLEET is None:
+        _FLEET = _WorkerFleet(size)
+    return _FLEET
 
 
 def shutdown_fleet() -> None:
@@ -671,11 +468,11 @@ class MultiprocessBackend(ExecutionBackend):
     """Partition the space across the warm worker fleet.
 
     Partitions are contiguous enumeration-order windows shipped as
-    declarative sub-specs (O(1) bytes per job), sized so that the
+    declarative sub-specs (O(1) points per job), sized so that the
     shards in flight or parked for reordering together stay within
-    ``MAX_RESIDENT_POINTS``.  They go onto the fleet's shared pull
-    queue — idle workers steal the next one as they finish, with at
-    most ``2 x workers`` jobs outstanding, and the parent reorders
+    ``MAX_RESIDENT_POINTS``.  They go onto the fleet's shared queue —
+    idle workers steal the next one as they finish, with at most
+    ``2 x workers`` jobs outstanding, and the parent reorders
     returning shards back to partition order — so aggregate residency
     stays O(workers x window) while stragglers never gate wall-clock.
 
@@ -685,10 +482,12 @@ class MultiprocessBackend(ExecutionBackend):
     it expands the outcomes; a window's survivors are at most its
     base points, so the residency bound holds.
 
-    Fleet workers persist across campaigns: each derives the
-    trace/context once per target (or loads it from the artifact
-    store, when the faulter carries one) and reuses it for every
-    partition — and for every later campaign against the same target.
+    Each job carries the campaign's Faulter.  A worker keeps one live
+    Faulter per target — its trace, contexts and executors — and
+    reuses it for every partition and every later campaign against
+    the same target.  A dead worker fails the campaign with
+    ``BrokenProcessPool`` and tears the fleet down; the next campaign
+    forks a fresh one.
     """
 
     name = "multiprocess"
@@ -710,47 +509,36 @@ class MultiprocessBackend(ExecutionBackend):
                 faulter, model, space, ctx, stats
             )
             return
-        image = faulter.image
-        if isinstance(image, (bytes, bytearray)):
-            elf_bytes = bytes(image)
-        else:
-            elf_bytes = write_elf(image)
-        store = getattr(faulter, "artifacts", None)
-        cache_root = str(store.root) if store is not None else None
-        jobs = [
-            (
-                elf_bytes,
-                faulter.bad_input,
-                faulter.oracle,
-                model.name,
-                faulter.continuation_cap,
-                partition,
-                faulter.max_steps,
-                cache_root,
-            )
-            for partition in partitions
-        ]
+        jobs = [(faulter, model.name, partition)
+                for partition in partitions]
         pool_size = min(workers, len(jobs))
         fleet = _acquire_fleet(pool_size)
-        epoch = fleet.new_epoch()
-        # shared pull queue, bounded look-ahead, in-order folding
+        # bounded look-ahead, in-order folding
         outstanding_cap = pool_size * 2
+        epoch: dict = {}
         buffered: dict[int, tuple] = {}
         submitted = 0
         next_emit = 0
-        while next_emit < len(jobs):
-            while (submitted < len(jobs)
-                   and submitted - next_emit < outstanding_cap):
-                fleet.submit(epoch, submitted, jobs[submitted])
-                submitted += 1
-            index, shard = fleet.recv(epoch)
-            buffered[index] = shard
-            while next_emit in buffered:
-                yield from self._fold(buffered.pop(next_emit), stats)
-                next_emit += 1
-            if buffered:
-                stats.observe_resident(sum(
-                    len(shard[0]) for shard in buffered.values()))
+        try:
+            while next_emit < len(jobs):
+                while (submitted < len(jobs)
+                       and submitted - next_emit < outstanding_cap):
+                    fleet.submit(epoch, submitted, jobs[submitted])
+                    submitted += 1
+                index, shard = fleet.recv(epoch)
+                buffered[index] = shard
+                while next_emit in buffered:
+                    yield from self._fold(buffered.pop(next_emit), stats)
+                    next_emit += 1
+                if buffered:
+                    stats.observe_resident(sum(
+                        len(shard[0]) for shard in buffered.values()))
+        except BrokenProcessPool:
+            shutdown_fleet()
+            raise
+        finally:
+            for future in epoch:
+                future.cancel()
 
     @staticmethod
     def _fold(shard, stats) -> list[PointOutcome]:
@@ -900,14 +688,15 @@ class CampaignEngine:
         cached = self._contexts.get(model.name)
         if cached is not None:
             return cached
-        store, image_key = executor_store(self.faulter)
+        faulter = self.faulter
+        store = faulter.artifacts
         ctx = build_space_context(
-            self.faulter.image,
-            self.faulter.bad_input,
+            faulter.image,
+            faulter.bad_input,
             model,
-            self.faulter.trace(),
+            faulter.trace(),
             artifacts=store,
-            image_key=image_key,
+            image_key=faulter.image_digest() if store is not None else None,
         )
         self._contexts[model.name] = ctx
         return ctx
@@ -935,7 +724,7 @@ class CampaignEngine:
         """
         if isinstance(model, str):
             model = model_by_name(model)
-        store = getattr(self.faulter, "artifacts", None)
+        store = self.faulter.artifacts
         # snapshot before context/trace derivation so their hits and
         # misses land in this report's counters too
         before = store.stats.snapshot() if store is not None else None
@@ -980,8 +769,7 @@ class CampaignEngine:
                 pass
             plan.merge_stats(stats)
             reduction_meta = plan.certificate().to_dict()
-        _persist_facts(ctx, *executor_store(self.faulter),
-                       self.faulter.bad_input)
+        _persist_facts(ctx, self.faulter)
         return builder.finish(meta=_report_meta(
             backend, space.describe(), stats, reduction_meta,
             _artifacts_meta(store, before, stats)))

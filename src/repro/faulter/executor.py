@@ -96,21 +96,6 @@ def _valid_jit_payload(payload) -> bool:
     )
 
 
-def executor_store(faulter):
-    """(store, image key) a campaign reads and writes artifacts
-    through, or (None, None).
-
-    Both come from the faulter-like target: real
-    :class:`~repro.faulter.campaign.Faulter` objects and the fleet's
-    worker targets expose ``artifacts``/``image_digest()``; anything
-    else opts out.
-    """
-    store = getattr(faulter, "artifacts", None)
-    if store is None or not hasattr(faulter, "image_digest"):
-        return None, None
-    return store, faulter.image_digest()
-
-
 def _warm_jit(compiler, machine, artifacts, image_key) -> None:
     """Import serialized superblock sources from the store, if any."""
     if compiler is None or artifacts is None or image_key is None:
@@ -161,7 +146,9 @@ class MasterWalkExecutor:
         self._machine: Optional[Machine] = None
         self._step = 0
         self._done = False
-        self._artifacts, self._image_key = executor_store(faulter)
+        self._artifacts = faulter.artifacts
+        self._image_key = (faulter.image_digest()
+                           if faulter.artifacts is not None else None)
         self._jit_warmed = False
 
     def _reset(self) -> None:
@@ -209,7 +196,7 @@ class MasterWalkExecutor:
             self._reset()
         machine = self._machine
         cap = self._faulter.continuation_cap
-        watches = getattr(self._faulter, "watches", ())
+        watches = self._faulter.watches
         index = 0
         while index < len(ordered):
             while (

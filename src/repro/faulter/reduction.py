@@ -474,9 +474,7 @@ def plan_reduction(
     """
     if ctx.facts is None:
         return None, "no-analysis-context"
-    baseline = getattr(faulter, "bad_baseline", None)
-    if baseline is None:
-        return None, "no-baseline"
+    baseline = faulter.bad_baseline
     if baseline.reason == MAX_STEPS:
         return None, "unterminated-baseline"
     if not isinstance(space, _SPACES):

@@ -19,7 +19,7 @@ from repro.faulter.artifacts import (
     jit_key,
     trace_key,
 )
-from repro.faulter import engine
+from repro.faulter import artifacts, engine
 from repro.faulter.engine import (
     MultiprocessBackend, shutdown_fleet)
 from repro.workloads import pincheck
@@ -323,6 +323,51 @@ class TestEndToEndRobustness:
             .run_campaign("skip") == baseline
         delta = warm_store.stats.delta(before)
         assert delta["hits"] > 0 and delta["misses"] == 0
+
+    def test_other_code_orphans_jit_and_facts(self, wl, exe, tmp_path,
+                                              monkeypatch):
+        """Lowered block sources and reduction proofs saved by one
+        version of the code are misses for another."""
+        faulter = make_faulter(wl, exe, ArtifactStore(tmp_path))
+        faulter.run_campaign("skip")
+        keys = {
+            "jit": lambda: jit_key(faulter.image_digest()),
+            "facts": lambda: facts_key(faulter.image_digest(),
+                                       wl.bad_input, len(faulter.trace()),
+                                       "skip"),
+        }
+        store = ArtifactStore(tmp_path)
+        for kind, key in keys.items():
+            assert store.load(kind, key()) is not None
+        monkeypatch.setattr(artifacts, "code_digest", lambda: "other")
+        for kind, key in keys.items():
+            assert store.load(kind, key()) is None
+        rerun = make_faulter(wl, exe, ArtifactStore(tmp_path)) \
+            .run_campaign("skip")
+        assert rerun == reference_report(make_faulter(wl, exe), "skip")
+        assert rerun.meta["artifacts"]["saves"] > 0
+
+    @pytest.mark.parametrize("backend", ["sequential", "multiprocess"])
+    def test_unwritable_cache_dir_changes_nothing(self, wl, exe,
+                                                  tmp_path, backend):
+        """A cache directory that cannot exist (its parent is a
+        regular file, which binds root too) only costs misses."""
+        from repro.api import Target
+        blocker = tmp_path / "file"
+        blocker.write_bytes(b"")
+        target = Target(exe, wl.good_input, wl.bad_input,
+                        wl.grant_marker, name=wl.name)
+        config = {"backend": backend}
+        if backend == "multiprocess":
+            config["workers"] = 2
+        cached = target.campaign(("skip",), config=EngineConfig(
+            cache_dir=str(blocker / "cache"), **config))["skip"]
+        off = target.campaign(("skip",), config=EngineConfig(
+            artifact_cache=False, **config))["skip"]
+        assert cached == off
+        assert off.meta["artifacts"] == {"enabled": False}
+        meta = cached.meta["artifacts"]
+        assert meta["misses"] > 0 and meta["saves"] == 0
 
     def test_evaluate_with_cache_matches_without(self, wl, exe,
                                                  tmp_path):
