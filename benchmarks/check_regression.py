@@ -10,7 +10,10 @@ then::
 Throughput is compared as a ratio: each backend row's — and each
 fault-model row's (the ``models`` section, e.g. ``reg-bitflip``) —
 ``faults_per_second`` divided by the same file's ``precise`` row,
-which runs on the same machine under the same load.  The check fails
+which runs on the same machine under the same load.  The ``models``
+rows are short, so the bench times each as the median of 5
+repetitions (``wall_seconds_iqr`` records their spread) and the ratio
+gated here is that median's.  The check fails
 (exit 1) when that ratio drops more than ``--threshold`` (default
 25%) below the committed baseline's ratio, when any row *emulates
 more steps*

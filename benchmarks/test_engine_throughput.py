@@ -34,8 +34,11 @@ classic fetch faults, and a ``k2-reduced`` row (a dense k=2
 than the full product while staying bit-identical, and a ``pie``
 row (a reduced exhaustive campaign on the committed PIE ELF fixture,
 with its compiled/precise step split gated exactly — the real-binary
-path on the same trajectory).  CI's ``bench`` job diffs a fresh run of this file
-against the committed JSON and fails on >25% throughput regression
+path on the same trajectory).  These three rows run for 0.2 s or
+less, so each is timed as the median of ``SHORT_REPEATS`` repetitions,
+with the interquartile range recorded beside it.  CI's ``bench`` job
+diffs a fresh run of this file against the committed JSON and fails
+on >25% throughput regression
 (``benchmarks/check_regression.py``, which also says how to refresh
 the baseline).
 """
@@ -92,6 +95,9 @@ PIE_MARKER = b"BOOT OK"
 # buys under 30%
 WARM_MIN_SPEEDUP = 1.3
 WARM_PAIRS = 5
+# the models rows run 0.04-0.2 s; a single shot swung their ratio to
+# the precise row by up to 58% between runs on a 2-core host
+SHORT_REPEATS = 5
 
 
 def _measure(faulter, backend, model="skip", space=None):
@@ -107,6 +113,31 @@ def _measure(faulter, backend, model="skip", space=None):
     report = faulter.engine().run(model, space, backend=backend)
     elapsed = time.perf_counter() - start
     return report, elapsed
+
+
+def _median_timed(run):
+    """``(result, median seconds, IQR seconds)`` of ``SHORT_REPEATS``
+    calls of ``run``; every call must return the same result."""
+    seconds, results = [], []
+    for _ in range(SHORT_REPEATS):
+        start = time.perf_counter()
+        results.append(run())
+        seconds.append(time.perf_counter() - start)
+    assert all(result == results[0] for result in results)
+    q1, _, q3 = statistics.quantiles(seconds, n=4)
+    return results[0], statistics.median(seconds), q3 - q1
+
+
+def _short_row(faults, median, iqr):
+    """Timing fields of a models row timed by :func:`_median_timed`."""
+    return {
+        "wall_seconds": round(median, 4),
+        "wall_seconds_iqr": round(iqr, 4),
+        "repetitions": SHORT_REPEATS,
+        "faults": faults,
+        "faults_per_second": round(faults / median, 2)
+        if median else None,
+    }
 
 
 def _row(report, derive_seconds, execute_seconds):
@@ -260,17 +291,15 @@ def test_engine_throughput(benchmark, record):
 
     # state-family row: the generalized fault-effect path must stay on
     # the same trajectory as fetch substitution
-    state_report, state_elapsed = _measure(
-        faulter, SequentialBackend(), model=STATE_MODEL,
-        space=SampledPoints(points=STATE_SAMPLES, seed=SEED))
+    state_report, state_median, state_iqr = _median_timed(
+        lambda: _measure(
+            faulter, SequentialBackend(), model=STATE_MODEL,
+            space=SampledPoints(points=STATE_SAMPLES, seed=SEED))[0])
     models = {
         STATE_MODEL: {
-            "wall_seconds": round(state_elapsed, 4),
+            **_short_row(state_report.total_faults, state_median,
+                         state_iqr),
             "samples": STATE_SAMPLES,
-            "faults": state_report.total_faults,
-            "faults_per_second": round(
-                state_report.total_faults / state_elapsed, 2)
-            if state_elapsed else None,
             "emulated_steps": state_report.meta["emulated_steps"],
             "compiled_steps": state_report.meta["compiled_steps"],
         }
@@ -288,11 +317,10 @@ def test_engine_throughput(benchmark, record):
         K2_MODEL, pair_space,
         backend=SequentialBackend(), reduce=False)
     full_elapsed = time.perf_counter() - full_start
-    reduced_start = time.perf_counter()
-    reduced_pairs = faulter.engine().run(
-        K2_MODEL, pair_space,
-        backend=SequentialBackend(), reduce=True)
-    reduced_elapsed = time.perf_counter() - reduced_start
+    reduced_pairs, reduced_median, reduced_iqr = _median_timed(
+        lambda: faulter.engine().run(
+            K2_MODEL, pair_space,
+            backend=SequentialBackend(), reduce=True))
     assert reduced_pairs == full_pairs
     full_pair_steps = full_pairs.meta["emulated_steps"]
     reduced_pair_steps = reduced_pairs.meta["emulated_steps"]
@@ -301,13 +329,10 @@ def test_engine_throughput(benchmark, record):
         f"k=2 reduction speedup {step_speedup:.1f}x is below the "
         f"{K2_MIN_SPEEDUP}x floor")
     models["k2-reduced"] = {
-        "wall_seconds": round(reduced_elapsed, 4),
+        **_short_row(reduced_pairs.total_faults, reduced_median,
+                     reduced_iqr),
         "model": K2_MODEL,
         "k_faults": 2,
-        "faults": reduced_pairs.total_faults,
-        "faults_per_second": round(
-            reduced_pairs.total_faults / reduced_elapsed, 2)
-        if reduced_elapsed else None,
         "emulated_steps": reduced_pair_steps,
         "executed_points":
             reduced_pairs.meta["reduction"]["executed_points"],
@@ -324,17 +349,13 @@ def test_engine_throughput(benchmark, record):
         (REPO_ROOT / "tests/fixtures/bootloader_pie.elf").read_bytes())
     pie_faulter = Faulter(pie_exe, PIE_GOOD, PIE_BAD, PIE_MARKER,
                           name="bootloader-pie")
-    pie_start = time.perf_counter()
-    pie = pie_faulter.run_campaign("skip")
-    pie_elapsed = time.perf_counter() - pie_start
+    pie, pie_median, pie_iqr = _median_timed(
+        lambda: pie_faulter.run_campaign("skip"))
     assert pie == pie_faulter.engine().run(
         "skip", ExhaustiveSpace(), reduce=False)
     models["pie"] = {
-        "wall_seconds": round(pie_elapsed, 4),
+        **_short_row(pie.total_faults, pie_median, pie_iqr),
         "model": "skip",
-        "faults": pie.total_faults,
-        "faults_per_second": round(pie.total_faults / pie_elapsed, 2)
-        if pie_elapsed else None,
         "emulated_steps": pie.meta["emulated_steps"],
         "compiled_steps": pie.meta["compiled_steps"],
         "precise_steps": pie.meta["precise_steps"],

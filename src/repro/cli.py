@@ -198,7 +198,8 @@ def _cmd_fault(args) -> int:
         if args.verbose:
             meta = report.meta
             print(f"  execution: {meta['compiled_steps']} compiled + "
-                  f"{meta['precise_steps']} precise steps "
+                  f"{meta['precise_steps']} precise steps, "
+                  f"{meta['memo_hits']} memo hits "
                   f"({meta['compile_divergences']} divergences, "
                   f"compile {meta['compile_seconds']}s)")
             _print_reduction(meta)

@@ -21,7 +21,7 @@ overlapping cached decodes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.binfmt.image import Executable
 from repro.binfmt.reader import read_elf
@@ -164,7 +164,9 @@ class Machine:
             max_steps: int = DEFAULT_MAX_STEPS,
             record_trace: bool = False,
             fault_plan: Optional[dict] = None,
-            watches: tuple = ()) -> RunResult:
+            watches: tuple = (),
+            after_fault: Optional[Callable[[], Optional[RunResult]]]
+            = None) -> RunResult:
         """Run until exit/halt/crash or ``max_steps``.
 
         ``fault_plan`` maps dynamic instruction indices (0-based) to
@@ -179,6 +181,12 @@ class Machine:
         capture (permission-blind) into ``RunResult.memory`` when the
         run finishes — however it finishes — so memory-predicate
         oracles can classify the end state.
+
+        ``after_fault`` is called after each planned step that did not
+        stop the run; a :class:`RunResult` it returns ends the run as
+        that result (the master walk's post-fault state memo), so the
+        faulted step and its continuation share this loop's stop
+        handling.
         """
         cpu = self.cpu
         trace: list[int] = []
@@ -213,17 +221,19 @@ class Machine:
                     instruction = self.fetch_decode(rip)
                     effect = plan.get(steps) if plan else None
                     if effect is not None:
+                        # None: the effect consumed the step (skip /
+                        # forced branch) and set the next PC
                         instruction = effect.apply(self, instruction)
-                        if instruction is None:
-                            # the effect consumed the step (skip /
-                            # forced branch) and set the next PC
-                            steps += 1
-                            continue
-                    cpu.execute(instruction)
+                    if instruction is not None:
+                        cpu.execute(instruction)
                 except DecodingError as exc:
                     raise EmulationError(f"invalid opcode at {rip:#x}: "
                                          f"{exc}") from exc
                 steps += 1
+                if effect is not None and after_fault is not None:
+                    known = after_fault()
+                    if known is not None:
+                        return known
         except ExitProgram as exc:
             reason, exit_code = EXIT, exc.code
         except Halt:

@@ -151,6 +151,33 @@ class Memory:
             self._notify_exec_write(address, size)
         self._journal = None
 
+    def journal_changes(self) -> tuple:
+        """``(address, byte)`` for each journaled byte whose value now
+        differs from the one it had at :meth:`journal_begin`, in
+        address order; a store of the same value is no change."""
+        journal = self._journal
+        if not journal:
+            return ()
+        if len(journal) == 1:
+            address, size, before = journal[0]
+            now = self._read_raw(address, size)
+            if now == before:
+                return ()
+            return tuple((address + i, new)
+                         for i, (old, new) in enumerate(zip(before, now))
+                         if old != new)
+        original: dict[int, int] = {}
+        for address, size, before in journal:
+            for i in range(size):
+                original.setdefault(address + i, before[i])
+        pages = self._pages
+        changes = []
+        for address in sorted(original):
+            new = pages[address >> 12][address & PAGE_MASK]
+            if new != original[address]:
+                changes.append((address, new))
+        return tuple(changes)
+
     def journal_discard(self):
         """Stop journaling, keeping all writes."""
         self._journal = None

@@ -44,6 +44,7 @@ straggler partition no longer gates the whole wave.
 from __future__ import annotations
 
 import atexit
+import gc
 import os
 import weakref
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -454,11 +455,17 @@ def _acquire_fleet(size: int) -> _WorkerFleet:
 
 
 def shutdown_fleet() -> None:
-    """Tear down the persistent worker fleet (idempotent)."""
+    """Tear down the persistent worker fleet (idempotent).
+
+    The pool's internals (executor, call queue, wakeup pipes, manager
+    thread) hold each other in cycles; collecting them here keeps that
+    collection out of whatever the caller runs next.
+    """
     global _FLEET
     if _FLEET is not None:
         _FLEET.shutdown()
         _FLEET = None
+        gc.collect()
 
 
 atexit.register(shutdown_fleet)
@@ -838,6 +845,7 @@ def _report_meta(backend, space: str, stats: ExecutionStats,
         "precise_steps": stats.emulated_steps - stats.compiled_steps,
         "compile_seconds": round(stats.compile_seconds, 6),
         "compile_divergences": stats.divergences,
+        "memo_hits": stats.memo_hits,
         "reduction": reduction,
         "artifacts": artifacts,
     }

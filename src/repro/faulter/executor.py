@@ -6,16 +6,23 @@ rolls back (the paper's ``fork()`` substitute).  Every campaign point
 runs here, on both backends, and so do the reduction planner's probe
 runs (:mod:`repro.faulter.reduction`): this module sits below both the
 engine and the planner, so each imports it without a cycle.
+
+Single-fault points are collapsed by post-fault state: the rest of a
+run is a function of the machine state right after the faulted step,
+so a point whose state matches the unfaulted step's (the golden state)
+or an earlier point's at the same offset takes that known outcome
+instead of running its suffix (``docs/engine.md``, "Post-fault state
+memo").
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional, Sequence
 
 from repro.emu.cpu import ExitProgram, Halt
 from repro.emu.jit import TraceCompiler
-from repro.emu.machine import Machine, RunResult
+from repro.emu.machine import MAX_STEPS, Machine, RunResult
 from repro.errors import DecodingError, EmulationError
 from repro.faulter import artifacts as artifacts_mod
 from repro.faulter.models import FaultModel
@@ -33,7 +40,9 @@ class ExecutionStats:
     by the trace-compiled tier; ``divergences`` counts compiled blocks
     that aborted back to the precise stepper (guest fault or
     self-modifying code); ``compile_seconds`` is wall time spent
-    lifting/lowering superblocks.
+    lifting/lowering superblocks; ``memo_hits`` counts single-fault
+    points that took a known outcome from the post-fault state memo
+    (each emulated only its faulted step).
     """
 
     emulated_steps: int = 0
@@ -41,6 +50,7 @@ class ExecutionStats:
     compiled_steps: int = 0
     divergences: int = 0
     compile_seconds: float = 0.0
+    memo_hits: int = 0
     artifact_counters: dict = field(default_factory=dict)
 
     def observe_resident(self, count: int) -> None:
@@ -62,6 +72,7 @@ class ExecutionStats:
         self.compiled_steps += other.compiled_steps
         self.divergences += other.divergences
         self.compile_seconds += other.compile_seconds
+        self.memo_hits += other.memo_hits
         self.merge_artifacts(other.artifact_counters)
 
 
@@ -84,6 +95,71 @@ def master_step(machine: Machine) -> bool:
     except (ExitProgram, Halt, EmulationError, DecodingError):
         return False
     return True
+
+
+def _state_key(machine: Machine) -> tuple:
+    """Every input to the rest of a run, right after a faulted step:
+    CPU state, IO state and the memory changed since the offset (the
+    walk journals from the pre-fault state)."""
+    cpu = machine.cpu
+    io = machine.io
+    return (
+        tuple(cpu.regs),
+        cpu.rip,
+        cpu.flags.to_rflags(),
+        io.stdin_pos,
+        bytes(io.stdout),
+        bytes(io.stderr),
+        machine.memory.journal_changes(),
+    )
+
+
+class _OffsetMemo:
+    """Run results of the single-fault points at one walk offset, keyed
+    by the state right after the faulted step.
+
+    ``golden`` is the unfaulted step's key (None when there is none),
+    whose result is the bad baseline's, ``golden_steps`` long;
+    ``after_fault`` is the :meth:`Machine.run` hook that ends a run on
+    a known state; ``settle`` closes each run.
+    """
+
+    def __init__(
+        self,
+        machine: Machine,
+        golden: Optional[tuple],
+        baseline: RunResult,
+        golden_steps: int,
+    ):
+        self._machine = machine
+        self._golden = golden
+        self._baseline = baseline
+        self._golden_steps = golden_steps
+        self._outcomes: dict = {}
+        self._pending: Optional[tuple] = None
+        self._hit = False
+
+    def after_fault(self) -> Optional[RunResult]:
+        key = _state_key(self._machine)
+        if key == self._golden:
+            known, steps = self._baseline, self._golden_steps
+        else:
+            known = self._outcomes.get(key)
+            if known is None:
+                self._pending = key
+                return None
+            steps = known.steps
+        self._hit = True
+        return replace(known, steps=steps, memory=dict(known.memory))
+
+    def settle(self, result: RunResult) -> bool:
+        """Whether the run ended on a known state; a run that missed
+        files its result under its key."""
+        hit, self._hit = self._hit, False
+        if self._pending is not None:
+            self._outcomes[self._pending] = result
+            self._pending = None
+        return hit
 
 
 def _execution_order(points: Sequence[FaultPoint]) -> list[FaultPoint]:
@@ -171,6 +247,33 @@ class MasterWalkExecutor:
     def finalize(self) -> None:
         _persist_jit(self._compiler, self._artifacts, self._image_key)
 
+    def _offset_memo(self, stats: ExecutionStats) -> _OffsetMemo:
+        """A fresh memo for the walk's current offset, seeded with the
+        golden state: one unfaulted, journaled step, rolled back.
+
+        A run that leaves the golden state continues as the bad
+        baseline does from here, ``baseline.steps - offset`` steps in
+        all; the continuation cap (2x baseline + 256) always covers
+        them.  A baseline cut off by ``max-steps`` would not be, so it
+        seeds nothing.
+        """
+        machine = self._machine
+        baseline = self._faulter.bad_baseline
+        golden = None
+        if baseline.reason != MAX_STEPS:
+            state = machine.snapshot()
+            machine.memory.journal_begin()
+            try:
+                if master_step(machine):
+                    stats.emulated_steps += 1
+                    golden = _state_key(machine)
+            finally:
+                machine.memory.journal_rollback()
+                machine.restore(state)
+        return _OffsetMemo(
+            machine, golden, baseline, baseline.steps - self._step
+        )
+
     def run_window(
         self, points: Sequence[FaultPoint], stats: ExecutionStats
     ) -> list[PointOutcome]:
@@ -189,7 +292,9 @@ class MasterWalkExecutor:
         Yields ``(point, run result)`` in trace-offset order; points
         past the end of the master run have no substrate and are
         dropped.  Consume it to the end: the compiled tier's counters
-        drain into ``stats`` last.
+        drain into ``stats`` last.  Single-fault points share one
+        post-fault state memo per offset; points with more planned
+        faults always run in full.
         """
         ordered = _execution_order(points)
         if self._machine is None or ordered[0].first_step < self._step:
@@ -199,6 +304,7 @@ class MasterWalkExecutor:
         watches = self._faulter.watches
         index = 0
         while index < len(ordered):
+            memo = None
             while (
                 index < len(ordered)
                 and ordered[index].first_step == self._step
@@ -210,6 +316,11 @@ class MasterWalkExecutor:
                     budget = cap
                 else:
                     budget = max(1, cap - self._step)
+                after_fault = None
+                if point.arity == 1:
+                    if memo is None:
+                        memo = self._offset_memo(stats)
+                    after_fault = memo.after_fault
                 state = machine.snapshot()
                 machine.memory.journal_begin()
                 try:
@@ -217,11 +328,17 @@ class MasterWalkExecutor:
                         max_steps=budget,
                         fault_plan=plan,
                         watches=watches,
+                        after_fault=after_fault,
                     )
                 finally:
                     machine.memory.journal_rollback()
                     machine.restore(state)
-                stats.emulated_steps += result.steps
+                if after_fault is not None and memo.settle(result):
+                    # only the faulted step ran
+                    stats.memo_hits += 1
+                    stats.emulated_steps += 1
+                else:
+                    stats.emulated_steps += result.steps
                 yield point, result
             if index >= len(ordered) or self._done:
                 break

@@ -341,18 +341,19 @@ class TestCertificate:
 
 class TestProbePassPin:
     """The k=2 probe pass on seed-0 pincheck, pinned on ``report.meta``:
-    probes run on the campaign's own master walk, so moving them there
-    changed no verdict and no step count."""
+    probes are single faults on the campaign's own master walk, so the
+    post-fault state memo serves them too (``probe_steps`` count the
+    golden steps and skip the suffixes of memo hits)."""
 
     @pytest.mark.parametrize("model, certificate, steps", [
         ("skip",
          {"full_points": 192, "executed_points": 120, "dead_points": 1,
-          "dominated_points": 71, "probes": 20, "probe_steps": 196},
-         (1225, 542)),
+          "dominated_points": 71, "probes": 20, "probe_steps": 169},
+         (1182, 558)),
         ("reg-bitflip",
          {"full_points": 157, "executed_points": 71, "dead_points": 84,
-          "dominated_points": 2, "probes": 1, "probe_steps": 13},
-         (1124, 187)),
+          "dominated_points": 2, "probes": 1, "probe_steps": 14},
+         (1124, 188)),
     ])
     def test_seed0_pincheck_pairs(self, model, certificate, steps):
         report = pincheck.workload().target().campaign(
@@ -379,12 +380,12 @@ class TestCertificatePin:
         (1, "reg-bitflip",
          "reduction: 2496 -> 1160 executed, 2.2x (dead 1336)",
          {"reg-dead": 1336}, "76c903e8b286c4fe"),
-        (2, "skip", None, {}, "4f9a39353afcb96f"),
-        (2, "bitflip", None, {}, "462db1f3692655fc"),
+        (2, "skip", None, {}, "44882ad83a5ba113"),
+        (2, "bitflip", None, {}, "abc62363591c392c"),
         (2, "reg-bitflip",
          "reduction: 157 -> 71 executed, 2.2x "
          "(dead 84, dominated 2, probes 1)",
-         {}, "46a37fecb8116c3f"),
+         {}, "6c473ab86a38ed2e"),
     ])
     def test_seed0_pincheck(self, k, model, summary, reasons, digest):
         report = pincheck.workload().target().campaign(

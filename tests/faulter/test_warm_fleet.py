@@ -1,11 +1,12 @@
 """Warm worker fleet: persistence, work stealing, error relay and the
 defined outcomes of a dead worker or an abandoned campaign."""
 
+import gc
 import os
 import pickle
 import signal
 import time
-from concurrent.futures import wait
+from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import active_children
 
@@ -117,6 +118,15 @@ class TestFleetLifecycle:
         shutdown_fleet()
         shutdown_fleet()
         assert engine._FLEET is None
+
+    def test_shutdown_collects_the_pool(self, wl, exe):
+        backend = MultiprocessBackend(workers=2)
+        make_faulter(wl, exe).run_campaign("skip", backend=backend)
+        shutdown_fleet()
+        # nothing is left for a later cyclic collection to find
+        assert not [obj for obj in gc.get_objects()
+                    if isinstance(obj, ProcessPoolExecutor)]
+        assert gc.collect() == 0
 
     def test_worker_errors_are_relayed(self):
         fleet = _acquire_fleet(2)
