@@ -22,6 +22,13 @@ rules make that hold:
   flags change only once the store succeeded) and ``popfq`` loads its
   image first and applies it last.
 
+Every exit is position-independent: the step function reads its own
+start as ``b = cpu.rip`` on entry (the compiler calls a block only at
+its start) and computes the next PC, both ``jcc`` edges and a pushed
+``call`` return address as ``b + offset`` wrapped to 64 bits.  So the
+source is a function of the block's bytes alone, unless a rip-relative
+operand has folded an absolute address into the IR.
+
 Anything the emitter cannot prove it lowers exactly raises
 :class:`JitUnsupported` and the block is rejected (the precise stepper
 handles it forever after).
@@ -414,14 +421,23 @@ def lower_superblock(function: Function, body: list[Instruction],
     # popfq's flag load lands after flag replay and register commit
     final_lines: list[str] = []
 
+    start = body[0].address if body else terminator.address
+
+    def exit_pc(address: int) -> str:
+        # modulo 2**64 is the & M64 wrap; CPython returns a sum already
+        # in range as is, where & builds a new int
+        offset = address - start
+        sign = "+" if offset >= 0 else "-"
+        return f"(b {sign} {abs(offset)}) % {1 << 64}"
+
     last = terminator if terminator is not None else body[-1]
-    fallthrough = (last.address + last.length) & _M64
+    fallthrough = exit_pc(last.address + last.length)
     if terminator is None:
-        rip = f"{fallthrough}"
+        rip = fallthrough
     elif terminator_mnemonic is Mnemonic.JMP:
-        rip = f"{terminator.branch_target() & _M64}"
+        rip = exit_pc(terminator.branch_target())
     elif terminator_mnemonic is Mnemonic.JCC:
-        taken = terminator.branch_target() & _M64
+        taken = exit_pc(terminator.branch_target())
         rip = (f"{taken} if {_cond_expr(terminator.cond)} "
                f"else {fallthrough}")
     elif terminator_mnemonic is Mnemonic.SETCC:
@@ -430,7 +446,7 @@ def lower_superblock(function: Function, body: list[Instruction],
         current = commits.get(code, f"regs[{code}]")
         commits[code] = (f"({current} & {_M64 & ~0xFF}) | "
                          f"(1 if {_cond_expr(terminator.cond)} else 0)")
-        rip = f"{fallthrough}"
+        rip = fallthrough
     elif terminator_mnemonic is Mnemonic.PUSHFQ:
         rsp = emitter.ref(reg_out_value[_RSP_CODE])
         emitter.lines.append(f"sp = ({rsp} - 8) & {_M64}")
@@ -450,24 +466,23 @@ def lower_superblock(function: Function, body: list[Instruction],
                 "mem.write(sp, flags.to_rflags().to_bytes(8, 'little'))")
         commits[_RSP_CODE] = "sp"
         stores = True
-        rip = f"{fallthrough}"
+        rip = fallthrough
     elif terminator_mnemonic is Mnemonic.POPFQ:
         rsp = emitter.ref(reg_out_value[_RSP_CODE])
         emitter.lines.append(
             f"rf = int.from_bytes(mem.read({rsp}, 8), 'little')")
         commits[_RSP_CODE] = f"({rsp} + 8) & {_M64}"
         final_lines.append("flags.from_rflags(rf)")
-        rip = f"{fallthrough}"
+        rip = fallthrough
     elif terminator_mnemonic is Mnemonic.CALL:
-        return_address = (terminator.address + terminator.length) & _M64
+        return_address = exit_pc(terminator.address + terminator.length)
         rsp = emitter.ref(reg_out_value[_RSP_CODE])
         emitter.lines.append(f"sp = ({rsp} - 8) & {_M64}")
         emitter.lines.append(
-            f"mem.write(sp, "
-            f"{return_address.to_bytes(8, 'little')!r})")
+            f"mem.write(sp, ({return_address}).to_bytes(8, 'little'))")
         commits[_RSP_CODE] = "sp"
         stores = True
-        rip = f"{terminator.branch_target() & _M64}"
+        rip = exit_pc(terminator.branch_target())
     elif terminator_mnemonic is Mnemonic.RET:
         rsp = emitter.ref(reg_out_value[_RSP_CODE])
         emitter.lines.append(
@@ -480,9 +495,11 @@ def lower_superblock(function: Function, body: list[Instruction],
     commit_lines = [f"regs[{code}] = {expr}"
                     for code, expr in sorted(commits.items())]
 
-    start = body[0].address if body else terminator.address
     source_lines = ["def superblock(cpu, mem, flags):",
                     "    regs = cpu.regs"]
+    if terminator_mnemonic is not Mnemonic.RET:
+        # every other exit is relative to the block's start
+        source_lines.append("    b = cpu.rip")
     for line in (prologue + emitter.lines + flag_lines + commit_lines
                  + final_lines + [f"cpu.rip = {rip}"]):
         source_lines.append("    " + line)
@@ -490,4 +507,5 @@ def lower_superblock(function: Function, body: list[Instruction],
 
     namespace: dict = {"_PT": PARITY_TABLE}
     exec(compile(source, f"<jit:{start:#x}>", "exec"), namespace)
-    return namespace["superblock"], stores, source
+    # popped, so the function and its globals form no reference cycle
+    return namespace.pop("superblock"), stores, source

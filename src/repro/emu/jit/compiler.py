@@ -4,13 +4,19 @@ Each compiler maps static start addresses to blocks, so one compilation
 serves the baseline trace *and* every faulted suffix that passes
 through the same code — which is where ~95% of campaign steps are
 spent.  Below the per-compiler maps sits one process-wide map from a
-block's code (its start address plus the raw bytes of every carved
-instruction) to the lowered step function, so every compiler in the
-process — each executor of each campaign, the reduction's probes, the
-patcher loop's refaults, a forked fleet worker — lifts and lowers a
-given block once.  The key is the code itself and lowering reads
-nothing else from the image, so shared entries never go stale and need
-no coherence; the per-compiler maps keep it, event-driven:
+block's code (the raw bytes of every carved instruction) to the
+lowered step function, so every compiler in the process — each
+executor of each campaign, the reduction's probes, the patcher loop's
+refaults, a forked fleet worker — lifts and lowers a given code once.
+A lowered block is position-independent (its exits are relative to
+the start it reads from ``cpu.rip``), so the same code at another
+address — zero padding reached by a faulted jump, a rewritten image's
+shifted copy of the original — shares one entry.  Only a body with a
+rip-relative operand, whose lowering folds an absolute address into
+its IR, keys on its start address as well (:func:`_code_key`).  The
+key is the code itself and lowering reads nothing else from the
+image, so shared entries never go stale and need no coherence; the
+per-compiler maps keep it, event-driven:
 
 * ``on_exec_write`` (wired through ``Machine._on_exec_write``) evicts
   every block overlapping a write to executable memory and, if the
@@ -44,20 +50,33 @@ from repro.emu.jit.lift import lift_superblock
 from repro.emu.jit.superblock import carve
 from repro.isa.decoder import decode
 from repro.isa.insn import Instruction
+from repro.isa.operands import Mem
 
 _UNCOMPILED = object()
 
 #: Capacity of the process-wide lowered-block map, evicted LRU-first;
-#: about 2.7x the distinct superblocks of a whole bootloader evaluate.
+#: about 3.7x the codes the whole seed-0 bootloader bench lowers
+#: (1,122, summed over its stage processes).
 SHARED_CAPACITY = 4096
 
-# (start, code bytes) -> (step, writes_memory, source), or None for a
-# block that does not lift or lower
+# _code_key -> (step, writes_memory, source), or None for a block that
+# does not lift or lower
 _SHARED: OrderedDict = OrderedDict()
 
 
-def _code_key(start: int, insns) -> tuple[int, bytes]:
-    return start, b"".join(insn.raw for insn in insns)
+def _code_key(start: int, insns):
+    """The shared-map key of a carved block: its code bytes.
+
+    A rip-relative operand folds its absolute address into the IR
+    (``InstructionTranslator.address_of``), so such a block is keyed
+    by ``(start, code)`` and is shared only at its own address.
+    """
+    code = b"".join(insn.raw for insn in insns)
+    for insn in insns:
+        for operand in insn.operands:
+            if isinstance(operand, Mem) and operand.is_rip_relative:
+                return start, code
+    return code
 
 
 def _shared_get(key):
@@ -77,16 +96,20 @@ def _lowered(start: int, body, terminator, insns):
     """``(step, writes_memory, source)`` for a carved block, or ``None``.
 
     Lifts and lowers only on a miss in the process-wide map; a block
-    that fails to lift or lower is remembered as ``None``.
+    that fails to lift or lower is remembered as ``None``.  The IR is
+    released once lowered, so reference counting frees it.
     """
     key = _code_key(start, insns)
     entry = _shared_get(key)
     if entry is _UNCOMPILED:
+        function = None
         try:
             function = lift_superblock(body, start)
             entry = lower_superblock(function, body, terminator)
         except (LiftError, IRError, JitUnsupported):
             entry = None
+        if function is not None:
+            function.release()
         _shared_put(key, entry)
     return entry
 
@@ -280,8 +303,10 @@ class TraceCompiler:
         live memory and cross-checked against the recorded geometry —
         any mismatch (or any error at all) skips that block and the
         compiler derives it from scratch on demand.  A block already
-        in the process-wide map reuses its step function instead of
-        executing the source again.  Returns the number of blocks
+        in the process-wide map (keyed by :func:`_code_key`, as on
+        compilation) reuses its step function instead of executing
+        the source again, so one position-independent source serves
+        every start it is imported at.  Returns the number of blocks
         imported.
         """
         if not isinstance(payload, dict):
@@ -309,7 +334,7 @@ class TraceCompiler:
                     namespace: dict = {"_PT": PARITY_TABLE}
                     exec(compile(spec["source"], f"<jit:{start:#x}>",
                                  "exec"), namespace)
-                    entry = (namespace["superblock"],
+                    entry = (namespace.pop("superblock"),
                              bool(spec["writes_memory"]), spec["source"])
                     _shared_put(key, entry)
                 step, writes_memory, source = entry

@@ -26,8 +26,10 @@ from the alloca form (on-the-fly SSA construction, Braun et al., CC
 ``reg_in`` marker emitted on a register's first read and leaves
 through a ``reg_out`` marker for each register the body wrote.  Both
 always exist for ``rsp``, which a ``call``/``ret`` terminator needs.
-Guest memory loads and stores are emitted as usual.  mem2reg stays
-first in ``_PIPELINE`` as a guard and finds no allocas.
+Guest memory loads and stores are emitted as usual, so ``_PIPELINE``
+needs no mem2reg.  It runs constant folding, CSE and DCE without
+verifying between passes, and :func:`lift_superblock` verifies the
+result once; the tests run the same passes verifying after each one.
 """
 
 from __future__ import annotations
@@ -36,9 +38,10 @@ from repro.analysis.flagliveness import ALL_FLAGS, flag_materialization
 from repro.ir.builder import IRBuilder
 from repro.ir.instructions import Alloca
 from repro.ir.module import Function
-from repro.ir.passes import PassManager, constant_fold, cse, dce, mem2reg
+from repro.ir.passes import PassManager, constant_fold, cse, dce
 from repro.ir.types import I8, I64, VOID, FunctionType
 from repro.ir.values import Constant
+from repro.ir.verifier import verify
 from repro.isa.insn import Instruction, Mnemonic
 from repro.isa.operands import Imm
 from repro.lift.semantics import InstructionTranslator
@@ -51,11 +54,10 @@ _INC_DEC_FLAGS = frozenset({"pf", "af", "zf", "sf", "of"})
 _SHIFT_FLAGS = frozenset({"cf", "pf", "zf", "sf"})
 
 _PIPELINE = PassManager([
-    ("mem2reg", mem2reg),
     ("constfold", constant_fold),
     ("cse", cse),
     ("dce", dce),
-])
+], verify_each=False)
 
 
 class _SlotBuilder(IRBuilder):
@@ -228,4 +230,5 @@ def lift_superblock(body: list[Instruction], start: int) -> Function:
     builder.ret()
 
     _PIPELINE.run(function)
+    verify(function)
     return function

@@ -135,6 +135,26 @@ class Function(Value):
     def instruction_count(self) -> int:
         return sum(len(b.instructions) for b in self.blocks)
 
+    def release(self) -> None:
+        """Break the IR's reference cycles, leaving the function empty.
+
+        Use-def lists, operand lists and parent links make every
+        function a web of cycles that only the cyclic collector would
+        reclaim; once nothing reads the IR any more, clearing them
+        lets reference counting free it at once.
+        """
+        for argument in self.args:
+            argument.uses = []
+        for block in self.blocks:
+            for instruction in block.instructions:
+                instruction._operands = []
+                instruction.uses = []
+                instruction.parent = None
+            block.instructions = []
+            block.uses = []
+            block.parent = None
+        self.blocks = []
+
     def renumber(self):
         """Assign sequential names to unnamed values (pre-printing)."""
         counter = itertools.count()

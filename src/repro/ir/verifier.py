@@ -75,18 +75,21 @@ def _verify_phis(function: Function):
 
 def _dom_tree(function: Function) -> dict:
     """Immediate-dominator map via iterative dataflow (Cooper et al.)."""
+    # iterative depth-first postorder: a recursive closure would refer
+    # to itself and leave a reference cycle behind every call
     order: list[BasicBlock] = []
-    seen = set()
-
-    def dfs(block):
-        if id(block) in seen:
-            return
-        seen.add(id(block))
-        for successor in block.successors():
-            dfs(successor)
-        order.append(block)
-
-    dfs(function.entry)
+    seen = {id(function.entry)}
+    stack = [(function.entry, iter(function.entry.successors()))]
+    while stack:
+        block, successors = stack[-1]
+        for successor in successors:
+            if id(successor) not in seen:
+                seen.add(id(successor))
+                stack.append((successor, iter(successor.successors())))
+                break
+        else:
+            stack.pop()
+            order.append(block)
     order.reverse()  # reverse postorder
     index = {id(b): i for i, b in enumerate(order)}
     idom: dict[int, BasicBlock] = {id(function.entry): function.entry}

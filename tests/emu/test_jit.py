@@ -8,10 +8,12 @@ differential runs, randomized inline-flag replay against
 code, fault windows, superblock boundaries).
 """
 
+import gc
 import hashlib
 import random
 from collections import OrderedDict
 from pathlib import Path
+from types import FunctionType
 
 import pytest
 
@@ -31,6 +33,7 @@ from repro.ir.builder import IRBuilder
 from repro.ir.instructions import (
     Alloca, Call, ICmp, IntToPtr, Load, Store)
 from repro.ir.module import Function
+from repro.ir.passes import PassManager, mem2reg
 from repro.ir.types import I64, VOID, FunctionType
 from repro.ir.values import Constant
 from repro.isa.cond import Cond
@@ -211,25 +214,26 @@ class TestCoherence:
         assert compiler._blocks == blocks
 
 
+@pytest.fixture
+def lifts(monkeypatch):
+    """Start addresses passed to ``lift_superblock``, in order."""
+    calls = []
+    real = compiler_mod.lift_superblock
+
+    def counting(body, start):
+        calls.append(start)
+        return real(body, start)
+
+    monkeypatch.setattr(compiler_mod, "lift_superblock", counting)
+    return calls
+
+
 class TestSharedBlockMap:
     """Every compiler in a process shares one content-keyed block map."""
 
     @pytest.fixture(autouse=True)
     def fresh_map(self, monkeypatch):
         monkeypatch.setattr(compiler_mod, "_SHARED", OrderedDict())
-
-    @pytest.fixture
-    def lifts(self, monkeypatch):
-        """Start addresses passed to ``lift_superblock``, in order."""
-        calls = []
-        real = compiler_mod.lift_superblock
-
-        def counting(body, start):
-            calls.append(start)
-            return real(body, start)
-
-        monkeypatch.setattr(compiler_mod, "lift_superblock", counting)
-        return calls
 
     def test_second_compiler_lifts_nothing(self, lifts):
         wl = bootloader.workload(rich=True)
@@ -261,8 +265,10 @@ class TestSharedBlockMap:
         assert machine.run().exit_code == 43
         assert entry in lifts
         assert compiler._blocks[entry].step is not stale
-        assert [start for start, _ in compiler_mod._SHARED].count(
-            entry) == 2
+        keys = {compiler_mod._code_key(entry, c._blocks[entry].insns)
+                for c in (warm_compiler, compiler)}
+        assert len(keys) == 2
+        assert keys <= set(compiler_mod._SHARED)
 
     def test_unliftable_block_is_tried_once(self, lifts, monkeypatch):
         def refuse(function, body, terminator):
@@ -312,6 +318,167 @@ class TestSharedBlockMap:
             imported.append(compiler._blocks)
         for start, block in imported[0].items():
             assert imported[1][start].step is block.step
+
+
+class TestPositionIndependentBlocks:
+    """The same code at two addresses is lifted and lowered once.
+
+    A lowered block's exits are relative to the start its step
+    function reads from ``cpu.rip``, so each copy reaches its own
+    absolute PC; only a rip-relative operand keys a block on its
+    address too.  Every compiled run is checked against the precise
+    CPU.
+    """
+
+    #: code bases of the two copies: different pages, page offsets
+    BASES = (0x10_0120, 0x23_4560)
+    #: the block starts after three nops: ``back`` is the first nop,
+    #: ``ahead`` lies past the terminator
+    ENTRY = 3
+    REGS = [0x1111 * (code + 1) for code in range(16)]
+
+    @pytest.fixture(autouse=True)
+    def fresh_map(self, monkeypatch):
+        monkeypatch.setattr(compiler_mod, "_SHARED", OrderedDict())
+
+    @staticmethod
+    def _code(lines) -> bytes:
+        source = [".text", ".global _start", "_start:", "back:",
+                  "    nop", "    nop", "    nop"]
+        source += [f"    {line}" for line in lines]
+        source += ["    nop", "ahead:", "    nop", "    syscall"]
+        return assemble("\n".join(source)).section(".text").data
+
+    @classmethod
+    def _machine(cls, code, bases):
+        """A machine with ``code`` copied to each of ``bases``."""
+        machine = Machine(assemble(
+            ".text\n.global _start\n_start:\n    syscall"))
+        for base in bases:
+            machine.memory.map(base, len(code), "rwx")
+            machine.memory.write(base, code)
+        machine.cpu.regs = list(cls.REGS)
+        machine.cpu.regs[4] = STACK_TOP - 0x100
+        return machine
+
+    def _run(self, code, base, compiled):
+        """Run the block at ``base + ENTRY`` compiled or precisely."""
+        machine = self._machine(code, [base])
+        machine.cpu.rip = start = base + self.ENTRY
+        body, terminator = carve(machine, start)
+        count = len(body) + (terminator is not None)
+        if compiled:
+            compiler = TraceCompiler().attach(machine)
+            assert compiler.execute(machine, count) == count
+        else:
+            for _ in range(count):
+                machine.cpu.execute(machine.fetch_decode(machine.cpu.rip))
+        return machine
+
+    def _both_copies(self, code, bases=BASES):
+        """The compiled machine of each copy, each matching precise."""
+        landed = []
+        for base in bases:
+            compiled = self._run(code, base, compiled=True)
+            precise = self._run(code, base, compiled=False)
+            assert _full_state(compiled) == _full_state(precise)
+            landed.append(compiled)
+        return landed
+
+    @pytest.mark.parametrize("lines, offset", [
+        (["add rax, rbx", "jmp ahead"], 9),
+        (["sub rcx, 3", "jmp back"], -3),
+        (["cmp rax, rax", "je ahead"], 10),     # taken
+        (["cmp rax, rbx", "je ahead"], 9),      # not taken
+        (["cmp rax, rax", "jne back"], 9),      # not taken, backward
+        (["cmp rax, rbx", "jne back"], -3),     # taken, backward
+        (["xor rdx, rsi", "syscall"], 3),       # fallthrough
+        (["push rbx", "call ahead"], 7),
+    ], ids=["jmp", "jmp-back", "jcc-taken", "jcc-not-taken",
+            "jcc-back-not-taken", "jcc-back-taken", "fallthrough",
+            "call"])
+    def test_copies_share_one_entry(self, lifts, lines, offset):
+        landed = self._both_copies(self._code(lines))
+        assert len(compiler_mod._SHARED) == 1
+        assert lifts == [self.BASES[0] + self.ENTRY]
+        for base, machine in zip(self.BASES, landed):
+            assert machine.cpu.rip == base + self.ENTRY + offset
+        if lines[-1].startswith("call"):
+            for base, machine in zip(self.BASES, landed):
+                pushed = machine.memory.read(machine.cpu.regs[4], 8)
+                # the address after the call, in this copy
+                assert int.from_bytes(pushed, "little") == \
+                    base + self.ENTRY + 6
+
+    def test_rip_relative_body_keys_on_its_address(self, lifts):
+        lines = ["lea rax, [rip+16]", "mov rbx, qword ptr [rip+8]",
+                 "jmp ahead"]
+        landed = self._both_copies(self._code(lines))
+        starts = [base + self.ENTRY for base in self.BASES]
+        assert lifts == starts
+        assert len(compiler_mod._SHARED) == 2
+        assert {key[0] for key in compiler_mod._SHARED} == set(starts)
+        first, second = (machine.cpu.regs[0] for machine in landed)
+        assert second - first == self.BASES[1] - self.BASES[0]
+
+    def test_backward_branch_wraps_exactly(self, lifts):
+        # 3 nops, then add rax, rbx; jmp -0x40: at base 5 the target
+        # lies below address 0
+        code = bytes.fromhex("909090" "4801d8" "e9c0ffffff")
+        bases = (5, 0x10_0005)
+        for base, machine in zip(bases, self._both_copies(code, bases)):
+            assert machine.cpu.rip == (base + 11 - 0x40) % (1 << 64)
+        assert len(lifts) == len(compiler_mod._SHARED) == 1
+
+    def test_import_restores_a_shared_block_at_its_own_start(self):
+        code = self._code(["cmp rax, rbx", "jne back"])
+        starts = [base + self.ENTRY for base in self.BASES]
+        machine = self._machine(code, self.BASES)
+        exporter = TraceCompiler().attach(machine)
+        for start in starts:
+            exporter._compile_at(machine, start)
+        payload = exporter.export_blocks()
+        assert [spec["start"] for spec in payload["blocks"]] == starts
+        compiler_mod._SHARED.clear()
+        for start in starts:
+            machine = self._machine(code, self.BASES)
+            importer = TraceCompiler().attach(machine)
+            assert importer.import_blocks(machine, payload) == 2
+            first, second = (importer._blocks[s] for s in starts)
+            assert first.step is second.step
+            assert len(compiler_mod._SHARED) == 1
+            machine.cpu.rip = start
+            assert importer.execute(machine, 2) == 2
+            precise = self._machine(code, self.BASES)
+            precise.cpu.rip = start
+            for _ in range(2):
+                precise.cpu.execute(precise.fetch_decode(precise.cpu.rip))
+            assert _full_state(machine) == _full_state(precise)
+            assert machine.cpu.rip == start - self.ENTRY
+
+
+def test_lowered_ir_is_freed_without_the_cyclic_collector(monkeypatch):
+    monkeypatch.setattr(compiler_mod, "_SHARED", OrderedDict())
+    wl = bootloader.workload(rich=True)
+    machine = Machine(wl.build(), stdin=wl.bad_input)
+    body, terminator = carve(machine, machine.cpu.rip)
+    insns = tuple(body) + ((terminator,) if terminator else ())
+    gc.collect()
+    gc.disable()
+    try:
+        assert compiler_mod._lowered(machine.cpu.rip, body, terminator,
+                                     insns) is not None
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        # IR objects, and closures of the IR's own functions
+        left = [obj for obj in gc.garbage
+                if (obj.__module__ if isinstance(obj, FunctionType)
+                    else type(obj).__module__).startswith("repro.ir")]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert left == []
 
 
 def test_pass_pipeline_keeps_no_history():
@@ -413,6 +580,7 @@ class TestSsaLift:
                           state.read_reg(builder, register)],
                          readonly=True)
         builder.ret()
+        mem2reg(function)
         lift_mod._PIPELINE.run(function)
         return function
 
@@ -467,6 +635,21 @@ class TestSsaLift:
             function = lift_mod.lift_superblock(body, start)
             assert lower_superblock(function, body, terminator)[2] == \
                 reference, lines
+
+    def test_pipeline_verifies_after_every_pass(self, monkeypatch):
+        # the JIT verifies once per block; the same passes, verifying
+        # after each one, accept every body and lower it alike
+        checked = PassManager(lift_mod._PIPELINE.passes)
+        assert checked.verify_each and not lift_mod._PIPELINE.verify_each
+        for lines in self._random_bodies(count=100):
+            body, terminator, start = self._carve(lines)
+            lean = lower_superblock(lift_mod.lift_superblock(body, start),
+                                    body, terminator)[2]
+            monkeypatch.setattr(lift_mod, "_PIPELINE", checked)
+            function = lift_mod.lift_superblock(body, start)
+            monkeypatch.undo()
+            assert lower_superblock(function, body, terminator)[2] == \
+                lean, lines
 
     def test_no_flag_model_reaches_the_pipeline(self, monkeypatch):
         # a body never reads a flag, so its only compares would be the
@@ -691,17 +874,17 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 #: (the faulter+patcher image carries the Table I-III flag idioms).
 LOWERED_DIGESTS = {
     "pincheck":
-        "3a848399b22c9aecf4cc718fb95513c2ca9ebedf580d8a207cdcb31ed2572ea9",
+        "c8294c0b242d58685abb28385a974930fd4637be469d13d05255dba20d6a793d",
     "pincheck+hybrid":
-        "ec406843ba6099d7f0a275198cc67e1a1ae5a1da2b2448d10039de632c43c858",
+        "2f6737b887d48c212ab9025c12593892f6a12102776d2d8f468f1091f0e6265e",
     "pincheck+faulter+patcher":
-        "ae5bb3bf10ed3f2ce34d0ed2ec2b5c444e13a756719232fa9b62f3e9f9bd9a6f",
+        "6ac8588052444a746324802cad622365e8f1815b9b075da95199d8ec75d2bba7",
     "pincheck+detour":
-        "9ec0cf9038c2cd9d6a0c76360b5778881945c3b80eaf0bd1a6a2a9b7bf81d839",
+        "41ae6c4139d48a785db431c60459fd01063dba3c4383df140413fa058a923a46",
     "bootloader":
-        "dbbac01fb501171f24ec4054f8eb68f855c74ac6a3b3c9ae2e64f4c6e4d073a3",
+        "6ecca6289221f74398b04d48f14a8bfe5c732d52c6dc8f9b948454e72a46ec2c",
     "bootloader_pie":
-        "8f0cfc6f9958fe8e6a8cb46e440055ae337f52baa35fb4cffae3a99c0e7f5b50",
+        "dd08c998e7288d07ec564ba8e9332a21ab6d4d36a359981f5d1d0a866248188a",
 }
 
 

@@ -10,6 +10,7 @@ that file.
 import pytest
 
 from repro.analysis.traceflow import derive_step_facts
+from repro.api import Target
 from repro.asm import assemble
 from repro.emu.machine import Machine
 from repro.faulter.space import WindowedSpace
@@ -50,6 +51,37 @@ def test_jit_keeps_faulting_load_rich_pincheck():
         indices=(25, 26, 29, 30)), reduce=False)
     assert report == reference_report(
         faulter, "bitflip", WindowedSpace(indices=(25, 26, 29, 30)))
+
+
+#: (trace offset, bitflip detail) of the faulter+patcher-hardened
+#: pincheck's points that the elided load turns from crash to ignored
+PATCHED_PINCHECK_ELIDED = {(4, (1,)), (5, (5,)), (5, (11,)), (5, (15,))}
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason=JIT_LOAD_ELISION)
+def test_jit_keeps_faulting_load_patched_pincheck():
+    """The same defect on the faulter+patcher-hardened pincheck: four
+    bitflips at trace offsets 4 and 5 report ``ignored`` where the
+    reference crashes.  Every other point of the window must already
+    match, so the defect cannot move unseen (a compiled block shared
+    across addresses must not move it either)."""
+    wl = pincheck.workload()
+    exe = wl.target().harden("faulter+patcher").hardened
+    faulter = Target(exe, wl.good_input, wl.bad_input,
+                     wl.grant_marker).faulter()
+    space = WindowedSpace(indices=(4, 5))
+    report = faulter.engine().run("bitflip", space, reduce=False,
+                                  collect_outcomes=True)
+    reference = reference_report(faulter, "bitflip", space,
+                                 collect_outcomes=True)
+    wrong = {(got.fault.trace_index, got.fault.detail)
+             for got, want in zip(report.all_outcomes,
+                                  reference.all_outcomes)
+             if got != want}
+    if wrong != PATCHED_PINCHECK_ELIDED:
+        pytest.fail(f"the elided-load points moved: {sorted(wrong)}")
+    assert report == reference
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
