@@ -5,7 +5,7 @@ prove, per fault point, that injecting the fault cannot change what a
 detection oracle observes.  This module supplies those proofs as pure
 functions of the recorded bad-input trace, the same trace both
 backends already re-derive deterministically — so every process that
-enumerates a reduced space recomputes identical facts.
+reduces a share of a campaign recomputes identical facts.
 
 It is the dynamic-trace counterpart of a static register liveness:
 the forward dead-bit scan is liveness specialized to one straight-line
@@ -23,8 +23,7 @@ Soundness conventions, shared with the fault models' hooks:
 * Each dead verdict carries a ``settled`` trace step: the last step
   whose execution provably erases the fault's state difference
   (``math.inf`` when the difference merely stays unobserved until the
-  run ends).  Multi-fault elision strips a leading dead fault only
-  when it settles before the next fault's divergence point.
+  run ends), recorded in the reduction certificate's examples.
 * A *crash* verdict means the faulted step itself raises (an
   undecodable mutated encoding), ending the run with the unfaulted
   stdout prefix; callers gate it on oracles that map crashes to

@@ -20,7 +20,7 @@ from repro.asm.source import (
 from repro.binfmt import elfdefs
 from repro.binfmt.image import Executable, Relocation, Section, SymbolDef
 from repro.binfmt.writer import write_elf
-from repro.errors import AsmError, LinkError
+from repro.errors import AsmError, EncodingError, LinkError
 from repro.isa.encoder import encode, encoded_length
 from repro.isa.insn import Instruction, Mnemonic
 from repro.isa.operands import Imm, Label, Mem
@@ -100,7 +100,10 @@ def assemble_with_map(source: str | Program, pie: bool = False):
                         f"line {item.line}: duplicate label {item.name!r}")
                 symbols[item.name] = (name, position)
             elif isinstance(item, InsnStmt):
-                position += encoded_length(item.insn)
+                try:
+                    position += encoded_length(item.insn)
+                except EncodingError as exc:
+                    raise AsmError(f"line {item.line}: {exc}") from None
             elif isinstance(item, DataStmt):
                 position += item.size()
             elif isinstance(item, SpaceStmt):
@@ -161,7 +164,10 @@ def assemble_with_map(source: str | Program, pie: bool = False):
                 address = base + expected
                 resolved = _resolve_insn(item.insn, address, resolve,
                                          item.line)
-                code = encode(resolved)
+                try:
+                    code = encode(resolved)
+                except EncodingError as exc:
+                    raise AsmError(f"line {item.line}: {exc}") from None
                 if len(code) != encoded_length(item.insn):
                     raise LinkError(
                         f"line {item.line}: unstable encoding for "

@@ -382,8 +382,11 @@ class Parser:
             return Mem(base=mem_base, disp=label, size=size or 0)
         if rip_relative:
             raise AsmError(f"line {lineno}: 'rel' requires a symbol")
-        return Mem(base=base, index=index, scale=scale, disp=disp,
-                   size=size or 0)
+        try:
+            return Mem(base=base, index=index, scale=scale, disp=disp,
+                       size=size or 0)
+        except ValueError as exc:
+            raise AsmError(f"line {lineno}: {exc} in [{body}]") from None
 
 
 def _fix_memory_sizes(operands):

@@ -16,9 +16,9 @@ Subcommands::
 The engine knobs — ``--backend``, ``--workers``, ``--artifact-cache``
 and ``--cache-dir`` — are declared once in a shared parent parser and
 map onto one :class:`~repro.api.EngineConfig`.  The execution tier
-and equivalence reduction are not knobs: every campaign runs compiled
-and reduced (``-v`` prints the step split and the reduction
-certificate).  ``--approach``
+and equivalence reduction are not knobs: every campaign runs compiled,
+and every single-fault campaign reduced (``-v`` prints the step split
+and the reduction certificate).  ``--approach``
 choices derive from the
 :data:`repro.hardening.HARDENING_APPROACHES` registry and ``--model``
 choices from the fault-model registry, so registered third-party

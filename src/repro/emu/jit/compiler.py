@@ -6,8 +6,8 @@ through the same code — which is where ~95% of campaign steps are
 spent.  Below the per-compiler maps sits one process-wide map from a
 block's code (the raw bytes of every carved instruction) to the
 lowered step function, so every compiler in the process — each
-executor of each campaign, the reduction's probes, the patcher loop's
-refaults, a forked fleet worker — lifts and lowers a given code once.
+executor of each campaign, the patcher loop's refaults, a forked
+fleet worker — lifts and lowers a given code once.
 A lowered block is position-independent (its exits are relative to
 the start it reads from ``cpu.rip``), so the same code at another
 address — zero padding reached by a faulted jump, a rewritten image's

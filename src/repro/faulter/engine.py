@@ -14,31 +14,37 @@ pull points through a fixed reorder window (``MAX_RESIDENT_POINTS``)
 then emitting its outcomes back in enumeration order — and the engine
 folds the ordered outcome stream into the report incrementally.  Peak
 resident fault points are therefore bounded by the window size rather
-than the population.  Every report equals the one the paper's literal
-protocol (a fresh machine per point) produces; ``tests/reference.py``
-is that protocol, and the bit-identity tests compare against it.
+than the population.  The equivalence reduction
+(:mod:`repro.faulter.reduction`) is a per-point short-circuit in that
+stream: a point with a proof takes its proven outcome as it is
+enumerated and joins its window's executed outcomes in the reorder
+sort; only the other points fill the window.  Every report equals the
+one the paper's literal protocol (a fresh machine per point)
+produces; ``tests/reference.py`` is that protocol, and the
+bit-identity tests compare against it.
 
 Execution is one strategy, the *master walk*
 (:mod:`repro.faulter.executor`): one machine walks the master trace;
 each fault snapshots CPU/IO, journals memory, replays only the suffix
 and rolls back (the paper's ``fork()`` substitute).  The walk persists
 across windows for offset-monotone spaces; a window behind the walk
-restarts it.  The reduction planner's probe runs use the same walk.
+restarts it.
 
 ``MultiprocessBackend`` partitions the space declaratively and runs
 the master walk on a persistent *warm fleet* of worker processes (a
 stdlib process pool); each job carries the campaign's ``Faulter`` —
 its image as ELF bytes and its validated baselines, so no worker
-re-runs the good or bad input — and a
-:class:`~repro.faulter.space.SpacePartition` (the base space spec
-plus an enumeration-order window, reduced per window for a reduced
-campaign).  A worker keeps one live ``Faulter`` per target, whose
-trace and contexts it derives once (or loads from the
-content-addressed :class:`~repro.faulter.artifacts.ArtifactStore`,
-when one is configured), and streams its own share.  Workers live
-across campaigns (``evaluate``/``r2r compare`` stop paying derivation
-twice) and pull partitions from the pool's shared queue, so a
-straggler partition no longer gates the whole wave.
+re-runs the good or bad input — a
+:class:`~repro.faulter.space.SpacePartition` (the space spec plus an
+enumeration-order window) and whether to reduce.  A worker keeps one
+live ``Faulter`` per target, whose trace and contexts it derives once
+(or loads from the content-addressed
+:class:`~repro.faulter.artifacts.ArtifactStore`, when one is
+configured), and streams its own share, reduction included; the
+parent folds the shards' outcomes and tallies.  Workers live across
+campaigns (``evaluate``/``r2r compare`` stop paying derivation twice)
+and pull partitions from the pool's shared queue, so a straggler
+partition no longer gates the whole wave.
 """
 
 from __future__ import annotations
@@ -65,7 +71,7 @@ from repro.faulter.executor import (
     master_step,
 )
 from repro.faulter.models import FaultModel, model_by_name
-from repro.faulter.reduction import plan_reduction
+from repro.faulter.reduction import ReductionPlan, plan_reduction
 from repro.faulter.report import (
     CampaignReport,
     CampaignReportBuilder,
@@ -226,7 +232,8 @@ def build_space_context(
 
 
 def _persist_facts(ctx, faulter) -> None:
-    """Save the reduction proofs a campaign computed, if any.
+    """Save the reduction proofs a campaign or fleet job computed, if
+    any.
 
     Only consults facts the campaign actually materialized
     (``ctx._facts``) — never forces the analysis — and only writes
@@ -264,8 +271,7 @@ class ExecutionBackend:
     def executor(
         self, faulter, model: FaultModel, cap_policy: str
     ) -> MasterWalkExecutor:
-        """A fresh master walk on this backend's tier — the campaign's
-        points run on one, and so do the reduction planner's probes."""
+        """A fresh master walk on this backend's tier."""
         return MasterWalkExecutor(
             faulter, model, cap_policy, trace_compile=self.trace_compile
         )
@@ -277,18 +283,21 @@ class ExecutionBackend:
         space: FaultSpace,
         ctx: SpaceContext,
         stats: ExecutionStats,
+        plan: Optional[ReductionPlan] = None,
     ) -> Iterator[PointOutcome]:
-        """Yield point outcomes in enumeration order, updating
-        ``stats``."""
+        """Yield every point's outcome in enumeration order, updating
+        ``stats``; with a ``plan``, points it proves take their proven
+        outcome without running."""
         raise NotImplementedError
 
 
 class SequentialBackend(ExecutionBackend):
     """In-process execution on the master walk.
 
-    Points stream through a reorder window of ``MAX_RESIDENT_POINTS``:
-    each window executes offset-sorted, then emits its outcomes back in
-    enumeration order.
+    Points stream through a reorder window of ``MAX_RESIDENT_POINTS``
+    points to execute: each window executes offset-sorted, then emits
+    its outcomes, and those of the proven points enumerated with it,
+    back in enumeration order.
 
     ``trace_compile=True`` (the default) runs unfaulted instruction
     stretches through the trace-compiled tier
@@ -302,9 +311,9 @@ class SequentialBackend(ExecutionBackend):
     def __init__(self, trace_compile: bool = True):
         self.trace_compile = trace_compile
 
-    def iter_outcomes(self, faulter, model, space, ctx, stats):
+    def iter_outcomes(self, faulter, model, space, ctx, stats, plan=None):
         executor = self.executor(faulter, model, space.cap_policy)
-        yield from self.stream(executor, space, ctx, stats)
+        yield from self.stream(executor, space, ctx, stats, plan)
 
     @staticmethod
     def stream(
@@ -312,32 +321,45 @@ class SequentialBackend(ExecutionBackend):
         space: FaultSpace,
         ctx: SpaceContext,
         stats: ExecutionStats,
+        plan: Optional[ReductionPlan] = None,
     ) -> Iterator[PointOutcome]:
-        """Run ``space`` on ``executor`` one reorder window at a time.
+        """Run ``space`` on ``executor`` one reorder window at a time,
+        settling each point ``plan`` proves as it is enumerated.
 
         A fleet worker hands in the executor it keeps warm across
         partitions and campaigns; ``iter_outcomes`` a fresh one.
         """
+        dispose = plan.disposer(stats) if plan is not None else None
         window: list[FaultPoint] = []
+        proven: list[PointOutcome] = []
         for point in space.enumerate(ctx):
+            if dispose is not None:
+                outcome = dispose(point)
+                if outcome is not None:
+                    proven.append((point, outcome))
+                    continue
             window.append(point)
             if len(window) >= MAX_RESIDENT_POINTS:
-                yield from _drain(executor, window, stats)
-                window = []
-        if window:
-            yield from _drain(executor, window, stats)
+                yield from _drain(executor, window, proven, stats)
+                window, proven = [], []
+        if window or proven:
+            yield from _drain(executor, window, proven, stats)
         # persist freshly derived artifacts (JIT block sources) once
         # the campaign's windows are done
         executor.finalize()
 
 
 def _drain(
-    executor, window: list[FaultPoint], stats: ExecutionStats
+    executor,
+    window: list[FaultPoint],
+    proven: list[PointOutcome],
+    stats: ExecutionStats,
 ) -> Iterator[PointOutcome]:
-    """Execute one window; reorder its rows back to enumeration
-    order."""
+    """Execute one window; merge its rows with the proven ones
+    enumerated alongside, back in enumeration order."""
     stats.observe_resident(len(window))
-    outcomes = executor.run_window(window, stats)
+    outcomes = executor.run_window(window, stats) if window else []
+    outcomes += proven
     outcomes.sort(key=lambda pair: pair[0].order)
     yield from outcomes
 
@@ -371,15 +393,16 @@ def _live_target(faulter) -> tuple:
 def _run_partition(job) -> tuple[list[PointOutcome], ExecutionStats]:
     """Fleet worker: run one declarative partition of the space.
 
-    The job is ``(faulter, model name, partition)``: the parent's
-    :class:`~repro.faulter.campaign.Faulter` (see its ``__getstate__``)
-    and a :class:`~repro.faulter.space.SpacePartition` spec, not a
-    point list.  The worker derives the bad-input trace (loaded from
-    the artifact store when one is configured) and re-enumerates its
-    own window locally.  The stats carry this job's artifact hit/miss
-    delta.
+    The job is ``(faulter, model name, partition, reduce)``: the
+    parent's :class:`~repro.faulter.campaign.Faulter` (see its
+    ``__getstate__``), a :class:`~repro.faulter.space.SpacePartition`
+    spec, not a point list, and whether the campaign is reduced.  The
+    worker derives the bad-input trace (loaded from the artifact store
+    when one is configured), re-enumerates its own window locally and
+    settles the points its own reduction plan proves.  The stats carry
+    this job's reduction tallies and artifact hit/miss delta.
     """
-    shipped, model_name, partition = job
+    shipped, model_name, partition, reduce = job
     faulter, executors = _live_target(shipped)
     store = faulter.artifacts
     before = store.stats.snapshot() if store is not None else None
@@ -390,8 +413,12 @@ def _run_partition(job) -> tuple[list[PointOutcome], ExecutionStats]:
         executor = executors[key] = SequentialBackend().executor(
             faulter, ctx.model, partition.cap_policy)
     stats = ExecutionStats()
+    plan = ReductionPlan(faulter, ctx) if reduce else None
     outcomes = list(
-        SequentialBackend.stream(executor, partition, ctx, stats))
+        SequentialBackend.stream(executor, partition, ctx, stats, plan))
+    # the parent derives no proofs for a fleet campaign, so each worker
+    # saves its own
+    _persist_facts(ctx, faulter)
     if store is not None:
         stats.merge_artifacts(store.stats.delta(before))
     return outcomes, stats
@@ -483,11 +510,12 @@ class MultiprocessBackend(ExecutionBackend):
     returning shards back to partition order — so aggregate residency
     stays O(workers x window) while stragglers never gate wall-clock.
 
-    The sizes count the space that is sliced.  A reduced space
-    partitions its base and reduces each window, so a worker disposes
-    only its own window's points, and the parent disposes none before
-    it expands the outcomes; a window's survivors are at most its
-    base points, so the residency bound holds.
+    The sizes count every point of a window.  A reduced campaign's
+    worker settles its own window's proven points and returns their
+    outcomes with the executed ones, plus the reduction tallies, which
+    fold in partition order; the parent disposes no point.  Resident
+    points count the points that execute, as in the sequential
+    stream.
 
     Each job carries the campaign's Faulter.  A worker keeps one live
     Faulter per target — its trace, contexts and executors — and
@@ -502,7 +530,7 @@ class MultiprocessBackend(ExecutionBackend):
     def __init__(self, workers: Optional[int] = None):
         self.workers = workers
 
-    def iter_outcomes(self, faulter, model, space, ctx, stats):
+    def iter_outcomes(self, faulter, model, space, ctx, stats, plan=None):
         workers = self.workers
         if workers is None:
             workers = default_workers()
@@ -513,10 +541,10 @@ class MultiprocessBackend(ExecutionBackend):
         if len(partitions) <= 1:
             fallback = SequentialBackend()
             yield from fallback.iter_outcomes(
-                faulter, model, space, ctx, stats
+                faulter, model, space, ctx, stats, plan
             )
             return
-        jobs = [(faulter, model.name, partition)
+        jobs = [(faulter, model.name, partition, plan is not None)
                 for partition in partitions]
         pool_size = min(workers, len(jobs))
         fleet = _acquire_fleet(pool_size)
@@ -539,7 +567,7 @@ class MultiprocessBackend(ExecutionBackend):
                     next_emit += 1
                 if buffered:
                     stats.observe_resident(sum(
-                        len(shard[0]) for shard in buffered.values()))
+                        _executed(shard) for shard in buffered.values()))
         except BrokenProcessPool:
             shutdown_fleet()
             raise
@@ -551,8 +579,14 @@ class MultiprocessBackend(ExecutionBackend):
     def _fold(shard, stats) -> list[PointOutcome]:
         outcomes, shard_stats = shard
         stats.merge(shard_stats)
-        stats.observe_resident(len(outcomes))
+        stats.observe_resident(_executed(shard))
         return outcomes
+
+
+def _executed(shard) -> int:
+    """The points of a fleet shard that ran."""
+    outcomes, shard_stats = shard
+    return len(outcomes) - shard_stats.proven_points
 
 
 BACKENDS = {
@@ -575,10 +609,11 @@ class EngineConfig:
     roundtrip losslessly.
 
     The execution tier and equivalence reduction are not knobs: every
-    campaign runs compiled and reduced, because the precise and the
-    unreduced paths give bit-identical reports.  Those references stay
-    reachable for checks as ``SequentialBackend(trace_compile=False)``
-    and ``CampaignEngine.run(..., reduce=False)``.
+    campaign runs compiled, and every single-fault campaign reduced,
+    because the precise and the unreduced paths give bit-identical
+    reports.  Those references stay reachable for checks as
+    ``SequentialBackend(trace_compile=False)`` and
+    ``CampaignEngine.run(..., reduce=False)``.
     """
 
     backend: Optional[str] = None
@@ -722,12 +757,11 @@ class CampaignEngine:
         one report incrementally.
 
         ``reduce`` toggles equivalence reduction
-        (:mod:`repro.faulter.reduction`): ``None``/``True`` prune the
-        space when a plan applies (the report still covers every point
-        of the full space, with elided points inheriting their proven
-        verdicts and ``meta["reduction"]`` carrying the certificate);
-        ``False`` forces the full enumeration, for bit-identity
-        checks.
+        (:mod:`repro.faulter.reduction`): ``None``/``True`` settle the
+        points a plan proves without running them, when a plan applies
+        (the report still covers every point, and ``meta["reduction"]``
+        carries the certificate); ``False`` runs every point, for
+        bit-identity checks.
         """
         if isinstance(model, str):
             model = model_by_name(model)
@@ -744,9 +778,7 @@ class CampaignEngine:
                 "enabled": False, "reason": "disabled"
             }
         else:
-            plan, reason = plan_reduction(
-                self.faulter, model, ctx, space, backend
-            )
+            plan, reason = plan_reduction(self.faulter, ctx, space)
             if plan is None:
                 reduction_meta = {"enabled": False, "reason": reason}
         stats = ExecutionStats()
@@ -757,25 +789,14 @@ class CampaignEngine:
             fault_for=lambda point: self._fault_for(point, ctx, model),
             collect_outcomes=collect_outcomes,
         )
-        if plan is None:
-            for point, outcome in backend.iter_outcomes(
-                self.faulter, model, space, ctx, stats
-            ):
-                builder.add(point, outcome)
-        else:
-            executed = backend.iter_outcomes(
-                self.faulter, model, plan.survivors, ctx, stats
-            )
-            for point, outcome in plan.expand(executed):
-                builder.add(point, outcome)
-            # plan.expand pulls exactly one outcome per survivor, which
-            # leaves the backend generator one step short of exhaustion
-            # — drive it to the end so post-loop cleanup (artifact
-            # persistence) runs
-            for _ in executed:
-                pass
-            plan.merge_stats(stats)
-            reduction_meta = plan.certificate().to_dict()
+        points = 0
+        for point, outcome in backend.iter_outcomes(
+            self.faulter, model, space, ctx, stats, plan
+        ):
+            builder.add(point, outcome)
+            points += 1
+        if plan is not None:
+            reduction_meta = plan.certificate(space, points, stats).to_dict()
         _persist_facts(ctx, self.faulter)
         return builder.finish(meta=_report_meta(
             backend, space.describe(), stats, reduction_meta,

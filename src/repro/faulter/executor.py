@@ -3,9 +3,8 @@
 One machine walks the bad-input trace forward; at each fault offset it
 snapshots CPU/IO, journals memory, runs the faulted continuation and
 rolls back (the paper's ``fork()`` substitute).  Every campaign point
-runs here, on both backends, and so do the reduction planner's probe
-runs (:mod:`repro.faulter.reduction`): this module sits below both the
-engine and the planner, so each imports it without a cycle.
+that the equivalence reduction does not settle runs here, on both
+backends.
 
 Single-fault points are collapsed by post-fault state: the rest of a
 run is a function of the machine state right after the faulted step,
@@ -31,6 +30,11 @@ from repro.faulter.space import SUFFIX_CAP, FaultPoint
 # An executed point: (point, outcome class).
 PointOutcome = tuple[FaultPoint, str]
 
+# Reduction certificates list at most this many dead-point examples,
+# so report.meta stays small even for million-point spaces; the
+# *counts* are always exact.
+EXAMPLE_CAP = 32
+
 
 @dataclass
 class ExecutionStats:
@@ -43,6 +47,12 @@ class ExecutionStats:
     lifting/lowering superblocks; ``memo_hits`` counts single-fault
     points that took a known outcome from the post-fault state memo
     (each emulated only its faulted step).
+
+    The ``dead_*`` and ``crash_points`` fields tally the points the
+    equivalence reduction (:mod:`repro.faulter.reduction`) settled
+    without running them: its certificate's counts, dead-proof
+    reasons and first :data:`EXAMPLE_CAP` examples, in enumeration
+    order.
     """
 
     emulated_steps: int = 0
@@ -52,6 +62,15 @@ class ExecutionStats:
     compile_seconds: float = 0.0
     memo_hits: int = 0
     artifact_counters: dict = field(default_factory=dict)
+    dead_points: int = 0
+    crash_points: int = 0
+    dead_reasons: dict = field(default_factory=dict)
+    dead_examples: list = field(default_factory=list)
+
+    @property
+    def proven_points(self) -> int:
+        """Points that took a proven outcome instead of running."""
+        return self.dead_points + self.crash_points
 
     def observe_resident(self, count: int) -> None:
         if count > self.peak_resident_points:
@@ -65,8 +84,8 @@ class ExecutionStats:
             )
 
     def merge(self, other: "ExecutionStats") -> None:
-        """Fold another run's counters (a worker shard, the probe
-        pass) into this one; resident peaks combine as a maximum."""
+        """Fold a later run's counters (a worker shard, in partition
+        order) into this one; resident peaks combine as a maximum."""
         self.emulated_steps += other.emulated_steps
         self.observe_resident(other.peak_resident_points)
         self.compiled_steps += other.compiled_steps
@@ -74,6 +93,14 @@ class ExecutionStats:
         self.compile_seconds += other.compile_seconds
         self.memo_hits += other.memo_hits
         self.merge_artifacts(other.artifact_counters)
+        self.dead_points += other.dead_points
+        self.crash_points += other.crash_points
+        for reason, count in other.dead_reasons.items():
+            self.dead_reasons[reason] = (
+                self.dead_reasons.get(reason, 0) + count
+            )
+        room = EXAMPLE_CAP - len(self.dead_examples)
+        self.dead_examples.extend(other.dead_examples[: max(0, room)])
 
 
 def _fault_plan(

@@ -19,12 +19,10 @@ Enumerators:
 * :class:`KFaultProductSpace` — sampled k-tuples of distinct offsets
   per run (the multi-fault extension; k=2 is the pair campaign),
 * :class:`ProductSpace` — the *exhaustive* k-fault product over a
-  bounded offset window (what equivalence reduction is measured
-  against),
+  bounded offset window (the dense pair campaign),
 * :class:`SpacePartition` — a contiguous enumeration-order window of
   any base space, re-enumerated locally (what a partition ships to a
-  worker process: a (space spec, window) pair, never a point dump; a
-  reduced space ships one under its survivor filter).
+  worker process: a (space spec, window) pair, never a point dump).
 
 Each point carries its enumeration ``order`` so a backend may execute
 points in whatever order is fastest (e.g. sorted by trace offset for
@@ -52,7 +50,7 @@ from typing import Callable, Iterator, Sequence
 #       cap (the exhaustive master-walk convention),
 #   TOTAL_CAP  — prefix steps count against the cap, as if the run had
 #       started from step 0 (the fresh-run convention of the
-#       multi-fault spaces, which makes tuple domination exact).
+#       multi-fault spaces).
 SUFFIX_CAP = "suffix"
 TOTAL_CAP = "total"
 
@@ -303,12 +301,10 @@ class ProductSpace(FaultSpace):
     """Exhaustive k-fault combinations over a window of trace offsets.
 
     Every size-``k`` combination of the (valid) window offsets, with
-    every variant combination per offset tuple — the full product the
-    reduction layer's domination pruning is measured against.  The
-    count is O(|window| choose k) times the variant fan-out, so this
-    space is only practical over a bounded window; like the sampled
-    k-fault space it uses the total-cap budget convention, which is
-    what makes single-fault survivor domination exact.
+    every variant combination per offset tuple.  The count is
+    O(|window| choose k) times the variant fan-out, so this space is
+    only practical over a bounded window; like the sampled k-fault
+    space it uses the total-cap budget convention.
     """
 
     k: int = 2

@@ -121,6 +121,9 @@ def _rm_modrm(reg_field: int, rm) -> tuple[int, bytes]:
             rex |= REX_B
         modrm = (0b11 << 6) | ((reg_field & 7) << 3) | (rm.register.code & 7)
         return rex, bytes([modrm])
+    if not isinstance(rm, Mem):
+        raise EncodingError("a register or memory operand is required, "
+                            "not an immediate or symbol")
     return _mem_modrm(reg_field, rm)
 
 
@@ -170,6 +173,10 @@ def encode(insn: Instruction) -> bytes:
     handler = _HANDLERS.get(insn.mnemonic)
     if handler is None:
         raise EncodingError(f"unsupported mnemonic {insn.mnemonic}")
+    count = _OPERAND_COUNTS.get(insn.mnemonic)
+    if count is not None and len(insn.operands) != count:
+        raise EncodingError(f"'{insn.name}' takes {count} operand(s), "
+                            f"got {len(insn.operands)}")
     return handler(insn)
 
 
@@ -180,8 +187,6 @@ def encode(insn: Instruction) -> bytes:
 def _enc_alu(insn: Instruction) -> bytes:
     base = _ALU_BASE[insn.mnemonic]
     ext = _ALU_EXT[insn.mnemonic]
-    if len(insn.operands) != 2:
-        raise EncodingError(f"'{insn}' needs two operands")
     dst, src = insn.operands
     width = _op_width(insn)
     wbit = REX_W if width == 8 else 0
@@ -446,6 +451,19 @@ _HANDLERS = {
     Mnemonic.HLT: _fixed(bytes([0xF4])),
     Mnemonic.INT3: _fixed(bytes([0xCC])),
     Mnemonic.UD2: _fixed(bytes([0x0F, 0x0B])),
+}
+
+# operand counts of the handlers that unpack a fixed number of operands
+_OPERAND_COUNTS = {
+    **dict.fromkeys(
+        (Mnemonic.ADD, Mnemonic.OR, Mnemonic.AND, Mnemonic.SUB,
+         Mnemonic.XOR, Mnemonic.CMP, Mnemonic.TEST, Mnemonic.MOV,
+         Mnemonic.MOVZX, Mnemonic.LEA, Mnemonic.IMUL, Mnemonic.SHL,
+         Mnemonic.SHR, Mnemonic.SAR, Mnemonic.CMOVCC), 2),
+    **dict.fromkeys(
+        (Mnemonic.NOT, Mnemonic.NEG, Mnemonic.INC, Mnemonic.DEC,
+         Mnemonic.PUSH, Mnemonic.POP, Mnemonic.JMP, Mnemonic.JCC,
+         Mnemonic.CALL, Mnemonic.SETCC), 1),
 }
 
 

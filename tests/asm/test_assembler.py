@@ -1,10 +1,12 @@
 """Assembler + ELF writer/reader integration tests."""
 
+import random
+
 import pytest
 
 from repro.asm import assemble, assemble_to_elf
 from repro.binfmt import read_elf
-from repro.errors import AsmError, LinkError
+from repro.errors import AsmError, LinkError, ReproError
 from repro.isa import Mnemonic, decode
 from repro.isa.decoder import decode_all
 
@@ -163,6 +165,53 @@ class TestErrors:
         with pytest.raises(AsmError):
             assemble(".text\n_start:\n mov rax, [rbx+msg]\n ret\n"
                      ".data\nmsg: .byte 1\n")
+
+    @pytest.mark.parametrize("body, line", [
+        ("lea", 4),
+        ("lea rax", 4),
+        ("push", 4),
+        ("jmp a, b", 4),
+        ("mov eax, [rax+rax*3]", 4),
+        ("mov eax, [rax+rsp*2]", 4),
+        ("nop\n    mov ra, 60\n    movzx eax, byte ptr [ra]", 5),
+    ])
+    def test_bad_operands_name_their_line(self, body, line):
+        with pytest.raises(AsmError, match=f"^line {line}: "):
+            assemble(f".text\n.globl _start\n_start:\n    {body}\n")
+
+    def test_mutated_sources_raise_only_library_errors(self):
+        """Seeded mutations of a small program — dropped, duplicated
+        and swapped tokens and characters — either assemble or raise a
+        :class:`ReproError`, never a bare Python exception."""
+        rng = random.Random(2024)
+        tokens = HELLO.replace(",", " , ").replace("[", " [ ") \
+            .replace("]", " ] ").split(" ")
+        pool = sorted(set(tokens) | {"*3", "*8", "+", "-", "rsp", "al",
+                                     "byte ptr", "0x7fffffffffff",
+                                     "push", "lea", ".equ", ":"})
+        for _ in range(400):
+            mutated = list(tokens)
+            for _ in range(rng.randint(1, 3)):
+                at = rng.randrange(len(mutated))
+                action = rng.randrange(4)
+                if action == 0:
+                    del mutated[at]
+                elif action == 1:
+                    mutated.insert(at, rng.choice(pool))
+                elif action == 2:
+                    mutated[at] = rng.choice(pool)
+                else:
+                    other = rng.randrange(len(mutated))
+                    mutated[at], mutated[other] = \
+                        mutated[other], mutated[at]
+            source = " ".join(mutated)
+            if rng.random() < 0.5:
+                cut = rng.randrange(len(source))
+                source = source[:cut] + source[cut + 1:]
+            try:
+                assemble(source)
+            except ReproError:
+                pass
 
 
 class TestBranches:

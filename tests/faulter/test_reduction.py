@@ -1,16 +1,15 @@
 """Equivalence reduction: bit-identical reports, fewer executions.
 
-The tentpole property: running a campaign over the reduced space must
-reproduce the full-space report row for row — outcomes, successes,
+The central property: a reduced campaign, whose proven points take
+their proven outcome in the backend's stream instead of running, must
+reproduce the full report row for row — outcomes, successes,
 ordering — for every fault model, on both backends, as the reference
 protocol (:mod:`tests.reference`) computes it.  The certificate in
 ``report.meta["reduction"]`` is the checkable record of what was
-elided and why, and the dense k-fault product is where the reduction
-pays: the flag-stuck pair campaign below must beat the full product
-by at least 5x emulated steps (its space is too large for the
-reference, so it checks the reduced run against the full one).
+settled and why.  k-fault tuple spaces run unreduced.
 """
 
+import functools
 import hashlib
 import json
 import math
@@ -28,12 +27,13 @@ from repro.asm import assemble
 from repro.emu import Machine
 from repro.errors import DecodingError, EmulationError
 from repro.faulter import (
-    EngineConfig, Faulter, MultiprocessBackend, SequentialBackend, engine,
-    reduction)
+    ArtifactStore, EngineConfig, Faulter, MultiprocessBackend,
+    SequentialBackend, engine, reduction)
+from repro.faulter.artifacts import facts_key
+from repro.faulter.executor import ExecutionStats
 from repro.faulter.models import MODELS
 from repro.faulter.reduction import (
     EXAMPLE_CAP,
-    ReducedSpace,
     ReductionCertificate,
     plan_reduction,
 )
@@ -143,40 +143,14 @@ class TestBitIdentity:
         assert cert.payload["dead_points"] > 0
 
 
-class TestProductSpeedup:
-    """The acceptance criterion: a k=2 bootloader campaign with
-    reduction on beats the full product space by >= 5x, with verdicts
-    mapping 1:1."""
-
-    @pytest.fixture(scope="class")
-    def big_boot(self):
-        wl = bootloader.workload(size=176)
-        return Faulter(wl.build(), wl.good_input, wl.bad_input,
-                       wl.grant_marker, name=wl.name)
-
-    def test_flag_stuck_pairs(self, big_boot):
-        ctx = big_boot.engine().context("flag-stuck")
-        offsets = [step for step in range(len(ctx.trace))
-                   if ctx.variants(step)]
-        space = ProductSpace(k=2, indices=tuple(offsets[::9]))
-        full, reduced = _pair(big_boot, "flag-stuck", space,
-                              collect_outcomes=True)
-        assert reduced == full
-        cert = ReductionCertificate(reduced.meta["reduction"])
-        assert cert.full_points == full.total_faults
-        full_steps = full.meta["emulated_steps"]
-        reduced_steps = reduced.meta["emulated_steps"]
-        assert full_steps >= 5 * max(1, reduced_steps)
-
-
 def _record_dispositions(monkeypatch) -> list:
     """Record, in this process, the base ``order`` of every point the
     reduction disposes from now on."""
     disposed = []
-    disposer = reduction._disposer
+    disposer = reduction.ReductionPlan.disposer
 
-    def recording(ctx, began, allow_crash):
-        disposition = disposer(ctx, began, allow_crash)
+    def recording(plan, stats):
+        disposition = disposer(plan, stats)
 
         def recorded(point):
             disposed.append(point.order)
@@ -184,68 +158,85 @@ def _record_dispositions(monkeypatch) -> list:
 
         return recorded
 
-    monkeypatch.setattr(reduction, "_disposer", recording)
+    monkeypatch.setattr(reduction.ReductionPlan, "disposer", recording)
     return disposed
 
 
 class TestReducedSpaces:
-    """Reduced spaces are first-class: picklable in O(probes), and
-    partitioned by reducing each partition of the base space."""
+    """Reduction is a per-point short-circuit in the backend stream:
+    each point is disposed exactly once, by whichever process streams
+    its window — a fleet worker for its own partition, never the
+    parent."""
 
-    def test_pickle_is_population_independent(self):
-        single = ReducedSpace(ExhaustiveSpace())
-        tuples = ReducedSpace(
-            KFaultProductSpace(k=2, samples=10**9, seed=1),
-            probes=(((3, (0,)), 17), ((9, (1,)), 40)))
-        assert len(pickle.dumps(single)) < 512
-        assert len(pickle.dumps(tuples)) < 512
+    def test_pickle_is_population_independent(self, faulter):
+        """A reduced fleet job ships a flag, not dispositions: its
+        pickle does not grow with the partition's population, and the
+        parent's proofs stay in the parent."""
+        faulter.run_campaign("reg-bitflip")
+        assert faulter.engine().context("reg-bitflip").facts.prune_cache
+        sizes = {}
+        for reduce in (False, True):
+            for base in (ExhaustiveSpace(),
+                         KFaultProductSpace(k=2, samples=10**9, seed=1)):
+                for stop in (10, 10**9):
+                    job = (faulter, "reg-bitflip",
+                           SpacePartition(base, 0, stop), reduce)
+                    sizes[reduce, type(base), stop] = \
+                        len(pickle.dumps(job))
+        bare = len(pickle.dumps(faulter))
+        assert max(sizes.values()) - bare < 512
+        assert max(sizes.values()) - min(sizes.values()) < 128
 
     def test_partition_matches_enumeration_window(self, faulter):
-        """Survivors keep their base order; concatenated, the
-        partitions' survivors are the whole reduced enumeration —
-        points, steps, details and base order — and each partition
-        pickles in O(probes)."""
+        """Each partition's job streams its own window in base order;
+        concatenated, the jobs' outcomes are the whole campaign's
+        stream — points, outcomes, base order — and their proof
+        tallies add up to the whole stream's."""
         for model, base in (
             ("reg-bitflip", ExhaustiveSpace()),
             ("skip", WindowedSpace(indices=tuple(range(2, 20)))),
             ("reg-bitflip", KFaultProductSpace(k=2, samples=200, seed=0)),
         ):
             ctx = faulter.engine().context(model)
-            plan, _ = plan_reduction(faulter, MODELS[model], ctx, base,
-                                     SequentialBackend())
-            space = plan.space
-            whole = list(space.enumerate(ctx))
-            assert 0 < len(whole) < base.count(ctx)
-            # survivors are the base points themselves, base order kept
-            base_points = list(base.enumerate(ctx))
-            orders = [point.order for point in whole]
-            assert orders == sorted(set(orders))
-            assert [base_points[order] for order in orders] == whole
+            plan, _ = plan_reduction(faulter, ctx, base)
+            whole_stats = ExecutionStats()
+            whole = list(SequentialBackend().iter_outcomes(
+                faulter, ctx.model, base, ctx, whole_stats, plan))
+            orders = [point.order for point, _ in whole]
+            assert orders == list(range(base.count(ctx)))
             for parts, max_points in ((1, None), (3, None), (2, 97)):
-                partitions = space.partition(ctx, parts, max_points)
-                assert len(partitions) >= min(parts, len(base_points))
-                assert [point for part in partitions
-                        for point in part.enumerate(ctx)] == whole
-                for part in partitions:
-                    assert len(pickle.dumps(part)) <= \
-                        len(pickle.dumps(space)) + 128
-                    if max_points is not None:
-                        assert part.base.count(ctx) <= max_points
+                partitions = base.partition(ctx, parts, max_points)
+                assert len(partitions) >= parts
+                shards = [engine._run_partition(
+                    (faulter, model, part, plan is not None))
+                    for part in partitions]
+                assert [outcome for outcomes, _ in shards
+                        for outcome in outcomes] == whole
+                assert sum(stats.proven_points for _, stats in shards) \
+                    == whole_stats.proven_points
+                if max_points is not None:
+                    assert all(part.count(ctx) <= max_points
+                               for part in partitions)
+            assert (whole_stats.proven_points > 0) == (plan is not None)
 
     def test_partition_disposes_only_its_window(self, faulter,
                                                 monkeypatch):
-        """Each partition disposes exactly the points of its own base
-        window, so partitioning costs one reduction pass in total."""
+        """Each fleet job (run here, in-process) disposes exactly the
+        points of its own window, so partitioning costs one reduction
+        pass in total."""
         ctx = faulter.engine().context("reg-bitflip")
         population = ExhaustiveSpace().count(ctx)
         disposed = _record_dispositions(monkeypatch)
-        partitions = ReducedSpace(ExhaustiveSpace()).partition(ctx, 5)
+        partitions = ExhaustiveSpace().partition(ctx, 5)
         assert disposed == []
         windows = []
         for part in partitions:
             del disposed[:]
-            for _ in part.enumerate(ctx):
-                pass
+            outcomes, stats = engine._run_partition(
+                (faulter, "reg-bitflip", part, True))
+            assert [point.order for point, _ in outcomes] == \
+                list(range(part.start, part.stop))
+            assert 0 < stats.proven_points < len(outcomes)
             windows.append(list(disposed))
         assert len(windows) == 5
         assert [order for window in windows for order in window] == \
@@ -253,10 +244,9 @@ class TestReducedSpaces:
 
     def test_fleet_campaign_disposes_each_point_once(self, faulter,
                                                      monkeypatch):
-        """A fleet campaign over a reduced space (two workers, so at
-        least two partitions) disposes each base point in the parent
-        exactly once, in the expansion, and its report is the
-        sequential one."""
+        """A fleet campaign (two workers, so at least two partitions)
+        disposes no point in the parent: the workers' tallies fold
+        into the sequential run's certificate and report."""
         sequential = faulter.engine().run("reg-bitflip", ExhaustiveSpace())
         population = ExhaustiveSpace().count(
             faulter.engine().context("reg-bitflip"))
@@ -268,18 +258,40 @@ class TestReducedSpaces:
         finally:
             # workers forked during the patch must not outlive it
             engine.shutdown_fleet()
-        assert disposed == list(range(population))
+        assert disposed == []
         assert fleet == sequential
+        assert fleet.meta["reduction"] == sequential.meta["reduction"]
         assert fleet.meta["reduction"]["executed_points"] < population
+
+    def test_fleet_workers_save_their_proofs(self, faulter, tmp_path):
+        """The parent derives no proofs for a fleet campaign, so the
+        workers save theirs: a later process loads them, each equal
+        to the proof a sequential campaign derives."""
+        store = ArtifactStore(tmp_path)
+        fresh = Faulter(faulter.image, faulter.good_input,
+                        faulter.bad_input, faulter.oracle,
+                        artifacts=store)
+        try:
+            fresh.run_campaign("reg-bitflip",
+                               backend=MultiprocessBackend(workers=2))
+        finally:
+            engine.shutdown_fleet()
+        saved = ArtifactStore(tmp_path).load("facts", facts_key(
+            fresh.image_digest(), fresh.bad_input, len(fresh.trace()),
+            "reg-bitflip"))
+        faulter.run_campaign("reg-bitflip")
+        derived = faulter.engine().context("reg-bitflip").facts.prune_cache
+        assert saved is not None and saved["prune"]
+        assert all(derived[key] == proof
+                   for key, proof in saved["prune"].items())
 
     @pytest.mark.parametrize("window", [None, 97],
                              ids=["one-window", "many-windows"])
     def test_sequential_campaign_disposes_each_point_once(
             self, faulter, window, monkeypatch):
-        """In-process, the expansion reuses the dispositions the
-        backend's own enumeration made: a sequential campaign over a
-        reduced space disposes each base point exactly once, with
-        the report and certificate of the unwindowed run."""
+        """A sequential campaign disposes each point exactly once, as
+        its stream enumerates it, with the report and certificate of
+        the unwindowed run."""
         reference = faulter.engine().run(
             "reg-bitflip", ExhaustiveSpace(), reduce=False)
         certificate = faulter.engine().run(
@@ -294,6 +306,60 @@ class TestReducedSpaces:
         assert report == reference
         assert report.meta["reduction"] == certificate
         assert 0 < certificate["executed_points"] < population
+
+
+class TestStreamDisposal:
+    """Proven points join their window's executed outcomes in the
+    reorder sort, on both backends, across many windows and fleet
+    partitions."""
+
+    WINDOW = 64
+
+    @pytest.mark.parametrize("model, proof", [
+        ("bitflip", "crash_points"),
+        ("reg-bitflip", "dead_points"),
+    ])
+    def test_fleet_and_sequential_agree(self, faulter, model, proof,
+                                        monkeypatch):
+        full = faulter.engine().run(model, ExhaustiveSpace(),
+                                    reduce=False, collect_outcomes=True)
+        monkeypatch.setattr(engine, "MAX_RESIDENT_POINTS", self.WINDOW)
+        sequential = faulter.engine().run(model, ExhaustiveSpace(),
+                                          collect_outcomes=True)
+        engine.shutdown_fleet()  # workers fork with the patched window
+        try:
+            fleet = faulter.engine().run(
+                model, ExhaustiveSpace(),
+                backend=MultiprocessBackend(workers=2),
+                collect_outcomes=True)
+        finally:
+            engine.shutdown_fleet()
+        assert sequential == full
+        assert fleet == full
+        certificate = sequential.meta["reduction"]
+        assert fleet.meta["reduction"] == certificate
+        assert certificate[proof] > 0
+        # several windows ran, each holding only points to execute
+        assert certificate["executed_points"] > 2 * self.WINDOW
+        for report in (sequential, fleet):
+            assert 0 < report.meta["peak_resident_points"] <= self.WINDOW
+
+    @pytest.mark.parametrize("model", ["bitflip", "reg-bitflip"])
+    def test_stream_order_is_the_unreduced_order(self, faulter, model,
+                                                 monkeypatch):
+        monkeypatch.setattr(engine, "MAX_RESIDENT_POINTS", self.WINDOW)
+        ctx = faulter.engine().context(model)
+        plan, _ = plan_reduction(faulter, ctx, ExhaustiveSpace())
+
+        def stream(plan):
+            return list(SequentialBackend().iter_outcomes(
+                faulter, ctx.model, ExhaustiveSpace(), ctx,
+                ExecutionStats(), plan))
+
+        reduced, full = stream(plan), stream(None)
+        assert [point for point, _ in reduced] == \
+            [point for point, _ in full]
+        assert reduced == full
 
 
 class TestCertificate:
@@ -328,49 +394,52 @@ class TestCertificate:
 
     def test_plan_reduction_gates(self, faulter):
         ctx = faulter.engine().context("skip")
-        plan, reason = plan_reduction(
-            faulter, MODELS["skip"], ctx, ExhaustiveSpace(),
-            SequentialBackend())
+        plan, reason = plan_reduction(faulter, ctx, ExhaustiveSpace())
         assert plan is not None and reason is None
         plan, reason = plan_reduction(
-            faulter, MODELS["skip"], ctx,
-            SpacePartition(ExhaustiveSpace(), 0, 0), SequentialBackend())
+            faulter, ctx, SpacePartition(ExhaustiveSpace(), 0, 0))
         assert plan is None
         assert reason.startswith("unsupported-space")
+        for tuples in (KFaultProductSpace(k=2, samples=8, seed=0),
+                       ProductSpace(k=2, indices=(1, 2, 3))):
+            assert plan_reduction(faulter, ctx, tuples) == \
+                (None, "tuple-space")
 
 
-class TestProbePassPin:
-    """The k=2 probe pass on seed-0 pincheck, pinned on ``report.meta``:
-    probes are single faults on the campaign's own master walk, so the
-    post-fault state memo serves them too (``probe_steps`` count the
-    golden steps and skip the suffixes of memo hits)."""
+@functools.lru_cache(maxsize=None)
+def _pincheck_pairs(model: str) -> CampaignReport:
+    """The seed-0 pincheck k=2 campaign of ``model``, run once."""
+    return pincheck.workload().target().campaign(
+        (model,), config=EngineConfig(k_faults=2))[model]
 
-    @pytest.mark.parametrize("model, certificate, steps", [
-        ("skip",
-         {"full_points": 192, "executed_points": 120, "dead_points": 1,
-          "dominated_points": 71, "probes": 20, "probe_steps": 169},
-         (1182, 558)),
-        ("reg-bitflip",
-         {"full_points": 157, "executed_points": 71, "dead_points": 84,
-          "dominated_points": 2, "probes": 1, "probe_steps": 14},
-         (1124, 188)),
+
+class TestKFaultUnreduced:
+    """k-fault tuple spaces run unreduced: a seed-0 pincheck pair
+    campaign equals its ``reduce=False`` run and keeps its exact
+    compiled/precise step split."""
+
+    @pytest.mark.parametrize("model, steps", [
+        ("skip", (1426, 657)),
+        ("bitflip", (904, 446)),
+        ("reg-bitflip", (2068, 519)),
     ])
-    def test_seed0_pincheck_pairs(self, model, certificate, steps):
-        report = pincheck.workload().target().campaign(
-            (model,), config=EngineConfig(k_faults=2))[model]
+    def test_seed0_pincheck_pairs(self, model, steps):
+        report = _pincheck_pairs(model)
+        full = pincheck.workload().target().faulter().run_k_fault_campaign(
+            model, k=2, reduce=False)
+        assert report == full
         meta = report.meta
-        assert {key: meta["reduction"][key]
-                for key in certificate} == certificate
         assert (meta["compiled_steps"], meta["precise_steps"]) == steps
 
 
 class TestCertificatePin:
     """Seed-0 pincheck certificates, pinned: the summary line, the
     dead-proof reasons and a digest of the whole JSON payload, so a
-    change to how single faults or tuples are reduced shows up as a
-    diff.  ``analysis_steps`` is in the digest: the proofs scan flags
-    and registers in a fixed order, so the scan count does not depend
-    on the hash seed."""
+    change to how single faults are reduced shows up as a diff.
+    ``analysis_steps`` is in the digest: the proofs scan flags and
+    registers in a fixed order, so the scan count does not depend on
+    the hash seed.  k=2 campaigns run unreduced and pin the payload
+    that says so."""
 
     @pytest.mark.parametrize("k, model, summary, reasons, digest", [
         (1, "skip", "reduction: 23 -> 21 executed, 1.1x (dead 2)",
@@ -380,24 +449,26 @@ class TestCertificatePin:
         (1, "reg-bitflip",
          "reduction: 2496 -> 1160 executed, 2.2x (dead 1336)",
          {"reg-dead": 1336}, "76c903e8b286c4fe"),
-        (2, "skip", None, {}, "44882ad83a5ba113"),
-        (2, "bitflip", None, {}, "abc62363591c392c"),
-        (2, "reg-bitflip",
-         "reduction: 157 -> 71 executed, 2.2x "
-         "(dead 84, dominated 2, probes 1)",
-         {}, "6c473ab86a38ed2e"),
     ])
     def test_seed0_pincheck(self, k, model, summary, reasons, digest):
         report = pincheck.workload().target().campaign(
             (model,), config=EngineConfig(k_faults=k))[model]
         payload = dict(report.meta["reduction"])
-        if summary is not None:
-            assert ReductionCertificate(payload).summary() == summary
+        assert ReductionCertificate(payload).summary() == summary
         assert payload["dead_reasons"] == reasons
         assert len(payload["dead_examples"]) == min(
             EXAMPLE_CAP, sum(reasons.values()))
         assert hashlib.sha256(
             json.dumps(payload).encode()).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize("model", ["skip", "bitflip", "reg-bitflip"])
+    def test_seed0_pincheck_pairs(self, model):
+        """A k=2 campaign's certificate is the whole payload of a
+        reduction that did not run, and says why."""
+        payload = _pincheck_pairs(model).meta["reduction"]
+        assert payload == {"enabled": False, "reason": "tuple-space"}
+        assert ReductionCertificate(payload).summary() == \
+            "reduction: off (tuple-space)"
 
 
 class TestHashSeedIndependence:
@@ -407,9 +478,9 @@ class TestHashSeedIndependence:
         "from repro.workloads import pincheck",
         "target = pincheck.workload().target()",
         "print(json.dumps([",
-        "    target.campaign((model,), config=EngineConfig(k_faults=k))"
+        "    target.campaign((model,), config=EngineConfig())"
         "[model].meta['reduction']",
-        "    for k in (1, 2) for model in ('skip', 'bitflip')]))",
+        "    for model in ('skip', 'bitflip')]))",
     ])
 
     def test_certificates_equal_across_hash_seeds(self):
@@ -425,8 +496,7 @@ class TestHashSeedIndependence:
         ]
         first, second = (json.loads(run.stdout) for run in runs)
         assert first == second
-        assert [cert["analysis_steps"] for cert in first] == \
-            [81, 62, 81, 62]
+        assert [cert["analysis_steps"] for cert in first] == [81, 62]
 
 
 class TestCliSurface:

@@ -50,8 +50,8 @@ class TestScheduling:
     @pytest.mark.parametrize("reduce", [True, False])
     def test_matches_sequential(self, wl, exe, sequential_report,
                                 reduce):
-        # reduced campaigns ship ReducedSpace partitions, full ones
-        # the plain exhaustive space
+        # a reduced campaign's workers settle their own partitions'
+        # proven points; a full one's run every point
         backend = MultiprocessBackend(workers=2)
         report = make_faulter(wl, exe).run_campaign(
             "skip", backend=backend, reduce=reduce)

@@ -95,3 +95,40 @@ def test_address_base_is_a_read(source, base):
     exe = assemble(f".text\n.globl _start\n_start:\n    {source}\n")
     insn = Machine(exe).fetch_decode(exe.entry)
     assert reg(base).code in derive_step_facts(insn).reads
+
+
+#: bitflip bits at trace offset 19 (0x401049, ``lea rsp,[rsp+128]``) of
+#: the faulter+patcher-hardened pincheck that an ``encoding-dead``
+#: proof settles as ``ignored`` where the run crashes
+HARDENED_LEA_DEAD_BITS = {0, 24, 26, 28, *range(45, 64)}
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason=BASE_READ_DROPPED)
+def test_encoding_proof_keeps_the_base_read_hardened_pincheck():
+    """The same defect in a reduced campaign, on the image the
+    benchmark's evaluate stage hardens: 23 bitflips of the ``lea`` at
+    trace offset 19 get ``encoding-dead`` proofs settling at step 23,
+    whose ``lea rsp,[rsp-128]`` is taken not to read rsp, so they
+    report ``ignored``; the unreduced run and the reference crash.
+    Every other point of the offset must already match, so the defect
+    cannot move unseen."""
+    wl = pincheck.workload()
+    exe = wl.target().harden(
+        "faulter+patcher", fault_models=("skip", "bitflip")).hardened
+    faulter = Target(exe, wl.good_input, wl.bad_input,
+                     wl.grant_marker).faulter()
+    space = WindowedSpace(indices=(19,))
+    assert faulter.trace()[19] == 0x401049
+    report = faulter.engine().run("bitflip", space, collect_outcomes=True)
+    reference = reference_report(faulter, "bitflip", space,
+                                 collect_outcomes=True)
+    assert faulter.engine().run("bitflip", space, reduce=False,
+                                collect_outcomes=True) == reference
+    wrong = {got.fault.detail[0]
+             for got, want in zip(report.all_outcomes,
+                                  reference.all_outcomes)
+             if got != want}
+    if wrong != HARDENED_LEA_DEAD_BITS:
+        pytest.fail(f"the unsound encoding proofs moved: {sorted(wrong)}")
+    assert report == reference
