@@ -212,6 +212,7 @@ class Target:
     def harden(self,
                approach: str = "faulter+patcher",
                fault_models: Sequence[str] = ("skip",),
+               config: Optional[EngineConfig] = None,
                **kwargs) -> HardeningResult:
         """Harden with a registered approach; see
         :mod:`repro.hardening`.
@@ -225,10 +226,13 @@ class Target:
         :class:`~repro.provenance.ProvenanceMap` for differential
         evaluation.  Approaches that consume fault models while
         hardening (the Fig. 2 loop) iterate only on the
-        *encoding-family* members of ``fault_models``.  Every campaign
-        the approach runs honours the target's ``max_steps``.
+        *encoding-family* members of ``fault_models``, on the engine
+        ``config`` (as :meth:`evaluate` does).  Every campaign the
+        approach runs honours the target's ``max_steps``.
         """
         entry = approach_by_name(approach)
+        if entry.consumes_fault_models:
+            kwargs["campaigns"] = self._runner(config)
         return entry.harden(
             self.exe, self.good_input, self.bad_input, self.oracle,
             models=tuple(fault_models), name=self.name,

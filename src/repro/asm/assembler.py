@@ -23,7 +23,7 @@ from repro.binfmt.writer import write_elf
 from repro.errors import AsmError, EncodingError, LinkError
 from repro.isa.encoder import encode, encoded_length
 from repro.isa.insn import Instruction, Mnemonic
-from repro.isa.operands import Imm, Label, Mem
+from repro.isa.operands import Imm, Label, Mem, is_symbolic
 from repro.isa.registers import RIP
 
 PAGE = 0x1000
@@ -83,11 +83,13 @@ def assemble_with_map(source: str | Program, pie: bool = False):
 
     # ---- pass 1: offsets within each section ---------------------------
     offsets: dict[str, dict[int, int]] = {}
+    lengths: dict[str, dict[int, int]] = {}  # encoded InsnStmt lengths
     sizes: dict[str, int] = {}
     symbols: dict[str, tuple[str, int]] = {}  # name -> (section, offset)
     for name in ordered:
         position = 0
         table: dict[int, int] = {}
+        lengths[name] = insn_lengths = {}
         for index, item in enumerate(program.items(name)):
             if isinstance(item, AlignStmt):
                 remainder = position % item.alignment
@@ -101,9 +103,10 @@ def assemble_with_map(source: str | Program, pie: bool = False):
                 symbols[item.name] = (name, position)
             elif isinstance(item, InsnStmt):
                 try:
-                    position += encoded_length(item.insn)
+                    insn_lengths[index] = encoded_length(item.insn)
                 except EncodingError as exc:
                     raise AsmError(f"line {item.line}: {exc}") from None
+                position += insn_lengths[index]
             elif isinstance(item, DataStmt):
                 position += item.size()
             elif isinstance(item, SpaceStmt):
@@ -161,14 +164,14 @@ def assemble_with_map(source: str | Program, pie: bool = False):
                 blob += filler * (expected - len(blob))
             if isinstance(item, InsnStmt):
                 nobits_only = False
-                address = base + expected
-                resolved = _resolve_insn(item.insn, address, resolve,
-                                         item.line)
+                length = lengths[name][index]
+                resolved = _resolve_insn(item.insn, base + expected + length,
+                                         resolve, item.line)
                 try:
                     code = encode(resolved)
                 except EncodingError as exc:
                     raise AsmError(f"line {item.line}: {exc}") from None
-                if len(code) != encoded_length(item.insn):
+                if len(code) != length:
                     raise LinkError(
                         f"line {item.line}: unstable encoding for "
                         f"'{item.insn}'")
@@ -237,11 +240,16 @@ def assemble_with_map(source: str | Program, pie: bool = False):
     return exe, tag_map
 
 
-def _resolve_insn(instruction: Instruction, address: int, resolve,
+def _resolve_insn(instruction: Instruction, end: int, resolve,
                   line: int) -> Instruction:
-    """Replace Label operands with concrete displacements/addresses."""
-    length = encoded_length(instruction)
-    end = address + length
+    """Replace Label operands with concrete displacements/addresses.
+
+    ``end`` is the address just past the instruction (rip-relative
+    operands count from it); an instruction without symbolic operands
+    comes back as it is.
+    """
+    if not any(map(is_symbolic, instruction.operands)):
+        return instruction
     new_ops = []
     for op in instruction.operands:
         if isinstance(op, Label):

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 from repro.binfmt import elfdefs
 from repro.binfmt.image import Executable
+from repro.errors import RewriteError
 from repro.gtirb.ir import (
     DataBlock, InsnEntry, Module, SymExpr, Symbol)
 from repro.isa.insn import Mnemonic
@@ -202,14 +203,10 @@ def symbolize(module: Module, exe: Executable, mode: str = "refined"):
             ref.kind, symbol, addend)
 
     for section in data_sections:
-        base, data, _ = raw[section.name]
+        _, data, _ = raw[section.name]
         if data is None:
             continue
-        words = sym_words[section.name]
         for block in section.blocks:
-            new_items = []
-            for item in block.items:
-                new_items.append(item)
             block.items = [
                 _to_symexpr(item, symbol_for) for item in block.items]
 
@@ -222,6 +219,9 @@ def symbolize(module: Module, exe: Executable, mode: str = "refined"):
         module.entry = module.add_symbol(entry_name or "_start",
                                          entry_block, is_global=True)
         made[exe.entry] = module.entry
+    else:
+        raise RewriteError(
+            f"entry point {exe.entry:#x} lies in no recovered code block")
     module.entry.is_global = True
 
     # name remaining symbol-bearing exe symbols for readability

@@ -67,12 +67,6 @@ class BasicBlock(Value):
         terminator = self.terminator
         return terminator.successors() if terminator else []
 
-    def predecessors(self) -> list["BasicBlock"]:
-        if self.parent is None:
-            return []
-        return [block for block in self.parent.blocks
-                if self in block.successors()]
-
     def phis(self) -> list[Phi]:
         return [i for i in self.instructions if isinstance(i, Phi)]
 
@@ -124,6 +118,21 @@ class Function(Value):
             instruction.drop_operands()
         self.blocks.remove(block)
         block.parent = None
+
+    def predecessor_map(self) -> dict[int, list[BasicBlock]]:
+        """``{id(block): predecessors}`` from one sweep over the CFG.
+
+        Each list holds a block's distinct predecessors in
+        ``self.blocks`` order (a branch naming one target twice counts
+        once); every block has an entry.  Passes that edit the CFG keep
+        the map current themselves instead of rebuilding it.
+        """
+        predecessors: dict[int, list[BasicBlock]] = {
+            id(block): [] for block in self.blocks}
+        for block in self.blocks:
+            for successor in dict.fromkeys(block.successors()):
+                predecessors.setdefault(id(successor), []).append(block)
+        return predecessors
 
     def fresh_name(self, prefix: str = "v") -> str:
         return f"{prefix}{next(self._name_counter)}"

@@ -31,7 +31,9 @@ def mem2reg(function: Function) -> bool:
     if not allocas:
         return False
 
-    idom = _dom_tree(function)
+    # phi insertion leaves the CFG as it is: one predecessor map serves
+    predecessors = function.predecessor_map()
+    idom = _dom_tree(function, predecessors)
     reachable = set(idom)
     children: dict[int, list[BasicBlock]] = {}
     for block in function.blocks:
@@ -41,7 +43,7 @@ def mem2reg(function: Function) -> bool:
         if parent is not block:
             children.setdefault(id(parent), []).append(block)
 
-    frontiers = _dominance_frontiers(function, idom)
+    frontiers = _dominance_frontiers(function, idom, predecessors)
 
     # --- phi placement ---------------------------------------------------
     phi_sites: dict[int, dict[int, Phi]] = {id(a): {} for a in allocas}
@@ -51,7 +53,7 @@ def mem2reg(function: Function) -> bool:
         placed: set[int] = set()
         while work:
             block = work.pop()
-            for frontier_block in frontiers.get(id(block), ()):
+            for frontier_block in frontiers.get(id(block), {}).values():
                 if id(frontier_block) in placed or \
                         id(frontier_block) not in reachable:
                     continue
@@ -113,19 +115,18 @@ def mem2reg(function: Function) -> bool:
     return True
 
 
-def _dominance_frontiers(function: Function, idom) -> dict:
-    frontiers: dict[int, list[BasicBlock]] = {}
+def _dominance_frontiers(function: Function, idom, predecessors) -> dict:
+    """``{id(block): {id(frontier block): block}}``, in discovery order."""
+    frontiers: dict[int, dict[int, BasicBlock]] = {}
     for block in function.blocks:
         if id(block) not in idom:
             continue
-        preds = [p for p in block.predecessors() if id(p) in idom]
+        preds = [p for p in predecessors[id(block)] if id(p) in idom]
         if len(preds) < 2:
             continue
         for pred in preds:
             runner = pred
             while runner is not idom[id(block)]:
-                frontiers.setdefault(id(runner), [])
-                if block not in frontiers[id(runner)]:
-                    frontiers[id(runner)].append(block)
+                frontiers.setdefault(id(runner), {})[id(block)] = block
                 runner = idom[id(runner)]
     return frontiers

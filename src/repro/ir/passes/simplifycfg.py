@@ -55,6 +55,9 @@ def _remove_unreachable(function: Function) -> bool:
 
 def _merge_straight_lines(function: Function) -> bool:
     changed = False
+    # kept current across merges: the survivor takes the absorbed
+    # block's place among its successors' predecessors
+    predecessors = function.predecessor_map()
     progress = True
     while progress:
         progress = False
@@ -65,7 +68,7 @@ def _merge_straight_lines(function: Function) -> bool:
             successor = terminator.target
             if successor is block or successor is function.entry:
                 continue
-            if len(successor.predecessors()) != 1:
+            if len(predecessors[id(successor)]) != 1:
                 continue
             if successor.phis():
                 for phi in successor.phis():
@@ -82,13 +85,16 @@ def _merge_straight_lines(function: Function) -> bool:
                     block.guest_address + block.guest_size == \
                     successor.guest_address:
                 block.guest_size += successor.guest_size
-            for instruction in list(successor.instructions):
-                successor.instructions.remove(instruction)
+            moved, successor.instructions = successor.instructions, []
+            for instruction in moved:
                 block.append(instruction)
             # successors of the merged block may hold phi references
-            for next_block in block.successors():
+            for next_block in dict.fromkeys(block.successors()):
                 for phi in next_block.phis():
                     phi.replace_incoming_block(successor, block)
+                preds = predecessors[id(next_block)]
+                preds[preds.index(successor)] = block
+            del predecessors[id(successor)]
             function.remove_block(successor)
             progress = True
             changed = True

@@ -50,13 +50,12 @@ def _verify_function(function: Function):
                     f"{function.name}/{block.name}: successor "
                     f"{successor.name} not in function")
 
-    _verify_phis(function)
-    _verify_dominance(function)
+    predecessors = function.predecessor_map()
+    _verify_phis(function, predecessors)
+    _verify_dominance(function, _dom_tree(function, predecessors))
 
 
-def _verify_phis(function: Function):
-    predecessors = {
-        id(block): block.predecessors() for block in function.blocks}
+def _verify_phis(function: Function, predecessors: dict):
     for block in function.blocks:
         preds = predecessors[id(block)]
         for phi in block.phis():
@@ -73,8 +72,12 @@ def _verify_phis(function: Function):
                         f"incoming for {pred.name}")
 
 
-def _dom_tree(function: Function) -> dict:
-    """Immediate-dominator map via iterative dataflow (Cooper et al.)."""
+def _dom_tree(function: Function, predecessors: dict) -> dict:
+    """Immediate-dominator map via iterative dataflow (Cooper et al.).
+
+    ``predecessors`` is the function's
+    :meth:`~repro.ir.module.Function.predecessor_map`.
+    """
     # iterative depth-first postorder: a recursive closure would refer
     # to itself and leave a reference cycle behind every call
     order: list[BasicBlock] = []
@@ -106,7 +109,7 @@ def _dom_tree(function: Function) -> dict:
     while changed:
         changed = False
         for block in order[1:]:
-            preds = [p for p in block.predecessors() if id(p) in idom]
+            preds = [p for p in predecessors[id(block)] if id(p) in idom]
             if not preds:
                 continue
             new_idom = preds[0]
@@ -120,7 +123,7 @@ def _dom_tree(function: Function) -> dict:
 
 def dominators(function: Function) -> dict:
     """Public dominance query: {id(block): set of dominator block ids}."""
-    idom = _dom_tree(function)
+    idom = _dom_tree(function, function.predecessor_map())
     result: dict[int, set] = {}
     for block in function.blocks:
         if id(block) not in idom:
@@ -135,8 +138,37 @@ def dominators(function: Function) -> dict:
     return result
 
 
-def _verify_dominance(function: Function):
-    doms = dominators(function)
+def _tree_intervals(function: Function, idom: dict) -> dict:
+    """``{id(block): (preorder, postorder)}`` on the dominator tree.
+
+    A dominates B iff A's interval encloses B's, so the dominance check
+    asks in constant time what a dominator set per block would hold in
+    space quadratic in the tree's depth.  Unreachable blocks get none.
+    """
+    children: dict[int, list[BasicBlock]] = {}
+    for block in function.blocks:
+        parent = idom.get(id(block))
+        if parent is not None and parent is not block:
+            children.setdefault(id(parent), []).append(block)
+    intervals: dict[int, tuple[int, int]] = {}
+    preorder = {}
+    counter = 0
+    stack = [(function.entry, False)]
+    while stack:
+        block, done = stack.pop()
+        counter += 1
+        if done:
+            intervals[id(block)] = (preorder[id(block)], counter)
+            continue
+        preorder[id(block)] = counter
+        stack.append((block, True))
+        stack.extend((child, False)
+                     for child in children.get(id(block), ()))
+    return intervals
+
+
+def _verify_dominance(function: Function, idom: dict):
+    intervals = _tree_intervals(function, idom)
     positions = {}
     for block in function.blocks:
         for index, instruction in enumerate(block.instructions):
@@ -146,7 +178,7 @@ def _verify_dominance(function: Function):
         raise IRError(f"{function.name}: instruction placed twice")
 
     for block in function.blocks:
-        if not doms[id(block)]:
+        if id(block) not in intervals:
             continue  # unreachable block: skip SSA checks
         defined_here: set[int] = set()
         for index, instruction in enumerate(block.instructions):
@@ -154,19 +186,19 @@ def _verify_dominance(function: Function):
                 for value, pred in instruction.incoming():
                     _check_reaches(function, value, pred,
                                    len(pred.instructions), positions,
-                                   doms, instruction)
+                                   intervals, instruction)
             else:
                 for value in instruction._operands:
                     # the common case inline: defined earlier in this
                     # block; everything else takes the full check
                     if id(value) not in defined_here:
                         _check_reaches(function, value, block, index,
-                                       positions, doms, instruction)
+                                       positions, intervals, instruction)
             defined_here.add(id(instruction))
 
 
 def _check_reaches(function, value, use_block, use_index, positions,
-                   doms, user):
+                   intervals, user):
     if isinstance(value, (Constant, Argument, Undef, BasicBlock)):
         return
     if not isinstance(value, Instruction):
@@ -183,7 +215,10 @@ def _check_reaches(function, value, use_block, use_index, positions,
                 f"{function.name}/{use_block.name}: {user.opcode} uses "
                 f"value before its definition")
         return
-    if id(def_block) not in doms[id(use_block)]:
+    outer = intervals.get(id(def_block))
+    inner = intervals.get(id(use_block))
+    if outer is None or inner is None or not (
+            outer[0] <= inner[0] and inner[1] <= outer[1]):
         raise IRError(
             f"{function.name}/{use_block.name}: definition in "
             f"{def_block.name} does not dominate use in {use_block.name}")

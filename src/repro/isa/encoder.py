@@ -24,7 +24,7 @@ import struct
 
 from repro.errors import EncodingError
 from repro.isa.insn import Instruction, Mnemonic
-from repro.isa.operands import Imm, Label, Mem, Reg
+from repro.isa.operands import Imm, Label, Mem, Reg, is_symbolic
 
 REX_W = 0x8
 REX_R = 0x4
@@ -480,6 +480,8 @@ def encoded_length(insn: Instruction) -> int:
 
 def _resolve_placeholder(insn: Instruction) -> Instruction:
     """Replace symbolic operands with size-stable dummies."""
+    if not any(map(is_symbolic, insn.operands)):
+        return insn
     new_ops = []
     for op in insn.operands:
         if isinstance(op, Label):

@@ -118,3 +118,9 @@ class Mem:
 
 
 Operand = Union[Reg, Imm, Mem, Label]
+
+
+def is_symbolic(operand: Operand) -> bool:
+    """True for a :class:`Label` or a memory operand displaced by one."""
+    return isinstance(operand, Label) or (
+        isinstance(operand, Mem) and isinstance(operand.disp, Label))

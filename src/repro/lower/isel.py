@@ -31,6 +31,7 @@ _INT32_MIN, _INT32_MAX = -(1 << 31), (1 << 31) - 1
 def split_critical_edges(function: Function) -> int:
     """Split edges from multi-successor blocks into multi-pred blocks."""
     count = 0
+    predecessors = function.predecessor_map()
     for block in list(function.blocks):
         terminator = block.terminator
         if terminator is None:
@@ -39,7 +40,8 @@ def split_critical_edges(function: Function) -> int:
         if len(successors) < 2:
             continue
         for successor in list(dict.fromkeys(successors)):
-            if len(successor.predecessors()) < 2 or not successor.phis():
+            preds = predecessors[id(successor)]
+            if len(preds) < 2 or not successor.phis():
                 continue
             middle = function.add_block(
                 function.fresh_name("crit"), after=block)
@@ -48,6 +50,8 @@ def split_critical_edges(function: Function) -> int:
             terminator.replace_successor(successor, middle)
             for phi in successor.phis():
                 phi.replace_incoming_block(block, middle)
+            preds[preds.index(block)] = middle
+            predecessors[id(middle)] = [block]
             count += 1
     return count
 
@@ -108,12 +112,11 @@ class ISel:
                 guest_address=block.guest_address,
                 guest_size=block.guest_size,
                 guest_derived=block.guest_derived))
-        for block in self.fn.blocks:
-            self._select_block(block)
+        for block, mblock in zip(self.fn.blocks, self.mfn.blocks):
+            self._select_block(block, mblock)
         return self.mfn
 
-    def _select_block(self, block: BasicBlock):
-        mblock = self.mfn.block(self.block_names[id(block)])
+    def _select_block(self, block: BasicBlock, mblock: MBlock):
         for instruction in block.instructions:
             if isinstance(instruction, Phi):
                 self.vreg_of(instruction)  # assigned by predecessors

@@ -140,12 +140,6 @@ class MFunction:
     def new_vreg(self) -> VReg:
         return VReg(next(self._vreg_counter))
 
-    def block(self, name: str) -> MBlock:
-        for block in self.blocks:
-            if block.name == name:
-                return block
-        raise KeyError(name)
-
     def instruction_count(self) -> int:
         return sum(len(b.insns) for b in self.blocks)
 

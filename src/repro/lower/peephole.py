@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 
 from repro.isa.registers import Register
-from repro.lower.mir import MFunction, MImm, MMem, OPCODES, VReg
+from repro.lower.mir import MFunction, MImm, MInsn, MMem, OPCODES, VReg
 
 _INT32_MIN, _INT32_MAX = -(1 << 31), (1 << 31) - 1
 
@@ -32,6 +32,8 @@ def copy_propagate(mfn: MFunction) -> int:
     rewrites = 0
     for block in mfn.blocks:
         copies: dict[VReg, object] = {}
+        # the reverse index: register source -> the copies made of it
+        copied_from: dict[VReg, dict[VReg, None]] = {}
 
         def resolve(operand):
             seen = set()
@@ -67,47 +69,67 @@ def copy_propagate(mfn: MFunction) -> int:
                         insn.operands[index] = value
                         rewrites += 1
             # update the copy environment
-            defs = insn.defs()
-            for defined in defs:
-                copies.pop(defined, None)
-                for key in [k for k, v in copies.items()
-                            if isinstance(v, VReg) and v == defined]:
-                    copies.pop(key)
+            for defined in insn.defs():
+                source = copies.pop(defined, None)
+                if isinstance(source, VReg):
+                    del copied_from[source][defined]
+                for key in copied_from.pop(defined, ()):
+                    del copies[key]
             if insn.op == "mov":
                 dst, src = insn.operands
                 if isinstance(dst, VReg) and \
                         isinstance(src, (VReg, MImm)) and src != dst:
                     copies[dst] = src
+                    if isinstance(src, VReg):
+                        copied_from.setdefault(src, {})[dst] = None
     return rewrites
 
 
 def eliminate_dead_defs(mfn: MFunction) -> int:
-    """Remove pure instructions whose results nobody reads."""
-    removed_total = 0
-    changed = True
-    while changed:
-        changed = False
-        use_counts: Counter = Counter()
+    """Remove pure instructions whose results nobody reads.
+
+    Removing an instruction only lowers use counts, so a worklist
+    reaches the fixpoint that sweeping the function until nothing
+    changes would: the counts are taken once and kept current, and a
+    removal re-examines only the pure definers of the registers it
+    read.
+    """
+    every_use: list[VReg] = []
+    definers: dict[VReg, list[MInsn]] = {}
+    facts: dict[int, tuple] = {}  # id(pure definer) -> (uses, defs)
+    work: list[MInsn] = []
+    for block in mfn.blocks:
+        for insn in block.insns:
+            uses = insn.uses()
+            every_use += uses
+            if insn.op not in _PURE_OPS:
+                continue
+            defs = insn.defs()
+            if defs:
+                facts[id(insn)] = (uses, defs)
+                work.append(insn)
+                for defined in defs:
+                    definers.setdefault(defined, []).append(insn)
+    use_counts = Counter(every_use)
+    removed: set[int] = set()
+    while work:
+        insn = work.pop()
+        if id(insn) in removed:
+            continue
+        uses, defs = facts[id(insn)]
+        # dead: every read of its results is its own (``add v, v``)
+        if any(use_counts[d] != uses.count(d) for d in defs):
+            continue
+        removed.add(id(insn))
+        for used in uses:
+            use_counts[used] -= 1
+        for used in dict.fromkeys(uses):
+            work.extend(definers.get(used, ()))
+    if removed:
         for block in mfn.blocks:
-            for insn in block.insns:
-                for used in insn.uses():
-                    use_counts[used] += 1
-        for block in mfn.blocks:
-            kept = []
-            for insn in block.insns:
-                defs = insn.defs()
-                if insn.op in _PURE_OPS and defs:
-                    own_uses = Counter(insn.uses())
-                    dead = all(
-                        use_counts[d] - own_uses.get(d, 0) == 0
-                        for d in defs)
-                    if dead:
-                        changed = True
-                        removed_total += 1
-                        continue
-                kept.append(insn)
-            block.insns = kept
-    return removed_total
+            block.insns = [insn for insn in block.insns
+                           if id(insn) not in removed]
+    return len(removed)
 
 
 def remove_self_moves(mfn: MFunction) -> int:

@@ -248,3 +248,49 @@ class TestBranches:
         instructions = list(decode_all(text.data, text.addr))
         assert instructions[0].branch_target() == exe.symbol("fn").value
         assert instructions[1].operands[1].value == exe.symbol("fn").value
+
+
+class TestSingleLength:
+    """Each instruction's encoded length is computed once, in layout."""
+
+    SOURCE = HELLO + """
+.section .text
+loop:
+    cmp rax, 3
+    jne loop
+    call loop
+    mov rbx, offset msg
+    mov qword ptr [rel msg], 7
+"""
+
+    @staticmethod
+    def _counting(monkeypatch, adjust=0):
+        from repro.asm import assembler
+        original = assembler.encoded_length
+        calls = []
+
+        def counting(insn):
+            calls.append(insn)
+            return original(insn) + adjust
+
+        monkeypatch.setattr(assembler, "encoded_length", counting)
+        return calls
+
+    def test_encoded_length_once_per_instruction(self, monkeypatch):
+        from repro.asm.assembler import assemble_with_map
+        from repro.asm.parser import parse_source
+        from repro.asm.source import InsnStmt
+        program = parse_source(self.SOURCE)
+        statements = [item for name in program.sections
+                      for item in program.items(name)
+                      if isinstance(item, InsnStmt)]
+        expected = assemble(self.SOURCE)
+        calls = self._counting(monkeypatch)
+        exe, _ = assemble_with_map(program)
+        assert len(calls) == len(statements)
+        assert exe.section(".text").data == expected.section(".text").data
+
+    def test_stability_check_compares_the_layout_length(self, monkeypatch):
+        self._counting(monkeypatch, adjust=1)
+        with pytest.raises(LinkError, match="unstable encoding"):
+            assemble(self.SOURCE)

@@ -1,5 +1,6 @@
 """Reassembleable-disassembly round trips: behaviour must be preserved."""
 
+import random
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,7 @@ from repro.binfmt import read_elf, write_elf
 from repro.disasm import disassemble, pretty_print, reassemble
 from repro.disasm.roundtrip import rewrite
 from repro.emu import run_executable
+from repro.errors import ReproError
 from repro.workloads import bootloader, corpus, pincheck
 
 
@@ -134,3 +136,26 @@ class TestSymbolizationModes:
         naive = disassemble(exe, mode="naive")
         assert naive.aux["symbolized_words"] >= \
             refined.aux["symbolized_words"]
+
+
+class TestMutatedText:
+    @pytest.mark.parametrize("workload", [pincheck, bootloader],
+                             ids=["pincheck", "bootloader"])
+    def test_mutants_fail_typed(self, workload):
+        """Seeded mutants with 1-4 random ``.text`` bytes either
+        rewrite or raise a ReproError; nothing untyped escapes
+        ``rewrite``, even when the entry leaves every recovered block.
+        """
+        elf = write_elf(workload.workload().build())
+        rng = random.Random(0)
+        for _ in range(150):
+            exe = read_elf(elf)
+            text = exe.section(".text")
+            mutant = bytearray(text.data)
+            for _ in range(rng.randint(1, 4)):
+                mutant[rng.randrange(len(mutant))] = rng.randrange(256)
+            text.data = bytes(mutant)
+            try:
+                rewrite(exe)
+            except ReproError:
+                pass

@@ -141,3 +141,44 @@ class TestRegalloc:
         allocation = allocate(mfn)
         assert allocation.frame_slots >= 3
         rewrite_spills(mfn, allocation)  # must not run out of scratch
+
+
+class TestPeepholeWork:
+    """Op-count guards: the MIR cleanups do work linear in the code."""
+
+    @staticmethod
+    def _block(insns):
+        from repro.lower.mir import MBlock
+        mfn = MFunction("f")
+        mfn.blocks.append(MBlock("b", list(insns)))
+        return mfn, mfn.blocks[0]
+
+    def test_dead_chain_takes_linear_use_counting(self, monkeypatch):
+        n = 300
+        chain = [MInsn("mov", [VReg(0), MImm(1)])] + [
+            MInsn("mov", [VReg(i), VReg(i - 1)]) for i in range(1, n)]
+        mfn, block = self._block(chain + [MInsn("hlt", [])])
+        original = MInsn.uses
+        calls = []
+
+        def counting(insn):
+            calls.append(insn)
+            assert len(calls) <= 2 * (n + 1), "use counts recomputed"
+            return original(insn)
+
+        monkeypatch.setattr(MInsn, "uses", counting)
+        assert eliminate_dead_defs(mfn) == n
+        assert [insn.op for insn in block.insns] == ["hlt"]
+
+    def test_copy_of_a_redefined_source_is_forgotten(self):
+        v0, v1, v2, v3 = (VReg(i) for i in range(4))
+        mfn, block = self._block([
+            MInsn("mov", [v1, v0]),
+            MInsn("mov", [v2, v0]),
+            MInsn("add", [v0, MImm(1)]),   # v1, v2 no longer copy v0
+            MInsn("mov", [v3, v1]),
+            MInsn("add", [v3, v2]),
+        ])
+        copy_propagate(mfn)
+        assert block.insns[3].operands == [v3, v1]
+        assert block.insns[4].operands == [v3, v2]

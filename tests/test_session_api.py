@@ -434,6 +434,23 @@ def test_harden_honours_the_target_step_budget(approach):
         target.harden(approach, fault_models=("skip",))
 
 
+def test_harden_runs_the_loop_on_the_given_engine_config():
+    """Regression: ``Target.harden`` ran the Fig. 2 loop's campaigns on
+    the default engine whatever the caller asked for."""
+    from repro.binfmt import write_elf
+    target = pincheck.workload().target()
+    default = target.harden("faulter+patcher")
+    fleet = target.harden("faulter+patcher",
+                          config=EngineConfig(workers=2))
+    assert write_elf(fleet.hardened) == write_elf(default.hardened)
+    assert {report.meta["backend"]
+            for report in default.final_reports.values()} == \
+        {"sequential"}
+    assert {report.meta["backend"]
+            for report in fleet.final_reports.values()} == \
+        {"multiprocess"}
+
+
 # ---------------------------------------------------------------------------
 # hardening-approach registry
 # ---------------------------------------------------------------------------
