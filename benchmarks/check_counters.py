@@ -15,11 +15,9 @@ that produces its log and the pinned counters.  The check fails (exit
 seed 0's digests included), or when any counter in the workload's
 entry is missing from the result or differs from it at all.  These
 counters (emulated/compiled/precise steps, superblocks compiled,
-executed fault points, verifier calls, fleet jobs, and the rewrite
-side's assembler, lowering and pass-manager calls, hardened branches
-and patcher iterations) are deterministic for a fixed workload and
-seed, so any change is a change of behaviour, not noise: a skipped or
-memoized rewrite shows up as one.
+executed fault points, verifier calls, fleet jobs) are deterministic
+for a fixed workload and seed, so any change is a change of
+behaviour, not noise.
 
 A PR that changes a counter on purpose refreshes the committed file
 from a traced run and says why in its description.

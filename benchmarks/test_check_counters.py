@@ -86,6 +86,4 @@ def test_committed_file_pins_the_gated_counters():
             "emu.steps.emulated", "emu.steps.compiled",
             "emu.steps.precise", "emu.jit.superblocks_compiled",
             "faulter.points.executed", "ir.verify.calls",
-            "faulter.fleet.jobs", "asm.assemble_with_map.calls",
-            "lower.lower_module.calls", "ir.PassManager.run.calls",
-            "hybrid.branches_hardened", "patcher.iterations"}
+            "faulter.fleet.jobs"}

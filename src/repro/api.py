@@ -227,12 +227,17 @@ class Target:
         evaluation.  Approaches that consume fault models while
         hardening (the Fig. 2 loop) iterate only on the
         *encoding-family* members of ``fault_models``, on the engine
-        ``config`` (as :meth:`evaluate` does).  Every campaign the
-        approach runs honours the target's ``max_steps``.
+        ``config`` (as :meth:`evaluate` does), or on a ``campaigns``
+        runner the caller passes instead.  Every campaign the approach
+        runs honours the target's ``max_steps``.
         """
         entry = approach_by_name(approach)
         if entry.consumes_fault_models:
-            kwargs["campaigns"] = self._runner(config)
+            if "campaigns" not in kwargs:
+                kwargs["campaigns"] = self._runner(config)
+            elif config is not None:
+                raise TypeError(
+                    "harden() takes config= or campaigns=, not both")
         return entry.harden(
             self.exe, self.good_input, self.bad_input, self.oracle,
             models=tuple(fault_models), name=self.name,

@@ -52,7 +52,7 @@ def _verify_function(function: Function):
 
     predecessors = function.predecessor_map()
     _verify_phis(function, predecessors)
-    _verify_dominance(function, _dom_tree(function, predecessors))
+    _verify_dominance(function, dominators(function, predecessors))
 
 
 def _verify_phis(function: Function, predecessors: dict):
@@ -121,9 +121,15 @@ def _dom_tree(function: Function, predecessors: dict) -> dict:
     return idom
 
 
-def dominators(function: Function) -> dict:
-    """Public dominance query: {id(block): set of dominator block ids}."""
-    idom = _dom_tree(function, function.predecessor_map())
+def dominators(function: Function, predecessors: dict | None = None) -> dict:
+    """Public dominance query: {id(block): set of dominator block ids}.
+
+    ``predecessors`` is the function's predecessor map when the caller
+    already holds one.
+    """
+    if predecessors is None:
+        predecessors = function.predecessor_map()
+    idom = _dom_tree(function, predecessors)
     result: dict[int, set] = {}
     for block in function.blocks:
         if id(block) not in idom:
@@ -138,37 +144,7 @@ def dominators(function: Function) -> dict:
     return result
 
 
-def _tree_intervals(function: Function, idom: dict) -> dict:
-    """``{id(block): (preorder, postorder)}`` on the dominator tree.
-
-    A dominates B iff A's interval encloses B's, so the dominance check
-    asks in constant time what a dominator set per block would hold in
-    space quadratic in the tree's depth.  Unreachable blocks get none.
-    """
-    children: dict[int, list[BasicBlock]] = {}
-    for block in function.blocks:
-        parent = idom.get(id(block))
-        if parent is not None and parent is not block:
-            children.setdefault(id(parent), []).append(block)
-    intervals: dict[int, tuple[int, int]] = {}
-    preorder = {}
-    counter = 0
-    stack = [(function.entry, False)]
-    while stack:
-        block, done = stack.pop()
-        counter += 1
-        if done:
-            intervals[id(block)] = (preorder[id(block)], counter)
-            continue
-        preorder[id(block)] = counter
-        stack.append((block, True))
-        stack.extend((child, False)
-                     for child in children.get(id(block), ()))
-    return intervals
-
-
-def _verify_dominance(function: Function, idom: dict):
-    intervals = _tree_intervals(function, idom)
+def _verify_dominance(function: Function, doms: dict):
     positions = {}
     for block in function.blocks:
         for index, instruction in enumerate(block.instructions):
@@ -178,7 +154,7 @@ def _verify_dominance(function: Function, idom: dict):
         raise IRError(f"{function.name}: instruction placed twice")
 
     for block in function.blocks:
-        if id(block) not in intervals:
+        if not doms[id(block)]:
             continue  # unreachable block: skip SSA checks
         defined_here: set[int] = set()
         for index, instruction in enumerate(block.instructions):
@@ -186,19 +162,19 @@ def _verify_dominance(function: Function, idom: dict):
                 for value, pred in instruction.incoming():
                     _check_reaches(function, value, pred,
                                    len(pred.instructions), positions,
-                                   intervals, instruction)
+                                   doms, instruction)
             else:
                 for value in instruction._operands:
                     # the common case inline: defined earlier in this
                     # block; everything else takes the full check
                     if id(value) not in defined_here:
                         _check_reaches(function, value, block, index,
-                                       positions, intervals, instruction)
+                                       positions, doms, instruction)
             defined_here.add(id(instruction))
 
 
 def _check_reaches(function, value, use_block, use_index, positions,
-                   intervals, user):
+                   doms, user):
     if isinstance(value, (Constant, Argument, Undef, BasicBlock)):
         return
     if not isinstance(value, Instruction):
@@ -215,10 +191,7 @@ def _check_reaches(function, value, use_block, use_index, positions,
                 f"{function.name}/{use_block.name}: {user.opcode} uses "
                 f"value before its definition")
         return
-    outer = intervals.get(id(def_block))
-    inner = intervals.get(id(use_block))
-    if outer is None or inner is None or not (
-            outer[0] <= inner[0] and inner[1] <= outer[1]):
+    if id(def_block) not in doms[id(use_block)]:
         raise IRError(
             f"{function.name}/{use_block.name}: definition in "
             f"{def_block.name} does not dominate use in {use_block.name}")

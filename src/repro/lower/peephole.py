@@ -32,8 +32,6 @@ def copy_propagate(mfn: MFunction) -> int:
     rewrites = 0
     for block in mfn.blocks:
         copies: dict[VReg, object] = {}
-        # the reverse index: register source -> the copies made of it
-        copied_from: dict[VReg, dict[VReg, None]] = {}
 
         def resolve(operand):
             seen = set()
@@ -69,19 +67,17 @@ def copy_propagate(mfn: MFunction) -> int:
                         insn.operands[index] = value
                         rewrites += 1
             # update the copy environment
-            for defined in insn.defs():
-                source = copies.pop(defined, None)
-                if isinstance(source, VReg):
-                    del copied_from[source][defined]
-                for key in copied_from.pop(defined, ()):
-                    del copies[key]
+            defs = insn.defs()
+            for defined in defs:
+                copies.pop(defined, None)
+                for key in [k for k, v in copies.items()
+                            if isinstance(v, VReg) and v == defined]:
+                    copies.pop(key)
             if insn.op == "mov":
                 dst, src = insn.operands
                 if isinstance(dst, VReg) and \
                         isinstance(src, (VReg, MImm)) and src != dst:
                     copies[dst] = src
-                    if isinstance(src, VReg):
-                        copied_from.setdefault(src, {})[dst] = None
     return rewrites
 
 

@@ -96,6 +96,21 @@ class TestPeephole:
         assert removed == 1
         assert all(i.operands[0] is not dead for i in block.insns)
 
+    def test_copy_of_a_redefined_source_is_forgotten(self):
+        from repro.lower.mir import MBlock
+        mfn = MFunction("f")
+        block = MBlock("b")
+        mfn.blocks.append(block)
+        v0, v1, v2, v3 = (VReg(i) for i in range(4))
+        block.append(MInsn("mov", [v1, v0]))
+        block.append(MInsn("mov", [v2, v0]))
+        block.append(MInsn("add", [v0, MImm(1)]))  # v1, v2 no longer copy v0
+        block.append(MInsn("mov", [v3, v1]))
+        block.append(MInsn("add", [v3, v2]))
+        copy_propagate(mfn)
+        assert block.insns[3].operands == [v3, v1]
+        assert block.insns[4].operands == [v3, v2]
+
     def test_self_move_removal_post_ra(self):
         from repro.isa.registers import reg
         from repro.lower.mir import MBlock
@@ -144,20 +159,16 @@ class TestRegalloc:
 
 
 class TestPeepholeWork:
-    """Op-count guards: the MIR cleanups do work linear in the code."""
-
-    @staticmethod
-    def _block(insns):
-        from repro.lower.mir import MBlock
-        mfn = MFunction("f")
-        mfn.blocks.append(MBlock("b", list(insns)))
-        return mfn, mfn.blocks[0]
+    """Op-count guard: dead-def elimination does work linear in the code."""
 
     def test_dead_chain_takes_linear_use_counting(self, monkeypatch):
+        from repro.lower.mir import MBlock
         n = 300
         chain = [MInsn("mov", [VReg(0), MImm(1)])] + [
             MInsn("mov", [VReg(i), VReg(i - 1)]) for i in range(1, n)]
-        mfn, block = self._block(chain + [MInsn("hlt", [])])
+        mfn = MFunction("f")
+        block = MBlock("b", chain + [MInsn("hlt", [])])
+        mfn.blocks.append(block)
         original = MInsn.uses
         calls = []
 
@@ -169,16 +180,3 @@ class TestPeepholeWork:
         monkeypatch.setattr(MInsn, "uses", counting)
         assert eliminate_dead_defs(mfn) == n
         assert [insn.op for insn in block.insns] == ["hlt"]
-
-    def test_copy_of_a_redefined_source_is_forgotten(self):
-        v0, v1, v2, v3 = (VReg(i) for i in range(4))
-        mfn, block = self._block([
-            MInsn("mov", [v1, v0]),
-            MInsn("mov", [v2, v0]),
-            MInsn("add", [v0, MImm(1)]),   # v1, v2 no longer copy v0
-            MInsn("mov", [v3, v1]),
-            MInsn("add", [v3, v2]),
-        ])
-        copy_propagate(mfn)
-        assert block.insns[3].operands == [v3, v1]
-        assert block.insns[4].operands == [v3, v2]

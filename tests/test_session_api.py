@@ -9,6 +9,7 @@ from repro.api import EngineConfig, Target
 from repro.cli import build_parser, main
 from repro.emu.machine import run_executable
 from repro.faulter import engine
+from repro.faulter.campaign import CampaignRunner
 from repro.faulter.engine import CampaignEngine
 from repro.faulter.oracle import (
     AllOf, AnyOf, ExitCodeOracle, MarkerOracle, MemoryPredicateOracle,
@@ -449,6 +450,17 @@ def test_harden_runs_the_loop_on_the_given_engine_config():
     assert {report.meta["backend"]
             for report in fleet.final_reports.values()} == \
         {"multiprocess"}
+    # a caller's own runner is used, not replaced; naming both is an error
+    runner = CampaignRunner(target.good_input, target.bad_input,
+                            target.oracle, max_steps=target.max_steps)
+    own = target.harden("faulter+patcher", campaigns=runner)
+    assert write_elf(own.hardened) == write_elf(default.hardened)
+    # the loop's last campaign went through the caller's runner
+    again = runner.reports(own.hardened, ("skip",), "again")
+    assert again["skip"].meta["memo"] == "hit"
+    with pytest.raises(TypeError):
+        target.harden("faulter+patcher", config=EngineConfig(),
+                      campaigns=runner)
 
 
 # ---------------------------------------------------------------------------
