@@ -2,8 +2,9 @@
 
 Pass 1 lays out every section item at a stable offset (symbolic operands
 always take their canonical wide encodings, so lengths never change
-between passes).  Pass 2 resolves symbols against the final section
-addresses and encodes instructions and data relocations.
+between passes) and encodes each instruction without symbolic operands
+once, for good.  Pass 2 resolves symbols against the final section
+addresses and encodes the remaining instructions and data relocations.
 
 Section placement mirrors a classic static link: ``.text`` at
 ``0x401000``, the remaining sections on consecutive page boundaries,
@@ -84,12 +85,16 @@ def assemble_with_map(source: str | Program, pie: bool = False):
     # ---- pass 1: offsets within each section ---------------------------
     offsets: dict[str, dict[int, int]] = {}
     lengths: dict[str, dict[int, int]] = {}  # encoded InsnStmt lengths
+    # final encodings of the InsnStmts without symbolic operands: they
+    # need no resolution, so pass 2 copies them instead of re-encoding
+    encodings: dict[str, dict[int, bytes]] = {}
     sizes: dict[str, int] = {}
     symbols: dict[str, tuple[str, int]] = {}  # name -> (section, offset)
     for name in ordered:
         position = 0
         table: dict[int, int] = {}
         lengths[name] = insn_lengths = {}
+        encodings[name] = insn_codes = {}
         for index, item in enumerate(program.items(name)):
             if isinstance(item, AlignStmt):
                 remainder = position % item.alignment
@@ -102,11 +107,17 @@ def assemble_with_map(source: str | Program, pie: bool = False):
                         f"line {item.line}: duplicate label {item.name!r}")
                 symbols[item.name] = (name, position)
             elif isinstance(item, InsnStmt):
+                insn = item.insn
                 try:
-                    insn_lengths[index] = encoded_length(item.insn)
+                    if any(map(is_symbolic, insn.operands)):
+                        length = encoded_length(insn)
+                    else:
+                        insn_codes[index] = encode(insn)
+                        length = len(insn_codes[index])
                 except EncodingError as exc:
                     raise AsmError(f"line {item.line}: {exc}") from None
-                position += insn_lengths[index]
+                insn_lengths[index] = length
+                position += length
             elif isinstance(item, DataStmt):
                 position += item.size()
             elif isinstance(item, SpaceStmt):
@@ -164,17 +175,10 @@ def assemble_with_map(source: str | Program, pie: bool = False):
                 blob += filler * (expected - len(blob))
             if isinstance(item, InsnStmt):
                 nobits_only = False
-                length = lengths[name][index]
-                resolved = _resolve_insn(item.insn, base + expected + length,
-                                         resolve, item.line)
-                try:
-                    code = encode(resolved)
-                except EncodingError as exc:
-                    raise AsmError(f"line {item.line}: {exc}") from None
-                if len(code) != length:
-                    raise LinkError(
-                        f"line {item.line}: unstable encoding for "
-                        f"'{item.insn}'")
+                code = encodings[name].get(index)
+                if code is None:
+                    code = _encode_symbolic(item, base + expected,
+                                            lengths[name][index], resolve)
                 blob += code
             elif isinstance(item, DataStmt):
                 nobits_only = False
@@ -240,16 +244,29 @@ def assemble_with_map(source: str | Program, pie: bool = False):
     return exe, tag_map
 
 
+def _encode_symbolic(item: InsnStmt, address: int, length: int,
+                     resolve) -> bytes:
+    """Encode an instruction with symbolic operands at ``address``,
+    checking that it keeps the ``length`` pass 1 laid it out with."""
+    resolved = _resolve_insn(item.insn, address + length, resolve,
+                             item.line)
+    try:
+        code = encode(resolved)
+    except EncodingError as exc:
+        raise AsmError(f"line {item.line}: {exc}") from None
+    if len(code) != length:
+        raise LinkError(
+            f"line {item.line}: unstable encoding for '{item.insn}'")
+    return code
+
+
 def _resolve_insn(instruction: Instruction, end: int, resolve,
                   line: int) -> Instruction:
     """Replace Label operands with concrete displacements/addresses.
 
     ``end`` is the address just past the instruction (rip-relative
-    operands count from it); an instruction without symbolic operands
-    comes back as it is.
+    operands count from it).
     """
-    if not any(map(is_symbolic, instruction.operands)):
-        return instruction
     new_ops = []
     for op in instruction.operands:
         if isinstance(op, Label):

@@ -38,23 +38,25 @@ from repro.isa.operands import Mem
 FETCH_STAGE = "fetch"
 STATE_STAGE = "state"
 
-#: Capacity of the process-wide mutated-decode memo, evicted LRU-first;
-#: about 1.2x the distinct windows of the largest bundled evaluate
-#: (bootloader hybrid, 6,744), at ~0.5 kB per entry.
-DECODE_CAPACITY = 8192
+#: Capacity of the process-wide decode memo, evicted LRU-first; about
+#: 1.2x the distinct windows, pristine and mutated, of the largest
+#: bundled evaluate (bootloader hybrid, 8,293), at ~0.5 kB per entry.
+DECODE_CAPACITY = 10240
 
 # (address, fetch window) -> Instruction, or the DecodingError message
 _DECODED: OrderedDict = OrderedDict()
 
 
 def decode_window(address: int, window: bytes) -> Instruction:
-    """Decode a (possibly mutated) fetch window placed at ``address``.
+    """Decode a fetch window, pristine or mutated, placed at ``address``.
 
-    Memoized process-wide on the whole window, not just the original
-    instruction's bytes, since a mutation may lengthen the instruction
-    into the bytes that follow.  An undecodable window raises a fresh
-    :class:`~repro.errors.DecodingError` with the original message on
-    every call.
+    Every emulator decode goes through here: a machine's decode
+    misses and the encoding faults' re-decodes.  Memoized process-wide
+    on the whole window, not just the instruction's bytes, since a
+    mutation may lengthen the instruction into the bytes that follow;
+    so no write to code can make an entry stale.  An undecodable window
+    raises a fresh :class:`~repro.errors.DecodingError` with the
+    original message on every call.
     """
     key = (address, window)
     entry = _DECODED.get(key)

@@ -48,8 +48,6 @@ from repro.emu.flagops import PARITY_TABLE
 from repro.emu.jit.codegen import JitUnsupported, lower_superblock
 from repro.emu.jit.lift import lift_superblock
 from repro.emu.jit.superblock import carve
-from repro.isa.decoder import decode
-from repro.isa.insn import Instruction
 from repro.isa.operands import Mem
 
 _UNCOMPILED = object()
@@ -146,7 +144,6 @@ class TraceCompiler:
 
     def __init__(self):
         self._blocks: dict[int, Optional[SuperBlock]] = {}
-        self._insn_index: dict[int, Instruction] = {}
         self._active: Optional[SuperBlock] = None
         self._dirty = False
         self.compiled_steps = 0
@@ -163,18 +160,11 @@ class TraceCompiler:
         machine.jit = self
         return self
 
-    def cached_insn(self, address: int) -> Optional[Instruction]:
-        """Decoded instruction at ``address``, if a live block has it."""
-        return self._insn_index.get(address)
-
     # -- coherence ----------------------------------------------------
 
     def _evict_if(self, stale) -> None:
         for start in [s for s, b in self._blocks.items() if stale(b)]:
-            block = self._blocks.pop(start)
-            if block is not None:
-                for insn in block.insns:
-                    self._insn_index.pop(insn.address, None)
+            del self._blocks[start]
 
     def on_exec_write(self, address: int, size: int) -> None:
         """A write landed in executable memory."""
@@ -214,8 +204,6 @@ class TraceCompiler:
         self._blocks[address] = block
         if block is not None:
             self.compiled_blocks += 1
-            for insn in block.insns:
-                self._insn_index.setdefault(insn.address, insn)
         self.compile_seconds += time.perf_counter() - started
         return block
 
@@ -317,10 +305,8 @@ class TraceCompiler:
                 start = spec["start"]
                 if start in self._blocks:
                     continue
-                insns = []
-                for address in spec["addresses"]:
-                    raw = bytes(machine.memory.fetch(address, 15))
-                    insns.append(decode(raw, 0, address))
+                insns = [machine.fetch_decode(address)
+                         for address in spec["addresses"]]
                 last = insns[-1]
                 if (len(insns) != spec["count"]
                         or insns[0].address != start
@@ -352,8 +338,6 @@ class TraceCompiler:
                     SyntaxError, DecodingError, EmulationError):
                 continue
             self._blocks[start] = block
-            for insn in block.insns:
-                self._insn_index.setdefault(insn.address, insn)
             imported += 1
         return imported
 

@@ -15,7 +15,9 @@ This is the faulter's execution vehicle.  ``Machine.run`` supports:
 The decode cache is coherent under code mutation: any write landing in
 an executable page — a guest's self-modifying store, an injected
 memory fault, or a journal rollback undoing either — evicts the
-overlapping cached decodes.
+overlapping cached decodes.  A miss decodes through the process-wide
+memo of :func:`~repro.emu.effects.decode_window`, keyed by the whole
+fetch window, which no write can make stale.
 """
 
 from __future__ import annotations
@@ -26,11 +28,10 @@ from typing import Callable, Optional
 from repro.binfmt.image import Executable
 from repro.binfmt.reader import read_elf
 from repro.emu.cpu import CPU, ExitProgram, Halt
-from repro.emu.effects import as_effect
+from repro.emu.effects import as_effect, decode_window
 from repro.emu.memory import Memory
 from repro.emu.syscalls import IOState, SyscallHandler
 from repro.errors import DecodingError, EmulationError
-from repro.isa.decoder import decode
 from repro.isa.insn import Instruction
 
 STACK_TOP = 0x7FFF_F000
@@ -147,16 +148,9 @@ class Machine:
         cached = self._decode_cache.get(address)
         if cached is not None:
             return cached
-        if self.jit is not None:
-            # Re-warm from the compiled superblock index: live blocks
-            # are only kept while their bytes are provably unchanged,
-            # so their decodes are valid on a fresh machine too.
-            warm = self.jit.cached_insn(address)
-            if warm is not None:
-                self._decode_cache[address] = warm
-                return warm
-        raw = self.memory.fetch(address, 15)
-        instruction = decode(raw, 0, address)
+        # a miss decodes through the process-wide memo, so a fresh
+        # machine on the same image decodes no window again
+        instruction = decode_window(address, self.memory.fetch(address, 15))
         self._decode_cache[address] = instruction
         return instruction
 

@@ -151,6 +151,22 @@ class ArtifactStore:
         self.stats.misses += 1
         return None
 
+    def reload(self, kind: str, key: str,
+               validate: Optional[Callable] = None):
+        """The payload saved on disk for ``(kind, key)``, or ``None``.
+
+        Unlike :meth:`load` it reads the file afresh, since another
+        process may have saved since, and counts neither a hit nor a
+        miss: it serves a writer merging into what is stored.  It
+        forgets the in-process copy first, so the caller can hold the
+        fresh payload instead of both.
+        """
+        self._memo.pop((kind, key), None)
+        payload = self._read(self._path(kind, key))
+        if payload is None or validate is None:
+            return payload
+        return payload if self._check(validate, payload) else None
+
     @staticmethod
     def _check(validate: Callable, payload) -> bool:
         try:

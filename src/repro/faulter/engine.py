@@ -56,6 +56,7 @@ import weakref
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields
+from itertools import islice
 from multiprocessing import get_context
 from typing import Iterator, Optional, Sequence
 
@@ -237,7 +238,14 @@ def _persist_facts(ctx, faulter) -> None:
 
     Only consults facts the campaign actually materialized
     (``ctx._facts``) — never forces the analysis — and only writes
-    when new verdicts accumulated beyond what the store supplied.
+    when new verdicts accumulated beyond what the store supplied.  The
+    fleet workers of one campaign save under one key, so each merges
+    the proofs it derived into the stored ones, which then become its
+    facts: a worker that loses the race between read and save drops
+    another's proofs, never keeps a wrong one (every proof is
+    deterministic).  The facts' first ``loaded_proofs`` entries came
+    from the store, so they are dropped before it is read back: a
+    merge holds one copy of the proofs, not two.
     """
     artifacts = faulter.artifacts
     if artifacts is None:
@@ -245,16 +253,29 @@ def _persist_facts(ctx, faulter) -> None:
     facts = getattr(ctx, "_facts", None)
     if facts is None:
         return
-    proofs = len(facts.prune_cache)
-    if proofs <= getattr(facts, "loaded_proofs", 0):
+    loaded = getattr(facts, "loaded_proofs", 0)
+    if len(facts.prune_cache) <= loaded:
         return
-    if artifacts.save(
-        "facts",
-        artifacts_mod.facts_key(faulter.image_digest(), faulter.bad_input,
-                                len(ctx.trace), ctx.model.name),
-        {"prune": dict(facts.prune_cache)},
-    ):
-        facts.loaded_proofs = proofs
+    derived = dict(islice(facts.prune_cache.items(), loaded, None))
+    facts.prune_cache = {}
+    key = artifacts_mod.facts_key(
+        faulter.image_digest(),
+        faulter.bad_input,
+        len(ctx.trace),
+        ctx.model.name,
+    )
+    stored = artifacts.reload("facts", key, validate=_valid_facts_payload)
+    prune = stored["prune"] if stored is not None else {}
+    facts.loaded_proofs = len(prune)
+    # equal proofs share one object, so the payload pickles each once
+    shared = {proof: proof for proof in prune.values() if proof is not None}
+    for point, proof in derived.items():
+        if proof is not None:
+            proof = shared.setdefault(proof, proof)
+        prune[point] = proof
+    facts.prune_cache = prune
+    if artifacts.save("facts", key, {"prune": dict(prune)}):
+        facts.loaded_proofs = len(prune)
 
 
 class ExecutionBackend:

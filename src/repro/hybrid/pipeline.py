@@ -5,9 +5,11 @@ from __future__ import annotations
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import cached_property, partial
+from typing import Callable, Sequence
 
 from repro.binfmt.image import Executable
+from repro.disasm.units import build_plan
 from repro.emu.machine import run_executable
 from repro.errors import ReproError, RewriteError
 from repro.faulter.campaign import Faulter
@@ -17,25 +19,40 @@ from repro.ir.passes.instcount import instruction_histogram
 from repro.ir.passes.pass_manager import standard_cleanup
 from repro.ir.verifier import verify
 from repro.lift.lifter import Lifter
+from repro.lower.isel import split_critical_edges
 from repro.lower.pipeline import lower_module
 from repro.provenance import ProvenanceMap, with_unit_rollups
 
 
 @dataclass
 class HybridResult:
-    """Outcome of the hybrid lift-harden-lower pipeline."""
+    """Outcome of the hybrid lift-harden-lower pipeline.
+
+    ``lower_unhardened`` builds the lift+lower translation without
+    countermeasures; only the translation-overhead figures read it, so
+    :attr:`lowered_unhardened` is lowered on first read, then kept.
+    """
 
     hardened: Executable
-    lowered_unhardened: Executable
     original_text_size: int
     hardened_text_size: int
-    unhardened_lowered_size: int
+    lower_unhardened: Callable[[], Executable] = field(repr=False,
+                                                       compare=False)
     hardening: HardeningStats = field(default_factory=HardeningStats)
     ir_histogram_before: Counter = field(default_factory=Counter)
     ir_histogram_after: Counter = field(default_factory=Counter)
     final_reports: dict[str, CampaignReport] = field(default_factory=dict)
     provenance: ProvenanceMap = field(default_factory=lambda:
                                       ProvenanceMap(path="lower"))
+
+    @cached_property
+    def lowered_unhardened(self) -> Executable:
+        """The unhardened lift+lower translation (Section IV-D)."""
+        return self.lower_unhardened()
+
+    @property
+    def unhardened_lowered_size(self) -> int:
+        return self.lowered_unhardened.code_size()
 
     @property
     def overhead_percent(self) -> float:
@@ -118,14 +135,16 @@ def hybrid_harden(exe: Executable,
     constants after the histograms are taken (the Table IV census is
     measured on the unfolded form, as the paper reports it).
     """
-    ir_module = Lifter(exe).lift()
+    lifter = Lifter(exe)
+    ir_module = lifter.lift()
     standard_cleanup().run(ir_module)
     function = ir_module.function("entry")
     histogram_before = instruction_histogram(function)
 
-    # size of the lowered-but-unhardened translation (Section IV-D)
-    lowered_plain = lower_module(ir_module, exe)
-
+    # the hardened layout depends on hardening the split CFG that
+    # lowering would see (the split names and places the new blocks)
+    split_critical_edges(function)
+    verify(ir_module)
     stats = harden_branches(ir_module, uid_seed,
                             branch_filter=branch_filter)
     verify(ir_module)
@@ -141,17 +160,15 @@ def hybrid_harden(exe: Executable,
                                         trap_after_jmp=True,
                                         with_provenance=True)
     _carry_dynamic(hardened, exe)
-    _carry_dynamic(lowered_plain, exe)
-    provenance = _per_unit_provenance(provenance, exe)
+    provenance = with_unit_rollups(provenance, build_plan(lifter.gtirb))
     _validate(hardened, exe, good_input, bad_input, grant_marker, name)
     _warn_unguarded_blocks(branch_filter)
 
     result = HybridResult(
         hardened=hardened,
-        lowered_unhardened=lowered_plain,
         original_text_size=exe.code_size(),
         hardened_text_size=hardened.code_size(),
-        unhardened_lowered_size=lowered_plain.code_size(),
+        lower_unhardened=partial(_lower_plain, exe),
         hardening=stats,
         ir_histogram_before=histogram_before,
         ir_histogram_after=histogram_after,
@@ -240,13 +257,15 @@ def _warn_unguarded_blocks(branch_filter) -> None:
             f"block not lifted)", stacklevel=2)
 
 
-def _per_unit_provenance(provenance: ProvenanceMap,
-                         exe: Executable) -> ProvenanceMap:
-    """Regroup the block-granular map along the original's units."""
-    from repro.disasm.units import recover_plan
-
-    _, plan = recover_plan(exe)
-    return with_unit_rollups(provenance, plan)
+def _lower_plain(exe: Executable) -> Executable:
+    """Lift ``exe``, clean it up and lower it with no countermeasures:
+    the translation alone, whose size is the overhead of "the mere act
+    of lifting" (Section IV-D)."""
+    ir_module = Lifter(exe).lift()
+    standard_cleanup().run(ir_module)
+    lowered = lower_module(ir_module, exe)
+    _carry_dynamic(lowered, exe)
+    return lowered
 
 
 def _carry_dynamic(hardened: Executable, original: Executable) -> None:

@@ -251,7 +251,9 @@ class TestBranches:
 
 
 class TestSingleLength:
-    """Each instruction's encoded length is computed once, in layout."""
+    """Each instruction is encoded once for good: a label-free one in
+    layout, a symbolic one after resolution, checked against the
+    length its placeholder laid out."""
 
     SOURCE = HELLO + """
 .section .text
@@ -276,18 +278,40 @@ loop:
         monkeypatch.setattr(assembler, "encoded_length", counting)
         return calls
 
-    def test_encoded_length_once_per_instruction(self, monkeypatch):
+    def test_label_free_instruction_encoded_once(self, monkeypatch):
+        from repro.asm import assembler
         from repro.asm.assembler import assemble_with_map
         from repro.asm.parser import parse_source
         from repro.asm.source import InsnStmt
+        from repro.isa import encoder
+        from repro.isa.operands import is_symbolic
         program = parse_source(self.SOURCE)
         statements = [item for name in program.sections
                       for item in program.items(name)
                       if isinstance(item, InsnStmt)]
+        label_free = [item.insn for item in statements
+                      if not any(map(is_symbolic, item.insn.operands))]
+        symbolic = [item.insn for item in statements
+                    if any(map(is_symbolic, item.insn.operands))]
+        assert label_free and symbolic
         expected = assemble(self.SOURCE)
-        calls = self._counting(monkeypatch)
+        # the assembler's own calls and those inside encoded_length
+        encoded = []
+        original = encoder.encode
+
+        def counting(insn):
+            encoded.append(insn)
+            return original(insn)
+
+        monkeypatch.setattr(assembler, "encode", counting)
+        monkeypatch.setattr(encoder, "encode", counting)
+        lengths = self._counting(monkeypatch)
         exe, _ = assemble_with_map(program)
-        assert len(calls) == len(statements)
+        for insn in label_free:
+            assert sum(call is insn for call in encoded) == 1
+        assert lengths == symbolic
+        # a symbolic instruction: one placeholder, one resolved encoding
+        assert len(encoded) == len(label_free) + 2 * len(symbolic)
         assert exe.section(".text").data == expected.section(".text").data
 
     def test_stability_check_compares_the_layout_length(self, monkeypatch):

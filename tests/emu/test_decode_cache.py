@@ -11,11 +11,12 @@ from collections import OrderedDict
 import pytest
 
 from repro.asm import assemble
-from repro.emu import Machine
+from repro.emu import Machine, run_executable
 from repro.emu import effects
 from repro.emu.effects import (
     EncodingBitFlipEffect, MemoryBitFlipEffect, decode_window)
 from repro.errors import DecodingError
+from repro.isa.insn import Mnemonic
 from repro.workloads import corpus, pincheck
 
 EXIT42_IMM_OFFSET = 3  # mov rdi, 42 = 48 c7 c7 2a 00 00 00
@@ -111,12 +112,30 @@ class TestMemBitFlipOnCode:
 
 
 class TestMutatedDecodeMemo:
-    """Encoding faults decode through one bounded process-wide memo
-    keyed by (address, whole mutated fetch window)."""
+    """Machine fetches and encoding faults decode through one bounded
+    process-wide memo keyed by (address, whole fetch window)."""
 
     @pytest.fixture(autouse=True)
     def empty_memo(self, monkeypatch):
         monkeypatch.setattr(effects, "_DECODED", OrderedDict())
+
+    def test_fresh_machines_decode_each_window_once(self, monkeypatch):
+        wl = pincheck.workload()
+        image = wl.build()
+        decoded = []
+        original = effects.decode
+
+        def counting(data, offset, address):
+            decoded.append(address)
+            return original(data, offset, address)
+
+        monkeypatch.setattr(effects, "decode", counting)
+        first = run_executable(image, stdin=wl.bad_input)
+        assert decoded and len(set(decoded)) == len(decoded)
+        count = len(decoded)
+        again = run_executable(image, stdin=wl.bad_input)
+        assert again.behavior() == first.behavior()
+        assert len(decoded) == count
 
     @staticmethod
     def _push_rax_then(line):
@@ -131,11 +150,21 @@ class TestMutatedDecodeMemo:
         return Machine(image).run(
             fault_plan={0: EncodingBitFlipEffect(4)})
 
+    @staticmethod
+    def _windows(image):
+        """The entry's pristine fetch window and its bit-4 flip."""
+        window = Machine(image).memory.fetch(image.entry, 15)
+        return window, bytes([window[0] ^ 0x10]) + window[1:]
+
     def test_undecodable_window_crashes_alike_when_memoized(self):
         # "40 48 01 d8": two stacked REX prefixes
         image = self._push_rax_then("add rax, rbx")
+        pristine, flipped = self._windows(image)
         first = self._flipped_run(image)
-        assert len(effects._DECODED) == 1
+        # the fetch decodes the pristine window, the fault the flip
+        assert effects._DECODED[image.entry, pristine].mnemonic \
+            is Mnemonic.PUSH
+        assert isinstance(effects._DECODED[image.entry, flipped], str)
         repeat = self._flipped_run(image)
         assert first.reason == repeat.reason == "crash"
         assert first.crash_detail == repeat.crash_detail != ""
@@ -153,10 +182,17 @@ class TestMutatedDecodeMemo:
     def test_key_is_the_whole_window(self):
         # same address, same instruction bytes, different following
         # bytes: "40 90" decodes where "40 48" did not
-        self._flipped_run(self._push_rax_then("add rax, rbx"))
-        result = self._flipped_run(self._push_rax_then("nop"))
+        crashing = self._push_rax_then("add rax, rbx")
+        decoding = self._push_rax_then("nop")
+        self._flipped_run(crashing)
+        result = self._flipped_run(decoding)
         assert result.reason != "crash"
-        assert len(effects._DECODED) == 2
+        assert crashing.entry == decoding.entry
+        (_, crash_window), (_, nop_window) = (
+            self._windows(crashing), self._windows(decoding))
+        assert isinstance(effects._DECODED[crashing.entry, crash_window],
+                          str)
+        assert effects._DECODED[decoding.entry, nop_window].length == 2
 
     def test_never_grows_past_its_capacity(self):
         capacity = effects.DECODE_CAPACITY

@@ -285,6 +285,44 @@ class TestReducedSpaces:
         assert all(derived[key] == proof
                    for key, proof in saved["prune"].items())
 
+    def test_fleet_workers_keep_every_proof(self, faulter, tmp_path,
+                                            monkeypatch):
+        """Fleet workers save their proofs under one key, each merging
+        what it derived into what the others stored.  Three workers
+        (in-process here, each a pickled copy of the faulter) all load
+        the empty store before any of them saves, as concurrent workers
+        do; after their jobs a fresh faulter loads a proof for every
+        point and derives none."""
+        expected = faulter.run_campaign("reg-bitflip")
+        shipped = Faulter(faulter.image, faulter.good_input,
+                          faulter.bad_input, faulter.oracle,
+                          name=faulter.name,
+                          artifacts=ArtifactStore(tmp_path))
+        ctx = shipped.engine().context("reg-bitflip")
+        population = ExhaustiveSpace().count(ctx)
+        partitions = ExhaustiveSpace().partition(ctx, 3)
+        workers = [pickle.loads(pickle.dumps(shipped)) for _ in partitions]
+        for worker in workers:
+            facts = worker.engine().context("reg-bitflip").facts
+            assert facts.loaded_proofs == 0
+        for worker, part in zip(workers, partitions):
+            monkeypatch.setattr(engine, "_live_target",
+                                lambda _, live=worker: (live, {}))
+            engine._run_partition((shipped, "reg-bitflip", part, True))
+        fresh = Faulter(faulter.image, faulter.good_input,
+                        faulter.bad_input, faulter.oracle,
+                        name=faulter.name,
+                        artifacts=ArtifactStore(tmp_path))
+        fresh_ctx = fresh.engine().context("reg-bitflip")
+        derived = []
+        monkeypatch.setattr(fresh_ctx.model, "prune_variant",
+                            lambda *key: derived.append(key))
+        assert len(partitions) == 3 and population == 2496
+        assert fresh_ctx.facts.loaded_proofs == population
+        report = fresh.run_campaign("reg-bitflip")
+        assert derived == []
+        assert report == expected
+
     @pytest.mark.parametrize("window", [None, 97],
                              ids=["one-window", "many-windows"])
     def test_sequential_campaign_disposes_each_point_once(

@@ -2,6 +2,7 @@
 guards for the hybrid result rollups."""
 
 import warnings
+from types import SimpleNamespace
 
 import pytest
 
@@ -87,10 +88,10 @@ class TestOverheadGuards:
     def _result(self, original, hardened, lowered):
         return HybridResult(
             hardened=None,
-            lowered_unhardened=None,
             original_text_size=original,
             hardened_text_size=hardened,
-            unhardened_lowered_size=lowered,
+            lower_unhardened=lambda: SimpleNamespace(
+                code_size=lambda: lowered),
         )
 
     def test_empty_text_overheads_are_zero(self):
