@@ -42,6 +42,8 @@ from repro.binfmt.image import Executable
 from repro.binfmt.reader import read_elf
 from repro.binfmt.writer import write_elf
 from repro.detour.rewriter import DetourResult
+from repro.emu.machine import (
+    DEFAULT_MAX_STEPS, MAX_STEPS, RunResult, run_inputs)
 from repro.faulter.campaign import CampaignRunner, Faulter
 from repro.faulter.engine import EngineConfig
 from repro.faulter.oracle import (
@@ -145,6 +147,7 @@ class Target:
         self.name = name
         self.max_steps = max_steps
         self._faulter: Optional[Faulter] = None
+        self._runs: Optional[tuple[RunResult, RunResult]] = None
 
     @classmethod
     def from_path(cls, path: Union[str, os.PathLike],
@@ -164,6 +167,26 @@ class Target:
                 self.exe, self.good_input, self.bad_input, self.oracle,
                 name=self.name, max_steps=self.max_steps)
         return self._faulter
+
+    def _original_runs(self) -> tuple[RunResult, RunResult]:
+        """The original's good and bad runs, which the hardeners
+        validate against (cached).
+
+        The faulter's baselines are those runs when it exists and
+        both terminated within ``run_executable``'s step budget;
+        otherwise each input runs once here.
+        """
+        if self._runs is None:
+            faulter = self._faulter
+            runs = () if faulter is None else (faulter.good_baseline,
+                                               faulter.bad_baseline)
+            if not runs or any(run.reason == MAX_STEPS
+                               or run.steps > DEFAULT_MAX_STEPS
+                               for run in runs):
+                runs = run_inputs(self.exe,
+                                  (self.good_input, self.bad_input))
+            self._runs = runs
+        return self._runs
 
     # -- the paper's three methodologies ----------------------------------
 
@@ -238,6 +261,8 @@ class Target:
             elif config is not None:
                 raise TypeError(
                     "harden() takes config= or campaigns=, not both")
+        if entry.validates_behaviour:
+            kwargs.setdefault("original_runs", self._original_runs())
         return entry.harden(
             self.exe, self.good_input, self.bad_input, self.oracle,
             models=tuple(fault_models), name=self.name,
@@ -291,6 +316,8 @@ class Target:
             harden_kwargs["campaigns"] = runner
         else:
             fault_models = ()
+        if entry.validates_behaviour:
+            harden_kwargs.setdefault("original_runs", self._original_runs())
         result = entry.harden(
             self.exe, self.good_input, self.bad_input, self.oracle,
             models=fault_models, name=self.name,

@@ -346,7 +346,8 @@ def detour_harden(exe: Executable,
                   grant_marker,
                   name: str = "target",
                   models=(),
-                  max_steps: int = 100_000) -> DetourResult:
+                  max_steps: int = 100_000,
+                  original_runs=None) -> DetourResult:
     """Duplication-via-detours hardening with behaviour validation.
 
     ``grant_marker`` accepts raw marker ``bytes`` or any
@@ -356,14 +357,18 @@ def detour_harden(exe: Executable,
     ``models`` optionally re-runs fault campaigns against the hardened
     binary (reported in ``final_reports``), each capped at
     ``max_steps`` emulated steps, mirroring the other two hardening
-    entry points.
+    entry points.  ``original_runs`` is the original's ``(good, bad)``
+    pair of :class:`~repro.emu.machine.RunResult`, when the caller has
+    it (``Target`` does); otherwise validation runs the original too.
     """
-    from repro.emu.machine import run_executable
+    from repro.emu.machine import run_executable, run_inputs
 
     rewriter = _duplication_rewriter(exe)
     hardened = rewriter.finish()
-    for label, stdin in (("good", good_input), ("bad", bad_input)):
-        want = run_executable(exe, stdin=stdin)
+    if original_runs is None:
+        original_runs = run_inputs(exe, (good_input, bad_input))
+    for label, stdin, want in zip(("good", "bad"), (good_input, bad_input),
+                                  original_runs):
         got = run_executable(hardened, stdin=stdin)
         if want.behavior() != got.behavior():
             raise RewriteError(

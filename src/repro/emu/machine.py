@@ -265,3 +265,8 @@ def run_executable(image: Executable | bytes, stdin: bytes = b"",
     machine = Machine(image, stdin=stdin)
     return machine.run(max_steps=max_steps, record_trace=record_trace,
                        watches=watches)
+
+
+def run_inputs(image: Executable | bytes, inputs) -> tuple:
+    """One :func:`run_executable` per stdin of ``inputs``, in order."""
+    return tuple(run_executable(image, stdin=stdin) for stdin in inputs)

@@ -146,9 +146,7 @@ class Memory:
         """Undo all writes since :meth:`journal_begin` (LIFO) and stop."""
         if self._journal is None:
             return
-        for address, size, original in reversed(self._journal):
-            self._write_raw(address, original)
-            self._notify_exec_write(address, size)
+        self._undo(0)
         self._journal = None
 
     def journal_changes(self) -> tuple:
@@ -201,11 +199,7 @@ class Memory:
         """Undo writes recorded after ``mark`` (LIFO)."""
         if self._journal is None:
             return
-        floor = 0 if mark is None else mark
-        while len(self._journal) > floor:
-            address, size, original = self._journal.pop()
-            self._write_raw(address, original)
-            self._notify_exec_write(address, size)
+        self._undo(0 if mark is None else mark)
         if mark is None:
             self._journal = None
 
@@ -213,6 +207,31 @@ class Memory:
         """Keep writes recorded after ``mark``; stop journaling if owner."""
         if mark is None:
             self._journal = None
+
+    def _undo(self, floor: int):
+        """Restore the journal's entries past ``floor``, newest first,
+        and drop them.
+
+        A single-page entry (nearly all of them) is one slice
+        assignment, and only an executable page pays the exec-write
+        hook, as in :meth:`write`'s fast path.
+        """
+        journal = self._journal
+        pages = self._pages
+        perms = self._perms
+        hook = self.exec_write_hook
+        for index in range(len(journal) - 1, floor - 1, -1):
+            address, size, original = journal[index]
+            page = address >> 12
+            offset = address & PAGE_MASK
+            if offset + size <= PAGE_SIZE:
+                pages[page][offset:offset + size] = original
+                if hook is not None and "x" in perms[page]:
+                    hook(address, size)
+            else:
+                self._write_raw(address, original)
+                self._notify_exec_write(address, size)
+        del journal[floor:]
 
     # -- internals -----------------------------------------------------------
 

@@ -26,6 +26,11 @@ Design:
   key) last-write-win with identical bytes; readers never observe a
   partial file.  I/O errors on save are swallowed — a full disk slows
   campaigns down, it does not fail them.
+* **Parts** serve products that several writers grow at once (the
+  reduction proofs of one campaign's fleet workers): each writer
+  appends only what it derived as one immutable ``<key>.<unique>.art``
+  part, never reading the others, and a loader reads every part,
+  folding a set of several into one.
 * A small in-memory write-through memo fronts the disk (bounded at
   :data:`MEMO_ENTRIES`), so a persistent worker re-loading the same
   product across partitions skips even the unpickle.
@@ -42,6 +47,7 @@ import os
 import pickle
 import tempfile
 import time
+import uuid
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
@@ -151,21 +157,41 @@ class ArtifactStore:
         self.stats.misses += 1
         return None
 
-    def reload(self, kind: str, key: str,
-               validate: Optional[Callable] = None):
-        """The payload saved on disk for ``(kind, key)``, or ``None``.
+    def load_parts(self, kind: str, key: str,
+                   validate: Optional[Callable] = None,
+                   fold: Optional[Callable] = None) -> list:
+        """Every valid part :meth:`append` wrote for ``(kind, key)``.
 
-        Unlike :meth:`load` it reads the file afresh, since another
-        process may have saved since, and counts neither a hit nor a
-        miss: it serves a writer merging into what is stored.  It
-        forgets the in-process copy first, so the caller can hold the
-        fresh payload instead of both.
+        Each part is read and checked on its own, so a corrupt or
+        rejected part is skipped alone.  A non-empty set counts as one
+        hit, an empty one as one miss.  With ``fold``, a set of several
+        parts is replaced by one: ``fold(payloads)`` is appended as a
+        new part, the parts read are unlinked, and the folded payload
+        is the one returned.  Parts are immutable and their payloads
+        deterministic, so a loader racing another's append or fold can
+        at worst leave a redundant part, never a wrong one.
         """
-        self._memo.pop((kind, key), None)
-        payload = self._read(self._path(kind, key))
-        if payload is None or validate is None:
-            return payload
-        return payload if self._check(validate, payload) else None
+        read = []
+        payloads = []
+        for path in (self.root / kind).glob(f"{key}.*.art"):
+            payload = self._read(path)
+            if payload is not None and (validate is None
+                                        or self._check(validate, payload)):
+                read.append(path)
+                payloads.append(payload)
+        if not payloads:
+            self.stats.misses += 1
+            return []
+        self.stats.hits += 1
+        if fold is not None and len(payloads) > 1:
+            payloads = [fold(payloads)]
+            if self.append(kind, key, payloads[0]):
+                for path in read:
+                    try:
+                        path.unlink()
+                    except OSError:
+                        pass
+        return payloads
 
     @staticmethod
     def _check(validate: Callable, payload) -> bool:
@@ -193,12 +219,24 @@ class ArtifactStore:
 
     def save(self, kind: str, key: str, payload) -> bool:
         """Atomically persist ``payload``; False on any I/O failure."""
+        if not self._write(self._path(kind, key), key, payload):
+            return False
+        self._remember((kind, key), payload)
+        return True
+
+    def append(self, kind: str, key: str, payload) -> bool:
+        """Persist ``payload`` as one more immutable part of ``(kind,
+        key)`` (read back by :meth:`load_parts`); False on any I/O
+        failure.  Writers never read or replace each other's parts."""
+        part = f"{key}.{uuid.uuid4().hex}"
+        return self._write(self._path(kind, part), key, payload)
+
+    def _write(self, path: Path, key: str, payload) -> bool:
         try:
             body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         except Exception:
             return False
         blob = _MAGIC + hashlib.sha256(body).digest() + body
-        path = self._path(kind, key)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=path.parent,
@@ -215,7 +253,6 @@ class ArtifactStore:
                 raise
         except OSError:
             return False
-        self._remember((kind, key), payload)
         self.stats.saves += 1
         return True
 
@@ -275,7 +312,8 @@ class ArtifactStore:
         }
 
     def clear(self) -> int:
-        """Delete every artifact file; returns the number removed."""
+        """Delete every artifact file, and any temp file an interrupted
+        write left; returns the number of artifacts removed."""
         removed = 0
         self._memo.clear()
         try:
@@ -288,11 +326,13 @@ class ArtifactStore:
             except OSError:
                 continue
             for path in paths:
-                if path.suffix != ".art":
+                # an interrupted write leaves its temp file behind
+                artifact = path.suffix == ".art"
+                if not artifact and not path.name.startswith("."):
                     continue
                 try:
                     path.unlink()
-                    removed += 1
+                    removed += artifact
                 except OSError:
                     pass
             try:

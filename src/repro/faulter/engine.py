@@ -211,19 +211,20 @@ def build_space_context(
 
     def facts_factory() -> TraceFacts:
         facts = TraceFacts(trace, insn_at, window_at, flag_replay)
-        facts.loaded_proofs = 0
         if artifacts is not None and image_key is not None:
-            payload = artifacts.load(
+            # the reduction hooks are deterministic, so preloaded
+            # verdicts are exactly what recomputation would yield
+            for part in artifacts.load_parts(
                 "facts",
                 artifacts_mod.facts_key(image_key, bad_input,
                                         len(trace), model.name),
                 validate=_valid_facts_payload,
-            )
-            if payload is not None:
-                # the reduction hooks are deterministic, so preloaded
-                # verdicts are exactly what recomputation would yield
-                facts.prune_cache.update(payload["prune"])
-                facts.loaded_proofs = len(payload["prune"])
+                fold=_fold_facts,
+            ):
+                facts.prune_cache.update(part["prune"])
+        # the proofs the store holds: the first ``loaded_proofs``
+        # entries of the prune cache
+        facts.loaded_proofs = len(facts.prune_cache)
         return facts
 
     return SpaceContext(
@@ -232,20 +233,23 @@ def build_space_context(
     )
 
 
+def _fold_facts(parts: list) -> dict:
+    """One ``facts`` payload holding every proof of ``parts``."""
+    prune: dict = {}
+    for part in parts:
+        prune.update(part["prune"])
+    return {"prune": prune}
+
+
 def _persist_facts(ctx, faulter) -> None:
-    """Save the reduction proofs a campaign or fleet job computed, if
-    any.
+    """Append the reduction proofs derived since the facts last loaded
+    or saved, if any, as one part of the store's ``facts`` entry.
 
     Only consults facts the campaign actually materialized
-    (``ctx._facts``) — never forces the analysis — and only writes
-    when new verdicts accumulated beyond what the store supplied.  The
-    fleet workers of one campaign save under one key, so each merges
-    the proofs it derived into the stored ones, which then become its
-    facts: a worker that loses the race between read and save drops
-    another's proofs, never keeps a wrong one (every proof is
-    deterministic).  The facts' first ``loaded_proofs`` entries came
-    from the store, so they are dropped before it is read back: a
-    merge holds one copy of the proofs, not two.
+    (``ctx._facts``) — never forces the analysis — and never reads
+    the store: the fleet workers of one campaign each append their
+    own proofs, and the next process to load the entry merges the
+    parts (see :meth:`ArtifactStore.load_parts`).
     """
     artifacts = faulter.artifacts
     if artifacts is None:
@@ -253,29 +257,18 @@ def _persist_facts(ctx, faulter) -> None:
     facts = getattr(ctx, "_facts", None)
     if facts is None:
         return
-    loaded = getattr(facts, "loaded_proofs", 0)
-    if len(facts.prune_cache) <= loaded:
+    stored = facts.loaded_proofs
+    if len(facts.prune_cache) <= stored:
         return
-    derived = dict(islice(facts.prune_cache.items(), loaded, None))
-    facts.prune_cache = {}
+    derived = dict(islice(facts.prune_cache.items(), stored, None))
     key = artifacts_mod.facts_key(
         faulter.image_digest(),
         faulter.bad_input,
         len(ctx.trace),
         ctx.model.name,
     )
-    stored = artifacts.reload("facts", key, validate=_valid_facts_payload)
-    prune = stored["prune"] if stored is not None else {}
-    facts.loaded_proofs = len(prune)
-    # equal proofs share one object, so the payload pickles each once
-    shared = {proof: proof for proof in prune.values() if proof is not None}
-    for point, proof in derived.items():
-        if proof is not None:
-            proof = shared.setdefault(proof, proof)
-        prune[point] = proof
-    facts.prune_cache = prune
-    if artifacts.save("facts", key, {"prune": dict(prune)}):
-        facts.loaded_proofs = len(prune)
+    if artifacts.append("facts", key, {"prune": derived}):
+        facts.loaded_proofs = len(facts.prune_cache)
 
 
 class ExecutionBackend:
@@ -438,7 +431,7 @@ def _run_partition(job) -> tuple[list[PointOutcome], ExecutionStats]:
     outcomes = list(
         SequentialBackend.stream(executor, partition, ctx, stats, plan))
     # the parent derives no proofs for a fleet campaign, so each worker
-    # saves its own
+    # appends its own
     _persist_facts(ctx, faulter)
     if store is not None:
         stats.merge_artifacts(store.stats.delta(before))

@@ -27,7 +27,9 @@ and ``report()``.  ``**kw`` always carries ``max_steps``, the step
 budget of any campaign the approach runs; ``Target.evaluate`` also
 hands approaches that consume fault models ``campaigns``, the
 :class:`~repro.faulter.campaign.CampaignRunner` of the evaluation, to
-run their campaigns through.
+run their campaigns through, and ``Target`` hands approaches that
+validate behaviour ``original_runs``, the original's good and bad
+runs.
 """
 
 from __future__ import annotations
@@ -71,11 +73,15 @@ class HardeningApproach:
     evaluation forwards its ``harden_models`` only to those.
     ``provenance`` states the contract of the emitted provenance map
     (how original points join to rewritten ones).
+    ``validates_behaviour`` marks approaches that check the hardened
+    image against the original's behaviour on both inputs; ``Target``
+    hands them the original's runs as ``original_runs``.
     """
 
     name: str
     harden: Callable
     consumes_fault_models: bool = False
+    validates_behaviour: bool = False
     provenance: str = ""
     description: str = ""
 
@@ -147,6 +153,7 @@ register_approach(HardeningApproach(
 register_approach(HardeningApproach(
     name="hybrid",
     harden=_harden_hybrid,
+    validates_behaviour=True,
     provenance="guest block ranges (lifter metadata), derived points "
                "for synthesized code",
     description="lift to IR, harden conditional branches, lower "
@@ -156,6 +163,7 @@ register_approach(HardeningApproach(
 register_approach(HardeningApproach(
     name="detour",
     harden=_harden_detour,
+    validates_behaviour=True,
     provenance="identity .text plus exact trampoline mappings",
     description="duplication countermeasure via trampolines "
                 "(Section III-B)",

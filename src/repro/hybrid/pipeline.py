@@ -10,7 +10,7 @@ from typing import Callable, Sequence
 
 from repro.binfmt.image import Executable
 from repro.disasm.units import build_plan
-from repro.emu.machine import run_executable
+from repro.emu.machine import run_executable, run_inputs
 from repro.errors import ReproError, RewriteError
 from repro.faulter.campaign import Faulter
 from repro.faulter.report import CampaignReport
@@ -121,7 +121,8 @@ def hybrid_harden(exe: Executable,
                   uid_seed: int = 0x9E3779B9,
                   branch_filter=None,
                   fold_constants: bool = True,
-                  max_steps: int = 100_000) -> HybridResult:
+                  max_steps: int = 100_000,
+                  original_runs=None) -> HybridResult:
     """Lift, harden conditional branches, lower, validate.
 
     ``grant_marker`` accepts raw marker ``bytes`` or any
@@ -134,6 +135,9 @@ def hybrid_harden(exe: Executable,
     cleanup pipeline fold the pass's UID xor instructions into imm32
     constants after the histograms are taken (the Table IV census is
     measured on the unfolded form, as the paper reports it).
+    ``original_runs`` is the original's ``(good, bad)`` pair of
+    :class:`~repro.emu.machine.RunResult`, when the caller has it
+    (``Target`` does); otherwise validation runs the original too.
     """
     lifter = Lifter(exe)
     ir_module = lifter.lift()
@@ -161,7 +165,7 @@ def hybrid_harden(exe: Executable,
                                         with_provenance=True)
     _carry_dynamic(hardened, exe)
     provenance = with_unit_rollups(provenance, build_plan(lifter.gtirb))
-    _validate(hardened, exe, good_input, bad_input, grant_marker, name)
+    _validate(hardened, exe, good_input, bad_input, name, original_runs)
     _warn_unguarded_blocks(branch_filter)
 
     result = HybridResult(
@@ -293,9 +297,12 @@ def _carry_dynamic(hardened: Executable, original: Executable) -> None:
                                 if s.section in data_sections]
 
 
-def _validate(hardened, original, good_input, bad_input, marker, name):
-    for label, stdin in (("good", good_input), ("bad", bad_input)):
-        want = run_executable(original, stdin=stdin)
+def _validate(hardened, original, good_input, bad_input, name,
+              original_runs=None):
+    if original_runs is None:
+        original_runs = run_inputs(original, (good_input, bad_input))
+    for label, stdin, want in zip(("good", "bad"), (good_input, bad_input),
+                                  original_runs):
         got = run_executable(hardened, stdin=stdin)
         if want.behavior() != got.behavior():
             raise ReproError(

@@ -149,6 +149,18 @@ class TestStore:
         # clearing again is a no-op, not an error
         assert store.clear() == 0
 
+    def test_clear_removes_an_interrupted_write(self, tmp_path):
+        """A temp file left by a write that never reached its rename
+        goes too, so the kind directory empties and is removed."""
+        store = ArtifactStore(tmp_path)
+        store.save("trace", "a" * 64, [1])
+        stray = store.root / "trace" / f".{'a' * 16}.k2x9q1"
+        stray.write_bytes(b"half a payload")
+        assert store.info()["entries"] == 1
+        assert store.clear() == 1
+        assert not stray.exists()
+        assert not (store.root / "trace").exists()
+
     def test_stats_delta_and_merge(self):
         stats = ArtifactStats(hits=2, misses=1, saves=1,
                               derive_seconds=0.5)
@@ -161,6 +173,84 @@ class TestStore:
         other = ArtifactStats()
         other.merge(delta)
         assert other.hits == 3
+
+
+def _fold(parts):
+    return [item for part in parts for item in part]
+
+
+class TestParts:
+    KEY = "p" * 64
+
+    def _parts(self, store):
+        return sorted((store.root / "facts").glob(f"{self.KEY}.*.art"))
+
+    def test_append_writes_parts_and_load_reads_them_all(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        assert store.append("facts", self.KEY, [1])
+        assert store.append("facts", self.KEY, [2, 3])
+        assert len(self._parts(store)) == 2
+        assert store.stats.saves == 2
+        fresh = ArtifactStore(tmp_path)
+        assert sorted(fresh.load_parts("facts", self.KEY)) == [[1], [2, 3]]
+        # a loaded set is one hit; parts are not single artifacts
+        assert fresh.stats.hits == 1 and fresh.stats.misses == 0
+        assert fresh.load("facts", self.KEY) is None
+
+    def test_no_part_is_one_miss(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        assert store.load_parts("facts", self.KEY) == []
+        assert store.stats.misses == 1 and store.stats.hits == 0
+
+    def test_a_corrupt_or_rejected_part_is_skipped_alone(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        store.append("facts", self.KEY, [1])
+        [corrupt] = self._parts(store)
+        store.append("facts", self.KEY, [2])
+        store.append("facts", self.KEY, {"not": "a list"})
+        raw = corrupt.read_bytes()
+        corrupt.write_bytes(raw[:-1] + bytes([raw[-1] ^ 0xFF]))
+        fresh = ArtifactStore(tmp_path)
+        got = fresh.load_parts("facts", self.KEY,
+                               validate=lambda p: isinstance(p, list))
+        assert got == [[2]]
+        assert fresh.stats.hits == 1
+
+    def test_folding_leaves_one_part(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        for part in ([1], [2], [3]):
+            store.append("facts", self.KEY, part)
+        loader = ArtifactStore(tmp_path)
+        [folded] = loader.load_parts("facts", self.KEY, fold=_fold)
+        assert sorted(folded) == [1, 2, 3]
+        assert loader.stats.saves == 1
+        [part] = self._parts(store)
+        # the next loader reads the folded part alone and writes nothing
+        again = ArtifactStore(tmp_path)
+        assert [sorted(p) for p in again.load_parts(
+            "facts", self.KEY, fold=_fold)] == [[1, 2, 3]]
+        assert again.stats.saves == 0 and self._parts(store) == [part]
+
+    def test_one_part_is_not_folded(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        store.append("facts", self.KEY, [1])
+        before = self._parts(store)
+        loader = ArtifactStore(tmp_path)
+        assert loader.load_parts("facts", self.KEY, fold=_fold) == [[1]]
+        assert loader.stats.saves == 0 and self._parts(store) == before
+
+    def test_cli_cache_info_and_clear_count_parts(self, tmp_path, capsys):
+        from repro.cli import main
+        store = ArtifactStore(tmp_path)
+        store.save("trace", "t" * 64, [1])
+        store.append("facts", self.KEY, [1])
+        store.append("facts", self.KEY, [2])
+        assert main(["cache", "info", "--cache-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "  3 entries" in out and "  facts: 2 entries" in out
+        assert main(["cache", "clear", "--cache-dir", str(tmp_path)]) == 0
+        assert "removed 3 artifact(s)" in capsys.readouterr().out
+        assert not any(tmp_path.iterdir())
 
 
 class TestConfigKnobs:
@@ -337,11 +427,15 @@ class TestEndToEndRobustness:
                                        "skip"),
         }
         store = ArtifactStore(tmp_path)
+        # proofs are stored as parts
+        load = {"jit": store.load,
+                "facts": lambda kind, key: store.load_parts(kind, key)
+                or None}
         for kind, key in keys.items():
-            assert store.load(kind, key()) is not None
+            assert load[kind](kind, key()) is not None
         monkeypatch.setattr(artifacts, "code_digest", lambda: "other")
         for kind, key in keys.items():
-            assert store.load(kind, key()) is None
+            assert load[kind](kind, key()) is None
         rerun = make_faulter(wl, exe, ArtifactStore(tmp_path)) \
             .run_campaign("skip")
         assert rerun == reference_report(make_faulter(wl, exe), "skip")

@@ -276,9 +276,7 @@ class TestReducedSpaces:
                                backend=MultiprocessBackend(workers=2))
         finally:
             engine.shutdown_fleet()
-        saved = ArtifactStore(tmp_path).load("facts", facts_key(
-            fresh.image_digest(), fresh.bad_input, len(fresh.trace()),
-            "reg-bitflip"))
+        saved = _stored_facts(ArtifactStore(tmp_path), fresh)
         faulter.run_campaign("reg-bitflip")
         derived = faulter.engine().context("reg-bitflip").facts.prune_cache
         assert saved is not None and saved["prune"]
@@ -287,8 +285,8 @@ class TestReducedSpaces:
 
     def test_fleet_workers_keep_every_proof(self, faulter, tmp_path,
                                             monkeypatch):
-        """Fleet workers save their proofs under one key, each merging
-        what it derived into what the others stored.  Three workers
+        """Fleet workers save their proofs under one key, each
+        appending what it derived as one part.  Three workers
         (in-process here, each a pickled copy of the faulter) all load
         the empty store before any of them saves, as concurrent workers
         do; after their jobs a fresh faulter loads a proof for every
@@ -323,6 +321,63 @@ class TestReducedSpaces:
         assert derived == []
         assert report == expected
 
+    def test_fleet_jobs_write_each_proof_once(self, faulter, tmp_path,
+                                             monkeypatch):
+        """No worker of a 3-partition campaign reads a stored proof
+        back: each job appends only the proofs it derived, so the parts
+        together hold one copy of the set, and a later loader folds
+        them into one part."""
+        reads = []
+        read = ArtifactStore._read
+
+        def recording(path):
+            if path.parent.name == "facts":
+                reads.append(path)
+            return read(path)
+
+        monkeypatch.setattr(ArtifactStore, "_read", staticmethod(recording))
+        shipped, population = _three_worker_jobs(faulter, tmp_path,
+                                                 monkeypatch)
+        assert reads == []
+        parts = _facts_parts(shipped)
+        assert len(parts) == 3
+        written = [ArtifactStore._read(path)["prune"] for path in parts]
+        assert sum(map(len, written)) == population == 2496
+        assert len(set().union(*written)) == population
+        size = sum(path.stat().st_size for path in parts)
+        folded = _stored_facts(ArtifactStore(tmp_path), shipped)
+        [part] = _facts_parts(shipped)
+        assert len(folded["prune"]) == population
+        # the parts hold about one copy of the set in bytes too
+        assert size <= 1.1 * part.stat().st_size
+
+    def test_a_corrupt_part_is_skipped_alone(self, faulter, tmp_path,
+                                             monkeypatch):
+        """A damaged part costs only its own proofs: a fresh faulter
+        loads the other parts, derives the missing proofs again and
+        reports exactly what an uncached campaign does."""
+        expected = faulter.run_campaign("reg-bitflip")
+        shipped, population = _three_worker_jobs(faulter, tmp_path,
+                                                 monkeypatch)
+        corrupt = _facts_parts(shipped)[1]
+        lost = set(ArtifactStore._read(corrupt)["prune"])
+        raw = corrupt.read_bytes()
+        corrupt.write_bytes(raw[:-1] + bytes([raw[-1] ^ 0xFF]))
+        fresh = Faulter(faulter.image, faulter.good_input,
+                        faulter.bad_input, faulter.oracle,
+                        name=faulter.name,
+                        artifacts=ArtifactStore(tmp_path))
+        fresh_ctx = fresh.engine().context("reg-bitflip")
+        derived = []
+        prune = fresh_ctx.model.prune_variant
+        monkeypatch.setattr(
+            fresh_ctx.model, "prune_variant",
+            lambda step, detail, facts: derived.append((step, detail))
+            or prune(step, detail, facts))
+        assert fresh_ctx.facts.loaded_proofs == population - len(lost)
+        assert fresh.run_campaign("reg-bitflip") == expected
+        assert set(derived) == lost
+
     @pytest.mark.parametrize("window", [None, 97],
                              ids=["one-window", "many-windows"])
     def test_sequential_campaign_disposes_each_point_once(
@@ -344,6 +399,42 @@ class TestReducedSpaces:
         assert report == reference
         assert report.meta["reduction"] == certificate
         assert 0 < certificate["executed_points"] < population
+
+
+def _stored_facts(store, faulter):
+    """The reg-bitflip proofs ``store`` holds for ``faulter``, folded
+    into one payload, or ``None``."""
+    parts = store.load_parts("facts", facts_key(
+        faulter.image_digest(), faulter.bad_input, len(faulter.trace()),
+        "reg-bitflip"), fold=engine._fold_facts)
+    return parts[0] if parts else None
+
+
+def _facts_parts(faulter) -> list:
+    return sorted((faulter.artifacts.root / "facts").glob("*.art"))
+
+
+def _three_worker_jobs(faulter, root, monkeypatch):
+    """Run the jobs of a 3-partition reg-bitflip campaign in-process,
+    each on its own pickled copy of ``faulter`` with a store at
+    ``root``.  Every worker loads the empty store before any job, as
+    concurrent workers do.  Returns the shipped faulter and the
+    population."""
+    shipped = Faulter(faulter.image, faulter.good_input,
+                      faulter.bad_input, faulter.oracle,
+                      name=faulter.name, artifacts=ArtifactStore(root))
+    ctx = shipped.engine().context("reg-bitflip")
+    partitions = ExhaustiveSpace().partition(ctx, 3)
+    assert len(partitions) == 3
+    workers = [pickle.loads(pickle.dumps(shipped)) for _ in partitions]
+    for worker in workers:
+        assert worker.engine().context("reg-bitflip").facts \
+            .loaded_proofs == 0
+    for worker, part in zip(workers, partitions):
+        monkeypatch.setattr(engine, "_live_target",
+                            lambda _, live=worker: (live, {}))
+        engine._run_partition((shipped, "reg-bitflip", part, True))
+    return shipped, ExhaustiveSpace().count(ctx)
 
 
 class TestStreamDisposal:

@@ -463,6 +463,83 @@ def test_harden_runs_the_loop_on_the_given_engine_config():
                       campaigns=runner)
 
 
+def _original_runs(monkeypatch, exe) -> list:
+    """The stdin of every run of ``exe`` from now on."""
+    from repro.emu.machine import Machine
+    runs = []
+    run = Machine.run
+
+    def counting(machine, *args, **kwargs):
+        if machine.image is exe:
+            runs.append(machine.io.stdin)
+        return run(machine, *args, **kwargs)
+
+    monkeypatch.setattr(Machine, "run", counting)
+    return runs
+
+
+class TestOriginalRuns:
+    """The hybrid and detour hardeners validate against the original's
+    good and bad runs, which ``Target`` computes once."""
+
+    def test_hardening_twice_runs_the_original_once(self, monkeypatch):
+        from repro.binfmt import write_elf
+        from repro.detour.rewriter import detour_harden
+        from repro.hybrid.pipeline import hybrid_harden
+        wl = pincheck.workload()
+        target = wl.target()
+        runs = _original_runs(monkeypatch, target.exe)
+        first = {approach: write_elf(target.harden(
+            approach, fault_models=()).hardened)
+            for approach in ("hybrid", "detour")}
+        assert len(runs) == 2
+        for approach, elf in first.items():
+            again = target.harden(approach, fault_models=())
+            assert write_elf(again.hardened) == elf
+        assert len(runs) == 2
+        # a standalone call runs the original itself, with equal bytes
+        standalone = {"hybrid": hybrid_harden, "detour": detour_harden}
+        for approach, harden in standalone.items():
+            result = harden(target.exe, wl.good_input, wl.bad_input,
+                            wl.grant_marker, name=wl.name)
+            assert write_elf(result.hardened) == first[approach]
+        assert len(runs) == 6
+
+    def test_the_faulters_baselines_are_reused(self, monkeypatch):
+        target = pincheck.workload().target()
+        faulter = target.faulter()
+        runs = _original_runs(monkeypatch, target.exe)
+        target.harden("detour", fault_models=())
+        target.harden("hybrid", fault_models=())
+        assert runs == []
+        assert target._original_runs() == (faulter.good_baseline,
+                                            faulter.bad_baseline)
+
+    def test_a_baseline_cut_by_the_step_budget_runs_again(self,
+                                                          monkeypatch):
+        """A faulter baseline that hit its step budget says nothing of
+        a run under ``run_executable``'s own budget."""
+        import dataclasses
+        from repro.emu.machine import MAX_STEPS
+        target = pincheck.workload().target()
+        faulter = target.faulter()
+        faulter.bad_baseline = dataclasses.replace(
+            faulter.bad_baseline, reason=MAX_STEPS)
+        runs = _original_runs(monkeypatch, target.exe)
+        target.harden("detour", fault_models=())
+        assert runs == [target.good_input, target.bad_input]
+
+    def test_evaluate_validates_against_the_baselines(self, monkeypatch):
+        target = pincheck.workload().target()
+        target.faulter()
+        runs = _original_runs(monkeypatch, target.exe)
+        target.evaluate("detour", models=("skip",))
+        # the campaigns walk the bad input; nothing reruns the good one
+        assert target.good_input not in runs
+        assert target._runs == (target.faulter().good_baseline,
+                                target.faulter().bad_baseline)
+
+
 # ---------------------------------------------------------------------------
 # hardening-approach registry
 # ---------------------------------------------------------------------------
