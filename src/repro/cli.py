@@ -202,6 +202,8 @@ def _cmd_fault(args) -> int:
                   f"{meta['memo_hits']} memo hits "
                   f"({meta['compile_divergences']} divergences, "
                   f"compile {meta['compile_seconds']}s)")
+            print(f"  regions: {meta['regions']} formed, "
+                  f"{meta['region_steps']} of the compiled steps in them")
             _print_reduction(meta)
             artifacts = meta.get("artifacts")
             if artifacts and artifacts.get("enabled"):

@@ -17,6 +17,10 @@ the optimized IR to a plain Python step function executed by
   nested journal mark, so an aborted block leaves no trace and the
   precise stepper re-executes it for the architectural crash state.
 
+Hot loops run as *regions*: the blocks on the cycles through a hot
+block, lowered as one function that keeps registers in locals and
+computes flags lazily (``codegen.lower_region``).
+
 ``TraceCompiler`` owns the per-compiler block cache, its coherence under
 self-modifying code and machine resets, and the campaign-visible
 counters (compiled vs precise steps, divergences, compile time); the

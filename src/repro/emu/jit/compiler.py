@@ -19,9 +19,10 @@ image, so shared entries never go stale and need no coherence; the
 per-compiler maps keep it, event-driven:
 
 * ``on_exec_write`` (wired through ``Machine._on_exec_write``) evicts
-  every block overlapping a write to executable memory and, if the
-  write came from inside the currently running block, aborts it with
-  :class:`BlockInvalidated` so nothing stale commits;
+  every block overlapping a write to executable memory (and the region
+  holding it) and, if the write hit the running block or any member of
+  the running region, aborts it with :class:`BlockInvalidated` so
+  nothing stale commits;
 * ``attach`` binds the compiler to a freshly constructed machine
   (pristine image) and is how one block cache survives the engine's
   machine resets: it evicts only blocks compiled while the image was
@@ -34,6 +35,17 @@ journaled memory writes and return control to the precise stepper,
 which re-executes from the block entry and reproduces the exact
 architectural crash state — compiled execution never commits partial
 blocks.
+
+A block that heads a cycle of compiled blocks runs, after
+:data:`REGION_VISITS` visits, the blocks on its cycles as one *region*
+function (``codegen.lower_region``): registers stay in locals from
+member to member and flags are computed only where a member's
+terminator reads them, or materialized where control leaves the
+region.  The region checks the step budget before each member, and an
+abort rolls back and hands the precise stepper exactly one member.
+Regions exit to absolute addresses, so the process-wide region map is
+keyed by every member's start and code; they are formed afresh in each
+compiler and never exported.
 """
 
 from __future__ import annotations
@@ -45,7 +57,8 @@ from typing import Callable, Optional
 
 from repro.errors import DecodingError, EmulationError, IRError, LiftError
 from repro.emu.flagops import PARITY_TABLE
-from repro.emu.jit.codegen import JitUnsupported, lower_superblock
+from repro.emu.jit.codegen import (
+    JitUnsupported, Render, lower_region, lower_superblock)
 from repro.emu.jit.lift import lift_superblock
 from repro.emu.jit.superblock import carve
 from repro.isa.operands import Mem
@@ -57,9 +70,24 @@ _UNCOMPILED = object()
 #: (1,122, summed over its stage processes).
 SHARED_CAPACITY = 4096
 
-# _code_key -> (step, writes_memory, source), or None for a block that
-# does not lift or lower
+# _code_key -> (step, writes_memory, source, render), or None for a
+# block that does not lift or lower
 _SHARED: OrderedDict = OrderedDict()
+
+#: Visits after which a block that heads a cycle of compiled blocks
+#: runs the blocks on its cycles as one region
+#: (:meth:`TraceCompiler._form_region`).
+REGION_VISITS = 64
+
+#: Most blocks one region holds.
+MAX_MEMBERS = 16
+
+#: Region terminators: a region never holds a call or ret.
+_MEMBER_TERMINATORS = (None, "JMP", "JCC", "SETCC", "PUSHFQ", "POPFQ")
+
+# tuple of members' (start, code) -> (region_fn, source); regions exit
+# to absolute addresses, so the key holds every member's start
+_SHARED_REGIONS: OrderedDict = OrderedDict()
 
 
 def _code_key(start: int, insns):
@@ -77,21 +105,31 @@ def _code_key(start: int, insns):
     return code
 
 
-def _shared_get(key):
-    entry = _SHARED.get(key, _UNCOMPILED)
+def _shared_get(key, shared=None):
+    shared = _SHARED if shared is None else shared
+    entry = shared.get(key, _UNCOMPILED)
     if entry is not _UNCOMPILED:
-        _SHARED.move_to_end(key)
+        shared.move_to_end(key)
     return entry
 
 
-def _shared_put(key, entry) -> None:
-    _SHARED[key] = entry
-    while len(_SHARED) > SHARED_CAPACITY:
-        _SHARED.popitem(last=False)
+def _joinable(block) -> bool:
+    """Can ``block`` join a region?"""
+    return (block is not None and block.member_of is None
+            and block.render is not None
+            and block.render.mnemonic in _MEMBER_TERMINATORS)
+
+
+def _shared_put(key, entry, shared=None) -> None:
+    shared = _SHARED if shared is None else shared
+    shared[key] = entry
+    while len(shared) > SHARED_CAPACITY:
+        shared.popitem(last=False)
 
 
 def _lowered(start: int, body, terminator, insns):
-    """``(step, writes_memory, source)`` for a carved block, or ``None``.
+    """``(step, writes_memory, source, render)`` for a carved block, or
+    ``None``.
 
     Lifts and lowers only on a miss in the process-wide map; a block
     that fails to lift or lower is remembered as ``None``.  The IR is
@@ -132,6 +170,29 @@ class SuperBlock:
     tainted: bool                    # compiled after the image went dirty
     insns: tuple = field(default=())  # body + terminator, decode order
     source: str = ""
+    render: Optional[Render] = None  # for composing regions
+    visits: int = field(default=0, compare=False)
+    # the region this block heads, and the one holding it
+    region: Optional["Region"] = field(default=None, repr=False,
+                                       compare=False)
+    member_of: Optional["Region"] = field(default=None, repr=False,
+                                          compare=False)
+
+    @property
+    def spans(self) -> tuple:
+        return ((self.start, self.limit),)
+
+
+@dataclass(eq=False)
+class Region:
+    """A hot loop of blocks run as one function (``lower_region``).
+
+    It names its members by their spans, so blocks and regions form no
+    reference cycle.
+    """
+
+    run: Callable                    # fn(cpu, mem, flags, limit)
+    spans: tuple                     # each member's (start, limit), head first
 
 
 class TraceCompiler:
@@ -147,6 +208,8 @@ class TraceCompiler:
         self._active: Optional[SuperBlock] = None
         self._dirty = False
         self.compiled_steps = 0
+        self.region_steps = 0
+        self.regions = 0
         self.divergences = 0
         self.compile_seconds = 0.0
         self.compiled_blocks = 0
@@ -164,7 +227,12 @@ class TraceCompiler:
 
     def _evict_if(self, stale) -> None:
         for start in [s for s, b in self._blocks.items() if stale(b)]:
-            del self._blocks[start]
+            block = self._blocks.pop(start)
+            if block is not None and block.member_of is not None:
+                # evicting a member evicts its region
+                for member_start, _ in block.member_of.spans:
+                    member = self._blocks.get(member_start, block)
+                    member.region = member.member_of = None
 
     def on_exec_write(self, address: int, size: int) -> None:
         """A write landed in executable memory."""
@@ -174,9 +242,16 @@ class TraceCompiler:
             self._evict_if(lambda block: block is None or
                            (block.start < end and address < block.limit))
         active = self._active
-        if active is not None and active.start < end \
-                and address < active.limit:
+        if active is not None and any(start < end and address < limit
+                                      for start, limit in active.spans):
+            # deactivated first: rolling the store back writes here too
+            self._active = None
             raise BlockInvalidated()
+
+    def runnable(self, address: int) -> bool:
+        """False when the block at ``address`` is known uncompilable,
+        so :meth:`execute` would run nothing there."""
+        return self._blocks.get(address, _UNCOMPILED) is not None
 
     # -- compilation --------------------------------------------------
 
@@ -189,7 +264,7 @@ class TraceCompiler:
                    if insns else None)
         block = None
         if lowered is not None:
-            step, writes_memory, source = lowered
+            step, writes_memory, source, render = lowered
             last = insns[-1]
             block = SuperBlock(
                 start=address,
@@ -200,6 +275,7 @@ class TraceCompiler:
                 tainted=self._dirty,
                 insns=insns,
                 source=source,
+                render=render,
             )
         self._blocks[address] = block
         if block is not None:
@@ -228,6 +304,24 @@ class TraceCompiler:
                 block = self._compile_at(machine, cpu.rip)
             if block is None or block.count > limit - executed:
                 break
+            region = block.region
+            if region is not None:
+                self._active = region
+                done = region.run(cpu, memory, flags, limit - executed)
+                self._active = None
+                if done < 0:
+                    # a member aborted, its entry state committed: the
+                    # precise stepper re-executes it
+                    executed += ~done
+                    self.region_steps += ~done
+                    self.divergences += 1
+                    break
+                executed += done
+                self.region_steps += done
+                continue
+            block.visits += 1
+            if block.visits == REGION_VISITS:
+                self._form_region(block)
             if block.writes_memory:
                 mark = memory.journal_mark()
                 self._active = block
@@ -256,6 +350,84 @@ class TraceCompiler:
         self.compiled_steps += executed
         return executed
 
+    # -- regions ------------------------------------------------------
+
+    def _successors(self, block) -> list:
+        """``block``'s successors that could join a region, hottest
+        first (a jcc's taken edge on a tie)."""
+        render = block.render
+        fallthrough = (block.start + render.size) % (1 << 64)
+        if render.mnemonic == "JMP":
+            starts = [(block.start + render.target) % (1 << 64)]
+        elif render.mnemonic == "JCC":
+            starts = [(block.start + render.target) % (1 << 64)]
+            if fallthrough != starts[0]:
+                starts.append(fallthrough)
+        else:
+            starts = [fallthrough]
+        successors = [self._blocks.get(start) for start in starts]
+        successors = [successor for successor in successors
+                      if _joinable(successor)]
+        successors.sort(key=lambda successor: -successor.visits)
+        return successors
+
+    def _form_region(self, head) -> None:
+        """Run the blocks on cycles through ``head`` as one region, if
+        there are any.
+
+        The region's members are the blocks reachable from ``head`` and
+        reaching it again, over blocks that are compiled, end in a
+        region terminator and belong to no region: the first
+        :data:`MAX_MEMBERS` reachable ones, depth-first, hottest
+        successor first.
+        """
+        if not _joinable(head):
+            return
+        reachable = [head]
+        seen = {head.start}
+        successors = {}
+        stack = [head]
+        while stack:
+            block = stack.pop()
+            successors[block.start] = self._successors(block)
+            found = [successor for successor in successors[block.start]
+                     if successor.start not in seen]
+            found = found[:MAX_MEMBERS - len(reachable)]
+            seen.update(successor.start for successor in found)
+            reachable += found
+            stack += reversed(found)
+        # the reachable blocks that reach the head again
+        loops = {head.start}
+        while True:
+            closing = {block.start for block in reachable
+                       if any(successor.start in loops for successor
+                              in successors.get(block.start, ()))}
+            if closing <= loops:
+                break
+            loops |= closing
+        if not any(successor.start in loops
+                   for successor in successors[head.start]):
+            return
+        members = [block for block in reachable if block.start in loops]
+        started = time.perf_counter()
+        key = tuple((member.start,
+                     b"".join(insn.raw for insn in member.insns))
+                    for member in members)
+        entry = _shared_get(key, _SHARED_REGIONS)
+        if entry is _UNCOMPILED:
+            entry = lower_region(
+                [(member.start, member.render) for member in members],
+                (BlockInvalidated, EmulationError))
+            _shared_put(key, entry, _SHARED_REGIONS)
+        region = Region(run=entry[0],
+                        spans=tuple((member.start, member.limit)
+                                    for member in members))
+        head.region = region
+        for member in members:
+            member.member_of = region
+        self.regions += 1
+        self.compile_seconds += time.perf_counter() - started
+
     # -- serialization ------------------------------------------------
     #
     # ``lower_superblock`` compiles to a plain Python source string
@@ -277,6 +449,7 @@ class TraceCompiler:
                 "count": block.count,
                 "writes_memory": block.writes_memory,
                 "source": block.source,
+                "render": block.render,
                 "addresses": [insn.address for insn in block.insns],
             })
         return {"blocks": blocks}
@@ -320,10 +493,13 @@ class TraceCompiler:
                     namespace: dict = {"_PT": PARITY_TABLE}
                     exec(compile(spec["source"], f"<jit:{start:#x}>",
                                  "exec"), namespace)
+                    render = spec.get("render")
                     entry = (namespace.pop("superblock"),
-                             bool(spec["writes_memory"]), spec["source"])
+                             bool(spec["writes_memory"]), spec["source"],
+                             render if isinstance(render, Render)
+                             else None)
                     _shared_put(key, entry)
-                step, writes_memory, source = entry
+                step, writes_memory, source, render = entry
                 block = SuperBlock(
                     start=start,
                     limit=spec["limit"],
@@ -333,6 +509,7 @@ class TraceCompiler:
                     tainted=False,
                     insns=tuple(insns),
                     source=source,
+                    render=render,
                 )
             except (KeyError, IndexError, TypeError, ValueError,
                     SyntaxError, DecodingError, EmulationError):
@@ -346,8 +523,12 @@ class TraceCompiler:
     def drain_into(self, stats) -> None:
         """Fold-and-reset counters into an ``ExecutionStats``."""
         stats.compiled_steps += self.compiled_steps
+        stats.region_steps += self.region_steps
+        stats.regions += self.regions
         stats.divergences += self.divergences
         stats.compile_seconds += self.compile_seconds
         self.compiled_steps = 0
+        self.region_steps = 0
+        self.regions = 0
         self.divergences = 0
         self.compile_seconds = 0.0

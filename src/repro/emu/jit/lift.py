@@ -50,8 +50,10 @@ from repro.isa.registers import Register, all_gpr64
 from repro.isa.registers import reg as reg_by_name
 
 _RSP = reg_by_name("rsp")
-_INC_DEC_FLAGS = frozenset({"pf", "af", "zf", "sf", "of"})
-_SHIFT_FLAGS = frozenset({"cf", "pf", "zf", "sf"})
+#: Flags ``inc``/``dec`` define, and a shift by a masked count other
+#: than 0 or 1 (a count of 1 defines ``of`` too)
+INC_DEC_FLAGS = frozenset({"pf", "af", "zf", "sf", "of"})
+SHIFT_FLAGS = frozenset({"cf", "pf", "zf", "sf"})
 
 _PIPELINE = PassManager([
     ("constfold", constant_fold),
@@ -166,10 +168,10 @@ class _FlagMarkers:
                        ALL_FLAGS, ALL_FLAGS)
         elif mnemonic is Mnemonic.INC:
             self._emit("inc", (read(0),), bits,
-                       _INC_DEC_FLAGS, _INC_DEC_FLAGS)
+                       INC_DEC_FLAGS, INC_DEC_FLAGS)
         elif mnemonic is Mnemonic.DEC:
             self._emit("dec", (read(0),), bits,
-                       _INC_DEC_FLAGS, _INC_DEC_FLAGS)
+                       INC_DEC_FLAGS, INC_DEC_FLAGS)
         elif mnemonic is Mnemonic.NEG:
             self._emit("neg", (read(0),), bits, ALL_FLAGS, ALL_FLAGS)
         elif mnemonic in (Mnemonic.SHL, Mnemonic.SHR, Mnemonic.SAR):
@@ -179,7 +181,7 @@ class _FlagMarkers:
                 masked = amount.value & (0x3F if bits == 64 else 0x1F)
                 if masked == 0:
                     return  # architecturally no flag update at all
-                defined = _SHIFT_FLAGS | ({"of"} if masked == 1
+                defined = SHIFT_FLAGS | ({"of"} if masked == 1
                                           else frozenset())
                 self._emit(kind, (read(0),
                                   Constant(I8, amount.value & 0xFF)),
@@ -189,7 +191,7 @@ class _FlagMarkers:
                 # nothing at all when the masked count is zero
                 count = translator.read(amount, insn, 1)
                 self._emit(kind, (read(0), count), bits,
-                           _SHIFT_FLAGS | {"of"}, frozenset())
+                           SHIFT_FLAGS | {"of"}, frozenset())
 
     def prune(self):
         """Erase markers outside the live tail (batched materialization)."""

@@ -206,7 +206,8 @@ class Machine:
                         plan_cursor += 1
                     if plan_cursor < len(plan_steps):
                         stop = min(stop, plan_steps[plan_cursor])
-                    if stop > steps:
+                    # a PC known uncompilable would run nothing
+                    if stop > steps and jit.runnable(rip):
                         advanced = jit.execute(self, stop - steps)
                         if advanced:
                             steps += advanced

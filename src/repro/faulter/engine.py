@@ -238,7 +238,17 @@ def _fold_facts(parts: list) -> dict:
     prune: dict = {}
     for part in parts:
         prune.update(part["prune"])
-    return {"prune": prune}
+    return {"prune": _shared_proofs(prune)}
+
+
+def _shared_proofs(prune: dict) -> dict:
+    """``prune`` with each set of equal proofs as one object, which a
+    pickle then stores once."""
+    seen: dict = {}
+    return {
+        key: seen.setdefault(verdict, verdict)
+        for key, verdict in prune.items()
+    }
 
 
 def _persist_facts(ctx, faulter) -> None:
@@ -267,7 +277,7 @@ def _persist_facts(ctx, faulter) -> None:
         len(ctx.trace),
         ctx.model.name,
     )
-    if artifacts.append("facts", key, {"prune": derived}):
+    if artifacts.append("facts", key, {"prune": _shared_proofs(derived)}):
         facts.loaded_proofs = len(facts.prune_cache)
 
 
@@ -878,6 +888,8 @@ def _report_meta(backend, space: str, stats: ExecutionStats,
         "trace_compile": backend.trace_compile,
         "compiled_steps": stats.compiled_steps,
         "precise_steps": stats.emulated_steps - stats.compiled_steps,
+        "region_steps": stats.region_steps,
+        "regions": stats.regions,
         "compile_seconds": round(stats.compile_seconds, 6),
         "compile_divergences": stats.divergences,
         "memo_hits": stats.memo_hits,

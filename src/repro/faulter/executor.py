@@ -41,7 +41,9 @@ class ExecutionStats:
     """Counters a backend fills while streaming outcomes.
 
     ``compiled_steps`` counts the subset of ``emulated_steps`` executed
-    by the trace-compiled tier; ``divergences`` counts compiled blocks
+    by the trace-compiled tier, and ``region_steps`` the subset of those
+    run inside hot-loop regions, of which the tier formed ``regions``;
+    ``divergences`` counts compiled blocks
     that aborted back to the precise stepper (guest fault or
     self-modifying code); ``compile_seconds`` is wall time spent
     lifting/lowering superblocks; ``memo_hits`` counts single-fault
@@ -58,6 +60,8 @@ class ExecutionStats:
     emulated_steps: int = 0
     peak_resident_points: int = 0
     compiled_steps: int = 0
+    region_steps: int = 0
+    regions: int = 0
     divergences: int = 0
     compile_seconds: float = 0.0
     memo_hits: int = 0
@@ -89,6 +93,8 @@ class ExecutionStats:
         self.emulated_steps += other.emulated_steps
         self.observe_resident(other.peak_resident_points)
         self.compiled_steps += other.compiled_steps
+        self.region_steps += other.region_steps
+        self.regions += other.regions
         self.divergences += other.divergences
         self.compile_seconds += other.compile_seconds
         self.memo_hits += other.memo_hits

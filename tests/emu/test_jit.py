@@ -755,7 +755,7 @@ class TestFlagTerminators:
         stores and loads on both sides of it see the same bytes."""
         body, terminator = carve(machine, address)
         assert terminator is not None
-        step, _, source = lower_superblock(
+        step, _, source, _ = lower_superblock(
             lift_mod.lift_superblock(body, address), body, terminator)
         results = []
         for compiled in (True, False):
@@ -1007,3 +1007,41 @@ class TestInlineFlagReplay:
                                 lambda f: f.set_shr(a, count, bits))
                     self._check("sar", (a, count), bits,
                                 lambda f: f.set_sar(a, count, bits))
+
+
+def test_cl_shift_folded_to_a_masked_zero_count():
+    """A ``cl`` count that constant-folds to a masked count of 0
+    changes no flag; it once lowered to a negative shift and raised
+    ``ValueError`` out of the compiled block."""
+    image = assemble("\n".join([
+        ".text", ".global _start", "_start:",
+        "    mov ecx, 64", "    cmp ecx, 65", "    shr sil, cl",
+        "    pushfq", "    pop rdi", "    mov eax, 60", "    syscall"]))
+    _assert_identical(image, b"")
+
+
+def test_known_uncompilable_pc_skips_the_compiled_tier(monkeypatch):
+    """``Machine.run`` calls ``TraceCompiler.execute`` only where a
+    block may run: a PC whose block is known uncompilable steps
+    precisely at once.  Each uncompilable PC costs at most one empty
+    call, the one that finds it out."""
+    calls = []    # (known uncompilable before the call, steps run)
+    execute = TraceCompiler.execute
+
+    def counting(self, machine, limit):
+        known = self._blocks.get(machine.cpu.rip, 0) is None
+        steps = execute(self, machine, limit)
+        calls.append((known, steps))
+        return steps
+
+    monkeypatch.setattr(TraceCompiler, "execute", counting)
+    wl = bootloader.workload(rich=True)
+    (precise, rp), (compiled, rc) = _run_both(wl.build(), wl.bad_input)
+    assert _state(precise) == _state(compiled)
+    assert rp.steps == rc.steps
+    assert calls and not any(known for known, _ in calls)
+    uncompilable = sum(block is None
+                       for block in compiled.jit._blocks.values())
+    assert uncompilable > 0
+    assert sum(steps == 0 for _, steps in calls) <= uncompilable
+    assert compiled.jit.compiled_steps == sum(steps for _, steps in calls)

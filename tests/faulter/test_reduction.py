@@ -9,6 +9,7 @@ protocol (:mod:`tests.reference`) computes it.  The certificate in
 settled and why.  k-fault tuple spaces run unreduced.
 """
 
+import copy
 import functools
 import hashlib
 import json
@@ -350,6 +351,28 @@ class TestReducedSpaces:
         assert len(folded["prune"]) == population
         # the parts hold about one copy of the set in bytes too
         assert size <= 1.1 * part.stat().st_size
+
+    def test_folding_shares_equal_proofs(self, faulter, tmp_path,
+                                         monkeypatch):
+        """Folding a 3-partition campaign's parts stores each set of
+        equal proofs once: they load as one object, and the folded
+        payload pickles smaller than with one copy per proof."""
+        shipped, population = _three_worker_jobs(faulter, tmp_path,
+                                                 monkeypatch)
+        _stored_facts(ArtifactStore(tmp_path), shipped)
+        [part] = _facts_parts(shipped)
+        folded = ArtifactStore._read(part)
+        verdicts = [verdict for verdict in folded["prune"].values()
+                    if verdict is not None]
+        assert len(folded["prune"]) == population
+        distinct = set(verdicts)
+        assert len({id(verdict) for verdict in verdicts}) == len(distinct)
+        assert len(distinct) < len(verdicts)
+        unshared = {"prune": {key: copy.copy(verdict)
+                              for key, verdict in folded["prune"].items()}}
+        assert unshared == folded
+        assert len(pickle.dumps(folded, pickle.HIGHEST_PROTOCOL)) < \
+            len(pickle.dumps(unshared, pickle.HIGHEST_PROTOCOL))
 
     def test_a_corrupt_part_is_skipped_alone(self, faulter, tmp_path,
                                              monkeypatch):

@@ -117,6 +117,22 @@ class TestCLI:
         assert "GRANTED" in capsys.readouterr().out
 
 
+class TestRegionCounters:
+    """Hot-loop region counters reach ``report.meta`` and the CLI."""
+
+    def test_bootloader_bitflip_pins_its_regions(self, capsys):
+        # the execution line is the one the tier printed before regions
+        # existed: regions move no step between compiled and precise
+        code = main(["fault", "bootloader", "--model", "bitflip",
+                     "--verbose"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert ("  execution: 124853 compiled + 5013 precise steps, "
+                "1070 memo hits (294 divergences") in out
+        assert ("  regions: 1 formed, 109334 of the compiled steps in "
+                "them\n") in out
+
+
 class TestCompareCLI:
     def test_compare_bundled_pincheck(self, capsys):
         """The acceptance scenario: skip model, faulter+patcher."""
