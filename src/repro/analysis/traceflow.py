@@ -152,6 +152,27 @@ class StepFacts:
     touched: tuple  # flags possibly written, in _FLAG_ORDER
 
 
+def _write_spans(insn: Instruction, eff) -> dict[int, int]:
+    """Register code -> the bit mask a skip or a replacement of
+    ``insn`` can perturb, by register code, so proofs scan registers
+    in a fixed order."""
+    write_spans: dict[int, int] = {
+        code: MASK64
+        for code in sorted(register.code for register in eff.writes)
+    }
+    ops = insn.operands
+    if (
+        ops
+        and isinstance(ops[0], Reg)
+        and ops[0].size == 1
+        and ops[0].register.code in write_spans
+        and insn.mnemonic is not Mnemonic.SYSCALL
+    ):
+        # the sole write to an 8-bit destination view touches bits 0-7
+        write_spans[ops[0].register.code] = LOW8
+    return write_spans
+
+
 def derive_step_facts(insn: Instruction) -> StepFacts:
     """Compute :class:`StepFacts` for one decoded instruction."""
     eff = effects(insn)
@@ -214,21 +235,6 @@ def derive_step_facts(insn: Instruction) -> StepFacts:
         if register.code not in seen:
             add_read(register.code, MASK64)
 
-    # by register code, so proofs scan registers in a fixed order
-    write_spans: dict[int, int] = {
-        code: MASK64
-        for code in sorted(register.code for register in eff.writes)
-    }
-    if (
-        ops
-        and isinstance(ops[0], Reg)
-        and ops[0].size == 1
-        and ops[0].register.code in write_spans
-        and m is not Mnemonic.SYSCALL
-    ):
-        # the sole write to an 8-bit destination view touches bits 0-7
-        write_spans[ops[0].register.code] = LOW8
-
     killed, touched = _flag_sets(m)
     return StepFacts(
         insn=insn,
@@ -236,7 +242,7 @@ def derive_step_facts(insn: Instruction) -> StepFacts:
         reads=reads,
         kills=frozenset(kills),
         spans=spans,
-        write_spans=write_spans,
+        write_spans=_write_spans(insn, eff),
         consumed=consumed_flags(insn),
         killed=killed,
         touched=_ordered_flags(touched),
@@ -260,13 +266,20 @@ class VariantPrune:
 _MISSING = object()
 
 
+def _encoding_key(address: int, detail: tuple) -> tuple:
+    """Memo key of an encoding proof's step-independent half."""
+    return address, detail
+
+
 def _encoding_defs(facts: StepFacts, window: bytes, mutated: bytes):
     """The step-independent half of :meth:`TraceFacts.encoding_prune`.
 
     Either a final verdict (a :class:`VariantPrune`, or ``None`` when
     no proof applies), or ``(spans, flags)``: the register bit spans
     and the flags the original or the mutated encoding may define,
-    all of which must be dead after the step.
+    all of which must be dead after the step.  Of the replacement it
+    derives only what the proof reads: its memory effect, write spans
+    and possibly-written flags.
     """
     original = facts.insn
     length = original.length
@@ -284,21 +297,34 @@ def _encoding_defs(facts: StepFacts, window: bytes, mutated: bytes):
         return None
     if m_old is Mnemonic.SYSCALL or m_new is Mnemonic.SYSCALL:
         return None
-    new_facts = derive_step_facts(replacement)
+    new_eff = effects(replacement)
     if (
         facts.eff.writes_memory
-        or new_facts.eff.writes_memory
-        or new_facts.eff.reads_memory
+        or new_eff.writes_memory
+        or new_eff.reads_memory
     ):
         return None
-    spans: dict[int, int] = {}
-    for source in (facts.write_spans, new_facts.write_spans):
-        for code, span in source.items():
-            spans[code] = spans.get(code, 0) | span
+    spans = dict(facts.write_spans)
+    for code, span in _write_spans(replacement, new_eff).items():
+        spans[code] = spans.get(code, 0) | span
     flags = ()
-    if facts.eff.writes_flags or new_facts.eff.writes_flags:
-        flags = _ordered_flags(facts.touched + new_facts.touched)
+    if facts.eff.writes_flags or new_eff.writes_flags:
+        flags = _ordered_flags(facts.touched + tuple(_flag_sets(m_new)[1]))
     return tuple(spans.items()), flags
+
+
+def _settle_step(events, mask: int) -> float:
+    """The last settle event of a dead register profile that ``mask``'s
+    bits need (``inf`` when some bit is dead only by the run's end)."""
+    settled = -1.0
+    remaining = mask
+    for step, submask in events:
+        if remaining & submask:
+            settled = max(settled, step)
+            remaining &= ~submask
+    if remaining:
+        return math.inf
+    return settled
 
 
 class TraceFacts:
@@ -316,7 +342,7 @@ class TraceFacts:
     per step — a loop revisits the same code: :class:`StepFacts` are
     derived once per address, and the step-independent half of an
     encoding proof (decode, early outs, defined spans and flags) once
-    per (address, mutated window).  Only the liveness scans after the
+    per (address, fault detail).  Only the liveness scans after the
     step are per step.
     """
 
@@ -333,7 +359,7 @@ class TraceFacts:
         self._flag_replay = flag_replay
         # trace address (None past the trace's end) -> facts
         self._at_address: dict[Optional[int], Optional[StepFacts]] = {}
-        self._encodings: dict[tuple[int, bytes], object] = {}
+        self._encodings: dict[tuple[int, tuple], object] = {}
         self._reg_profiles: dict = {}
         self._flag_dead: dict = {}
         self._flag_values: Optional[list] = None
@@ -409,14 +435,23 @@ class TraceFacts:
         dead, events = self._reg_profile(start, code)
         if mask & ~dead:
             return math.inf  # not even dead
+        return _settle_step(events, mask)
+
+    def _dead_defs(self, start: int, spans, flags) -> Optional[float]:
+        """The step settling every register span of ``spans`` (``(code,
+        mask)`` pairs) and every flag of ``flags`` from ``start`` on, or
+        ``None`` when one of them is live there."""
         settled = -1.0
-        remaining = mask
-        for step, submask in events:
-            if remaining & submask:
-                settled = max(settled, step)
-                remaining &= ~submask
-        if remaining:
-            return math.inf
+        for code, span in spans:
+            dead, events = self._reg_profile(start, code)
+            if span & ~dead:
+                return None
+            settled = max(settled, _settle_step(events, span))
+        for flag in flags:
+            dead, flag_settled = self.flag_dead(start, flag)
+            if not dead:
+                return None
+            settled = max(settled, flag_settled)
         return settled
 
     # ----- flag deadness ----------------------------------------------
@@ -481,19 +516,10 @@ class TraceFacts:
             return None
         if facts.eff.writes_memory:
             return None
-        settled = -1.0
-        for code, span in facts.write_spans.items():
-            if span & ~self.reg_dead_mask(step + 1, code):
-                return None
-            settled = max(
-                settled, self.reg_settle(step + 1, code, span)
-            )
-        if facts.eff.writes_flags:
-            for flag in facts.touched:
-                dead, flag_settled = self.flag_dead(step + 1, flag)
-                if not dead:
-                    return None
-                settled = max(settled, flag_settled)
+        flags = facts.touched if facts.eff.writes_flags else ()
+        settled = self._dead_defs(step + 1, facts.write_spans.items(), flags)
+        if settled is None:
+            return None
         if not facts.write_spans and not facts.eff.writes_flags:
             return VariantPrune("dead", "no-effect", -1)
         return VariantPrune("dead", "dead-defs", settled)
@@ -538,9 +564,9 @@ class TraceFacts:
         return None
 
     def encoding_prune(
-        self, step: int, mutate: Callable[[bytearray], None]
+        self, step: int, detail: tuple, mutate: Callable[[bytearray], None]
     ) -> Optional[VariantPrune]:
-        """Classify a mutated-encoding fault at ``step``.
+        """Classify the mutated-encoding fault ``detail`` at ``step``.
 
         ``mutate`` perturbs the 15-byte fetch window in place, exactly
         as the runtime effect would.  The mutation is *dead* when it
@@ -548,33 +574,28 @@ class TraceFacts:
         non-control, non-memory instruction all of whose definitions
         (old and new) are dead; it is a *crash* when the mutated window
         no longer decodes.  Everything but the liveness scans after
-        ``step`` is memoized per (address, mutated window).
+        ``step`` is memoized per (address, detail): the window is read
+        from the pristine image, so an address always mutates the same
+        bytes, and one instance serves one model's proofs (as
+        :attr:`prune_cache` does).  A repeat reads no window.
         """
         facts = self.step(step)
         if facts is None or self._window_at is None:
             return None
-        window = self._window_at(step)
-        if window is None:
-            return None
-        mutated = bytearray(window)
-        mutate(mutated)
-        key = (facts.insn.address, bytes(mutated))
+        key = _encoding_key(facts.insn.address, detail)
         defs = self._encodings.get(key, _MISSING)
         if defs is _MISSING:
-            defs = self._encodings[key] = _encoding_defs(facts, window, key[1])
+            window = self._window_at(step)
+            if window is None:
+                defs = None
+            else:
+                mutated = bytearray(window)
+                mutate(mutated)
+                defs = _encoding_defs(facts, window, bytes(mutated))
+            self._encodings[key] = defs
         if not isinstance(defs, tuple):
             return defs
-        spans, flags = defs
-        settled = -1.0
-        for code, span in spans:
-            if span & ~self.reg_dead_mask(step + 1, code):
-                return None
-            settled = max(
-                settled, self.reg_settle(step + 1, code, span)
-            )
-        for flag in flags:
-            dead, flag_settled = self.flag_dead(step + 1, flag)
-            if not dead:
-                return None
-            settled = max(settled, flag_settled)
+        settled = self._dead_defs(step + 1, *defs)
+        if settled is None:
+            return None
         return VariantPrune("dead", "encoding-dead", settled)

@@ -32,7 +32,8 @@ class Flags:
         self.of = False
 
     def copy(self) -> "Flags":
-        other = Flags()
+        # every slot is assigned below, so skip __init__'s defaults
+        other = object.__new__(Flags)
         other.cf, other.pf, other.af = self.cf, self.pf, self.af
         other.zf, other.sf, other.of = self.zf, self.sf, self.of
         return other

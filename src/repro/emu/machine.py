@@ -22,6 +22,7 @@ fetch window, which no write can make stale.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -75,6 +76,21 @@ class RunResult:
                 f"steps={self.steps}, stdout={out!r})")
 
 
+def _exec_write_hook(machine: "Machine") -> Callable[[int, int], None]:
+    """The memory's exec-write hook for ``machine``, holding it weakly:
+    a bound method would make every machine, with its trace compiler
+    and compiled blocks, a reference cycle that only the cyclic
+    collector frees."""
+    machine_ref = weakref.ref(machine)
+
+    def hook(address: int, size: int) -> None:
+        owner = machine_ref()
+        if owner is not None:
+            owner._on_exec_write(address, size)
+
+    return hook
+
+
 class Machine:
     """A loaded guest program ready to run."""
 
@@ -103,7 +119,7 @@ class Machine:
         # Optional trace compiler (emu.jit.TraceCompiler); attached by
         # the engine, shared across per-fault machine resets.
         self.jit = None
-        self.memory.exec_write_hook = self._on_exec_write
+        self.memory.exec_write_hook = _exec_write_hook(self)
 
     def _on_exec_write(self, address: int, size: int) -> None:
         """A write landed in an executable page: evict stale decodes.
@@ -137,9 +153,10 @@ class Machine:
 
     def restore(self, state):
         regs, rip, flags, io_state = state
-        self.cpu.regs = list(regs)
-        self.cpu.rip = rip
-        self.cpu.flags = flags.copy()
+        cpu = self.cpu
+        cpu.regs = list(regs)
+        cpu.rip = rip
+        cpu.flags = flags.copy()
         self.io.restore(io_state)
 
     # -- execution ---------------------------------------------------------
@@ -186,14 +203,19 @@ class Machine:
         trace: list[int] = []
         steps = 0
         reason, exit_code, detail = MAX_STEPS, None, ""
-        plan = {step: as_effect(entry)
-                for step, entry in (fault_plan or {}).items()}
+        plan = fault_plan or None
         # Compiled fast path: disabled while tracing (every executed
         # address must be observed) — fault steps and the step budget
         # bound each burst below.
         jit = self.jit if not record_trace else None
-        plan_steps = sorted(plan) if (jit is not None and plan) else []
-        plan_cursor = 0
+        # the planned steps a compiled burst must stop at, soonest last
+        ahead: list = []
+        if plan:
+            for entry in plan.values():
+                as_effect(entry)
+            if jit is not None:
+                ahead = (list(plan) if len(plan) == 1
+                         else sorted(plan, reverse=True))
         try:
             while steps < max_steps:
                 rip = cpu.rip
@@ -201,11 +223,11 @@ class Machine:
                     trace.append(rip)
                 if jit is not None:
                     stop = max_steps
-                    while plan_cursor < len(plan_steps) and \
-                            plan_steps[plan_cursor] < steps:
-                        plan_cursor += 1
-                    if plan_cursor < len(plan_steps):
-                        stop = min(stop, plan_steps[plan_cursor])
+                    if ahead:
+                        while ahead and ahead[-1] < steps:
+                            ahead.pop()
+                        if ahead and ahead[-1] < stop:
+                            stop = ahead[-1]
                     # a PC known uncompilable would run nothing
                     if stop > steps and jit.runnable(rip):
                         advanced = jit.execute(self, stop - steps)
@@ -235,15 +257,16 @@ class Machine:
             reason = HALT
         except EmulationError as exc:
             reason, detail = CRASH, str(exc)
+        io = self.io
         return RunResult(
-            reason=reason,
-            exit_code=exit_code,
-            stdout=bytes(self.io.stdout),
-            stderr=bytes(self.io.stderr),
-            steps=steps,
-            crash_detail=detail,
-            trace=trace,
-            memory=self._capture_watches(watches),
+            reason,
+            exit_code,
+            bytes(io.stdout),
+            bytes(io.stderr),
+            steps,
+            detail,
+            trace,
+            self._capture_watches(watches) if watches else {},
         )
 
     def _capture_watches(self, watches: tuple) -> dict:

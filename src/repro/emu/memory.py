@@ -56,8 +56,12 @@ class Memory:
         perms = self._perms.get(page)
         if perms is None or "x" not in perms:
             raise MemoryFault(address, size, "fetch")
-        # fetch may run off the mapped end; pad with zeros (decodes as
-        # add [rax], al or fails -> invalid opcode, like real padding)
+        offset = address & PAGE_MASK
+        if offset + size <= PAGE_SIZE:
+            return bytes(self._pages[page][offset:offset + size])
+        # a fetch may run off the mapped end: it returns only the
+        # mapped prefix, so a window cut short decodes short or fails
+        # to decode (an invalid opcode, as at the end of real memory)
         try:
             return self._access(address, size, None)
         except MemoryFault:
@@ -144,9 +148,8 @@ class Memory:
 
     def journal_rollback(self):
         """Undo all writes since :meth:`journal_begin` (LIFO) and stop."""
-        if self._journal is None:
-            return
-        self._undo(0)
+        if self._journal:
+            self._undo(0)
         self._journal = None
 
     def journal_changes(self) -> tuple:

@@ -16,7 +16,7 @@ memo").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
 from repro.emu.cpu import ExitProgram, Halt
@@ -109,17 +109,6 @@ class ExecutionStats:
         self.dead_examples.extend(other.dead_examples[: max(0, room)])
 
 
-def _fault_plan(
-    model: FaultModel, point: FaultPoint, base_step: int
-) -> dict:
-    """Effect plan keyed by steps relative to a resume point
-    ``base_step``."""
-    return {
-        step - base_step: model.effect(detail)
-        for step, detail in zip(point.steps, point.details)
-    }
-
-
 def master_step(machine: Machine) -> bool:
     """Advance the master machine one instruction; False when done."""
     try:
@@ -183,7 +172,16 @@ class _OffsetMemo:
                 return None
             steps = known.steps
         self._hit = True
-        return replace(known, steps=steps, memory=dict(known.memory))
+        return RunResult(
+            known.reason,
+            known.exit_code,
+            known.stdout,
+            known.stderr,
+            steps,
+            known.crash_detail,
+            known.trace,
+            dict(known.memory),
+        )
 
     def settle(self, result: RunResult) -> bool:
         """Whether the run ended on a known state; a run that missed
@@ -259,6 +257,24 @@ class MasterWalkExecutor:
         self._image_key = (faulter.image_digest()
                            if faulter.artifacts is not None else None)
         self._jit_warmed = False
+        # detail -> the model's effect for it; every effect is
+        # immutable, so one object serves each point with that detail
+        self._effects: dict = {}
+
+    def _effect(self, detail: tuple):
+        effect = self._effects.get(detail)
+        if effect is None:
+            effect = self._effects[detail] = self._model.effect(detail)
+        return effect
+
+    def _fault_plan(self, point: FaultPoint) -> dict:
+        """Effect plan keyed by steps relative to the walk's step."""
+        if point.arity == 1:
+            return {0: self._effect(point.details[0])}
+        return {
+            step - self._step: self._effect(detail)
+            for step, detail in zip(point.steps, point.details)
+        }
 
     def _reset(self) -> None:
         self._machine = Machine(
@@ -280,9 +296,10 @@ class MasterWalkExecutor:
     def finalize(self) -> None:
         _persist_jit(self._compiler, self._artifacts, self._image_key)
 
-    def _offset_memo(self, stats: ExecutionStats) -> _OffsetMemo:
+    def _offset_memo(self, state, stats: ExecutionStats) -> _OffsetMemo:
         """A fresh memo for the walk's current offset, seeded with the
-        golden state: one unfaulted, journaled step, rolled back.
+        golden state: one unfaulted, journaled step from the offset's
+        snapshot ``state``, rolled back.
 
         A run that leaves the golden state continues as the bad
         baseline does from here, ``baseline.steps - offset`` steps in
@@ -294,7 +311,6 @@ class MasterWalkExecutor:
         baseline = self._faulter.bad_baseline
         golden = None
         if baseline.reason != MAX_STEPS:
-            state = machine.snapshot()
             machine.memory.journal_begin()
             try:
                 if master_step(machine):
@@ -333,46 +349,50 @@ class MasterWalkExecutor:
         if self._machine is None or ordered[0].first_step < self._step:
             self._reset()
         machine = self._machine
+        memory = machine.memory
         cap = self._faulter.continuation_cap
         watches = self._faulter.watches
         index = 0
         while index < len(ordered):
-            memo = None
-            while (
-                index < len(ordered)
-                and ordered[index].first_step == self._step
-            ):
-                point = ordered[index]
-                index += 1
-                plan = _fault_plan(self._model, point, self._step)
+            if ordered[index].first_step == self._step:
+                # the offset's points share one pre-fault snapshot, one
+                # budget and one post-fault state memo
+                state = machine.snapshot()
                 if self._cap_policy == SUFFIX_CAP:
                     budget = cap
                 else:
                     budget = max(1, cap - self._step)
-                after_fault = None
-                if point.arity == 1:
-                    if memo is None:
-                        memo = self._offset_memo(stats)
-                    after_fault = memo.after_fault
-                state = machine.snapshot()
-                machine.memory.journal_begin()
-                try:
-                    result = machine.run(
-                        max_steps=budget,
-                        fault_plan=plan,
-                        watches=watches,
-                        after_fault=after_fault,
-                    )
-                finally:
-                    machine.memory.journal_rollback()
-                    machine.restore(state)
-                if after_fault is not None and memo.settle(result):
-                    # only the faulted step ran
-                    stats.memo_hits += 1
-                    stats.emulated_steps += 1
-                else:
-                    stats.emulated_steps += result.steps
-                yield point, result
+                memo = None
+                while (
+                    index < len(ordered)
+                    and ordered[index].first_step == self._step
+                ):
+                    point = ordered[index]
+                    index += 1
+                    after_fault = None
+                    if point.arity == 1:
+                        if memo is None:
+                            memo = self._offset_memo(state, stats)
+                        after_fault = memo.after_fault
+                    plan = self._fault_plan(point)
+                    memory.journal_begin()
+                    try:
+                        result = machine.run(
+                            max_steps=budget,
+                            fault_plan=plan,
+                            watches=watches,
+                            after_fault=after_fault,
+                        )
+                    finally:
+                        memory.journal_rollback()
+                        machine.restore(state)
+                    if after_fault is not None and memo.settle(result):
+                        # only the faulted step ran
+                        stats.memo_hits += 1
+                        stats.emulated_steps += 1
+                    else:
+                        stats.emulated_steps += result.steps
+                    yield point, result
             if index >= len(ordered) or self._done:
                 break
             target = ordered[index].first_step

@@ -157,7 +157,7 @@ class SingleBitFlip(EncodingFaultModel):
         # crash when the mutated window no longer decodes; dead when
         # it decodes to a same-length instruction whose definitions
         # are all dead
-        return facts.encoding_prune(step, mutate)
+        return facts.encoding_prune(step, detail, mutate)
 
 
 class StuckAtZeroByte(EncodingFaultModel):
@@ -183,7 +183,7 @@ class StuckAtZeroByte(EncodingFaultModel):
 
         # an already-zero byte is an identity fault (dead); otherwise
         # as for bitflip
-        return facts.encoding_prune(step, mutate)
+        return facts.encoding_prune(step, detail, mutate)
 
 
 class RegisterBitFlip(StateFaultModel):

@@ -173,3 +173,40 @@ class TestMachineInternals:
         """
         result = run_executable(assemble(source))
         assert result.reason == "crash"
+
+
+class TestLifetime:
+    def test_machine_with_compiled_blocks_frees_without_gc(self):
+        # the memory's exec-write hook holds its machine weakly, so a
+        # machine, its trace compiler and the compiled blocks are no
+        # reference cycle: dropping the last reference frees them
+        import gc
+        import weakref
+
+        from repro.emu.jit import TraceCompiler
+
+        wl = bootloader.workload()
+        machine = Machine(wl.build(), stdin=wl.bad_input)
+        TraceCompiler().attach(machine)
+        gc.disable()
+        try:
+            result = machine.run()
+            assert result.reason == "exit"
+            assert machine.jit.compiled_steps > 0
+            refs = [weakref.ref(machine), weakref.ref(machine.jit)]
+            del machine
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
+
+    def test_exec_write_hook_outlives_its_machine(self):
+        # a memory kept past its machine ignores exec writes
+        from repro.asm import assemble
+
+        machine = Machine(assemble(".text\n.global _start\n_start:\n"
+                                   "    mov eax, 60\n    syscall\n"))
+        memory = machine.memory
+        address = machine.image.entry
+        del machine
+        memory.poke(address, b"\x90")
+        assert memory.peek(address, 1) == b"\x90"

@@ -673,9 +673,14 @@ class TestCliSurface:
         assert flag in capsys.readouterr().err
 
 
+# the order proofs scan flags in, so a reference scans what they scan
+FLAG_ORDER = ("cf", "pf", "af", "zf", "sf", "of")
+
+
 class _StepwiseFacts(TraceFacts):
     """Memo-free reference proofs: :class:`StepFacts` derived afresh at
-    every step, and every encoding proof decoded and derived afresh."""
+    every step, and every encoding proof decoded and derived afresh
+    from the step's own fetch window."""
 
     def __init__(self, image, bad_input, trace):
         probe = Machine(image, stdin=bad_input)
@@ -699,7 +704,7 @@ class _StepwiseFacts(TraceFacts):
         insn = self._insn_at(step)
         return derive_step_facts(insn) if insn is not None else None
 
-    def encoding_prune(self, step, mutate):
+    def encoding_prune(self, step, detail, mutate):
         facts = self.step(step)
         window = self._window_at(step)
         if facts is None or window is None:
@@ -733,7 +738,8 @@ class _StepwiseFacts(TraceFacts):
                 return None
             settled = max(settled, self.reg_settle(step + 1, code, span))
         if facts.eff.writes_flags or new_facts.eff.writes_flags:
-            for flag in {*facts.touched, *new_facts.touched}:
+            touched = {*facts.touched, *new_facts.touched}
+            for flag in (f for f in FLAG_ORDER if f in touched):
                 dead, flag_settled = self.flag_dead(step + 1, flag)
                 if not dead:
                     return None
@@ -743,7 +749,7 @@ class _StepwiseFacts(TraceFacts):
 
 def _verdicts(image, bad_input, model_name):
     """``(memoized, memo-free)`` verdicts of every point of the model
-    on the bad-input trace, and the production facts."""
+    on the bad-input trace, and the production and reference facts."""
     trace = engine.derive_trace(image, bad_input, 100_000)
     ctx = engine.build_space_context(image, bad_input, MODELS[model_name],
                                      trace)
@@ -755,11 +761,11 @@ def _verdicts(image, bad_input, model_name):
                 step, detail, ctx.facts)
             fresh[step, detail] = ctx.model.prune_variant(
                 step, detail, reference)
-    return memoized, fresh, ctx.facts
+    return memoized, fresh, ctx.facts, reference
 
 
 class TestMemoizedProofs:
-    """Proofs memoized per address and per (address, mutated window)
+    """Proofs memoized per address and per (address, fault detail)
     equal a memo-free recomputation: kind, reason and ``settled``."""
 
     @pytest.fixture(scope="class")
@@ -773,16 +779,18 @@ class TestMemoizedProofs:
     @pytest.mark.parametrize("name", ["bootloader", "bootloader+hybrid"])
     def test_loop_heavy_traces(self, images, name, model):
         wl = bootloader.workload()
-        memoized, fresh, facts = _verdicts(images[name], wl.bad_input,
-                                           model)
+        memoized, fresh, facts, _ = _verdicts(images[name], wl.bad_input,
+                                              model)
         assert memoized == fresh
         if model == "bitflip":
             # the hash loop revisits its code: the memo must hit
             assert 0 < len(facts._encodings) < len(memoized)
 
     def test_key_is_the_whole_window(self):
-        # two copies of push rax (0x50); bit 4 turns it into a REX
-        # prefix, so the mutated decode runs into the following bytes:
+        # the proof reads the whole fetch window, so equal instructions
+        # at two addresses must not share it: two copies of push rax
+        # (0x50); bit 4 turns it into a REX prefix, so the mutated
+        # decode runs into the following bytes:
         # "40 90" decodes (a longer instruction, no proof), "40 48 .."
         # stacks two prefixes and does not decode (a crash)
         image = assemble("\n".join([
@@ -790,7 +798,77 @@ class TestMemoizedProofs:
             "    push rax", "    nop",
             "    push rax", "    add rax, rbx",
             "    mov eax, 60", "    xor edi, edi", "    syscall"]))
-        memoized, fresh, _ = _verdicts(image, b"", "bitflip")
+        memoized, fresh, _, _ = _verdicts(image, b"", "bitflip")
         assert memoized == fresh
         assert memoized[0, (4,)] is None
         assert memoized[2, (4,)].kind == "crash"
+
+
+@pytest.fixture(scope="module")
+def encoding_images():
+    """pincheck, its three hardened images and the bootloader."""
+    target = pincheck.workload().target()
+    images = {"pincheck": (target.exe, target.bad_input)}
+    for approach in ("faulter+patcher", "hybrid", "detour"):
+        images[f"pincheck+{approach}"] = (
+            target.harden(approach).hardened, target.bad_input)
+    wl = bootloader.workload()
+    images["bootloader"] = (wl.build(), wl.bad_input)
+    return images
+
+
+class TestEncodingProofMemo:
+    """The encoding proofs' step-independent half, memoized per
+    (address, fault detail), against a reference that decodes and
+    derives every proof afresh: equal per point (kind, reason,
+    ``settled``) and in the scans they run."""
+
+    @pytest.mark.parametrize("model", ["bitflip", "stuck0"])
+    @pytest.mark.parametrize("name", [
+        "pincheck", "pincheck+faulter+patcher", "pincheck+hybrid",
+        "pincheck+detour", "bootloader"])
+    def test_every_point_matches_the_reference(self, encoding_images,
+                                               name, model):
+        image, bad_input = encoding_images[name]
+        memoized, fresh, facts, reference = _verdicts(image, bad_input,
+                                                      model)
+        assert memoized == fresh
+        assert facts.scan_steps == reference.scan_steps
+        assert any(proof is not None for proof in memoized.values())
+
+    @pytest.mark.parametrize("key", [
+        lambda address, detail: detail,
+        lambda address, detail: address,
+    ], ids=["without-address", "without-detail"])
+    def test_a_partial_key_fails(self, monkeypatch, encoding_images,
+                                 key):
+        from repro.analysis import traceflow
+
+        monkeypatch.setattr(traceflow, "_encoding_key", key)
+        image, bad_input = encoding_images["pincheck"]
+        memoized, fresh, _, _ = _verdicts(image, bad_input, "bitflip")
+        assert memoized != fresh
+
+    @pytest.mark.parametrize("model", ["bitflip", "stuck0"])
+    def test_a_repeat_reads_no_window(self, encoding_images, model):
+        # the bootloader's hash loop repeats (address, detail) pairs
+        image, bad_input = encoding_images["bootloader"]
+        trace = engine.derive_trace(image, bad_input, 100_000)
+        ctx = engine.build_space_context(image, bad_input, MODELS[model],
+                                         trace)
+        facts = ctx.facts
+        window_at = facts._window_at
+        reads = []
+
+        def counting(step):
+            reads.append(step)
+            return window_at(step)
+
+        facts._window_at = counting
+        pairs = set()
+        for step in range(len(trace)):
+            for detail in ctx.variants(step):
+                ctx.model.prune_variant(step, detail, facts)
+                pairs.add((trace[step], detail))
+        assert len(reads) == len(pairs) < sum(
+            len(ctx.variants(step)) for step in range(len(trace)))
